@@ -188,14 +188,14 @@ def merge_collinear(ctx: FieldContext, segments) -> list[ExactSegment]:
             continue
         t = edge_direction_power(ctx, d)
         if t is None:
-            groups.setdefault(("free", seg.a.coeffs, seg.b.coeffs), []).append(
+            groups.setdefault(("free", seg.a, seg.b), []).append(
                 (None, None, seg)
             )
             continue
         axis = ctx.lam_pow(t)
         u = axis.conj()
         offset = (u * seg.a).imag()
-        key = (t, offset.coeffs)
+        key = (t, offset)
         s_a = (u * seg.a).real()
         s_b = (u * seg.b).real()
         lo, hi = (s_a, s_b) if sign_of_real(s_b - s_a) == Sign.POSITIVE else (s_b, s_a)

@@ -1,15 +1,19 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_m).
 
-Every coordinate in the package is a ``CycloNum``: a vector of rationals over
+Every coordinate in the package is a ``CycloNum``: an integer vector over
 the power basis ``1, zeta, ..., zeta^(d-1)`` reduced modulo the m-th
-cyclotomic polynomial, where ``m = lcm(4, q)`` so that ``i`` and every
-rational planar point ``x + i*y`` live in the same field as the rotation
-``lambda = zeta^(m*p/q)``.
+cyclotomic polynomial, over one positive common denominator, where
+``m = lcm(4, q)`` so that ``i`` and every rational planar point ``x + i*y``
+live in the same field as the rotation ``lambda = zeta^(m*p/q)``.  This
+(vector, denominator) pair is the lattice form the orbit kernels walk, so
+the field and the kernels share one representation.
 
-Equality of field elements is equality of coefficient vectors (the
-representation is canonical), and the sign of a real element is decided by an
-exact zero test followed by interval evaluation at doubling precision, so no
-decision in the package ever rests on floating point alone.
+The pair is kept reduced, so equality of field elements is equality of
+pairs.  Ring operations, conjugation and the Galois maps run on integers;
+the inverse is the product of the nontrivial Galois conjugates over the
+norm.  The sign of a real element is decided by an exact zero test followed
+by a certified float evaluation and interval evaluation at doubling
+precision, so no decision in the package ever rests on floating point alone.
 """
 
 from __future__ import annotations
@@ -131,7 +135,7 @@ class FieldContext:
 
     __slots__ = (
         "p", "q", "m", "d", "phi_m", "lambda_", "i_unit",
-        "_zeta_vecs", "_conj_of_basis", "_cos", "_sin", "_sign_margin",
+        "_zeta_vecs", "_zeta_rows", "_units", "_cos", "_sin", "_sign_margin",
         "_iv_cache", "_iv_lock", "_lam_pows", "_extras",
     )
 
@@ -149,9 +153,11 @@ class FieldContext:
         self.d = len(self.phi_m) - 1
         assert self.d == _euler_phi(self.m)
         self._zeta_vecs = self._build_zeta_table()
-        self._conj_of_basis = tuple(
-            self._zeta_vecs[(self.m - j) % self.m] for j in range(self.d)
+        # the nonzero (index, coefficient) pairs of each zeta^e
+        self._zeta_rows = tuple(
+            tuple((i, c) for i, c in enumerate(vec) if c) for vec in self._zeta_vecs
         )
+        self._units = tuple(k for k in range(1, self.m) if math.gcd(k, self.m) == 1)
         self._cos = tuple(math.cos(2.0 * math.pi * j / self.m) for j in range(self.d))
         self._sin = tuple(math.sin(2.0 * math.pi * j / self.m) for j in range(self.d))
         self._sign_margin = (4 * self.d + 64) * _EPS
@@ -182,25 +188,36 @@ class FieldContext:
 
     # -- constructors -------------------------------------------------------
 
+    def from_lattice(self, vec: Sequence[int], den: int) -> "CycloNum":
+        """The element ``vec / den`` for an integer vector and a nonzero
+        integer ``den``, brought to its reduced form."""
+        g = math.gcd(den, *vec)
+        if den < 0:
+            g = -g
+        if g != 1:
+            vec = [x // g for x in vec]
+            den //= g
+        return CycloNum(self, tuple(vec), den)
+
     def num(self, coeffs: Sequence[Fraction]) -> "CycloNum":
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != self.d:
             raise ParameterError(f"coefficient vector must have length {self.d}")
-        return CycloNum(self, coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return self.from_lattice([c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def zero(self) -> "CycloNum":
-        return CycloNum(self, (_ZERO,) * self.d)
+        return CycloNum(self, (0,) * self.d, 1)
 
     def one(self) -> "CycloNum":
         return self.from_rational(1)
 
     def from_rational(self, x) -> "CycloNum":
-        coeffs = [_ZERO] * self.d
-        coeffs[0] = Fraction(x)
-        return CycloNum(self, tuple(coeffs))
+        x = Fraction(x)
+        return CycloNum(self, (x.numerator,) + (0,) * (self.d - 1), x.denominator)
 
     def zeta_pow(self, e: int) -> "CycloNum":
-        return CycloNum(self, tuple(Fraction(c) for c in self._zeta_vecs[e % self.m]))
+        return CycloNum(self, self._zeta_vecs[e % self.m], 1)
 
     def lam_pow(self, t: int) -> "CycloNum":
         """lambda^t, cached for t modulo q."""
@@ -213,7 +230,71 @@ class FieldContext:
     def __repr__(self):
         return f"FieldContext(p={self.p}, q={self.q}, m={self.m}, d={self.d})"
 
-    # -- interval machinery --------------------------------------------------
+    # -- integer vector arithmetic ---------------------------------------------
+
+    def _mul_vecs(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        """Integer vector of the product of two integer vectors."""
+        d = self.d
+        prod = [0] * (2 * d - 1)
+        b_terms = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in b_terms:
+                    prod[i + j] += x * y
+        out = prod[:d]
+        rows = self._zeta_rows
+        for e in range(d, 2 * d - 1):
+            c = prod[e]
+            if c:
+                for i, r in rows[e]:
+                    out[i] += c * r
+        return out
+
+    def _permute(self, vec: Sequence[int], k: int, e: int) -> list[int]:
+        """Integer vector of sum(vec_j * zeta^(k*j + e)).
+
+        With k = 1 this multiplies by zeta^e, with e = 0 it is the Galois
+        map zeta -> zeta^k (k = -1 is complex conjugation).  For k prime to
+        m both are bijections of Z[zeta], so the gcd of the vector is kept.
+        """
+        m, rows = self.m, self._zeta_rows
+        out = [0] * self.d
+        for j, x in enumerate(vec):
+            if x:
+                for i, c in rows[(k * j + e) % m]:
+                    out[i] += x * c
+        return out
+
+    # -- sign machinery ---------------------------------------------------------
+
+    def _imag_sign(self, vec: Sequence[int]) -> "Sign":
+        """Exact sign of Im(sum(vec_j * zeta^j)).
+
+        Zero exactly when the vector is fixed by conjugation; otherwise
+        decided by :meth:`_nonzero_sign`.
+        """
+        if self._permute(vec, -1, 0) == list(vec):
+            return Sign.ZERO
+        return self._nonzero_sign(vec, imag=True)
+
+    def _nonzero_sign(self, vec: Sequence[int], imag: bool) -> "Sign":
+        """Sign of the real (or imaginary) part of sum(vec_j * zeta^j),
+        which the caller has proved nonzero: a certified float evaluation
+        decides most cases, interval arithmetic at doubling precision the
+        rest."""
+        try:
+            val, err = self._float_combo(vec, self._sin if imag else self._cos)
+            if abs(val) > err:
+                return Sign.POSITIVE if val > 0 else Sign.NEGATIVE
+        except OverflowError:
+            pass
+        prec = 64
+        while True:
+            re, im = self._iv_eval(vec, prec)
+            part = im if imag else re
+            if 0 not in part:
+                return Sign.POSITIVE if part.a > 0 else Sign.NEGATIVE
+            prec *= 2
 
     def _iv_nodes(self, prec: int):
         with self._iv_lock:
@@ -228,50 +309,56 @@ class FieldContext:
                 self._iv_cache[prec] = cached
             return cached
 
-    def _iv_eval(self, coeffs: Sequence[Fraction], prec: int):
-        """Rigorous complex enclosure of sum(c_j * zeta^j) at e^(2*pi*i/m)."""
+    def _iv_eval(self, vec: Sequence[int], prec: int):
+        """Rigorous complex enclosure of sum(vec_j * zeta^j) at e^(2*pi*i/m)."""
         ctx, cos, sin = self._iv_nodes(prec)
         re = ctx.zero
         im = ctx.zero
-        for j, c in enumerate(coeffs):
-            if not c:
+        for j, x in enumerate(vec):
+            if not x:
                 continue
-            cf = ctx.mpf(c.numerator) / ctx.mpf(c.denominator)
-            re += cf * cos[j]
-            im += cf * sin[j]
+            xf = ctx.mpf(x)
+            re += xf * cos[j]
+            im += xf * sin[j]
         return re, im
 
-    def _float_combo(self, coeffs: Sequence[Fraction], nodes: Sequence[float]):
-        """(value, certified absolute error bound) of sum(c_j * node_j) in doubles.
+    def _float_combo(self, vec: Sequence[int], nodes: Sequence[float]):
+        """(value, certified absolute error bound) of sum(vec_j * node_j) in doubles.
 
-        Raises OverflowError when a coefficient does not fit a double; callers
+        Raises OverflowError when an entry does not fit a double; callers
         fall through to interval evaluation.
         """
         total = 0.0
         abssum = 0.0
-        for j, c in enumerate(coeffs):
-            if not c:
+        for j, x in enumerate(vec):
+            if not x:
                 continue
-            cf = float(c)
-            if math.isinf(cf):
-                raise OverflowError
-            total += cf * nodes[j]
-            abssum += abs(cf)
+            xf = float(x)
+            total += xf * nodes[j]
+            abssum += abs(xf)
         return total, abssum * self._sign_margin
 
 
 class CycloNum:
-    """An element of Q(zeta_m) as a length-d rational coefficient vector.
+    """An element of Q(zeta_m) as ``vec / den``: an integer vector over the
+    power basis and one positive common denominator.
 
-    Values are immutable; arithmetic is exact and keeps the representation
-    canonical, so ``==`` on coefficient vectors is field equality.
+    Values are immutable.  Every constructor keeps the pair reduced
+    (gcd(vec..., den) = 1), so the representation is canonical and ``==`` on
+    pairs is field equality.
     """
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "vec", "den")
 
-    def __init__(self, ctx: FieldContext, coeffs: tuple[Fraction, ...]):
+    def __init__(self, ctx: FieldContext, vec: tuple[int, ...], den: int):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.vec = vec
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients over ``1, zeta, ..., zeta^(d-1)``."""
+        return tuple(Fraction(x, self.den) for x in self.vec)
 
     # -- helpers -------------------------------------------------------------
 
@@ -284,16 +371,25 @@ class CycloNum:
             return self.ctx.from_rational(other)
         return None
 
+    def _aligned(self, other: "CycloNum"):
+        """(self.vec, other.vec, den), both vectors over the common denominator den."""
+        da, db = self.den, other.den
+        if da == db:
+            return self.vec, other.vec, da
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return [x * fa for x in self.vec], [y * fb for y in other.vec], da * fa
+
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.vec)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.vec[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise DomainError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.vec[0], self.den)
 
     # -- ring operations ------------------------------------------------------
 
@@ -301,7 +397,8 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNum(self.ctx, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b, den = self._aligned(other)
+        return self.ctx.from_lattice([x + y for x, y in zip(a, b)], den)
 
     __radd__ = __add__
 
@@ -309,7 +406,8 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNum(self.ctx, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b, den = self._aligned(other)
+        return self.ctx.from_lattice([x - y for x, y in zip(a, b)], den)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -318,75 +416,51 @@ class CycloNum:
         return other - self
 
     def __neg__(self):
-        return CycloNum(self.ctx, tuple(-a for a in self.coeffs))
+        return CycloNum(self.ctx, tuple(-x for x in self.vec), self.den)
 
     def __mul__(self, other):
+        ctx = self.ctx
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CycloNum(self.ctx, tuple(a * f for a in self.coeffs))
+            n = other.numerator
+            return ctx.from_lattice([x * n for x in self.vec], self.den * other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = self.ctx.d
-        prod = [_ZERO] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    prod[i + j] += a * b
-        out = list(prod[:d])
-        vecs = self.ctx._zeta_vecs
-        for e in range(d, 2 * d - 1):
-            c = prod[e]
-            if c:
-                vec = vecs[e]
-                for i in range(d):
-                    if vec[i]:
-                        out[i] += c * vec[i]
-        return CycloNum(self.ctx, tuple(out))
+        return ctx.from_lattice(ctx._mul_vecs(self.vec, other.vec), self.den * other.den)
 
     __rmul__ = __mul__
 
     def mul_zeta(self, e: int) -> "CycloNum":
         """Multiply by zeta^e (fast path used by the affine calculus)."""
-        d = self.ctx.d
-        vecs = self.ctx._zeta_vecs
-        m = self.ctx.m
-        out = [_ZERO] * d
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            vec = vecs[(j + e) % m]
-            for i in range(d):
-                if vec[i]:
-                    out[i] += c * vec[i]
-        return CycloNum(self.ctx, tuple(out))
+        return CycloNum(self.ctx, tuple(self.ctx._permute(self.vec, 1, e)), self.den)
+
+    def galois(self, k: int) -> "CycloNum":
+        """The field automorphism zeta -> zeta^k, for k prime to m."""
+        if math.gcd(k, self.ctx.m) != 1:
+            raise ParameterError(f"zeta -> zeta^{k} is not an automorphism for m={self.ctx.m}")
+        return CycloNum(self.ctx, tuple(self.ctx._permute(self.vec, k, 0)), self.den)
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against the (irreducible) cyclotomic modulus."""
+        """Multiplicative inverse by the norm identity
+        a^-1 = prod(sigma_k(a) for k != 1) / N(a), k over the units mod m
+        (Cohen, A Course in Computational Algebraic Number Theory, 4.2-4.3)."""
         if self.is_zero():
             raise DomainError("0 has no inverse")
-        mod = [Fraction(c) for c in self.ctx.phi_m]
-        r0, r1 = mod, list(self.coeffs)
-        s0, s1 = [_ZERO], [Fraction(1)]
-        while True:
-            r1, top = _poly_trim(r1)
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                coeffs = [c * inv for c in s1] + [_ZERO] * self.ctx.d
-                return CycloNum(self.ctx, tuple(coeffs[: self.ctx.d]))
-            q_poly, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q_poly, s1))
+        ctx = self.ctx
+        vec = self.vec
+        cofactor = ctx._permute(vec, ctx._units[1], 0)
+        for k in ctx._units[2:]:
+            cofactor = ctx._mul_vecs(cofactor, ctx._permute(vec, k, 0))
+        # vec * cofactor is the integer norm N(vec), a rational integer
+        norm = ctx._mul_vecs(vec, cofactor)[0]
+        return ctx.from_lattice([self.den * x for x in cofactor], norm)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if not f:
+            if not other:
                 raise DomainError("division by zero")
-            return CycloNum(self.ctx, tuple(a / f for a in self.coeffs))
+            n = other.denominator
+            return self.ctx.from_lattice([x * n for x in self.vec], self.den * other.numerator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -416,22 +490,14 @@ class CycloNum:
 
     def conj(self) -> "CycloNum":
         """Complex conjugation, the automorphism zeta -> zeta^(m-1)."""
-        d = self.ctx.d
-        out = [_ZERO] * d
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            vec = self.ctx._conj_of_basis[j]
-            for i in range(d):
-                if vec[i]:
-                    out[i] += c * vec[i]
-        return CycloNum(self.ctx, tuple(out))
+        return CycloNum(self.ctx, tuple(self.ctx._permute(self.vec, -1, 0)), self.den)
 
     def real(self) -> "CycloNum":
         return (self + self.conj()) / 2
 
     def imag(self) -> "CycloNum":
-        return (self - self.conj()) / (self.ctx.i_unit * 2)
+        # a - conj(a) = 2i*Im(a), and zeta^(3m/4) = -i
+        return (self - self.conj()).mul_zeta(3 * self.ctx.m // 4) / 2
 
     def squared_abs(self) -> "CycloNum":
         return self * self.conj()
@@ -443,10 +509,10 @@ class CycloNum:
             other = self.ctx.from_rational(other)
         if not isinstance(other, CycloNum):
             return NotImplemented
-        return self.ctx is other.ctx and self.coeffs == other.coeffs
+        return self.ctx is other.ctx and self.den == other.den and self.vec == other.vec
 
     def __hash__(self):
-        return hash((id(self.ctx), self.coeffs))
+        return hash((id(self.ctx), self.vec, self.den))
 
     # -- rendering ---------------------------------------------------------------
 
@@ -472,47 +538,11 @@ class CycloNum:
 
     def to_complex(self) -> complex:
         """53-bit numeric shadow; for display and plotting only."""
-        re = sum(float(c) * self.ctx._cos[j] for j, c in enumerate(self.coeffs) if c)
-        im = sum(float(c) * self.ctx._sin[j] for j, c in enumerate(self.coeffs) if c)
+        # x / den is the correctly rounded quotient, as float(Fraction(x, den))
+        den = self.den
+        re = sum((x / den) * self.ctx._cos[j] for j, x in enumerate(self.vec) if x)
+        im = sum((x / den) * self.ctx._sin[j] for j, x in enumerate(self.vec) if x)
         return complex(re, im)
-
-
-def _poly_trim(p):
-    while len(p) > 1 and not p[-1]:
-        p = p[:-1]
-    return list(p), p[-1]
-
-
-def _poly_divmod(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[dd]
-    q_out = [_ZERO] * max(1, len(num) - dd)
-    for i in range(len(num) - dd - 1, -1, -1):
-        c = num[i + dd] / lead
-        q_out[i] = c
-        if c:
-            for j in range(dd + 1):
-                num[i + j] -= c * den[j]
-    rem = num[:dd]
-    return q_out, (rem if rem else [_ZERO])
-
-
-def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 @lru_cache(maxsize=None)
@@ -521,91 +551,24 @@ def make_field(p: int, q: int) -> FieldContext:
     return FieldContext(p, q)
 
 
-# -- module-level operation aliases ------------------------------------------------
-
-
-def add(a: CycloNum, b: CycloNum) -> CycloNum:
-    return a + b
-
-
-def mul(a: CycloNum, b: CycloNum) -> CycloNum:
-    return a * b
-
-
-def neg(a: CycloNum) -> CycloNum:
-    return -a
-
-
-def inverse(a: CycloNum) -> CycloNum:
-    return a.inverse()
-
-
-def conj(a: CycloNum) -> CycloNum:
-    return a.conj()
-
-
-def real_part(a: CycloNum) -> CycloNum:
-    return a.real()
-
-
-def imag_part(a: CycloNum) -> CycloNum:
-    return a.imag()
-
-
-def embed_rational_point(ctx: FieldContext, x, y) -> CycloNum:
-    return ctx.point(x, y)
-
-
 def sign_of_real(a: CycloNum) -> Sign:
     """Exact sign of a real field element.
 
-    Zero is decided on the coefficient vector; otherwise a certified floating
+    Zero is decided on the integer vector; otherwise a certified floating
     point evaluation decides most cases and interval arithmetic at doubling
-    precision settles the rest.  Raises ``DomainError`` on non-real input.
+    precision settles the rest.  The denominator is positive, so the sign is
+    that of the vector.  Raises ``DomainError`` on non-real input.
     """
     if a != a.conj():
         raise DomainError("sign_of_real requires a conjugation-fixed element")
-    return _sign_real_unchecked(a)
-
-
-def _sign_real_unchecked(a: CycloNum) -> Sign:
     if a.is_zero():
         return Sign.ZERO
-    ctx = a.ctx
-    try:
-        val, err = ctx._float_combo(a.coeffs, ctx._cos)
-        if abs(val) > err:
-            return Sign.POSITIVE if val > 0 else Sign.NEGATIVE
-    except OverflowError:
-        pass
-    prec = 64
-    while True:
-        re, _ = ctx._iv_eval(a.coeffs, prec)
-        if 0 not in re:
-            return Sign.POSITIVE if re.a > 0 else Sign.NEGATIVE
-        prec *= 2
+    return a.ctx._nonzero_sign(a.vec, imag=False)
 
 
 def sign_of_imag(a: CycloNum) -> Sign:
     """Exact sign of Im(a); the predicate behind the branch choice."""
-    diff = a - a.conj()
-    if diff.is_zero():
-        return Sign.ZERO
-    ctx = a.ctx
-    try:
-        # Im(a) = sum c_j sin(2 pi j / m); the conj-difference above already
-        # certified it is nonzero.
-        val, err = ctx._float_combo(a.coeffs, ctx._sin)
-        if abs(val) > err:
-            return Sign.POSITIVE if val > 0 else Sign.NEGATIVE
-    except OverflowError:
-        pass
-    prec = 64
-    while True:
-        _, im = ctx._iv_eval(a.coeffs, prec)
-        if 0 not in im:
-            return Sign.POSITIVE if im.a > 0 else Sign.NEGATIVE
-        prec *= 2
+    return a.ctx._imag_sign(a.vec)
 
 
 def approx(a: CycloNum, bits: int = 64) -> ComplexBox:
@@ -618,9 +581,11 @@ def approx(a: CycloNum, bits: int = 64) -> ComplexBox:
     ctx = a.ctx
     prec = bits + 16
     while True:
-        re, im = ctx._iv_eval(a.coeffs, prec)
-        re_lo, re_hi = _iv_to_fractions(re)
-        im_lo, im_hi = _iv_to_fractions(im)
+        iv, _, _ = ctx._iv_nodes(prec)
+        re, im = ctx._iv_eval(a.vec, prec)
+        den = iv.mpf(a.den)
+        re_lo, re_hi = _iv_to_fractions(re / den)
+        im_lo, im_hi = _iv_to_fractions(im / den)
         box = ComplexBox(re_lo, re_hi, im_lo, im_hi)
         lo_abs = max(
             _ZERO,

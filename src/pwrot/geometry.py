@@ -104,7 +104,7 @@ class ConvexPolygon:
         return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
     def key(self):
-        return tuple(v.coeffs for v in self.vertices)
+        return self.vertices
 
 
 @dataclass(frozen=True)
@@ -311,8 +311,8 @@ def convex_hull(points: Sequence[CycloNum]) -> list[CycloNum]:
     uniq: list[CycloNum] = []
     seen = set()
     for p in points:
-        if p.coeffs not in seen:
-            seen.add(p.coeffs)
+        if p not in seen:
+            seen.add(p)
             uniq.append(p)
     if len(uniq) < 3:
         uniq.sort(key=functools.cmp_to_key(_cmp_points))

@@ -1,22 +1,21 @@
 """Kernel selection and the orbit-plan builder.
 
-An orbit of F with a fixed starting denominator D lives on the lattice
-(1/D) * Z^d: multiplying by lambda is an integer matrix, conjugation is an
-integer matrix, and the branch translation is an integer vector, so exact
-period detection over millions of steps is pure integer work.  This module
-builds those tables once per field context and hands them to the fastest
-available kernel: the compiled extension when importable (with an int64
-overflow guard and fallback), else the pure-Python twin.
+A ``CycloNum`` is stored as ``vec / den``, and the orbit of F from it lives
+on the lattice (1/den) * Z^d: multiplying by lambda is an integer matrix,
+conjugation is an integer matrix, and the branch translation is an integer
+vector, so exact period detection over millions of steps is pure integer
+work on ``vec``, with no conversion in or out.  This module builds those
+tables once per field context and hands them to the fastest available
+kernel: the compiled extension when importable (with an int64 overflow guard
+and fallback), else the pure-Python twin.
 """
 
 from __future__ import annotations
 
-import math
 import os
-from fractions import Fraction
 
 from . import _steppy
-from .cyclo import CycloNum, FieldContext, sign_of_imag
+from .cyclo import CycloNum, FieldContext
 from .dynamics import OrbitRecord
 from .errors import InternalInconsistencyError
 
@@ -72,8 +71,7 @@ class _Plan:
 
     def hard_sign(self, v) -> int:
         """Exact +-1 for the rare float-ambiguous, nonzero imaginary parts."""
-        a = self.ctx.num([Fraction(x) for x in v])
-        s = int(sign_of_imag(a))
+        s = int(self.ctx._imag_sign(v))
         if s == 0:
             raise InternalInconsistencyError("hard_sign called on an exact zero")
         return s
@@ -107,19 +105,6 @@ def _plan(ctx: FieldContext) -> _Plan:
     return plan
 
 
-def decompose(z: CycloNum) -> tuple[list[int], int]:
-    """(integer vector, common denominator) with z = vector / denominator."""
-    denom = 1
-    for c in z.coeffs:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    v = [int(c * denom) for c in z.coeffs]
-    return v, denom
-
-
-def _reassemble(ctx: FieldContext, v, denom: int) -> CycloNum:
-    return ctx.num([Fraction(x, denom) for x in v])
-
-
 def _fits_compiled(plan: _Plan, v, denom: int) -> bool:
     if not _compiled_enabled():
         return False
@@ -131,7 +116,7 @@ def run_period(z: CycloNum, budget: int, touch_cap: int = 100000) -> OrbitRecord
     """Exact first-return search behind ``dynamics.minimal_period``."""
     ctx = z.ctx
     plan = _plan(ctx)
-    v0, denom = decompose(z)
+    v0, denom = z.vec, z.den
     v = list(v0)
     touches = []
     done = 0
@@ -156,7 +141,7 @@ def run_period(z: CycloNum, budget: int, touch_cap: int = 100000) -> OrbitRecord
         done = steps
     period = done if status == STATUS_OK else None
     on_line = tuple(
-        (idx, _reassemble(ctx, vec, denom)) for idx, vec in touches
+        (idx, ctx.from_lattice(vec, denom)) for idx, vec in touches
     )
     return OrbitRecord(
         start=z, period=period, iterates_on_line=on_line, budget_used=done
@@ -177,13 +162,13 @@ def run_signs(
     """
     ctx = z.ctx
     plan = _plan(ctx)
-    v, denom = decompose(z)
+    v, denom = list(z.vec), z.den
     signs: list[int] = []
     touches: list[tuple[int, CycloNum]] = []
 
     def _absorb(tch):
         for idx, vec in tch:
-            touches.append((idx, _reassemble(ctx, vec, denom)))
+            touches.append((idx, ctx.from_lattice(vec, denom)))
 
     if _fits_compiled(plan, v, denom):
         kern = plan.compiled_kernel(denom)
@@ -201,7 +186,7 @@ def run_signs(
             )
             signs.extend(part)
             for idx, vec in tch2:
-                touches.append((idx + offset, _reassemble(ctx, vec, denom)))
+                touches.append((idx + offset, ctx.from_lattice(vec, denom)))
     else:
         kern = plan.pure_kernel(denom)
         status, part, tch, v = kern.sign_walk(

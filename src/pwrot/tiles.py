@@ -20,6 +20,7 @@ from .cyclo import CycloNum, FieldContext
 from .dynamics import (
     AffineMap,
     Itinerary,
+    OrbitRecord,
     affine_along,
     itinerary,
     itinerary_period,
@@ -67,7 +68,7 @@ class Tile:
 
     def key(self):
         block = tuple(self.word.word)
-        return (_least_rotation(block), self.center.coeffs)
+        return (_least_rotation(block), self.center)
 
 
 @dataclass
@@ -126,14 +127,15 @@ def _block_constraints(ctx: FieldContext, block: tuple[int, ...], horizon: int):
     return constraints, g
 
 
-def _symbolic_data(z: CycloNum, budget: int):
-    """(block, ell, k, center, rotational) of the tile owning a periodic seed."""
+def _symbolic_data(rec: OrbitRecord):
+    """(block, ell, k, center, rotational) of the tile owning a periodic seed,
+    from the seed's first-return record."""
+    z = rec.start
     ctx = z.ctx
-    rec = minimal_period(z, budget)
     if rec.iterates_on_line:
         raise CriticalLineError(rec.iterates_on_line[0][0])
     if rec.period is None:
-        raise BudgetExceededError(budget)
+        raise BudgetExceededError(rec.budget_used)
     n = rec.period
     word_n = itinerary(z, n)
     ell = itinerary_period(word_n)
@@ -183,7 +185,7 @@ def tile_from_seed(z: CycloNum, budget: int) -> Tile:
     the k*ell pulled-back half-plane constraints, and locates the rotation
     center of the block map.
     """
-    return _build_tile(z, *_symbolic_data(z, budget))
+    return _build_tile(z, *_symbolic_data(minimal_period(z, budget)))
 
 
 def tile_images(t: Tile):
@@ -363,18 +365,18 @@ def scan_region(
                 outcomes.append(ScanOutcome(x, y, "period", period=rec.period))
                 histogram[rec.period] = histogram.get(rec.period, 0) + 1
                 if max_tile_period is None or rec.period <= max_tile_period:
-                    _absorb_tile(tiles, z, budget)
+                    _absorb_tile(tiles, rec)
             x += step
         y += step
     return ScanReport(box, step, budget, outcomes, tiles, histogram)
 
 
-def _absorb_tile(tiles: dict, z: CycloNum, budget: int):
-    block, ell, k, center, rotational = _symbolic_data(z, budget)
-    key = (_least_rotation(tuple(block)), center.coeffs)
+def _absorb_tile(tiles: dict, rec: OrbitRecord):
+    block, ell, k, center, rotational = _symbolic_data(rec)
+    key = (_least_rotation(tuple(block)), center)
     if key in tiles:
         t, mult = tiles[key]
         tiles[key] = (t, mult + 1)
     else:
-        t = _build_tile(z, block, ell, k, center, rotational)
+        t = _build_tile(rec.start, block, ell, k, center, rotational)
         tiles[key] = (t, 1)

@@ -8,7 +8,7 @@ import pytest
 from pwrot import stepper
 from pwrot.cyclo import golden_elements, make_field
 from pwrot.dynamics import minimal_period, orbit, step
-from pwrot.stepper import decompose, run_period, run_signs
+from pwrot.stepper import run_period, run_signs
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +18,7 @@ def ctx():
 
 def test_decompose_round_trip(ctx):
     z = ctx.point(Fraction(3, 10), Fraction(-7, 6))
-    v, denom = decompose(z)
+    v, denom = z.vec, z.den
     assert denom == 30
     assert ctx.num([Fraction(x, denom) for x in v]) == z
 
@@ -27,7 +27,7 @@ def test_pure_kernel_matches_field_arithmetic(ctx):
     # the integer-lattice step must equal the CycloNum step, value for value
     plan = stepper._plan(ctx)
     z = ctx.point(Fraction(1, 3), Fraction(2, 7))
-    v, denom = decompose(z)
+    v, denom = z.vec, z.den
     kern = plan.pure_kernel(denom)
     values = orbit(z, 25)
     cur = list(v)
@@ -40,7 +40,7 @@ def test_pure_kernel_matches_field_arithmetic(ctx):
 class TestCompiledAgreesWithPure:
     def _compare(self, ctx, z, budget):
         plan = stepper._plan(ctx)
-        v, denom = decompose(z)
+        v, denom = z.vec, z.den
         pure = plan.pure_kernel(denom)
         comp = plan.compiled_kernel(denom)
         rp = pure.period_search(list(v), list(v), budget)
@@ -112,3 +112,29 @@ def test_env_override_forces_pure(ctx, monkeypatch):
     phi, s, _ = golden_elements(ctx)
     p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
     assert minimal_period(p0, 5).period == 1
+
+
+def test_forced_hard_sign_matches_fast_path(ctx, monkeypatch):
+    # a margin no float sum can clear sends every nonzero branch sign to the
+    # exact oracle in _Plan.hard_sign; the walks must not change
+    phi, s, _ = golden_elements(ctx)
+    p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
+    p1 = (2 * phi - 3) * p0 + (2 - 2 * phi)
+    rec = run_period(p1, 100)
+    signs = run_signs(-phi, 240, include_final=True)
+    assert rec.period == 7
+
+    hard_sign = stepper._Plan.hard_sign
+    calls = []
+
+    def counted(plan, v):
+        calls.append(v)
+        return hard_sign(plan, v)
+
+    monkeypatch.setattr(stepper._plan(ctx), "margin", float("inf"))
+    monkeypatch.setattr(stepper._Plan, "hard_sign", counted)
+    monkeypatch.setattr(stepper, "_compiled_enabled", lambda: False)
+    assert run_period(p1, 100) == rec
+    assert len(calls) == 7
+    assert run_signs(-phi, 240, include_final=True) == signs
+    assert len(calls) == 7 + sum(1 for x in signs[0] if x)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pwrot import tiles as tiles_module
 from pwrot.casestudy import golden_context, golden_rescale, hexagon_context
 from pwrot.dynamics import minimal_period, step
 from pwrot.errors import BudgetExceededError, CriticalLineError
@@ -162,6 +163,28 @@ class TestScan:
         assert sum(report.histogram.values()) == sum(
             1 for o in report.outcomes if o.kind == "period"
         )
+
+    def test_scan_searches_each_period_once(self, gc, monkeypatch):
+        calls = []
+
+        def counted(z, budget):
+            calls.append(z)
+            return minimal_period(z, budget)
+
+        monkeypatch.setattr(tiles_module, "minimal_period", counted)
+        report = scan_region(gc.ctx, Box(-1, -1, 1, 1), Fraction(1, 2), 2000)
+        monkeypatch.undo()
+        assert len(report.outcomes) == 25
+        assert len(calls) == 25
+        # inventory and histogram equal those of the periodic points taken one by one
+        tiles, histogram = {}, {}
+        for o in report.outcomes:
+            if o.kind == "period":
+                key = tile_from_seed(gc.ctx.point(o.x, o.y), 2000).key()
+                tiles[key] = tiles.get(key, 0) + 1
+                histogram[o.period] = histogram.get(o.period, 0) + 1
+        assert {key: mult for key, (_, mult) in report.tiles.items()} == tiles
+        assert report.histogram == histogram
 
     def test_hexagon_inventory(self):
         hc = hexagon_context()
