@@ -1,19 +1,5 @@
-import os
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-ext_modules = []
-if os.environ.get("PWROT_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            ["src/pwrot/_stepkernel.pyx"],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        # The compiled kernel is optional; the package falls back to the
-        # pure-Python stepper when the extension is absent.
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+# The compiled orbit kernel is optional: without a working C compiler the
+# build skips it and pwrot runs on the pure-Python kernel.
+setup(ext_modules=[Extension("pwrot._stepkernel", ["src/pwrot/_stepkernel.c"], optional=True)])

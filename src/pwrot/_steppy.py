@@ -9,8 +9,8 @@ exact integer zero test, and a caller-supplied exact oracle for the rare
 ambiguous nonzero cases.
 
 This module is the always-available fallback; arithmetic is Python ints and
-therefore never overflows.  The compiled twin in ``_stepkernel.pyx`` has the
-same interface.
+therefore never overflows.  The compiled twin, the C extension built from
+``_stepkernel.c``, has the same interface and hands back on int64 overflow.
 """
 
 from __future__ import annotations

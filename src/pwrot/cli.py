@@ -24,7 +24,7 @@ from .casestudy import (
     q_orbit_returns,
 )
 from .critical import critical_bundle, merge_collinear
-from .cyclo import CycloNum, format_golden, golden_coords, make_field
+from .cyclo import CycloNum, format_golden, format_golden_coords, golden_coords, make_field
 from .dynamics import address, minimal_period, orbit
 from .errors import (
     BudgetExceededError,
@@ -67,9 +67,8 @@ def _fmt_value(z: CycloNum, style: str) -> str:
         if z.ctx.m != 20:
             raise ParameterError("phi format needs a conductor-20 field (--alpha 4/5)")
         return format_golden(z)
-    if style == "pretty" and z.ctx.m == 20 and golden_coords(z) is not None:
-        return format_golden(z)
-    return str(z)
+    coords = golden_coords(z) if style == "pretty" and z.ctx.m == 20 else None
+    return str(z) if coords is None else format_golden_coords(coords)
 
 
 def _shadow(z: CycloNum):
@@ -310,7 +309,9 @@ def cmd_casestudy(args) -> int:
         gc = golden_context()
         lines = ["index\tvalue"]
         for idx, val, pair in q_orbit_returns(gc, args.n):
-            lines.append(f"{idx}\t{format_golden(val)}")
+            # pair holds the coordinates of a real return, already computed
+            shown = format_golden(val) if pair is None else format_golden_coords((*pair, 0, 0))
+            lines.append(f"{idx}\t{shown}")
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
     # hexagon

@@ -601,44 +601,51 @@ def approx(a: CycloNum, bits: int = 64) -> ComplexBox:
 
 
 class SubfieldBasis:
-    """Exact coordinates of field elements over a fixed Q-basis of a subfield."""
+    """Exact coordinates of field elements over a fixed Q-basis of a subfield.
+
+    The basis is eliminated once: Gauss-Jordan on ``[B | I]`` leaves
+    ``[I_k; 0 | E]``, so for an element with coefficient vector ``a``,
+    ``E a`` is its coordinates stacked on a residual that vanishes exactly
+    when ``a`` lies in the span.  The rows of ``E`` are kept as sparse
+    integer rows with a denominator, and ``coords`` applies them to the
+    element's integer vector.
+    """
 
     def __init__(self, elements: Sequence[CycloNum]):
         self.elements = tuple(elements)
         self.ctx = elements[0].ctx
-        self._cols = [e.coeffs for e in elements]
+        k, d = len(self.elements), self.ctx.d
+        rows = [
+            [e.coeffs[r] for e in self.elements] + [Fraction(int(r == c)) for c in range(d)]
+            for r in range(d)
+        ]
+        for col in range(k):
+            piv = next((r for r in range(col, d) if rows[r][col]), None)
+            if piv is None:
+                raise ParameterError("basis elements are linearly dependent")
+            rows[col], rows[piv] = rows[piv], rows[col]
+            inv = 1 / rows[col][col]
+            rows[col] = [x * inv for x in rows[col]]
+            for r in range(d):
+                if r != col and rows[r][col]:
+                    f = rows[r][col]
+                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+        scaled = []
+        for row in rows:
+            den = math.lcm(*(x.denominator for x in row[k:]))
+            scaled.append((tuple((j, int(x * den)) for j, x in enumerate(row[k:]) if x), den))
+        self._proj = scaled[:k]
+        self._residual = [row for row, _ in scaled[k:]]
 
     def coords(self, a: CycloNum):
         """Rational coordinates of ``a`` over the basis, or None if outside."""
         if a.ctx is not self.ctx:
             raise WrongContextError("element from a different field context")
-        k = len(self._cols)
-        d = self.ctx.d
-        rows = [[self._cols[c][r] for c in range(k)] + [a.coeffs[r]] for r in range(d)]
-        pivots = []
-        rank = 0
-        for col in range(k):
-            piv = next((r for r in range(rank, d) if rows[r][col]), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = 1 / rows[rank][col]
-            rows[rank] = [x * inv for x in rows[rank]]
-            for r in range(d):
-                if r != rank and rows[r][col]:
-                    f = rows[r][col]
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-            pivots.append(col)
-            rank += 1
-        if rank < k:
-            raise ParameterError("basis elements are linearly dependent")
-        for r in range(rank, d):
-            if rows[r][k]:
+        v = a.vec
+        for row in self._residual:
+            if sum(c * v[j] for j, c in row):
                 return None
-        out = [_ZERO] * k
-        for r, col in enumerate(pivots):
-            out[col] = rows[r][k]
-        return tuple(out)
+        return tuple(Fraction(sum(c * v[j] for j, c in row), den * a.den) for row, den in self._proj)
 
 
 def golden_elements(ctx: FieldContext):
@@ -689,8 +696,11 @@ def _linear_str(a: Fraction, b: Fraction, unit: str) -> str:
 def format_golden(a: CycloNum) -> str:
     """Render in the form ``x + y*phi + (u + v*phi)*sqrt(2+phi)*i``."""
     coords = golden_coords(a)
-    if coords is None:
-        return str(a)
+    return str(a) if coords is None else format_golden_coords(coords)
+
+
+def format_golden_coords(coords) -> str:
+    """Render the ``golden_coords`` tuple (x, y, u, v) as ``format_golden`` does."""
     x, y, u, v = coords
     real = _linear_str(x, y, "phi")
     if not u and not v:

@@ -1,5 +1,6 @@
 """The integer-lattice form of CycloNum: reduced pairs, the norm inverse, the
-Galois maps, and the exact paths of the sign oracle on the integer vector."""
+Galois maps, the exact paths of the sign oracle on the integer vector, and
+subfield coordinates by integer projection."""
 
 import math
 import random
@@ -7,7 +8,18 @@ from fractions import Fraction
 
 import pytest
 
-from pwrot.cyclo import CycloNum, FieldContext, Sign, approx, make_field, sign_of_imag, sign_of_real
+from pwrot.cyclo import (
+    CycloNum,
+    FieldContext,
+    Sign,
+    SubfieldBasis,
+    approx,
+    golden_coords,
+    golden_elements,
+    make_field,
+    sign_of_imag,
+    sign_of_real,
+)
 from pwrot.errors import DomainError, ParameterError
 
 FIELDS = [(4, 5), (11, 12), (3, 7)]
@@ -101,3 +113,63 @@ def test_sign_of_imag_interval_escalation(monkeypatch):
     assert s == (Sign.POSITIVE if box.re_lo > 0 else Sign.NEGATIVE)
     assert s == sign_of_real(x)
     assert sign_of_imag(ctx.i_unit * -x) == -s
+
+
+def eliminate(basis, a):
+    """Coordinates of a over basis by plain Fraction Gauss-Jordan, or None."""
+    k, d = len(basis), a.ctx.d
+    rows = [[b.coeffs[r] for b in basis] + [a.coeffs[r]] for r in range(d)]
+    for col in range(k):
+        piv = next(r for r in range(col, d) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(d):
+            if r != col:
+                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
+    if any(rows[r][k] for r in range(k, d)):
+        return None
+    return tuple(rows[r][k] for r in range(k))
+
+
+def random_fraction(rng, span=40):
+    return Fraction(rng.randint(-span, span), rng.randint(1, span))
+
+
+def test_golden_coords_round_trip():
+    ctx = make_field(4, 5)
+    phi, sqrt2phi, basis = golden_elements(ctx)
+    rng = random.Random(20)
+    for _ in range(50):
+        x, y, u, v = (random_fraction(rng) for _ in range(4))
+        a = x + y * phi + (u + v * phi) * sqrt2phi * ctx.i_unit
+        assert golden_coords(a) == (x, y, u, v)
+        assert basis.coords(a) == eliminate(basis.elements, a)
+        for outside in (a + ctx.zeta_pow(1), a + ctx.zeta_pow(3) / 7, a * ctx.zeta_pow(1)):
+            assert golden_coords(outside) is None
+            assert eliminate(basis.elements, outside) is None
+    assert golden_coords(ctx.zeta_pow(1)) is None
+    assert golden_coords(ctx.zero()) == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("p,q", FIELDS)
+def test_subfield_coords_agree_with_elimination(p, q):
+    ctx = make_field(p, q)
+    rng = random.Random(200 + q)
+    basis = SubfieldBasis([ctx.one()] + [random_element(ctx, rng) for _ in range(ctx.d // 2)])
+    for _ in range(20):
+        coords = [random_fraction(rng) for _ in basis.elements]
+        inside = ctx.zero()
+        for c, b in zip(coords, basis.elements):
+            inside = inside + b * c
+        assert basis.coords(inside) == tuple(coords) == eliminate(basis.elements, inside)
+        a = random_element(ctx, rng)
+        assert basis.coords(a) == eliminate(basis.elements, a)
+    assert basis.coords(ctx.zeta_pow(1)) is None
+
+
+def test_dependent_basis_raises():
+    ctx = make_field(4, 5)
+    phi, _, _ = golden_elements(ctx)
+    for elements in ([ctx.one(), phi, phi * 3 - 2], [phi, phi], [ctx.one(), ctx.zero()]):
+        with pytest.raises(ParameterError):
+            SubfieldBasis(elements).coords(phi)

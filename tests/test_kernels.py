@@ -138,3 +138,48 @@ def test_forced_hard_sign_matches_fast_path(ctx, monkeypatch):
     assert len(calls) == 7
     assert run_signs(-phi, 240, include_final=True) == signs
     assert len(calls) == 7 + sum(1 for x in signs[0] if x)
+
+
+@pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
+def test_compiled_forced_hard_sign_matches_pure(ctx, monkeypatch):
+    # the compiled twin of test_forced_hard_sign_matches_fast_path: every
+    # nonzero branch sign crosses from C into _Plan.hard_sign, with the same
+    # oracle calls and results as the pure kernel, and oracle errors propagate
+    phi, s, _ = golden_elements(ctx)
+    p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
+    p1 = (2 * phi - 3) * p0 + (2 - 2 * phi)
+    rec = run_period(p1, 100)
+    signs = run_signs(-phi, 240, include_final=True)
+
+    plan = stepper._plan(ctx)
+    hard_sign = stepper._Plan.hard_sign
+    calls = []
+
+    def counted(plan, v):
+        calls.append(v)
+        return hard_sign(plan, v)
+
+    def walks():
+        calls.clear()
+        return run_period(p1, 100), run_signs(-phi, 240, include_final=True), list(calls)
+
+    monkeypatch.setattr(plan, "margin", float("inf"))
+    monkeypatch.setattr(stepper._Plan, "hard_sign", counted)
+    with monkeypatch.context() as m:
+        m.setattr(stepper, "_compiled_enabled", lambda: False)
+        pure = walks()
+    with monkeypatch.context() as m:
+        m.setattr(plan, "pure_kernel", None)  # the compiled kernel must do every step
+        compiled = walks()
+    assert compiled == pure
+    assert compiled[:2] == (rec, signs)
+    assert len(compiled[2]) == 7 + sum(1 for x in signs[0] if x)
+
+    def failing(plan, v):
+        raise RuntimeError("oracle failed")
+
+    monkeypatch.setattr(stepper._Plan, "hard_sign", failing)
+    with pytest.raises(RuntimeError, match="oracle failed"):
+        run_period(p1, 100)
+    with pytest.raises(RuntimeError, match="oracle failed"):
+        run_signs(-phi, 240)
