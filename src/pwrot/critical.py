@@ -4,9 +4,12 @@ the discontinuity line (direction "pullback") and forward images F^{j}(R)
 
 Each pullback level splits a segment where the inverse branch switches (the
 line through 0 with direction lambda), applies the matching exact inverse
-branch, and clips to a box inflated by the remaining depth; the inflation is
-sound because one step moves points by at most 1.  Points exactly on a
-splitting line follow the + branch, matching H on the line; the other
+branch, and clips to a box inflated by the remaining depth.  That window is
+not a sound bound: F rotates about centers off the origin, so a point outside
+the inflated box can still map into the box within the remaining steps, and
+the segments it lies on are dropped.  A layer is therefore exact on what it
+lists but may miss parts of the critical set inside the box.  Points exactly
+on a splitting line follow the + branch, matching H on the line; the other
 branch's image of such a point is not emitted (it only ever appears as a
 sub-segment endpoint).
 """
@@ -17,7 +20,7 @@ import functools
 from dataclasses import dataclass
 
 from .cyclo import FieldContext, Sign, sign_of_real
-from .errors import ParameterError
+from .errors import InternalInconsistencyError, ParameterError
 from .geometry import Box, ExactSegment, clip_segment_to_box, edge_direction_power
 
 PULLBACK = "pullback"
@@ -188,10 +191,7 @@ def merge_collinear(ctx: FieldContext, segments) -> list[ExactSegment]:
             continue
         t = edge_direction_power(ctx, d)
         if t is None:
-            groups.setdefault(("free", seg.a, seg.b), []).append(
-                (None, None, seg)
-            )
-            continue
+            raise InternalInconsistencyError("critical segment off the slope grid")
         axis = ctx.lam_pow(t)
         u = axis.conj()
         offset = (u * seg.a).imag()
@@ -201,11 +201,7 @@ def merge_collinear(ctx: FieldContext, segments) -> list[ExactSegment]:
         lo, hi = (s_a, s_b) if sign_of_real(s_b - s_a) == Sign.POSITIVE else (s_b, s_a)
         groups.setdefault(key, []).append((lo, hi, seg))
     out: list[ExactSegment] = []
-    for key, items in groups.items():
-        if key[0] == "free":
-            out.extend(seg for _, _, seg in items)
-            continue
-        t = key[0]
+    for (t, _), items in groups.items():
         axis = ctx.lam_pow(t)
         items.sort(key=functools.cmp_to_key(lambda p, r: int(sign_of_real(p[0] - r[0]))))
         cur_lo, cur_hi, rep = items[0]

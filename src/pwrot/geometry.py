@@ -2,15 +2,19 @@
 
 Lines are written as {w : Im(u*w + b) = 0} with u a field unit, so every
 predicate (side of a line, vertex incidence, convexity) reduces to the sign
-oracle and stays exact.  Half-plane intersection works by direction-class
-reduction, an exact recession-cone test, and a feasible-vertex convex hull;
-the output polygon is the closure of the open intersection.
+oracle and stays exact.  Half-planes live on the direction grid of the map:
+u = lambda^k = zeta^e for an integer exponent e, so half-plane intersection
+decides parallel and antiparallel directions, angular order and
+boundedness by comparing exponents, and finds the vertices with one
+half-plane sweep; the output polygon is the closure of the open
+intersection.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -76,18 +80,23 @@ class ExactLine:
 
 @dataclass(frozen=True)
 class HalfPlane:
-    """Open half-plane {w : side * Im(u*w + b) > 0}.
+    """Open half-plane {w : side * Im(lambda^power * w + b) > 0}.
 
-    ``power`` marks directions known to be lambda^power exactly; it feeds the
-    fast direction-class bucketing during intersection.
+    Every constraint the engine intersects is bounded by a line parallel to
+    a rotated copy of the discontinuity line, so its direction is the
+    integer ``power``; the unit lambda^power is implied and never stored.
     """
 
-    line: ExactLine
+    power: int
+    b: CycloNum
     side: int
-    power: Optional[int] = None
+
+    def side_of(self, w: CycloNum) -> Sign:
+        """Sign of Im(lambda^power * w + b), before ``side`` is applied."""
+        return sign_of_imag(self.b.ctx.lam_pow(self.power) * w + self.b)
 
     def contains(self, w: CycloNum) -> bool:
-        return self.line.side_of(w) == (Sign.POSITIVE if self.side > 0 else Sign.NEGATIVE)
+        return self.side_of(w) == (Sign.POSITIVE if self.side > 0 else Sign.NEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -142,152 +151,81 @@ def line_intersection(l1: ExactLine, l2: ExactLine):
 
 def halfplane_from_constraint(g, s: int) -> HalfPlane:
     """{w : s * Im(G(w)) > 0} for an affine branch composition G."""
-    ctx = g.ctx
-    u = ctx.lam_pow(g.power)
-    return HalfPlane(ExactLine(u, g.offset), 1 if s > 0 else -1, power=g.power % ctx.q)
+    return HalfPlane(g.power % g.ctx.q, g.offset, 1 if s > 0 else -1)
 
 
 # -- half-plane intersection ----------------------------------------------------
 
 
-class _DirGroup:
-    """All constraints sharing one open half-plane direction."""
-
-    __slots__ = ("u", "beta", "power")
-
-    def __init__(self, u: CycloNum, beta: CycloNum, power: Optional[int]):
-        self.u = u
-        self.beta = beta
-        self.power = power
-
-
-def _real_ratio(u_new: CycloNum, u_ref: CycloNum):
-    """u_new / u_ref when that quotient is a real field element, else None."""
-    ratio = u_new * u_ref.inverse()
-    if ratio != ratio.conj():
-        return None
-    return ratio
+@functools.lru_cache(maxsize=None)
+def _inverse_sine(ctx: FieldContext, k: int) -> CycloNum:
+    """1 / Im(zeta^k): the scale of the vertex of two lines whose units differ
+    by zeta^k."""
+    return ctx.zeta_pow(k).imag().inverse()
 
 
 def intersect_halfplanes(constraints: Sequence[HalfPlane]):
-    """Exact intersection of open half-planes.
+    """Exact intersection of open half-planes on the lambda^k direction grid.
 
     Returns the closure polygon of the (then open, full-dimensional)
-    intersection, or EMPTY, or UNBOUNDED.  Parallel same-side constraints are
-    reduced to the binding one; coincident lines with opposite sides give
-    EMPTY immediately; UNBOUNDED is reported when the recession cone of the
-    reduced system is nontrivial.
+    intersection, or EMPTY, or UNBOUNDED.  Each constraint is rewritten as
+    Im(zeta^e * w + c) > 0 with an integer exponent e mod m, so every
+    direction decision compares exponents: only the least Im(c) per exponent
+    binds; an antiparallel pair e, e + m/2 bounds a strip that is empty
+    unless the two Im(c) sum to a positive number; and the intersection is
+    unbounded exactly when some cyclic gap between the sorted exponents is
+    at least m/2.  A bounded system goes through one half-plane sweep in the
+    counterclockwise order of the edge directions zeta^-e (de Berg et al.,
+    Computational Geometry, 4.2), and its vertices are checked against every
+    constraint, which rejects empty and point-shaped intersections; a
+    segment-shaped one is a strip of width zero, rejected before the sweep.
     """
     if not constraints:
         raise ParameterError("at least one constraint is required")
-    ctx = constraints[0].line.u.ctx
-    q = ctx.q
-
-    powered: dict = {}
-    general: list[_DirGroup] = []
+    ctx = constraints[0].b.ctx
+    m, half = ctx.m, ctx.m // 2
+    t0 = m * ctx.p // ctx.q
+    offset: dict[int, CycloNum] = {}
     for h in constraints:
-        side = 1 if h.side > 0 else -1
-        u_eff = h.line.u if side > 0 else -h.line.u
-        beta = (h.line.b * side).imag()
-        if h.power is not None:
-            if q % 2 == 0:
-                key = (h.power + (q // 2 if side < 0 else 0)) % q
-                u_norm = ctx.lam_pow(key)
-            else:
-                key = (h.power % q, side)
-                u_norm = u_eff
-            group = powered.get(key)
-            if group is None:
-                powered[key] = _DirGroup(u_norm, beta, h.power % q)
-            elif sign_of_real(beta - group.beta) == Sign.NEGATIVE:
-                group.beta = beta
-        else:
-            for group in general:
-                ratio = _real_ratio(u_eff, group.u)
-                if ratio is not None and sign_of_real(ratio) == Sign.POSITIVE:
-                    scaled = beta * ratio.inverse()
-                    if sign_of_real(scaled - group.beta) == Sign.NEGATIVE:
-                        group.beta = scaled
-                    break
-            else:
-                general.append(_DirGroup(u_eff, beta, None))
+        e = (t0 * h.power + (0 if h.side > 0 else half)) % m
+        b = h.b if h.side > 0 else -h.b
+        if e not in offset or sign_of_imag(b - offset[e]) == Sign.NEGATIVE:
+            offset[e] = b
 
-    groups = list(powered.values()) + general
-
-    # merge any general groups that coincide with powered directions
-    merged: list[_DirGroup] = []
-    for g in groups:
-        for kept in merged:
-            ratio = _real_ratio(g.u, kept.u)
-            if ratio is not None and sign_of_real(ratio) == Sign.POSITIVE:
-                scaled = g.beta * ratio.inverse()
-                if sign_of_real(scaled - kept.beta) == Sign.NEGATIVE:
-                    kept.beta = scaled
-                break
-        else:
-            merged.append(g)
-    groups = merged
-
-    # antiparallel pairs bound strips; an empty or degenerate strip kills all
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            ratio = _real_ratio(groups[j].u, groups[i].u)
-            if ratio is not None and sign_of_real(ratio) == Sign.NEGATIVE:
-                rho_inv = (-ratio).inverse()
-                if sign_of_real(groups[i].beta + groups[j].beta * rho_inv) != Sign.POSITIVE:
-                    return EMPTY
-
-    # recession cone: inward normals as complex directions i * conj(u)
-    normals = [(g, ctx.i_unit * g.u.conj()) for g in groups]
-    if len(normals) < 3:
+    for e, b in offset.items():
+        if e < half and e + half in offset and sign_of_imag(b + offset[e + half]) != Sign.POSITIVE:
+            return EMPTY
+    exps = sorted(offset)
+    if any(f - e >= half for e, f in zip(exps, exps[1:] + [exps[0] + m])):
         return UNBOUNDED
-    order = sorted(normals, key=functools.cmp_to_key(lambda a, b: _angle_cmp(a[1], b[1])))
-    for idx in range(len(order)):
-        n1 = order[idx][1]
-        n2 = order[(idx + 1) % len(order)][1]
-        if sign_of_imag(n1.conj() * n2) != Sign.POSITIVE:
-            return UNBOUNDED
 
-    # bounded: vertices live on pairwise intersections of the group lines
-    lines = [ExactLine(g.u, ctx.i_unit * g.beta) for g in groups]
-    candidates: list[CycloNum] = []
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            w = line_intersection(lines[i], lines[j])
-            if w is None:
-                continue
-            if all(
-                sign_of_imag(g.u * w + ctx.i_unit * g.beta) != Sign.NEGATIVE
-                for g in groups
-            ):
-                candidates.append(w)
-    hull = convex_hull(candidates)
-    if len(hull) < 3:
+    beta = {e: c.imag() for e, c in offset.items()}
+
+    def side(e: int, w: CycloNum) -> Sign:
+        return sign_of_imag(w.mul_zeta(e) + offset[e])
+
+    def corner(e: int, f: int) -> CycloNum:
+        # the point where Im(zeta^e w) = -beta[e] and Im(zeta^f w) = -beta[f]
+        return (beta[e].mul_zeta(-f) - beta[f].mul_zeta(-e)) * _inverse_sine(ctx, (f - e) % m)
+
+    edges: deque[int] = deque()
+    for e in reversed(exps):
+        while len(edges) >= 2 and side(e, corner(edges[-2], edges[-1])) != Sign.POSITIVE:
+            edges.pop()
+        while len(edges) >= 2 and side(e, corner(edges[0], edges[1])) != Sign.POSITIVE:
+            edges.popleft()
+        edges.append(e)
+    while len(edges) >= 3 and side(edges[0], corner(edges[-2], edges[-1])) != Sign.POSITIVE:
+        edges.pop()
+    while len(edges) >= 3 and side(edges[-1], corner(edges[0], edges[1])) != Sign.POSITIVE:
+        edges.popleft()
+
+    vertices = [corner(edges[j - 1], edges[j]) for j in range(len(edges))]
+    if len(set(vertices)) < 3 or any(
+        side(e, w) == Sign.NEGATIVE for e in exps for w in vertices
+    ):
         return EMPTY
-    return ConvexPolygon(tuple(hull))
-
-
-def _angle_cmp(a: CycloNum, b: CycloNum) -> int:
-    """Counterclockwise angle order on nonzero directions, from the +x axis."""
-    ha = _half_of(a)
-    hb = _half_of(b)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    cross = sign_of_imag(a.conj() * b)
-    if cross == Sign.POSITIVE:
-        return -1
-    if cross == Sign.NEGATIVE:
-        return 1
-    return 0
-
-
-def _half_of(v: CycloNum) -> int:
-    sy = sign_of_real(v.imag())
-    if sy == Sign.POSITIVE:
-        return 0
-    if sy == Sign.NEGATIVE:
-        return 1
-    return 0 if sign_of_real(v.real()) == Sign.POSITIVE else 1
+    return make_polygon(vertices)
 
 
 def _cmp_points(p: CycloNum, r: CycloNum) -> int:
@@ -300,38 +238,6 @@ def _cmp_points(p: CycloNum, r: CycloNum) -> int:
 def orientation(o: CycloNum, a: CycloNum, b: CycloNum) -> Sign:
     """Sign of the cross product (a - o) x (b - o)."""
     return sign_of_imag((a - o).conj() * (b - o))
-
-
-def convex_hull(points: Sequence[CycloNum]) -> list[CycloNum]:
-    """Strict convex hull, counterclockwise, starting at the smallest vertex.
-
-    Collinear interior points are dropped; degenerate inputs return fewer
-    than three points.
-    """
-    uniq: list[CycloNum] = []
-    seen = set()
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            uniq.append(p)
-    if len(uniq) < 3:
-        uniq.sort(key=functools.cmp_to_key(_cmp_points))
-        return uniq
-    pts = sorted(uniq, key=functools.cmp_to_key(_cmp_points))
-    lower: list[CycloNum] = []
-    for p in pts:
-        while len(lower) >= 2 and orientation(lower[-2], lower[-1], p) != Sign.POSITIVE:
-            lower.pop()
-        lower.append(p)
-    upper: list[CycloNum] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and orientation(upper[-2], upper[-1], p) != Sign.POSITIVE:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        return hull[:2]
-    return hull
 
 
 def make_polygon(vertices: Sequence[CycloNum]) -> ConvexPolygon:

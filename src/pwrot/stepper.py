@@ -105,11 +105,13 @@ def _plan(ctx: FieldContext) -> _Plan:
     return plan
 
 
-def _fits_compiled(plan: _Plan, v, denom: int) -> bool:
-    if not _compiled_enabled():
-        return False
-    thresh = plan.int64_threshold(denom)
-    return thresh > 0 and max(abs(x) for x in v) <= thresh
+def _kernel(plan: _Plan, v, denom: int):
+    """The compiled kernel when v fits its int64 bound, else the pure one."""
+    if _compiled_enabled():
+        thresh = plan.int64_threshold(denom)
+        if thresh > 0 and max(abs(x) for x in v) <= thresh:
+            return plan.compiled_kernel(denom)
+    return plan.pure_kernel(denom)
 
 
 def run_period(z: CycloNum, budget: int, touch_cap: int = 100000) -> OrbitRecord:
@@ -117,28 +119,15 @@ def run_period(z: CycloNum, budget: int, touch_cap: int = 100000) -> OrbitRecord
     ctx = z.ctx
     plan = _plan(ctx)
     v0, denom = z.vec, z.den
-    v = list(v0)
-    touches = []
-    done = 0
-    status = STATUS_BUDGET
-    if _fits_compiled(plan, v, denom):
-        kern = plan.compiled_kernel(denom)
-        status, steps, tch, v = kern.period_search(v, v0, budget, 0, touch_cap)
+    kern = _kernel(plan, v0, denom)
+    status, done, touches, v = kern.period_search(list(v0), v0, budget, 0, touch_cap)
+    if status == STATUS_OVERFLOW:
+        # resume exactly where the int64 walk stopped
+        status, steps, tch, v = plan.pure_kernel(denom).period_search(
+            v, v0, budget - done, done, touch_cap - len(touches)
+        )
         touches.extend(tch)
-        done = steps
-        if status == STATUS_OVERFLOW:
-            # resume exactly where the int64 walk stopped
-            kern = plan.pure_kernel(denom)
-            status, steps, tch, v = kern.period_search(
-                v, v0, budget - done, done, touch_cap - len(touches)
-            )
-            touches.extend(tch)
-            done += steps
-    else:
-        kern = plan.pure_kernel(denom)
-        status, steps, tch, v = kern.period_search(v, v0, budget, 0, touch_cap)
-        touches.extend(tch)
-        done = steps
+        done += steps
     period = done if status == STATUS_OK else None
     on_line = tuple(
         (idx, ctx.from_lattice(vec, denom)) for idx, vec in touches
@@ -162,38 +151,23 @@ def run_signs(
     """
     ctx = z.ctx
     plan = _plan(ctx)
-    v, denom = list(z.vec), z.den
-    signs: list[int] = []
-    touches: list[tuple[int, CycloNum]] = []
-
-    def _absorb(tch):
-        for idx, vec in tch:
-            touches.append((idx, ctx.from_lattice(vec, denom)))
-
-    if _fits_compiled(plan, v, denom):
-        kern = plan.compiled_kernel(denom)
-        status, part, tch, v = kern.sign_walk(
-            v, nsteps, stop_on_zero, include_final, touch_cap
+    denom = z.den
+    kern = _kernel(plan, z.vec, denom)
+    status, signs, tch, v = kern.sign_walk(
+        list(z.vec), nsteps, stop_on_zero, include_final, touch_cap
+    )
+    touches = [(idx, ctx.from_lattice(vec, denom)) for idx, vec in tch]
+    if status == STATUS_OVERFLOW:
+        # resume exactly where the int64 walk stopped
+        offset = len(signs)
+        status, part, tch, v = plan.pure_kernel(denom).sign_walk(
+            v, nsteps - offset, stop_on_zero, include_final,
+            touch_cap - len(touches),
         )
         signs.extend(part)
-        _absorb(tch)
-        if status == STATUS_OVERFLOW:
-            kern = plan.pure_kernel(denom)
-            offset = len(signs)
-            status, part, tch2, v = kern.sign_walk(
-                v, nsteps - offset, stop_on_zero, include_final,
-                touch_cap - len(touches),
-            )
-            signs.extend(part)
-            for idx, vec in tch2:
-                touches.append((idx + offset, ctx.from_lattice(vec, denom)))
-    else:
-        kern = plan.pure_kernel(denom)
-        status, part, tch, v = kern.sign_walk(
-            v, nsteps, stop_on_zero, include_final, touch_cap
+        touches.extend(
+            (idx + offset, ctx.from_lattice(vec, denom)) for idx, vec in tch
         )
-        signs.extend(part)
-        _absorb(tch)
 
     zero_index = None
     if stop_on_zero and signs and signs[-1] == 0:

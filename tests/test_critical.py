@@ -14,6 +14,7 @@ from pwrot.critical import (
 )
 from pwrot.cyclo import make_field
 from pwrot.dynamics import step
+from pwrot.errors import InternalInconsistencyError
 from pwrot.geometry import Box, ExactSegment, edge_direction_power, point_on_segment
 from pwrot.tiles import tile_from_seed
 
@@ -171,3 +172,9 @@ class TestMergeCollinear:
             t = Fraction(rng.randint(0, 10), 10)
             w = seg.a + t * (seg.b - seg.a)
             assert any(point_on_segment(m, w) for m in merged)
+
+    def test_off_grid_segment_raises(self, ctx5):
+        # a diagonal is no rotated copy of the real axis for q = 5
+        segs = [ExactSegment(ctx5.point(0, 0), ctx5.point(1, 1))]
+        with pytest.raises(InternalInconsistencyError):
+            merge_collinear(ctx5, segs)

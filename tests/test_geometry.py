@@ -3,20 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from pwrot.cyclo import Sign, make_field
+from pwrot.cyclo import Sign, make_field, sign_of_imag
 from pwrot.dynamics import Address, AffineMap, address, affine_along, step
 from pwrot.geometry import (
     EMPTY,
     UNBOUNDED,
     Box,
     ConvexPolygon,
-    ExactLine,
     ExactSegment,
     HalfPlane,
     Location,
     apply_affine,
     clip_segment_to_box,
-    convex_hull,
     edge_direction_power,
     halfplane_from_constraint,
     intersect_halfplanes,
@@ -43,11 +41,11 @@ def ctx12():
 
 def upper(ctx):
     """The open upper half plane as a constraint."""
-    return HalfPlane(ExactLine(ctx.one(), ctx.zero()), 1, power=0)
+    return HalfPlane(0, ctx.zero(), 1)
 
 
 def lower(ctx):
-    return HalfPlane(ExactLine(ctx.one(), ctx.zero()), -1, power=0)
+    return HalfPlane(0, ctx.zero(), -1)
 
 
 class TestLines:
@@ -119,10 +117,10 @@ def square_constraints(ctx12, shuffle_seed=None):
     # for the order-12 rotation; offsets carve the unit square
     i = ctx12.i_unit
     cons = [
-        HalfPlane(ExactLine(ctx12.lam_pow(0), ctx12.zero()), 1, power=0),   # y > 0
-        HalfPlane(ExactLine(ctx12.lam_pow(3), i), 1, power=3),              # x < 1
-        HalfPlane(ExactLine(ctx12.lam_pow(6), i), 1, power=6),              # y < 1
-        HalfPlane(ExactLine(ctx12.lam_pow(9), ctx12.zero()), 1, power=9),   # x > 0
+        HalfPlane(0, ctx12.zero(), 1),   # y > 0
+        HalfPlane(3, i, 1),              # x < 1
+        HalfPlane(6, i, 1),              # y < 1
+        HalfPlane(9, ctx12.zero(), 1),   # x > 0
     ]
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(cons)
@@ -138,22 +136,22 @@ class TestIntersectHalfplanes:
 
     def test_strip_unbounded(self, ctx12):
         cons = [
-            HalfPlane(ExactLine(ctx12.lam_pow(0), ctx12.zero()), 1, power=0),
-            HalfPlane(ExactLine(ctx12.lam_pow(6), ctx12.i_unit), 1, power=6),
+            HalfPlane(0, ctx12.zero(), 1),
+            HalfPlane(6, ctx12.i_unit, 1),
         ]
         assert intersect_halfplanes(cons) is UNBOUNDED
 
     def test_empty_strip(self, ctx12):
         cons = [
-            HalfPlane(ExactLine(ctx12.lam_pow(0), -ctx12.i_unit), 1, power=0),  # y > 1
-            HalfPlane(ExactLine(ctx12.lam_pow(6), ctx12.zero()), 1, power=6),   # y < 0
+            HalfPlane(0, -ctx12.i_unit, 1),  # y > 1
+            HalfPlane(6, ctx12.zero(), 1),   # y < 0
         ]
         assert intersect_halfplanes(cons) is EMPTY
 
     def test_wedge_unbounded(self, ctx12):
         cons = [
-            HalfPlane(ExactLine(ctx12.lam_pow(0), ctx12.zero()), 1, power=0),
-            HalfPlane(ExactLine(ctx12.lam_pow(9), ctx12.zero()), 1, power=9),
+            HalfPlane(0, ctx12.zero(), 1),
+            HalfPlane(9, ctx12.zero(), 1),
         ]
         assert intersect_halfplanes(cons) is UNBOUNDED
 
@@ -172,49 +170,95 @@ class TestIntersectHalfplanes:
         base = intersect_halfplanes(square_constraints(ctx12))
         shuffled = square_constraints(ctx12, shuffle_seed=9)
         # redundant parallel constraint (y > -3) plus an exact duplicate
-        shuffled.append(HalfPlane(ExactLine(ctx12.lam_pow(0), 3 * ctx12.i_unit), 1, power=0))
+        shuffled.append(HalfPlane(0, 3 * ctx12.i_unit, 1))
         shuffled.append(square_constraints(ctx12)[0])
         again = intersect_halfplanes(shuffled)
         assert again.key() == base.key()
 
-    def test_general_direction_constraints(self, ctx12):
-        # x > 0, y > 0, x + y < 1 without power tags
-        one = ctx12.one()
-        i = ctx12.i_unit
+    def test_triangle(self, ctx12):
+        # lambda = zeta_12^11, so lambda^9 = i and lambda^4 = zeta_12^8
+        sqrt3 = ctx12.zeta_pow(1) + ctx12.zeta_pow(1).conj()
         cons = [
-            HalfPlane(ExactLine(i, ctx12.zero()), -1),          # Im(i w) = Re w; side -1: x... sign flip below
-            HalfPlane(ExactLine(one, ctx12.zero()), 1),         # y > 0
-            HalfPlane(ExactLine(-one - i, i), 1),               # 1 - x - y > 0
+            HalfPlane(9, ctx12.zero(), 1),     # x > 0
+            HalfPlane(0, ctx12.zero(), 1),     # y > 0
+            HalfPlane(4, ctx12.i_unit, 1),     # sqrt(3)*x + y < 2
         ]
-        # fix the first: {-Im(i*w) > 0} is x < 0, so flip to side +1
-        cons[0] = HalfPlane(ExactLine(i, ctx12.zero()), 1)
         poly = intersect_halfplanes(cons)
         assert isinstance(poly, ConvexPolygon)
-        expected = {ctx12.point(0, 0).coeffs, ctx12.point(1, 0).coeffs, ctx12.point(0, 1).coeffs}
-        assert {v.coeffs for v in poly.vertices} == expected
+        assert list(poly.vertices) == [ctx12.zero(), sqrt3 * Fraction(2, 3), ctx12.point(0, 2)]
 
     def test_point_degenerate_is_empty(self, ctx12):
-        one = ctx12.one()
-        i = ctx12.i_unit
-        cons = [
-            HalfPlane(ExactLine(one, ctx12.zero()), 1),       # y > 0
-            HalfPlane(ExactLine(-one + i, ctx12.zero()), 1),  # x - y > 0
-            HalfPlane(ExactLine(-one - i, ctx12.zero()), 1),  # -x - y > 0
-        ]
+        # three grid lines through (1, 1) whose inward normals are 120 degrees
+        # apart: the closed intersection is that single point
+        p = ctx12.point(1, 1)
+        cons = [HalfPlane(t, -(ctx12.lam_pow(t) * p), 1) for t in (0, 4, 8)]
         assert intersect_halfplanes(cons) is EMPTY
 
-    def test_coincident_lines_scaled(self, ctx12):
-        cons = square_constraints(ctx12)
-        dup = HalfPlane(ExactLine(ctx12.lam_pow(0) * 7, ctx12.zero()), 1)
-        poly = intersect_halfplanes(cons + [dup])
-        assert poly.key() == intersect_halfplanes(cons).key()
+    def test_odd_q_antiparallel_strip_empty(self, ctx5):
+        # for q = 5, -lambda^k is no power of lambda: the far side of a line
+        # is reached only through side -1
+        below_zero = HalfPlane(1, ctx5.zero(), -1)  # Im(lambda w) < 0
+        above_one = HalfPlane(1, -ctx5.i_unit, 1)  # Im(lambda w) > 1
+        above_zero = HalfPlane(1, ctx5.zero(), 1)  # Im(lambda w) > 0
+        assert intersect_halfplanes([above_one, below_zero]) is EMPTY
+        assert intersect_halfplanes([above_zero, below_zero]) is EMPTY
+
+    def test_odd_q_strip_unbounded(self, ctx5):
+        # 0 < Im(lambda w) < 1
+        cons = [HalfPlane(1, ctx5.zero(), 1), HalfPlane(1, -ctx5.i_unit, -1)]
+        assert intersect_halfplanes(cons) is UNBOUNDED
+
+    def test_odd_q_wedge_unbounded(self, ctx5):
+        cons = [
+            HalfPlane(0, ctx5.zero(), 1),
+            HalfPlane(1, ctx5.zero(), 1),
+            HalfPlane(3, ctx5.zero(), -1),
+        ]
+        assert intersect_halfplanes(cons) is UNBOUNDED
+
+    def test_random_grid_constraints_around_interior_point(self, ctx5, ctx12):
+        # lines of random grid directions through a few shared quarter-grid
+        # points, so that several often meet in one vertex, each oriented to
+        # hold the point c strictly inside
+        rng = random.Random(11)
+
+        def quarter_point(ctx):
+            return ctx.point(Fraction(rng.randint(-6, 6), 4), Fraction(rng.randint(-6, 6), 4))
+
+        polygons = 0
+        for ctx in (ctx5, ctx12):
+            for _ in range(60):
+                c = quarter_point(ctx)
+                anchors = [quarter_point(ctx) for _ in range(3)]
+                cons = []
+                for _ in range(rng.randint(3, 2 * ctx.q)):
+                    t = rng.randrange(ctx.q)
+                    b = -(ctx.lam_pow(t) * rng.choice(anchors))
+                    s = sign_of_imag(ctx.lam_pow(t) * c + b)
+                    if s != Sign.ZERO:
+                        cons.append(HalfPlane(t, b, int(s)))
+                poly = intersect_halfplanes(cons)
+                assert poly is not EMPTY
+                if poly is UNBOUNDED:
+                    continue
+                polygons += 1
+                assert polygon_contains(poly, c) == Location.INTERIOR
+                for v in poly.vertices:
+                    assert all(h.side_of(v) * h.side >= 0 for h in cons)
+                for a, b in poly.edges():
+                    assert orientation(a, b, c) == Sign.POSITIVE
+                    assert any(
+                        h.side_of(a) == Sign.ZERO and h.side_of(b) == Sign.ZERO and h.contains(c)
+                        for h in cons
+                    )
+        assert polygons >= 30
 
     def test_vertices_respect_all_constraints(self, ctx12):
         cons = square_constraints(ctx12)
         poly = intersect_halfplanes(cons)
         for h in cons:
             for v in poly.vertices:
-                assert h.line.side_of(v) != (
+                assert h.side_of(v) != (
                     Sign.NEGATIVE if h.side > 0 else Sign.POSITIVE
                 )
         centroid = poly.vertices[0]
@@ -227,17 +271,6 @@ class TestIntersectHalfplanes:
     def test_rejects_empty_input(self):
         with pytest.raises(ParameterError):
             intersect_halfplanes([])
-
-
-class TestConvexHull:
-    def test_collinear_points_dropped(self, ctx5):
-        pts = [ctx5.point(k, k) for k in range(4)] + [ctx5.point(3, 0)]
-        hull = convex_hull(pts)
-        assert {p.to_complex() for p in hull} == {0j, 3 + 3j, 3 + 0j}
-
-    def test_degenerate(self, ctx5):
-        assert convex_hull([ctx5.point(1, 1)] * 3) == [ctx5.point(1, 1)]
-        assert len(convex_hull([ctx5.point(0, 0), ctx5.point(1, 1), ctx5.point(2, 2)])) == 2
 
 
 class TestPolygon:
