@@ -19,9 +19,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .cyclo import FieldContext, Sign, sign_of_real
+from .cyclo import FieldContext, Sign, sign_of_imag, sign_of_real
 from .errors import InternalInconsistencyError, ParameterError
-from .geometry import Box, ExactSegment, clip_segment_to_box, edge_direction_power
+from .geometry import Box, ExactSegment, clip_segment_to_box, grid_corner
 
 PULLBACK = "pullback"
 FORWARD = "forward"
@@ -47,20 +47,20 @@ def base_layer(ctx: FieldContext, box: Box, direction: str = PULLBACK) -> Critic
     """Depth 0: the discontinuity line clipped to the (already inflated) box."""
     if box.y0 > 0 or box.y1 < 0:
         return CriticalLayer(0, (), direction)
-    seg = ExactSegment(ctx.point(box.x0, 0), ctx.point(box.x1, 0), depth=0)
+    seg = ExactSegment(ctx.point(box.x0, 0), ctx.point(box.x1, 0), 0, depth=0)
     return CriticalLayer(0, (seg,), direction)
 
 
-def _split_at(seg: ExactSegment, height):
-    """Split a segment by the sign of a real-valued affine ``height``.
+def _split_at(seg: ExactSegment, e: int):
+    """Split a segment by the sign of Im(zeta^e * w), the grid line through 0.
 
     Returns a list of (piece, side) with side >= 0 for the closed nonnegative
     side (which follows the + branch) and side < 0 for the strictly negative
-    side.
+    side.  A crossing is the grid corner of the segment's line with the
+    splitting line.
     """
-    ha = height(seg.a)
-    hb = height(seg.b)
-    sa, sb = sign_of_real(ha), sign_of_real(hb)
+    sa = sign_of_imag(seg.a.mul_zeta(e))
+    sb = sign_of_imag(seg.b.mul_zeta(e))
     if sa != Sign.NEGATIVE and sb != Sign.NEGATIVE:
         return [(seg, 1)]
     if sa != Sign.POSITIVE and sb != Sign.POSITIVE:
@@ -68,12 +68,12 @@ def _split_at(seg: ExactSegment, height):
         if sa == Sign.ZERO and sb == Sign.ZERO:
             return [(seg, 1)]
         return [(seg, -1)]
-    t = ha * (ha - hb).inverse()
-    w = seg.a + t * (seg.b - seg.a)
+    f, beta = seg.grid_line()
+    w = grid_corner(f, beta, e, seg.a.ctx.zero())
     first_side = 1 if sa == Sign.POSITIVE else -1
     return [
-        (ExactSegment(seg.a, w, seg.depth), first_side),
-        (ExactSegment(w, seg.b, seg.depth), -first_side),
+        (ExactSegment(seg.a, w, seg.power, seg.depth), first_side),
+        (ExactSegment(w, seg.b, seg.power, seg.depth), -first_side),
     ]
 
 
@@ -88,15 +88,15 @@ def pullback_layer(prev: CriticalLayer, box: Box, total_depth: int) -> CriticalL
     if ctx is None:
         return CriticalLayer(j + 1, (), PULLBACK)
     t_inv = -(ctx.m * ctx.p // ctx.q) % ctx.m
-    lam_conj = ctx.lambda_.conj()
     clip = box.inflate(total_depth - (j + 1))
     out = []
     for seg in prev.segments:
-        for piece, side in _split_at(seg, lambda z: (z * lam_conj).imag()):
+        for piece, side in _split_at(seg, t_inv):
             shift = 1 if side >= 0 else -1
             img = ExactSegment(
                 piece.a.mul_zeta(t_inv) + shift,
                 piece.b.mul_zeta(t_inv) + shift,
+                piece.power - 1,
                 j + 1,
             )
             clipped = clip_segment_to_box(img, clip)
@@ -119,11 +119,12 @@ def forward_layer(prev: CriticalLayer, box: Box, total_depth: int) -> CriticalLa
     clip = box.inflate(total_depth - (j + 1))
     out = []
     for seg in prev.segments:
-        for piece, side in _split_at(seg, lambda z: z.imag()):
+        for piece, side in _split_at(seg, 0):
             shift = -1 if side >= 0 else 1
             img = ExactSegment(
                 (piece.a + shift).mul_zeta(t0),
                 (piece.b + shift).mul_zeta(t0),
+                piece.power + 1,
                 j + 1,
             )
             clipped = clip_segment_to_box(img, clip)
@@ -182,18 +183,20 @@ def merge_collinear(ctx: FieldContext, segments) -> list[ExactSegment]:
 
     Critical segments all have directions on the rotation grid, so the
     supporting line is keyed by (direction class, exact offset); overlapping
-    parametric intervals along the line are unioned.
+    parametric intervals along the line are unioned.  The class of a segment
+    of power t is the least t' in [0, q) with lambda^t' * R = lambda^t * R,
+    that is t mod q for odd q and t mod q/2 for even q (lambda^(q/2) = -1).
     """
+    classes = ctx.q if ctx.q % 2 else ctx.q // 2
     groups: dict = {}
     for seg in segments:
         d = seg.b - seg.a
         if d.is_zero():
             continue
-        t = edge_direction_power(ctx, d)
-        if t is None:
+        t = seg.power % classes
+        u = ctx.lam_pow(t).conj()
+        if not (d * u).imag().is_zero():
             raise InternalInconsistencyError("critical segment off the slope grid")
-        axis = ctx.lam_pow(t)
-        u = axis.conj()
         offset = (u * seg.a).imag()
         key = (t, offset)
         s_a = (u * seg.a).real()
@@ -202,25 +205,24 @@ def merge_collinear(ctx: FieldContext, segments) -> list[ExactSegment]:
         groups.setdefault(key, []).append((lo, hi, seg))
     out: list[ExactSegment] = []
     for (t, _), items in groups.items():
-        axis = ctx.lam_pow(t)
         items.sort(key=functools.cmp_to_key(lambda p, r: int(sign_of_real(p[0] - r[0]))))
         cur_lo, cur_hi, rep = items[0]
         depth = rep.depth
         for lo, hi, seg in items[1:]:
             if sign_of_real(lo - cur_hi) == Sign.POSITIVE:
-                out.append(_axis_segment(axis, rep, cur_lo, cur_hi, depth))
+                out.append(_axis_segment(ctx, t, rep, cur_lo, cur_hi, depth))
                 cur_lo, cur_hi, rep, depth = lo, hi, seg, seg.depth
             else:
                 if sign_of_real(hi - cur_hi) == Sign.POSITIVE:
                     cur_hi = hi
                 depth = min(depth, seg.depth)
-        out.append(_axis_segment(axis, rep, cur_lo, cur_hi, depth))
+        out.append(_axis_segment(ctx, t, rep, cur_lo, cur_hi, depth))
     return out
 
 
-def _axis_segment(axis, rep: ExactSegment, lo, hi, depth) -> ExactSegment:
+def _axis_segment(ctx: FieldContext, t: int, rep: ExactSegment, lo, hi, depth) -> ExactSegment:
     # reconstruct endpoints from line data: z = axis*s + i*offset*axis-normal;
     # using the representative's supporting point keeps it exact
-    u = axis.conj()
-    base = rep.a - axis * (u * rep.a).real()
-    return ExactSegment(base + axis * lo, base + axis * hi, depth)
+    axis = ctx.lam_pow(t)
+    base = rep.a - axis * (axis.conj() * rep.a).real()
+    return ExactSegment(base + axis * lo, base + axis * hi, t, depth)

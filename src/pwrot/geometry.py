@@ -1,13 +1,17 @@
 """Exact planar geometry over the cyclotomic field.
 
-Lines are written as {w : Im(u*w + b) = 0} with u a field unit, so every
-predicate (side of a line, vertex incidence, convexity) reduces to the sign
-oracle and stays exact.  Half-planes live on the direction grid of the map:
-u = lambda^k = zeta^e for an integer exponent e, so half-plane intersection
-decides parallel and antiparallel directions, angular order and
-boundedness by comparing exponents, and finds the vertices with one
-half-plane sweep; the output polygon is the closure of the open
-intersection.
+Every line the engine meets lies on the direction grid of the map: a grid
+line is {w : Im(zeta^e * w) = -beta} for an integer exponent e mod m and a
+real field element beta.  Half-plane boundaries, critical segments (along
+lambda^t = zeta^(t*m*p/q)) and box faces (exponents 0, m/4, m/2, 3m/4) are
+all grid lines, so parallel and antiparallel directions, angular order and
+boundedness are decided by comparing exponents, and every crossing is the
+grid corner of two lines: a closed form whose only reciprocal, 1/Im(zeta^k),
+is cached per exponent difference.  Predicates (side of a line, vertex
+incidence, convexity) reduce to the exact sign oracle.  Half-plane
+intersection finds its vertices with one half-plane sweep and returns the
+closure of the open intersection; segment clipping moves an endpoint that
+lies outside a box face to the corner of the segment's line with that face.
 """
 
 from __future__ import annotations
@@ -64,21 +68,6 @@ class Box:
 
 
 @dataclass(frozen=True)
-class ExactLine:
-    """{w : Im(u*w + b) = 0}; u must be nonzero."""
-
-    u: CycloNum
-    b: CycloNum
-
-    def __post_init__(self):
-        if self.u.is_zero():
-            raise ParameterError("line direction coefficient must be nonzero")
-
-    def side_of(self, w: CycloNum) -> Sign:
-        return sign_of_imag(self.u * w + self.b)
-
-
-@dataclass(frozen=True)
 class HalfPlane:
     """Open half-plane {w : side * Im(lambda^power * w + b) > 0}.
 
@@ -94,9 +83,6 @@ class HalfPlane:
     def side_of(self, w: CycloNum) -> Sign:
         """Sign of Im(lambda^power * w + b), before ``side`` is applied."""
         return sign_of_imag(self.b.ctx.lam_pow(self.power) * w + self.b)
-
-    def contains(self, w: CycloNum) -> bool:
-        return self.side_of(w) == (Sign.POSITIVE if self.side > 0 else Sign.NEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -118,35 +104,21 @@ class ConvexPolygon:
 
 @dataclass(frozen=True)
 class ExactSegment:
+    """The closed segment from a to b, parallel to lambda^power."""
+
     a: CycloNum
     b: CycloNum
+    power: int
     depth: int = 0
 
     def midpoint(self) -> CycloNum:
         return (self.a + self.b) / 2
 
-
-def line_through(p1: CycloNum, p2: CycloNum) -> ExactLine:
-    d = p2 - p1
-    if d.is_zero():
-        raise ParameterError("two distinct points are needed")
-    u = d.conj()
-    return ExactLine(u, -(u * p1))
-
-
-def line_intersection(l1: ExactLine, l2: ExactLine):
-    """Intersection point, or None when the lines are parallel (or coincide).
-
-    Writing each line as u*w - conj(u)*conj(w) = conj(b) - b gives a 2x2
-    linear system over the field in the unknowns (w, conj(w)).
-    """
-    u1c, u2c = l1.u.conj(), l2.u.conj()
-    det = u1c * l2.u - l1.u * u2c
-    if det.is_zero():
-        return None
-    c1 = l1.b.conj() - l1.b
-    c2 = l2.b.conj() - l2.b
-    return (u1c * c2 - u2c * c1) * det.inverse()
+    def grid_line(self) -> tuple[int, CycloNum]:
+        """(e, beta) with the segment on the grid line Im(zeta^e * w) = -beta."""
+        ctx = self.a.ctx
+        e = -_lam_exponent(ctx, self.power) % ctx.m
+        return e, -self.a.mul_zeta(e).imag()
 
 
 def halfplane_from_constraint(g, s: int) -> HalfPlane:
@@ -157,11 +129,24 @@ def halfplane_from_constraint(g, s: int) -> HalfPlane:
 # -- half-plane intersection ----------------------------------------------------
 
 
+def _lam_exponent(ctx: FieldContext, power: int) -> int:
+    """e in [0, m) with lambda^power = zeta^e."""
+    return ctx.m * ctx.p // ctx.q * power % ctx.m
+
+
 @functools.lru_cache(maxsize=None)
 def _inverse_sine(ctx: FieldContext, k: int) -> CycloNum:
-    """1 / Im(zeta^k): the scale of the vertex of two lines whose units differ
-    by zeta^k."""
+    """1 / Im(zeta^k): the scale of the corner of two grid lines whose
+    exponents differ by k."""
     return ctx.zeta_pow(k).imag().inverse()
+
+
+def grid_corner(e: int, beta_e: CycloNum, f: int, beta_f: CycloNum) -> CycloNum:
+    """The point where the grid lines Im(zeta^e * w) = -beta_e and
+    Im(zeta^f * w) = -beta_f meet, for real beta_e, beta_f and e != f mod m/2:
+    w = (beta_e * zeta^-f - beta_f * zeta^-e) / Im(zeta^(f - e))."""
+    ctx = beta_e.ctx
+    return (beta_e.mul_zeta(-f) - beta_f.mul_zeta(-e)) * _inverse_sine(ctx, (f - e) % ctx.m)
 
 
 def intersect_halfplanes(constraints: Sequence[HalfPlane]):
@@ -184,10 +169,9 @@ def intersect_halfplanes(constraints: Sequence[HalfPlane]):
         raise ParameterError("at least one constraint is required")
     ctx = constraints[0].b.ctx
     m, half = ctx.m, ctx.m // 2
-    t0 = m * ctx.p // ctx.q
     offset: dict[int, CycloNum] = {}
     for h in constraints:
-        e = (t0 * h.power + (0 if h.side > 0 else half)) % m
+        e = (_lam_exponent(ctx, h.power) + (0 if h.side > 0 else half)) % m
         b = h.b if h.side > 0 else -h.b
         if e not in offset or sign_of_imag(b - offset[e]) == Sign.NEGATIVE:
             offset[e] = b
@@ -205,8 +189,7 @@ def intersect_halfplanes(constraints: Sequence[HalfPlane]):
         return sign_of_imag(w.mul_zeta(e) + offset[e])
 
     def corner(e: int, f: int) -> CycloNum:
-        # the point where Im(zeta^e w) = -beta[e] and Im(zeta^f w) = -beta[f]
-        return (beta[e].mul_zeta(-f) - beta[f].mul_zeta(-e)) * _inverse_sine(ctx, (f - e) % m)
+        return grid_corner(e, beta[e], f, beta[f])
 
     edges: deque[int] = deque()
     for e in reversed(exps):
@@ -293,17 +276,6 @@ def apply_affine(p: ConvexPolygon, g) -> ConvexPolygon:
     return make_polygon([g(v) for v in p.vertices])
 
 
-def polygon_squared_diameter(p: ConvexPolygon) -> CycloNum:
-    best = None
-    v = p.vertices
-    for i in range(len(v)):
-        for j in range(i + 1, len(v)):
-            d = (v[i] - v[j]).squared_abs()
-            if best is None or sign_of_real(d - best) == Sign.POSITIVE:
-                best = d
-    return best
-
-
 def edge_direction_power(ctx: FieldContext, d: CycloNum) -> Optional[int]:
     """t in [0, q) with d parallel to the rotated real axis lambda^t * R."""
     if d.is_zero():
@@ -330,34 +302,26 @@ def point_on_segment(seg: ExactSegment, w: CycloNum) -> bool:
 
 
 def clip_segment_to_box(seg: ExactSegment, box: Box) -> Optional[ExactSegment]:
-    """Exact intersection with the closed box; degenerate results are None."""
+    """Exact intersection with the closed box; degenerate results are None.
+
+    The faces y >= y0, x >= x0, y <= y1 and x <= x1 are the grid half-planes
+    Im(zeta^f * w) + beta_f >= 0 with f = 0, m/4, m/2, 3m/4.  Face by face,
+    a segment with both endpoints outside is dropped, and an endpoint outside
+    moves to the grid corner of the segment's line with the face.
+    """
+    ctx = seg.a.ctx
+    m = ctx.m
+    e, beta = seg.grid_line()
     a, b = seg.a, seg.b
-    ctx = a.ctx
-    d = b - a
-    dx, dy = d.real(), d.imag()
-    ax, ay = a.real(), a.imag()
-    t_lo = ctx.zero()
-    t_hi = ctx.one()
-    # each face contributes a linear constraint p*t <= c
-    faces = [
-        (-dx, ax - box.x0),
-        (dx, ctx.from_rational(box.x1) - ax),
-        (-dy, ay - box.y0),
-        (dy, ctx.from_rational(box.y1) - ay),
-    ]
-    for pcoef, c in faces:
-        sp = sign_of_real(pcoef)
-        if sp == Sign.ZERO:
-            if sign_of_real(c) == Sign.NEGATIVE:
-                return None
-            continue
-        bound = c * pcoef.inverse()
-        if sp == Sign.POSITIVE:
-            if sign_of_real(bound - t_hi) == Sign.NEGATIVE:
-                t_hi = bound
-        else:
-            if sign_of_real(bound - t_lo) == Sign.POSITIVE:
-                t_lo = bound
-    if sign_of_real(t_hi - t_lo) != Sign.POSITIVE:
+    for f, bound in ((0, -box.y0), (m // 4, -box.x0), (m // 2, box.y1), (3 * m // 4, box.x1)):
+        c = ctx.point(0, bound)
+        a_out = sign_of_imag(a.mul_zeta(f) + c) == Sign.NEGATIVE
+        b_out = sign_of_imag(b.mul_zeta(f) + c) == Sign.NEGATIVE
+        if a_out and b_out:
+            return None
+        if a_out or b_out:
+            w = grid_corner(e, beta, f, ctx.from_rational(bound))
+            a, b = (w, b) if a_out else (a, w)
+    if a == b:
         return None
-    return ExactSegment(a + t_lo * d, a + t_hi * d, seg.depth)
+    return ExactSegment(a, b, seg.power, seg.depth)

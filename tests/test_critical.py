@@ -12,7 +12,8 @@ from pwrot.critical import (
     merge_collinear,
     pullback_layer,
 )
-from pwrot.cyclo import make_field
+from pwrot import geometry
+from pwrot.cyclo import CycloNum, make_field
 from pwrot.dynamics import step
 from pwrot.errors import InternalInconsistencyError
 from pwrot.geometry import Box, ExactSegment, edge_direction_power, point_on_segment
@@ -25,6 +26,15 @@ def ctx5():
 
 
 BOX = Box(-4, -4, 4, 4)
+
+
+def grid_power(ctx, seg):
+    """The least t in [0, q) with seg along lambda^t * R, after checking that
+    the segment's ``power`` names the same line direction."""
+    t = edge_direction_power(ctx, seg.b - seg.a)
+    assert t is not None
+    assert seg.power % (ctx.q if ctx.q % 2 else ctx.q // 2) == t
+    return t
 
 
 class TestLayers:
@@ -41,14 +51,15 @@ class TestLayers:
         assert layer1.depth == 1
         assert 1 <= len(layer1.segments) <= 2
         for seg in layer1.segments:
-            t = edge_direction_power(ctx5, seg.b - seg.a)
-            assert t == ctx5.q - 1  # direction of lambda^{-1}
+            assert seg.power == -1
+            assert grid_power(ctx5, seg) == ctx5.q - 1  # direction of lambda^{-1}
 
     def test_pullback_membership_soundness(self, ctx5):
         bundle = critical_bundle(ctx5, 8, BOX)
         rng = random.Random(3)
         segs = [s for s in bundle.all_segments() if s.depth > 0]
         for seg in rng.sample(segs, min(25, len(segs))):
+            grid_power(ctx5, seg)
             # a strictly interior rational combination of the endpoints
             t = Fraction(rng.randint(1, 9), 10)
             w = seg.a + t * (seg.b - seg.a)
@@ -60,7 +71,7 @@ class TestLayers:
         layer0 = base_layer(ctx5, BOX.inflate(1), direction=FORWARD)
         layer1 = forward_layer(layer0, BOX, total_depth=1)
         for seg in layer1.segments:
-            assert edge_direction_power(ctx5, seg.b - seg.a) == 1
+            assert seg.power == 1 and grid_power(ctx5, seg) == 1
 
     def test_forward_images_of_line_points_stay_sound(self, ctx5):
         # sampled points of a forward segment are genuine forward images:
@@ -70,6 +81,7 @@ class TestLayers:
         bundle = critical_bundle(ctx5, 5, BOX, direction=FORWARD)
         rng = random.Random(4)
         for seg in bundle.all_segments():
+            grid_power(ctx5, seg)
             if seg.depth == 0:
                 continue
             t = Fraction(rng.randint(1, 9), 10)
@@ -89,6 +101,7 @@ class TestBundle:
     def test_segments_clipped_to_user_box(self, ctx5):
         bundle = critical_bundle(ctx5, 8, BOX)
         for seg in bundle.all_segments():
+            grid_power(ctx5, seg)
             for z in (seg.a, seg.b):
                 c = z.to_complex()
                 assert -4 - 1e-9 <= c.real <= 4 + 1e-9
@@ -98,9 +111,7 @@ class TestBundle:
         bundle = critical_bundle(ctx5, 10, BOX)
         census = set()
         for seg in bundle.all_segments():
-            t = edge_direction_power(ctx5, seg.b - seg.a)
-            assert t is not None
-            census.add(t)
+            census.add(grid_power(ctx5, seg))
         assert len(census) <= 5  # q odd: at most q slope classes
 
     def test_slope_census_even_q(self):
@@ -108,9 +119,7 @@ class TestBundle:
         bundle = critical_bundle(ctx, 10, Box(-3, -3, 3, 3))
         census = set()
         for seg in bundle.all_segments():
-            t = edge_direction_power(ctx, seg.b - seg.a)
-            assert t is not None
-            census.add(t % 6)  # slopes fold modulo q/2 for even q
+            census.add(grid_power(ctx, seg) % 6)  # slopes fold modulo q/2 for even q
         assert len(census) <= 6
 
     def test_bigger_box_covers_smaller_run(self, ctx5):
@@ -120,9 +129,26 @@ class TestBundle:
         for seg in large.all_segments():
             by_depth.setdefault(seg.depth, []).append(seg)
         for seg in small.all_segments():
+            grid_power(ctx5, seg)
             candidates = by_depth.get(seg.depth, [])
             for w in (seg.a, seg.b, seg.midpoint()):
                 assert any(point_on_segment(c, w) for c in candidates)
+
+    def test_crossings_need_no_field_inverse(self, ctx5, monkeypatch):
+        # every split and clip point is a grid corner: the only inverses are
+        # the cached reciprocal sines, at most one per exponent difference
+        calls = []
+        real_inverse = CycloNum.inverse
+
+        def counting_inverse(self):
+            calls.append(self)
+            return real_inverse(self)
+
+        monkeypatch.setattr(CycloNum, "inverse", counting_inverse)
+        geometry._inverse_sine.cache_clear()
+        bundle = critical_bundle(ctx5, 10, BOX, direction="both")
+        assert len(bundle.all_segments()) > 100
+        assert len(calls) <= ctx5.m
 
     def test_cap_truncates_with_flag(self, ctx5):
         bundle = critical_bundle(ctx5, 10, BOX, cap=10)
@@ -147,13 +173,14 @@ class TestBundle:
 class TestMergeCollinear:
     def test_overlaps_merge(self, ctx5):
         segs = [
-            ExactSegment(ctx5.point(0, 0), ctx5.point(2, 0)),
-            ExactSegment(ctx5.point(1, 0), ctx5.point(3, 0)),
-            ExactSegment(ctx5.point(5, 0), ctx5.point(6, 0)),
-            ExactSegment(ctx5.point(0, 1), ctx5.point(1, 1)),
+            ExactSegment(ctx5.point(0, 0), ctx5.point(2, 0), 0),
+            ExactSegment(ctx5.point(1, 0), ctx5.point(3, 0), 0),
+            ExactSegment(ctx5.point(5, 0), ctx5.point(6, 0), 0),
+            ExactSegment(ctx5.point(0, 1), ctx5.point(1, 1), 5),
         ]
         merged = merge_collinear(ctx5, segs)
         assert len(merged) == 3
+        assert all(m.power == 0 for m in merged)
         spans = sorted(
             (s.a.to_complex().real, s.b.to_complex().real)
             for s in merged
@@ -168,13 +195,19 @@ class TestMergeCollinear:
         merged = merge_collinear(ctx5, segs)
         assert len(merged) <= len(segs)
         rng = random.Random(7)
+        for m in merged:
+            grid_power(ctx5, m)
         for seg in rng.sample(segs, min(20, len(segs))):
             t = Fraction(rng.randint(0, 10), 10)
             w = seg.a + t * (seg.b - seg.a)
             assert any(point_on_segment(m, w) for m in merged)
 
     def test_off_grid_segment_raises(self, ctx5):
-        # a diagonal is no rotated copy of the real axis for q = 5
-        segs = [ExactSegment(ctx5.point(0, 0), ctx5.point(1, 1))]
-        with pytest.raises(InternalInconsistencyError):
-            merge_collinear(ctx5, segs)
+        # a diagonal is no rotated copy of the real axis for q = 5, and a
+        # segment along lambda is not along lambda^0
+        for seg in (
+            ExactSegment(ctx5.point(0, 0), ctx5.point(1, 1), 0),
+            ExactSegment(ctx5.zero(), ctx5.lambda_, 0),
+        ):
+            with pytest.raises(InternalInconsistencyError):
+                merge_collinear(ctx5, [seg])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pwrot.cyclo import Sign, make_field, sign_of_imag
+from pwrot.cyclo import Sign, make_field, sign_of_imag, sign_of_real
 from pwrot.dynamics import Address, AffineMap, address, affine_along, step
 from pwrot.geometry import (
     EMPTY,
@@ -18,8 +18,6 @@ from pwrot.geometry import (
     edge_direction_power,
     halfplane_from_constraint,
     intersect_halfplanes,
-    line_intersection,
-    line_through,
     make_polygon,
     orientation,
     point_on_segment,
@@ -48,47 +46,9 @@ def lower(ctx):
     return HalfPlane(0, ctx.zero(), -1)
 
 
-class TestLines:
-    def test_real_axis_side(self, ctx5):
-        axis = line_through(ctx5.point(0, 0), ctx5.point(1, 0))
-        assert axis.side_of(ctx5.point(0, 2)) == Sign.POSITIVE
-        assert axis.side_of(ctx5.point(5, -1)) == Sign.NEGATIVE
-        assert axis.side_of(ctx5.point(-7, 0)) == Sign.ZERO
-
-    def test_intersection_at_origin(self, ctx5):
-        axis = line_through(ctx5.point(0, 0), ctx5.point(1, 0))
-        slanted = line_through(ctx5.zero(), ctx5.lambda_)
-        assert line_intersection(axis, slanted) == ctx5.zero()
-
-    def test_axis_meets_vertical(self, ctx12):
-        axis = line_through(ctx12.point(0, 0), ctx12.point(1, 0))
-        vertical = line_through(ctx12.point(3, 0), ctx12.point(3, 1))
-        assert line_intersection(axis, vertical) == ctx12.from_rational(3)
-
-    def test_parallel_and_coincident(self, ctx5):
-        a = line_through(ctx5.point(0, 0), ctx5.point(1, 0))
-        b = line_through(ctx5.point(0, 1), ctx5.point(1, 1))
-        assert line_intersection(a, b) is None
-        assert line_intersection(a, a) is None
-
-    def test_intersection_lies_on_both_lines(self, ctx5):
-        rng = random.Random(41)
-        found = 0
-        while found < 15:
-            pts = [
-                ctx5.point(Fraction(rng.randint(-9, 9), 4), Fraction(rng.randint(-9, 9), 4))
-                for _ in range(4)
-            ]
-            if pts[0] == pts[1] or pts[2] == pts[3]:
-                continue
-            l1 = line_through(pts[0], pts[1])
-            l2 = line_through(pts[2], pts[3])
-            w = line_intersection(l1, l2)
-            if w is None:
-                continue
-            assert l1.side_of(w) == Sign.ZERO
-            assert l2.side_of(w) == Sign.ZERO
-            found += 1
+def holds(h, w):
+    """w lies in the open half-plane h."""
+    return h.side_of(w) * h.side > 0
 
 
 class TestHalfPlaneFromConstraint:
@@ -96,10 +56,10 @@ class TestHalfPlaneFromConstraint:
         ident = AffineMap(0, ctx5.zero())
         hp = halfplane_from_constraint(ident, 1)
         hm = halfplane_from_constraint(ident, -1)
-        assert hp.contains(ctx5.point(0, 1))
-        assert not hp.contains(ctx5.point(0, -1))
-        assert hm.contains(ctx5.point(0, -1))
-        assert not hm.contains(ctx5.point(3, 0))
+        assert holds(hp, ctx5.point(0, 1))
+        assert not holds(hp, ctx5.point(0, -1))
+        assert holds(hm, ctx5.point(0, -1))
+        assert not holds(hm, ctx5.point(3, 0))
 
     def test_one_step_preimage(self, ctx5):
         # membership in the pulled-back constraint agrees with the address of
@@ -109,7 +69,7 @@ class TestHalfPlaneFromConstraint:
         rng = random.Random(42)
         for _ in range(30):
             w = ctx5.point(Fraction(rng.randint(-20, 20), 3), Fraction(rng.randint(1, 20), 3))
-            assert hp.contains(w) == (address(step(w)) == Address.PLUS)
+            assert holds(hp, w) == (address(step(w)) == Address.PLUS)
 
 
 def square_constraints(ctx12, shuffle_seed=None):
@@ -248,7 +208,7 @@ class TestIntersectHalfplanes:
                 for a, b in poly.edges():
                     assert orientation(a, b, c) == Sign.POSITIVE
                     assert any(
-                        h.side_of(a) == Sign.ZERO and h.side_of(b) == Sign.ZERO and h.contains(c)
+                        h.side_of(a) == Sign.ZERO and h.side_of(b) == Sign.ZERO and holds(h, c)
                         for h in cons
                     )
         assert polygons >= 30
@@ -266,7 +226,7 @@ class TestIntersectHalfplanes:
             centroid = centroid + v
         centroid = centroid / len(poly.vertices)
         for h in cons:
-            assert h.contains(centroid)
+            assert holds(h, centroid)
 
     def test_rejects_empty_input(self):
         with pytest.raises(ParameterError):
@@ -328,28 +288,112 @@ class TestEdgeDirections:
         assert edge_direction_power(ctx5, ctx5.lambda_ * 2) == 1
 
 
+def in_box(w, box):
+    x, y = w.real(), w.imag()
+    return all(
+        sign_of_real(v) != Sign.NEGATIVE
+        for v in (x - box.x0, box.x1 - x, y - box.y0, box.y1 - y)
+    )
+
+
+def on_face(w, box):
+    x, y = w.real(), w.imag()
+    return in_box(w, box) and (x in (box.x0, box.x1) or y in (box.y0, box.y1))
+
+
 class TestSegments:
+    # ctx5 is the field of lambda = exp(2 pi i 4/5); for odd q no power of
+    # lambda is -1, and lambda^k is neither horizontal nor vertical for k != 0
+    BOX = Box(-3, -3, 3, 3)
+
     def test_clip_long_segment(self, ctx5):
-        seg = ExactSegment(ctx5.point(-10, 0), ctx5.point(10, 0))
-        box = Box(-3, -3, 3, 3)
-        out = clip_segment_to_box(seg, box)
+        seg = ExactSegment(ctx5.point(-10, 0), ctx5.point(10, 0), 0)
+        out = clip_segment_to_box(seg, self.BOX)
         assert out.a == ctx5.point(-3, 0) and out.b == ctx5.point(3, 0)
+        assert out.power == 0
 
     def test_clip_inside_unchanged(self, ctx5):
-        seg = ExactSegment(ctx5.point(-1, 1), ctx5.point(2, 2), depth=4)
-        out = clip_segment_to_box(seg, Box(-3, -3, 3, 3))
-        assert out.a == seg.a and out.b == seg.b and out.depth == 4
+        a = ctx5.point(Fraction(1, 2), Fraction(-1, 2))
+        seg = ExactSegment(a, a + 2 * ctx5.lam_pow(2), 2, depth=4)
+        out = clip_segment_to_box(seg, self.BOX)
+        assert out == seg
+
+    def test_slanted_segment_crosses_horizontal_faces(self, ctx5):
+        # the line through 0 along lambda leaves the square through y = +-3
+        lam = ctx5.lambda_
+        seg = ExactSegment(-10 * lam, 10 * lam, 1, depth=2)
+        out = clip_segment_to_box(seg, self.BOX)
+        top = lam * (3 * lam.imag().inverse())
+        assert (out.a, out.b, out.power, out.depth) == (top, -top, 1, 2)
+        assert out.a.imag() == 3 and out.b.imag() == -3
+
+    def test_slanted_segment_crosses_two_kinds_of_face(self, ctx5):
+        # i + s*lambda^2 leaves through x = -3 and through y = 3
+        u = ctx5.lam_pow(2)
+        i = ctx5.i_unit
+        out = clip_segment_to_box(ExactSegment(i + 10 * u, i - 10 * u, 7), self.BOX)
+        assert out.a.real() == -3 and in_box(out.a, self.BOX)
+        assert out.b.imag() == 3 and in_box(out.b, self.BOX)
+        assert sign_of_imag((out.b - out.a) * u.conj()) == Sign.ZERO
+
+    def test_segment_on_face(self, ctx5):
+        seg = ExactSegment(ctx5.point(-5, 3), ctx5.point(5, 3), 0)
+        out = clip_segment_to_box(seg, self.BOX)
+        assert out.a == ctx5.point(-3, 3) and out.b == ctx5.point(3, 3)
 
     def test_corner_touch_suppressed(self, ctx5):
-        seg = ExactSegment(ctx5.point(2, 4), ctx5.point(4, 2))
-        assert clip_segment_to_box(seg, Box(-3, -3, 3, 3)) is None
+        # a horizontal segment and a slanted one that meet the box only in
+        # the corner (3, 3)
+        corner = ctx5.point(3, 3)
+        assert clip_segment_to_box(ExactSegment(corner, ctx5.point(5, 3), 0), self.BOX) is None
+        slanted = ExactSegment(corner + 2 * ctx5.lambda_, corner, 1)
+        assert clip_segment_to_box(slanted, self.BOX) is None
 
     def test_disjoint(self, ctx5):
-        seg = ExactSegment(ctx5.point(5, 5), ctx5.point(6, 9))
-        assert clip_segment_to_box(seg, Box(-3, -3, 3, 3)) is None
+        # parallel to a face outside the box, and slanted beyond x = 3
+        assert clip_segment_to_box(
+            ExactSegment(ctx5.point(-1, 5), ctx5.point(1, 5), 0), self.BOX
+        ) is None
+        a = ctx5.point(5, 5)
+        assert clip_segment_to_box(ExactSegment(a, a + 3 * ctx5.lambda_, 1), self.BOX) is None
+
+    def test_random_grid_segments(self, ctx5, ctx12):
+        # seeded segments along lambda^t through quarter-grid points: the clip
+        # lies in the box and on the input, every moved endpoint lies on a
+        # face, and a dropped segment meets the open box in no sampled point
+        rng = random.Random(17)
+
+        def quarter(lo, hi):
+            return Fraction(rng.randint(4 * lo, 4 * hi), 4)
+
+        kept = dropped = 0
+        for ctx in (ctx5, ctx12):
+            for _ in range(80):
+                box = Box(quarter(-4, -1), quarter(-4, -1), quarter(1, 4), quarter(1, 4))
+                t = rng.randrange(-ctx.q, 2 * ctx.q)
+                p = ctx.point(quarter(-5, 5), quarter(-5, 5))
+                a, b = (p + quarter(-6, 6) * ctx.lam_pow(t) for _ in range(2))
+                if a == b:
+                    continue
+                seg = ExactSegment(a, b, t, depth=3)
+                out = clip_segment_to_box(seg, box)
+                if out is None:
+                    dropped += 1
+                    for k in range(1, 16):
+                        w = a + Fraction(k, 16) * (b - a)
+                        assert not in_box(w, box) or on_face(w, box)
+                    continue
+                kept += 1
+                assert (out.power, out.depth) == (t, 3) and out.a != out.b
+                for w, end in ((out.a, a), (out.b, b)):
+                    assert in_box(w, box) and point_on_segment(seg, w)
+                    assert w == end or on_face(w, box)
+                    if in_box(end, box):
+                        assert w == end
+        assert kept >= 40 and dropped >= 20
 
     def test_point_on_segment(self, ctx5):
-        seg = ExactSegment(ctx5.point(0, 0), ctx5.point(4, 2))
+        seg = ExactSegment(ctx5.point(0, 0), ctx5.point(4, 2), 0)
         assert point_on_segment(seg, ctx5.point(2, 1))
         assert point_on_segment(seg, seg.a) and point_on_segment(seg, seg.b)
         assert not point_on_segment(seg, ctx5.point(6, 3))

@@ -144,7 +144,9 @@ def test_forced_hard_sign_matches_fast_path(ctx, monkeypatch):
 def test_compiled_forced_hard_sign_matches_pure(ctx, monkeypatch):
     # the compiled twin of test_forced_hard_sign_matches_fast_path: every
     # nonzero branch sign crosses from C into _Plan.hard_sign, with the same
-    # oracle calls and results as the pure kernel, and oracle errors propagate
+    # oracle calls and results as the pure kernel, and oracle errors propagate;
+    # PWROT_PURE=1 in the environment would switch the compiled walk off
+    monkeypatch.delenv("PWROT_PURE", raising=False)
     phi, s, _ = golden_elements(ctx)
     p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
     p1 = (2 * phi - 3) * p0 + (2 - 2 * phi)
