@@ -2,21 +2,28 @@
 the discontinuity line (direction "pullback") and forward images F^{j}(R)
 (direction "forward"), clipped to a window.
 
-Each pullback level splits a segment where the inverse branch switches (the
-line through 0 with direction lambda), applies the matching exact inverse
-branch, and clips to a box inflated by the remaining depth.  That window is
-not a sound bound: F rotates about centers off the origin, so a point outside
-the inflated box can still map into the box within the remaining steps, and
-the segments it lies on are dropped.  A layer is therefore exact on what it
-lists but may miss parts of the critical set inside the box.  Points exactly
-on a splitting line follow the + branch, matching H on the line; the other
+Every piece lies on a grid line along lambda^t, and each segment carries its
+power t.  Each pullback level splits a segment where the inverse branch
+switches (the line through 0 with direction lambda), applies the matching
+exact inverse branch, and clips to the window of its layer; a forward level
+splits at the line itself and applies F.  Splits and clips are grid corners
+(``geometry.grid_corner``), so no field inverse runs.  Points exactly on a
+splitting line follow the + branch, matching H on the line; the other
 branch's image of such a point is not emitted (it only ever appears as a
 sub-segment endpoint).
+
+The windows are sound.  F(z) = lambda*(z - H(z)) with H(z) = +-1, so |F(z)|
+and |F^-1(z)| differ from |z| by at most 1.  With rho the least integer at
+least the largest modulus of a box corner, a point of the box that reaches
+the line in ``depth`` steps has its image of layer j within rho + depth - j
+of 0, so layer j is clipped to the square of that half-width about 0 and
+loses nothing of the box.  Every layer is re-clipped to the box at the end.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .cyclo import FieldContext, Sign, sign_of_imag, sign_of_real
@@ -44,11 +51,20 @@ class BundleResult:
 
 
 def base_layer(ctx: FieldContext, box: Box, direction: str = PULLBACK) -> CriticalLayer:
-    """Depth 0: the discontinuity line clipped to the (already inflated) box."""
+    """Depth 0: the discontinuity line clipped to a window (see ``window``)."""
     if box.y0 > 0 or box.y1 < 0:
         return CriticalLayer(0, (), direction)
     seg = ExactSegment(ctx.point(box.x0, 0), ctx.point(box.x1, 0), 0, depth=0)
     return CriticalLayer(0, (seg,), direction)
+
+
+def window(box: Box, steps: int) -> Box:
+    """The square about 0 of half-width rho + steps, with rho the least
+    integer >= the largest modulus of a corner of ``box``: it holds every
+    point that ``steps`` applications of F or of F^-1 carry into the box."""
+    r2 = max(x * x + y * y for x in (box.x0, box.x1) for y in (box.y0, box.y1))
+    h = math.isqrt(math.ceil(r2) - 1) + 1 + steps
+    return Box(-h, -h, h, h)
 
 
 def _split_at(seg: ExactSegment, e: int):
@@ -78,7 +94,7 @@ def _split_at(seg: ExactSegment, e: int):
 
 
 def pullback_layer(prev: CriticalLayer, box: Box, total_depth: int) -> CriticalLayer:
-    """F^{-1} of a pullback layer, clipped to the depth-adjusted box."""
+    """F^{-1} of a pullback layer, clipped to the window of its depth."""
     if prev.direction != PULLBACK:
         raise ParameterError("pullback_layer needs a pullback-direction layer")
     j = prev.depth
@@ -88,7 +104,7 @@ def pullback_layer(prev: CriticalLayer, box: Box, total_depth: int) -> CriticalL
     if ctx is None:
         return CriticalLayer(j + 1, (), PULLBACK)
     t_inv = -(ctx.m * ctx.p // ctx.q) % ctx.m
-    clip = box.inflate(total_depth - (j + 1))
+    clip = window(box, total_depth - (j + 1))
     out = []
     for seg in prev.segments:
         for piece, side in _split_at(seg, t_inv):
@@ -106,7 +122,8 @@ def pullback_layer(prev: CriticalLayer, box: Box, total_depth: int) -> CriticalL
 
 
 def forward_layer(prev: CriticalLayer, box: Box, total_depth: int) -> CriticalLayer:
-    """F of a forward layer: split at the line itself, rotate each branch."""
+    """F of a forward layer: split at the line itself, rotate each branch,
+    clip to the window of its depth."""
     if prev.direction != FORWARD:
         raise ParameterError("forward_layer needs a forward-direction layer")
     j = prev.depth
@@ -116,7 +133,7 @@ def forward_layer(prev: CriticalLayer, box: Box, total_depth: int) -> CriticalLa
     if ctx is None:
         return CriticalLayer(j + 1, (), FORWARD)
     t0 = ctx.m * ctx.p // ctx.q
-    clip = box.inflate(total_depth - (j + 1))
+    clip = window(box, total_depth - (j + 1))
     out = []
     for seg in prev.segments:
         for piece, side in _split_at(seg, 0):
@@ -158,7 +175,7 @@ def critical_bundle(
     truncated = False
     for d in directions:
         advance = pullback_layer if d == PULLBACK else forward_layer
-        work = base_layer(ctx, box.inflate(total_depth), d)
+        work = base_layer(ctx, window(box, total_depth), d)
         series = [work]
         total = len(work.segments)
         for _ in range(total_depth):

@@ -12,7 +12,7 @@ from pwrot.critical import (
     merge_collinear,
     pullback_layer,
 )
-from pwrot import geometry
+from pwrot import critical, geometry
 from pwrot.cyclo import CycloNum, make_field
 from pwrot.dynamics import step
 from pwrot.errors import InternalInconsistencyError
@@ -149,6 +149,27 @@ class TestBundle:
         bundle = critical_bundle(ctx5, 10, BOX, direction="both")
         assert len(bundle.all_segments()) > 100
         assert len(calls) <= ctx5.m
+
+    def test_forward_images_from_outside_old_windows_listed(self, ctx5):
+        # F^19 of these line points lies outside the box widened by 1, yet
+        # F^20 lands in the box: the window of each layer has to hold every
+        # point that can still reach the box, not just the widened box
+        bundle = critical_bundle(ctx5, 20, BOX, direction=FORWARD)
+        deepest = [s for s in bundle.all_segments() if s.depth == 20]
+        for x in (Fraction(-39, 10), Fraction(-19, 5), Fraction(-37, 10)):
+            w = ctx5.from_rational(x)
+            for _ in range(20):
+                w = step(w)
+            c = w.to_complex()
+            assert abs(c.real) < 4 and abs(c.imag) < 4
+            assert any(point_on_segment(s, w) for s in deepest), x
+
+    def test_windows_hold_the_box(self):
+        # rho is the least integer at least the largest corner modulus
+        assert critical.window(BOX, 0) == Box(-6, -6, 6, 6)  # sqrt(32) = 5.66
+        assert critical.window(Box(-1, -2, 6, 3), 5) == Box(-12, -12, 12, 12)  # sqrt(45)
+        assert critical.window(Box(0, 0, 3, 4), 2) == Box(-7, -7, 7, 7)  # exactly 5
+        assert critical.window(Box(0, 0, Fraction(1, 2), Fraction(1, 3)), 0) == Box(-1, -1, 1, 1)
 
     def test_cap_truncates_with_flag(self, ctx5):
         bundle = critical_bundle(ctx5, 10, BOX, cap=10)
