@@ -126,7 +126,7 @@ def halfplane_from_constraint(g, s: int) -> HalfPlane:
     return HalfPlane(g.power % g.ctx.q, g.offset, 1 if s > 0 else -1)
 
 
-# -- half-plane intersection ----------------------------------------------------
+# -- grid corners and half-plane intersection ---------------------------------
 
 
 def _lam_exponent(ctx: FieldContext, power: int) -> int:
