@@ -242,16 +242,14 @@ def cmd_critical(args) -> int:
     return EXIT_OK
 
 
-def _scan_csv(report) -> str:
-    from .geometry import polygon_is_regular
-
+def _scan_csv(report, tiles) -> str:
+    """The tile-inventory CSV, its rows taken from the sidecar's tile dicts."""
     lines = ["tile,ell,k,sides,regular,center_re,center_im,period,multiplicity"]
-    for idx, (tile, mult) in enumerate(report.tiles.values()):
-        period = tile.ell if not tile.rotational else tile.ell * tile.k
-        cr, ci = _shadow(tile.center)
+    for idx, (t, (_, mult)) in enumerate(zip(tiles, report.tiles.values())):
+        cr, ci = t["center_shadow"]
         lines.append(
-            f"{idx},{tile.ell},{tile.k},{tile.sides},"
-            f"{polygon_is_regular(tile.polygon)},{cr!r},{ci!r},{period},{mult}"
+            f"{idx},{t['ell']},{t['k']},{t['sides']},"
+            f"{t['regular']},{cr!r},{ci!r},{t['interior_period']},{mult}"
         )
     return "\n".join(lines) + "\n"
 
@@ -283,11 +281,12 @@ def cmd_scan(args) -> int:
     elif args.format == "svg":
         _emit(tiles_scene(report.tile_list).to_svg(), args.out)
     else:
-        csv_text = _scan_csv(report)
-        _emit(csv_text, args.out)
+        sidecar = _scan_sidecar(report)
+        _emit(_scan_csv(report, sidecar["tiles"]), args.out)
         if args.out:
-            sidecar = Path(args.out).with_suffix(".json")
-            sidecar.write_text(json.dumps(_scan_sidecar(report), indent=1) + "\n", encoding="utf-8")
+            Path(args.out).with_suffix(".json").write_text(
+                json.dumps(sidecar, indent=1) + "\n", encoding="utf-8"
+            )
     return EXIT_OK
 
 

@@ -12,31 +12,32 @@ The pair is kept reduced, so equality of field elements is equality of
 pairs.  Ring operations, conjugation and the Galois maps run on integers;
 the inverse is the product of the nontrivial Galois conjugates over the
 norm.  The sign of a real element is decided by an exact zero test followed
-by a certified float evaluation and interval evaluation at doubling
-precision, so no decision in the package ever rests on floating point alone.
+by integer fixed-point enclosures of the embedding at doubling precision, so
+no decision in the package ever rests on floating point alone.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple, Sequence
-
-from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import DomainError, ParameterError, WrongContextError
 
 _ZERO = Fraction(0)
-_EPS = 2.0 ** -52
 
 
 class Sign(enum.IntEnum):
     NEGATIVE = -1
     ZERO = 0
     POSITIVE = 1
+
+
+# indexed by value > 0: cheaper than an enum attribute on the hot sign path
+_NONZERO_SIGNS = (Sign.NEGATIVE, Sign.POSITIVE)
 
 
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
@@ -112,17 +113,51 @@ class ComplexBox(NamedTuple):
         return self.re_lo <= 0 <= self.re_hi and self.im_lo <= 0 <= self.im_hi
 
 
-def _raw_mpf_to_fraction(raw) -> Fraction:
-    sign, man, exp, _ = raw
-    if man == 0 and exp != 0:
-        raise DomainError("non-finite interval endpoint")
-    val = Fraction(int(man), 1) * (Fraction(2) ** exp)
-    return -val if sign else val
+@lru_cache(maxsize=None)
+def _fixed_nodes(m: int, d: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Integers (C_j), (S_j), j < d, with |C_j - 2^p cos(2 pi j/m)| < 1 and
+    |S_j - 2^p sin(2 pi j/m)| < 1 (Brent & Zimmermann, Modern Computer
+    Arithmetic, 4.4).
 
+    The work is in fixed point at w = p + g bits, errors in units of 2^-w.
+    pi = 16 atan(1/5) - 4 atan(1/239), each atan(1/x) an alternating series
+    of floored terms, is off by less than 4w + 32 (each floor and the omitted
+    tail by less than 1); the angle 2 pi j/m, taken in [-pi, pi] and floored
+    to Theta, by less than 4w + 33.  The series of e^(i r), r = |Theta|/2^w
+    < 3.2, runs T_k = floor(T_(k-1) Theta / (k 2^w)) until T_k = 0, k mod 4
+    picking cos or sin and the sign.  Term k is off by e_k < e_(k-1) r/k + 1,
+    the at most w + 18 terms by less than 25(w + 18) together, the omitted
+    tail by less than 50, so each sum is within 29w + 533 of 2^w cos or sin.
+    The guard g = p.bit_length() + 12 keeps that below 2^(g-1) for every p,
+    and rounding to p bits leaves an error below 1/2 + 1/2.
+    """
+    g = p.bit_length() + 12
+    w = p + g
+    one = 1 << w
 
-def _iv_to_fractions(x) -> tuple[Fraction, Fraction]:
-    lo, hi = x._mpi_
-    return _raw_mpf_to_fraction(lo), _raw_mpf_to_fraction(hi)
+    def atan_inv(x: int) -> int:
+        total, power, n = 0, one // x, 1
+        while power:
+            total += -(power // n) if n & 2 else power // n
+            power //= x * x
+            n += 2
+        return total
+
+    pi = 16 * atan_inv(5) - 4 * atan_inv(239)
+    cos, sin = [], []
+    for j in range(d):
+        k = j if 2 * j <= m else j - m
+        theta = 2 * abs(k) * pi // m
+        parts = [0, 0]
+        term, n = one, 0
+        while term:
+            parts[n & 1] += -term if n & 2 else term
+            n += 1
+            term = term * theta // (n << w)
+        c, s = ((x + (1 << (g - 1))) >> g for x in parts)
+        cos.append(c)
+        sin.append(s if k >= 0 else -s)
+    return tuple(cos), tuple(sin)
 
 
 class FieldContext:
@@ -135,8 +170,7 @@ class FieldContext:
 
     __slots__ = (
         "p", "q", "m", "d", "phi_m", "lambda_", "i_unit",
-        "_zeta_vecs", "_zeta_rows", "_units", "_cos", "_sin", "_sign_margin",
-        "_iv_cache", "_iv_lock", "_lam_pows", "_extras",
+        "_zeta_vecs", "_zeta_rows", "_units", "_cos", "_sin", "_lam_pows", "_extras",
     )
 
     def __init__(self, p: int, q: int):
@@ -160,9 +194,6 @@ class FieldContext:
         self._units = tuple(k for k in range(1, self.m) if math.gcd(k, self.m) == 1)
         self._cos = tuple(math.cos(2.0 * math.pi * j / self.m) for j in range(self.d))
         self._sin = tuple(math.sin(2.0 * math.pi * j / self.m) for j in range(self.d))
-        self._sign_margin = (4 * self.d + 64) * _EPS
-        self._iv_cache: dict[int, tuple] = {}
-        self._iv_lock = threading.Lock()
         self.lambda_ = self.zeta_pow(self.m * p // q)
         self.i_unit = self.zeta_pow(self.m // 4)
         self._lam_pows = tuple(
@@ -279,64 +310,21 @@ class FieldContext:
 
     def _nonzero_sign(self, vec: Sequence[int], imag: bool) -> "Sign":
         """Sign of the real (or imaginary) part of sum(vec_j * zeta^j),
-        which the caller has proved nonzero: a certified float evaluation
-        decides most cases, interval arithmetic at doubling precision the
-        rest."""
-        try:
-            val, err = self._float_combo(vec, self._sin if imag else self._cos)
-            if abs(val) > err:
-                return Sign.POSITIVE if val > 0 else Sign.NEGATIVE
-        except OverflowError:
-            pass
-        prec = 64
-        while True:
-            re, im = self._iv_eval(vec, prec)
-            part = im if imag else re
-            if 0 not in part:
-                return Sign.POSITIVE if part.a > 0 else Sign.NEGATIVE
-            prec *= 2
+        which the caller has proved nonzero.
 
-    def _iv_nodes(self, prec: int):
-        with self._iv_lock:
-            cached = self._iv_cache.get(prec)
-            if cached is None:
-                ctx = MPIntervalContext()
-                ctx.prec = prec
-                two_pi = 2 * ctx.pi
-                cos = tuple(ctx.cos(two_pi * j / self.m) for j in range(self.d))
-                sin = tuple(ctx.sin(two_pi * j / self.m) for j in range(self.d))
-                cached = (ctx, cos, sin)
-                self._iv_cache[prec] = cached
-            return cached
-
-    def _iv_eval(self, vec: Sequence[int], prec: int):
-        """Rigorous complex enclosure of sum(vec_j * zeta^j) at e^(2*pi*i/m)."""
-        ctx, cos, sin = self._iv_nodes(prec)
-        re = ctx.zero
-        im = ctx.zero
-        for j, x in enumerate(vec):
-            if not x:
-                continue
-            xf = ctx.mpf(x)
-            re += xf * cos[j]
-            im += xf * sin[j]
-        return re, im
-
-    def _float_combo(self, vec: Sequence[int], nodes: Sequence[float]):
-        """(value, certified absolute error bound) of sum(vec_j * node_j) in doubles.
-
-        Raises OverflowError when an entry does not fit a double; callers
-        fall through to interval evaluation.
+        At p = 64, 128, ... bits the nodes N_j of :func:`_fixed_nodes` are
+        within 1 of 2^p cos(2 pi j/m) (or sin), so T = sum(vec_j * N_j) is
+        within E = sum|vec_j| of 2^p times the value, and |T| > E proves
+        that the value has the sign of T.  The value is nonzero, so |T|
+        grows with 2^p while E stays fixed, and the loop ends.
         """
-        total = 0.0
-        abssum = 0.0
-        for j, x in enumerate(vec):
-            if not x:
-                continue
-            xf = float(x)
-            total += xf * nodes[j]
-            abssum += abs(xf)
-        return total, abssum * self._sign_margin
+        bound = sum(map(abs, vec))
+        p = 64
+        while True:
+            total = sum(map(mul, vec, _fixed_nodes(self.m, self.d, p)[1 if imag else 0]))
+            if abs(total) > bound:
+                return _NONZERO_SIGNS[total > 0]
+            p *= 2
 
 
 class CycloNum:
@@ -554,10 +542,10 @@ def make_field(p: int, q: int) -> FieldContext:
 def sign_of_real(a: CycloNum) -> Sign:
     """Exact sign of a real field element.
 
-    Zero is decided on the integer vector; otherwise a certified floating
-    point evaluation decides most cases and interval arithmetic at doubling
-    precision settles the rest.  The denominator is positive, so the sign is
-    that of the vector.  Raises ``DomainError`` on non-real input.
+    Zero is decided on the integer vector; otherwise integer fixed-point
+    enclosures at doubling precision settle it (``FieldContext._nonzero_sign``).
+    The denominator is positive, so the sign is that of the vector.  Raises
+    ``DomainError`` on non-real input.
     """
     if a != a.conj():
         raise DomainError("sign_of_real requires a conjugation-fixed element")
@@ -574,19 +562,24 @@ def sign_of_imag(a: CycloNum) -> Sign:
 def approx(a: CycloNum, bits: int = 64) -> ComplexBox:
     """Certified complex enclosure of the numeric embedding of ``a``.
 
-    The box width is at most ``2^(1-bits) * (1 + |a|)``.
+    Re(a) lies in [T - E, T + E] / (den 2^p) with T and E as in
+    ``FieldContext._nonzero_sign``, and Im(a) likewise; p doubles from
+    bits + 16 until the box width is at most ``2^(1-bits) * (1 + |a|)``.
     """
     if bits < 16:
         raise ParameterError("bits must be >= 16")
     ctx = a.ctx
-    prec = bits + 16
+    bound = sum(map(abs, a.vec))
+    p = bits + 16
     while True:
-        iv, _, _ = ctx._iv_nodes(prec)
-        re, im = ctx._iv_eval(a.vec, prec)
-        den = iv.mpf(a.den)
-        re_lo, re_hi = _iv_to_fractions(re / den)
-        im_lo, im_hi = _iv_to_fractions(im / den)
-        box = ComplexBox(re_lo, re_hi, im_lo, im_hi)
+        cos, sin = _fixed_nodes(ctx.m, ctx.d, p)
+        re = sum(map(mul, a.vec, cos))
+        im = sum(map(mul, a.vec, sin))
+        scale = a.den << p
+        box = ComplexBox(
+            Fraction(re - bound, scale), Fraction(re + bound, scale),
+            Fraction(im - bound, scale), Fraction(im + bound, scale),
+        )
         lo_abs = max(
             _ZERO,
             max(abs(box.re_lo + box.re_hi), abs(box.im_lo + box.im_hi)) / 2
@@ -594,7 +587,7 @@ def approx(a: CycloNum, bits: int = 64) -> ComplexBox:
         )
         if box.width <= Fraction(2) ** (1 - bits) * (1 + lo_abs):
             return box
-        prec *= 2
+        p *= 2
 
 
 # -- golden-ratio subfield formatting (fields with m == 20) --------------------------

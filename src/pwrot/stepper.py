@@ -55,7 +55,9 @@ class _Plan:
         self.mat_k = [[vecs[(m - j) % m][i] for j in range(d)] for i in range(d)]
         self.lvec = list(vecs[t0])
         self.sines = list(ctx._sin)
-        self.margin = ctx._sign_margin
+        # the kernels' float sign of sum(v_j * sines_j) stands only when it
+        # clears margin * sum|v_j|; otherwise they call hard_sign
+        self.margin = (4 * d + 64) * 2.0 ** -52
         self.rows_m = [
             tuple((j, c) for j, c in enumerate(row) if c) for row in self.mat_m
         ]

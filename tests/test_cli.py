@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import pwrot
 from pwrot.cli import main
 
 GOLDEN_ITERATES_PHI = [
@@ -25,6 +30,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_needs_only_the_standard_library():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import pwrot.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pwrot.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    loaded = proc.stdout.split()
+    assert "pwrot.cli" in loaded
+    foreign = [name for name in loaded if name.split(".")[0] not in sys.stdlib_module_names
+               and name.split(".")[0] != "pwrot"]
+    assert foreign == []
 
 
 class TestIterate:

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from pwrot import cyclo
 from pwrot.cyclo import (
     CycloNum,
-    FieldContext,
     Sign,
     SubfieldBasis,
     approx,
@@ -91,28 +91,59 @@ def test_imag_needs_no_inverse(p, q, monkeypatch):
 
 def test_sign_of_imag_interval_escalation(monkeypatch):
     # the twin of the sign_of_real escalation test: i*x has imaginary part x,
-    # with huge coefficients and a tiny value, so the float path cannot decide
+    # with huge coefficients and a tiny value, so 64-bit nodes cannot decide
     ctx = make_field(4, 5)
     v = ctx.zeta_pow(1) + ctx.zeta_pow(1).conj()  # 2*cos(pi/10)
     w = v ** 40
-    near = Fraction(w.to_complex().real).limit_denominator(10 ** 25)
+    box = approx(w, 256)
+    near = (box.re_lo + box.re_hi) / 2
     x = w - near
-    evals = []
-    iv_eval = FieldContext._iv_eval
+    precisions = []
+    fixed_nodes = cyclo._fixed_nodes
 
-    def counted(self, vec, prec):
-        evals.append(prec)
-        return iv_eval(self, vec, prec)
+    def counted(m, d, p):
+        precisions.append(p)
+        return fixed_nodes(m, d, p)
 
-    monkeypatch.setattr(FieldContext, "_iv_eval", counted)
+    monkeypatch.setattr(cyclo, "_fixed_nodes", counted)
     s = sign_of_imag(ctx.i_unit * x)
-    assert evals, "the float fast path must not decide this sign"
+    assert max(precisions) > 64, "64-bit nodes must not decide this sign"
     monkeypatch.undo()
     box = approx(x, 128)
     assert not box.contains_zero()
     assert s == (Sign.POSITIVE if box.re_lo > 0 else Sign.NEGATIVE)
     assert s == sign_of_real(x)
     assert sign_of_imag(ctx.i_unit * -x) == -s
+
+
+@pytest.mark.parametrize("p,q", FIELDS)
+def test_fixed_nodes_enclose_cos_and_sin(p, q):
+    ctx = make_field(p, q)
+    m, d = ctx.m, ctx.d
+    for bits in (64, 128, 256):
+        cos, sin = cyclo._fixed_nodes(m, d, bits)
+        cos2, sin2 = cyclo._fixed_nodes(m, d, 2 * bits)
+        for j in range(d):
+            angle = 2 * math.pi * j / m
+            assert abs(cos[j] / 2 ** bits - math.cos(angle)) <= 2.0 ** -bits + 1e-15
+            assert abs(sin[j] / 2 ** bits - math.sin(angle)) <= 2.0 ** -bits + 1e-15
+            # both within 1 of 2^(2 bits) cos, so the doubled node refines the single one
+            assert abs(cos2[j] - 2 ** bits * cos[j]) <= 2 ** bits + 1
+            assert abs(sin2[j] - 2 ** bits * sin[j]) <= 2 ** bits + 1
+            assert abs(cos[j] ** 2 + sin[j] ** 2 - 4 ** bits) < 2 ** (bits + 2)
+
+
+def test_sign_beyond_the_double_range():
+    ctx = make_field(4, 5)
+    w = (ctx.zeta_pow(1) + ctx.zeta_pow(1).conj()) ** 1200  # (2cos(pi/10))^1200
+    assert max(abs(x) for x in w.vec) > 2 ** 1100
+    box = approx(w, 64)
+    near = (box.re_lo + box.re_hi) / 2
+    for x in (w - near, near - w, w - box.re_lo + 1, w - box.re_hi - 1):
+        enclosure = approx(x, 64)
+        assert not enclosure.contains_zero()
+        assert sign_of_real(x) == (Sign.POSITIVE if enclosure.re_lo > 0 else Sign.NEGATIVE)
+        assert sign_of_imag(ctx.i_unit * x) == sign_of_real(x)
 
 
 def eliminate(basis, a):
