@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
     PwrotError,
 )
-from .geometry import Box
+from .geometry import Box, polygon_is_regular
 from .pointexpr import parse_alpha, parse_box, parse_point
 from .render import (
     Scene,
@@ -42,7 +42,8 @@ from .render import (
     orbit_scene,
     tiles_scene,
 )
-from .tiles import scan_region, tile_from_seed, tile_images, verify_rotation_structure, verify_polygon_bounds
+from .tiles import (interior_samples, scan_region, tile_from_seed, tile_images,
+                    verify_polygon_bounds, verify_rotation_structure)
 
 EXIT_OK = 0
 EXIT_BUDGET = 2
@@ -135,8 +136,6 @@ def cmd_period(args) -> int:
 def _tile_text(tile) -> str:
     period = tile.ell if not tile.rotational else tile.ell * tile.k
     cr, ci = _shadow(tile.center)
-    from .geometry import polygon_is_regular
-
     lines = [
         f"ell {tile.ell}",
         f"k {tile.k}",
@@ -154,8 +153,6 @@ def _tile_text(tile) -> str:
 
 
 def _tile_json(tile) -> dict:
-    from .geometry import polygon_is_regular
-
     period = tile.ell if not tile.rotational else tile.ell * tile.k
     return {
         "ell": tile.ell,
@@ -351,8 +348,6 @@ def _golden_svg(gc, path):
     for img in images:
         scene.add_polygon([_shadow(v) for v in img.vertices], fill="#cde6f5",
                           stroke="#336699", opacity=0.6)
-    from .tiles import interior_samples
-
     sample = interior_samples(seven, 1, seed=1)[0]
     for w in orbit(sample, 34):
         c = w.to_complex()

@@ -298,25 +298,17 @@ class FieldContext:
 
     # -- sign machinery ---------------------------------------------------------
 
-    def _imag_sign(self, vec: Sequence[int]) -> "Sign":
-        """Exact sign of Im(sum(vec_j * zeta^j)).
-
-        Zero exactly when the vector is fixed by conjugation; otherwise
-        decided by :meth:`_nonzero_sign`.
-        """
-        if self._permute(vec, -1, 0) == list(vec):
-            return Sign.ZERO
-        return self._nonzero_sign(vec, imag=True)
-
-    def _nonzero_sign(self, vec: Sequence[int], imag: bool) -> "Sign":
-        """Sign of the real (or imaginary) part of sum(vec_j * zeta^j),
-        which the caller has proved nonzero.
+    def _sign(self, vec: Sequence[int], imag: bool) -> "Sign":
+        """Exact sign of the real (or imaginary) part of sum(vec_j * zeta^j).
 
         At p = 64, 128, ... bits the nodes N_j of :func:`_fixed_nodes` are
         within 1 of 2^p cos(2 pi j/m) (or sin), so T = sum(vec_j * N_j) is
         within E = sum|vec_j| of 2^p times the value, and |T| > E proves
-        that the value has the sign of T.  The value is nonzero, so |T|
-        grows with 2^p while E stays fixed, and the loop ends.
+        that the value has the sign of T.  Only when the 64-bit certificate
+        fails is the value tested for zero, exactly: the imaginary part
+        vanishes when conjugation fixes the vector, the real part when it
+        negates it.  A nonzero value makes |T| grow with 2^p while E stays
+        fixed, so the loop ends.
         """
         bound = sum(map(abs, vec))
         p = 64
@@ -324,6 +316,8 @@ class FieldContext:
             total = sum(map(mul, vec, _fixed_nodes(self.m, self.d, p)[1 if imag else 0]))
             if abs(total) > bound:
                 return _NONZERO_SIGNS[total > 0]
+            if p == 64 and self._permute(vec, -1, 0) == [x if imag else -x for x in vec]:
+                return Sign.ZERO
             p *= 2
 
 
@@ -540,30 +534,26 @@ def make_field(p: int, q: int) -> FieldContext:
 
 
 def sign_of_real(a: CycloNum) -> Sign:
-    """Exact sign of a real field element.
-
-    Zero is decided on the integer vector; otherwise integer fixed-point
-    enclosures at doubling precision settle it (``FieldContext._nonzero_sign``).
-    The denominator is positive, so the sign is that of the vector.  Raises
-    ``DomainError`` on non-real input.
+    """Exact sign of a real field element, by ``FieldContext._sign``: integer
+    fixed-point enclosures at doubling precision, and the exact zero test
+    when the first one fails.  The denominator is positive, so the sign is
+    that of the vector.  Raises ``DomainError`` on non-real input.
     """
     if a != a.conj():
         raise DomainError("sign_of_real requires a conjugation-fixed element")
-    if a.is_zero():
-        return Sign.ZERO
-    return a.ctx._nonzero_sign(a.vec, imag=False)
+    return a.ctx._sign(a.vec, imag=False)
 
 
 def sign_of_imag(a: CycloNum) -> Sign:
     """Exact sign of Im(a); the predicate behind the branch choice."""
-    return a.ctx._imag_sign(a.vec)
+    return a.ctx._sign(a.vec, imag=True)
 
 
 def approx(a: CycloNum, bits: int = 64) -> ComplexBox:
     """Certified complex enclosure of the numeric embedding of ``a``.
 
     Re(a) lies in [T - E, T + E] / (den 2^p) with T and E as in
-    ``FieldContext._nonzero_sign``, and Im(a) likewise; p doubles from
+    ``FieldContext._sign``, and Im(a) likewise; p doubles from
     bits + 16 until the box width is at most ``2^(1-bits) * (1 + |a|)``.
     """
     if bits < 16:
@@ -668,17 +658,13 @@ def golden_coords(a: CycloNum):
     return basis.coords(a)
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
 def _linear_str(a: Fraction, b: Fraction, unit: str) -> str:
     """Render a + b*unit with conventional sign handling."""
     parts = []
     if a:
-        parts.append(_frac_str(a))
+        parts.append(str(a))
     if b:
-        body = unit if abs(b) == 1 else f"{_frac_str(abs(b))}*{unit}"
+        body = unit if abs(b) == 1 else f"{abs(b)}*{unit}"
         if not parts:
             parts.append(body if b > 0 else f"-{body}")
         else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -184,18 +185,27 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def branch_offsets(ctx: FieldContext, word: Itinerary | Sequence[int], n: int):
+    """The offsets b_0, ..., b_n of the prefix maps G_j(w) = lambda^j * w + b_j
+    along the cyclic repetition of ``word``, one at a time: G_j is F^j on the
+    points whose itinerary starts s_0 ... s_(j-1), b_0 = 0 and
+    b_(j+1) = lambda * (b_j - s_j), so every b_j lies in Z[zeta]."""
+    w = tuple(word.word if isinstance(word, Itinerary) else word)
+    t = ctx.m * ctx.p // ctx.q
+    b = ctx.zero()
+    yield b
+    for j in range(n):
+        b = (b - w[j % len(w)]).mul_zeta(t)
+        yield b
+
+
 def affine_along(ctx: FieldContext, word: Itinerary | Sequence[int]) -> AffineMap:
     """The exact composition of one-step branch maps along ``word``.
 
     Equals F^n on every point whose length-n itinerary is ``word``.
     """
-    w = tuple(word.word if isinstance(word, Itinerary) else word)
-    g = AffineMap(0, ctx.zero())
-    lam = ctx.lambda_
-    for s in w:
-        branch = AffineMap(1, -lam if s > 0 else lam)
-        g = branch.compose_after(g)
-    return g
+    n = len(word)
+    return AffineMap(n % ctx.q, deque(branch_offsets(ctx, word, n), maxlen=1).pop())
 
 
 def rotation_center(g: AffineMap) -> CycloNum:

@@ -21,7 +21,7 @@ import functools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag, sign_of_real
 from .errors import ParameterError
@@ -121,11 +121,6 @@ class ExactSegment:
         return e, -self.a.mul_zeta(e).imag()
 
 
-def halfplane_from_constraint(g, s: int) -> HalfPlane:
-    """{w : s * Im(G(w)) > 0} for an affine branch composition G."""
-    return HalfPlane(g.power % g.ctx.q, g.offset, 1 if s > 0 else -1)
-
-
 # -- grid corners and half-plane intersection ---------------------------------
 
 
@@ -149,6 +144,26 @@ def grid_corner(e: int, beta_e: CycloNum, f: int, beta_f: CycloNum) -> CycloNum:
     return (beta_e.mul_zeta(-f) - beta_f.mul_zeta(-e)) * _inverse_sine(ctx, (f - e) % ctx.m)
 
 
+def _grid_form(h: HalfPlane) -> tuple[int, CycloNum]:
+    """(e, c) with h = {w : Im(zeta^e * w + c) > 0}, e in [0, m)."""
+    ctx = h.b.ctx
+    if h.side > 0:
+        return _lam_exponent(ctx, h.power), h.b
+    return (_lam_exponent(ctx, h.power) + ctx.m // 2) % ctx.m, -h.b
+
+
+def binding_halfplanes(constraints: Iterable[HalfPlane]) -> list[HalfPlane]:
+    """The constraints that can bind, at most one per direction: written as
+    Im(zeta^e * w + c) > 0, those of one exponent e are nested, and the first
+    with the least Im(c) is kept.  Takes any iterable and holds at most m."""
+    best: dict[int, tuple[CycloNum, HalfPlane]] = {}
+    for h in constraints:
+        e, c = _grid_form(h)
+        if e not in best or sign_of_imag(c - best[e][0]) == Sign.NEGATIVE:
+            best[e] = (c, h)
+    return [h for _, h in best.values()]
+
+
 def intersect_halfplanes(constraints: Sequence[HalfPlane]):
     """Exact intersection of open half-planes on the lambda^k direction grid.
 
@@ -169,12 +184,7 @@ def intersect_halfplanes(constraints: Sequence[HalfPlane]):
         raise ParameterError("at least one constraint is required")
     ctx = constraints[0].b.ctx
     m, half = ctx.m, ctx.m // 2
-    offset: dict[int, CycloNum] = {}
-    for h in constraints:
-        e = (_lam_exponent(ctx, h.power) + (0 if h.side > 0 else half)) % m
-        b = h.b if h.side > 0 else -h.b
-        if e not in offset or sign_of_imag(b - offset[e]) == Sign.NEGATIVE:
-            offset[e] = b
+    offset = dict(map(_grid_form, binding_halfplanes(constraints)))
 
     for e, b in offset.items():
         if e < half and e + half in offset and sign_of_imag(b + offset[e + half]) != Sign.POSITIVE:

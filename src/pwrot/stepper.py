@@ -73,7 +73,7 @@ class _Plan:
 
     def hard_sign(self, v) -> int:
         """Exact +-1 for the rare float-ambiguous, nonzero imaginary parts."""
-        s = int(self.ctx._imag_sign(v))
+        s = int(self.ctx._sign(v, imag=True))
         if s == 0:
             raise InternalInconsistencyError("hard_sign called on an exact zero")
         return s

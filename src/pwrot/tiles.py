@@ -5,7 +5,10 @@ rational grids for an inventory of tiles.
 A periodic seed off the critical line determines a minimal itinerary block of
 length ell; the cell is the intersection of the k*ell half-plane constraints
 pulled back along the block (k the order of the block's rotation part), and
-the block map's fixed point is the cell's rotation center.
+the block map's fixed point is the cell's rotation center.  The constraints
+come from one walk of the prefix-map offsets (``dynamics.branch_offsets``)
+and stream through ``geometry.binding_halfplanes``, which holds at most one
+per direction, at most m in all, however long the walk.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .dynamics import (
     Itinerary,
     OrbitRecord,
     affine_along,
+    branch_offsets,
     itinerary,
     itinerary_period,
     minimal_period,
@@ -36,10 +40,11 @@ from .errors import (
 from .geometry import (
     Box,
     ConvexPolygon,
+    HalfPlane,
     Location,
     apply_affine,
+    binding_halfplanes,
     edge_direction_power,
-    halfplane_from_constraint,
     intersect_halfplanes,
     polygon_contains,
     polygon_is_regular,
@@ -113,20 +118,6 @@ def _least_rotation(word: tuple) -> tuple:
     return tuple(s[kk:kk + n])
 
 
-def _block_constraints(ctx: FieldContext, block: tuple[int, ...], horizon: int):
-    """Half-planes {w : s_j * Im(G_j(w)) > 0} for j = 0 .. horizon-1."""
-    constraints = []
-    g = AffineMap(0, ctx.zero())
-    lam = ctx.lambda_
-    ell = len(block)
-    for j in range(horizon):
-        s = block[j % ell]
-        constraints.append(halfplane_from_constraint(g, s))
-        branch = AffineMap(1, -lam if s > 0 else lam)
-        g = branch.compose_after(g)
-    return constraints, g
-
-
 def _symbolic_data(rec: OrbitRecord):
     """(block, ell, k, center, rotational) of the tile owning a periodic seed,
     from the seed's first-return record."""
@@ -157,8 +148,11 @@ def _symbolic_data(rec: OrbitRecord):
 
 def _build_tile(z: CycloNum, block, ell, k, center, rotational) -> Tile:
     ctx = z.ctx
-    constraints, _ = _block_constraints(ctx, block, k * ell)
-    poly = intersect_halfplanes(constraints)
+    pulled_back = (
+        HalfPlane(j % ctx.q, b, block[j % ell])
+        for j, b in enumerate(branch_offsets(ctx, block, k * ell - 1))
+    )
+    poly = intersect_halfplanes(binding_halfplanes(pulled_back))
     if not isinstance(poly, ConvexPolygon):
         raise InternalInconsistencyError(
             f"constraint intersection degenerated to {poly!r} for a periodic seed"
@@ -181,25 +175,22 @@ def _build_tile(z: CycloNum, block, ell, k, center, rotational) -> Tile:
 def tile_from_seed(z: CycloNum, budget: int) -> Tile:
     """The tile containing a periodic seed that stays off the critical line.
 
-    Detects the exact period, extracts the minimal itinerary block, intersects
-    the k*ell pulled-back half-plane constraints, and locates the rotation
+    Detects the exact period, extracts the minimal itinerary block, streams
+    the k*ell pulled-back half-plane constraints from one offset walk into
+    the at most m that bind, intersects those, and locates the rotation
     center of the block map.
     """
     return _build_tile(z, *_symbolic_data(minimal_period(z, budget)))
 
 
 def tile_images(t: Tile):
-    """The ell polygons visited by the tile, in orbit order."""
-    ctx = t.ctx
-    out = []
-    g = AffineMap(0, ctx.zero())
-    lam = ctx.lambda_
-    for j in range(t.ell):
-        out.append(apply_affine(t.polygon, g) if j else t.polygon)
-        s = t.word.word[j % len(t.word.word)]
-        branch = AffineMap(1, -lam if s > 0 else lam)
-        g = branch.compose_after(g)
-    return out, g  # g = block map after ell steps
+    """The ell polygons visited by the tile, in orbit order, and the block map."""
+    *offsets, last = branch_offsets(t.ctx, t.word, t.ell)
+    images = [
+        apply_affine(t.polygon, AffineMap(j, b)) if j else t.polygon
+        for j, b in enumerate(offsets)
+    ]
+    return images, AffineMap(t.ell % t.ctx.q, last)
 
 
 def interior_samples(t: Tile, count: int, seed: int = 0):

@@ -116,6 +116,27 @@ def test_sign_of_imag_interval_escalation(monkeypatch):
     assert sign_of_imag(ctx.i_unit * -x) == -s
 
 
+def test_certified_sign_runs_no_zero_test(monkeypatch):
+    # a 64-bit certificate already proves Im(i) nonzero, so the conjugation
+    # zero test runs only when the certificate fails, as on a real element
+    ctx = make_field(4, 5)
+    phi = golden_elements(ctx)[0]
+    conjugations = []
+    permute = cyclo.FieldContext._permute
+
+    def counted(self, vec, k, e):
+        if k == -1:
+            conjugations.append(tuple(vec))
+        return permute(self, vec, k, e)
+
+    monkeypatch.setattr(cyclo.FieldContext, "_permute", counted)
+    assert sign_of_imag(ctx.i_unit) == Sign.POSITIVE
+    assert sign_of_imag(-ctx.i_unit) == Sign.NEGATIVE
+    assert conjugations == []
+    assert sign_of_imag(phi) == Sign.ZERO
+    assert conjugations == [phi.vec]
+
+
 @pytest.mark.parametrize("p,q", FIELDS)
 def test_fixed_nodes_enclose_cos_and_sin(p, q):
     ctx = make_field(p, q)

@@ -14,9 +14,9 @@ from pwrot.geometry import (
     HalfPlane,
     Location,
     apply_affine,
+    binding_halfplanes,
     clip_segment_to_box,
     edge_direction_power,
-    halfplane_from_constraint,
     intersect_halfplanes,
     make_polygon,
     orientation,
@@ -52,10 +52,13 @@ def holds(h, w):
 
 
 class TestHalfPlaneFromConstraint:
+    """{w : s * Im(G(w)) > 0} for a branch composition G is
+    HalfPlane(G.power mod q, G.offset, s)."""
+
     def test_identity_gives_half_planes(self, ctx5):
         ident = AffineMap(0, ctx5.zero())
-        hp = halfplane_from_constraint(ident, 1)
-        hm = halfplane_from_constraint(ident, -1)
+        hp = HalfPlane(ident.power % ctx5.q, ident.offset, 1)
+        hm = HalfPlane(ident.power % ctx5.q, ident.offset, -1)
         assert holds(hp, ctx5.point(0, 1))
         assert not holds(hp, ctx5.point(0, -1))
         assert holds(hm, ctx5.point(0, -1))
@@ -65,7 +68,7 @@ class TestHalfPlaneFromConstraint:
         # membership in the pulled-back constraint agrees with the address of
         # the stepped point, checked by brute force on upper-half samples
         g = affine_along(ctx5, (1,))
-        hp = halfplane_from_constraint(g, 1)
+        hp = HalfPlane(g.power % ctx5.q, g.offset, 1)
         rng = random.Random(42)
         for _ in range(30):
             w = ctx5.point(Fraction(rng.randint(-20, 20), 3), Fraction(rng.randint(1, 20), 3))
@@ -199,6 +202,9 @@ class TestIntersectHalfplanes:
                         cons.append(HalfPlane(t, b, int(s)))
                 poly = intersect_halfplanes(cons)
                 assert poly is not EMPTY
+                binding = binding_halfplanes(h for h in cons)
+                assert len(binding) <= ctx.m
+                assert intersect_halfplanes(binding) == poly
                 if poly is UNBOUNDED:
                     continue
                 polygons += 1

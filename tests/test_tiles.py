@@ -1,13 +1,23 @@
+import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from pwrot import tiles as tiles_module
-from pwrot.casestudy import golden_context, golden_rescale, hexagon_context
-from pwrot.dynamics import minimal_period, step
+from pwrot.casestudy import golden_context, golden_rescale, hexagon_context, pentagon_centers
+from pwrot.dynamics import AffineMap, branch_offsets, minimal_period, step
 from pwrot.errors import BudgetExceededError, CriticalLineError
-from pwrot.geometry import Box, Location, polygon_contains, polygon_is_regular
+from pwrot.geometry import (
+    Box,
+    HalfPlane,
+    Location,
+    binding_halfplanes,
+    intersect_halfplanes,
+    polygon_contains,
+    polygon_is_regular,
+)
 from pwrot.tiles import (
     _least_rotation,
     interior_samples,
@@ -193,3 +203,62 @@ class TestScan:
             t for t, _ in report.tiles.values() if t.sides == 6 and not polygon_is_regular(t.polygon)
         ]
         assert irregular_hexes, "expected an irregular hexagon in the inventory"
+
+
+class TestStreamedConstraints:
+    """A tile's k*ell pulled-back constraints stream from one offset walk,
+    and intersect_halfplanes only ever sees the at most m that bind."""
+
+    @pytest.fixture(scope="class")
+    def known_tiles(self, gc, hexagon_tile):
+        return [tile_from_seed(p, 7000) for p in pentagon_centers(gc, 4)] + [hexagon_tile]
+
+    def test_stream_equals_materialised_list(self, known_tiles):
+        for tile in known_tiles:
+            ctx, word, n = tile.ctx, tile.word.word, tile.k * tile.ell
+            # the reference: every prefix map composed branch by branch
+            branch = {s: AffineMap(1, -s * ctx.lambda_) for s in (1, -1)}
+            g, full = AffineMap(0, ctx.zero()), []
+            for j in range(n):
+                full.append(HalfPlane(g.power % ctx.q, g.offset, word[j % tile.ell]))
+                g = branch[word[j % tile.ell]].compose_after(g)
+            walk = (
+                HalfPlane(j % ctx.q, b, word[j % tile.ell])
+                for j, b in enumerate(branch_offsets(ctx, word, n - 1))
+            )
+            streamed = binding_halfplanes(walk)
+            assert len(streamed) <= ctx.m
+            assert list(branch_offsets(ctx, word, n - 1)) == [h.b for h in full]
+            assert intersect_halfplanes(streamed) == intersect_halfplanes(list(full)) == tile.polygon
+
+    def test_intersections_see_at_most_m_constraints(self, gc, monkeypatch):
+        sizes = []
+
+        def counted(constraints):
+            sizes.append(len(constraints))
+            return intersect_halfplanes(constraints)
+
+        monkeypatch.setattr(tiles_module, "intersect_halfplanes", counted)
+        tile_from_seed(pentagon_centers(gc, 4)[4], 7000)
+        scan_region(gc.ctx, Box(-1, -1, 1, 1), Fraction(1, 2), 2000)
+        assert sizes and max(sizes) <= gc.ctx.m
+
+    def test_p4_tile_memory_is_bounded(self, gc):
+        p4 = pentagon_centers(gc, 4)[4]
+        tracemalloc.start()
+        try:
+            tile = tile_from_seed(p4, 7000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tile.k * tile.ell == 6940
+        assert peak < 1 << 20
+
+
+@pytest.mark.skipif(not os.environ.get("PWROT_LONG"), reason="P6 tile build; set PWROT_LONG=1")
+def test_p6_tile_is_a_regular_pentagon(gc):
+    p6 = pentagon_centers(gc, 6)[6]
+    tile = tile_from_seed(p6, 50000)
+    assert (tile.ell, tile.k, tile.sides) == (49988, 5, 5)
+    assert tile.center == p6
+    assert polygon_is_regular(tile.polygon)
