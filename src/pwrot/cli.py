@@ -134,12 +134,11 @@ def cmd_period(args) -> int:
 
 
 def _tile_text(tile) -> str:
-    period = tile.ell if not tile.rotational else tile.ell * tile.k
     cr, ci = _shadow(tile.center)
     lines = [
         f"ell {tile.ell}",
         f"k {tile.k}",
-        f"interior period {period}",
+        f"interior period {tile.period}",
         f"sides {tile.sides}",
         f"regular {polygon_is_regular(tile.polygon)}",
         f"word {tile.word}",
@@ -153,11 +152,10 @@ def _tile_text(tile) -> str:
 
 
 def _tile_json(tile) -> dict:
-    period = tile.ell if not tile.rotational else tile.ell * tile.k
     return {
         "ell": tile.ell,
         "k": tile.k,
-        "interior_period": period,
+        "interior_period": tile.period,
         "sides": tile.sides,
         "regular": polygon_is_regular(tile.polygon),
         "word": str(tile.word),

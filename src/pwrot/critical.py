@@ -70,8 +70,8 @@ def window(box: Box, steps: int) -> Box:
 def _split_at(seg: ExactSegment, e: int):
     """Split a segment by the sign of Im(zeta^e * w), the grid line through 0.
 
-    Returns a list of (piece, side) with side >= 0 for the closed nonnegative
-    side (which follows the + branch) and side < 0 for the strictly negative
+    Returns a list of (piece, side) with side 1 for the closed nonnegative
+    side (which follows the + branch) and side -1 for the strictly negative
     side.  A crossing is the grid corner of the segment's line with the
     splitting line.
     """
@@ -93,65 +93,50 @@ def _split_at(seg: ExactSegment, e: int):
     ]
 
 
-def pullback_layer(prev: CriticalLayer, box: Box, total_depth: int) -> CriticalLayer:
-    """F^{-1} of a pullback layer, clipped to the window of its depth."""
-    if prev.direction != PULLBACK:
-        raise ParameterError("pullback_layer needs a pullback-direction layer")
+def _next_layer(prev: CriticalLayer, box: Box, total_depth: int, direction: str) -> CriticalLayer:
+    """The next layer of a bundle: split each segment at the grid line through
+    0 where the branch switches, map each piece by w -> zeta^t w + c_side
+    (F^-1 for a pullback layer, F for a forward one), and clip it to the
+    window of its depth."""
+    if prev.direction != direction:
+        raise ParameterError(f"{direction}_layer needs a {direction}-direction layer")
     j = prev.depth
     if j >= total_depth:
         raise ParameterError("layer is already at the target depth")
-    ctx = _layer_ctx(prev)
-    if ctx is None:
-        return CriticalLayer(j + 1, (), PULLBACK)
-    t_inv = -(ctx.m * ctx.p // ctx.q) % ctx.m
+    if not prev.segments:
+        return CriticalLayer(j + 1, (), direction)
+    ctx = prev.segments[0].a.ctx
+    t0 = ctx.m * ctx.p // ctx.q
+    if direction == PULLBACK:
+        # F^-1(w) = w/lambda + H(w/lambda): split where Im(w/lambda) changes sign
+        e = t = -t0 % ctx.m
+        dpower, shift = -1, {1: ctx.one(), -1: -ctx.one()}
+    else:
+        # F(w) = lambda*w - lambda*H(w): split at the line itself
+        e, t = 0, t0
+        dpower, shift = 1, {1: -ctx.lambda_, -1: ctx.lambda_}
     clip = window(box, total_depth - (j + 1))
     out = []
     for seg in prev.segments:
-        for piece, side in _split_at(seg, t_inv):
-            shift = 1 if side >= 0 else -1
+        for piece, side in _split_at(seg, e):
+            c = shift[side]
             img = ExactSegment(
-                piece.a.mul_zeta(t_inv) + shift,
-                piece.b.mul_zeta(t_inv) + shift,
-                piece.power - 1,
-                j + 1,
+                piece.a.mul_zeta(t) + c, piece.b.mul_zeta(t) + c, piece.power + dpower, j + 1
             )
             clipped = clip_segment_to_box(img, clip)
             if clipped is not None:
                 out.append(clipped)
-    return CriticalLayer(j + 1, tuple(out), PULLBACK)
+    return CriticalLayer(j + 1, tuple(out), direction)
+
+
+def pullback_layer(prev: CriticalLayer, box: Box, total_depth: int) -> CriticalLayer:
+    """F^{-1} of a pullback layer, clipped to the window of its depth."""
+    return _next_layer(prev, box, total_depth, PULLBACK)
 
 
 def forward_layer(prev: CriticalLayer, box: Box, total_depth: int) -> CriticalLayer:
-    """F of a forward layer: split at the line itself, rotate each branch,
-    clip to the window of its depth."""
-    if prev.direction != FORWARD:
-        raise ParameterError("forward_layer needs a forward-direction layer")
-    j = prev.depth
-    if j >= total_depth:
-        raise ParameterError("layer is already at the target depth")
-    ctx = _layer_ctx(prev)
-    if ctx is None:
-        return CriticalLayer(j + 1, (), FORWARD)
-    t0 = ctx.m * ctx.p // ctx.q
-    clip = window(box, total_depth - (j + 1))
-    out = []
-    for seg in prev.segments:
-        for piece, side in _split_at(seg, 0):
-            shift = -1 if side >= 0 else 1
-            img = ExactSegment(
-                (piece.a + shift).mul_zeta(t0),
-                (piece.b + shift).mul_zeta(t0),
-                piece.power + 1,
-                j + 1,
-            )
-            clipped = clip_segment_to_box(img, clip)
-            if clipped is not None:
-                out.append(clipped)
-    return CriticalLayer(j + 1, tuple(out), FORWARD)
-
-
-def _layer_ctx(layer: CriticalLayer):
-    return layer.segments[0].a.ctx if layer.segments else None
+    """F of a forward layer, clipped to the window of its depth."""
+    return _next_layer(prev, box, total_depth, FORWARD)
 
 
 def critical_bundle(

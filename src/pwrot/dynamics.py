@@ -35,16 +35,9 @@ class Address(enum.Enum):
 
 @dataclass(frozen=True)
 class Itinerary:
-    """A finite word of open-half-plane symbols (+1/-1 per letter).
-
-    When the word is the full cycle of an exactly periodic orbit,
-    ``periodic`` is set and ``ell`` is the minimal shift period of its
-    infinite repetition.
-    """
+    """A finite word of open-half-plane symbols (+1/-1 per letter)."""
 
     word: tuple[int, ...]
-    periodic: bool = False
-    ell: Optional[int] = None
 
     def __str__(self):
         return "".join("+" if s > 0 else "-" for s in self.word)

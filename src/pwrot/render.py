@@ -116,9 +116,8 @@ def tiles_scene(tiles, viewport=None) -> Scene:
     scene = Scene(viewport=viewport)
     for tile in tiles:
         pts = [(v.to_complex().real, v.to_complex().imag) for v in tile.polygon.vertices]
-        period = tile.ell if not tile.rotational else tile.k * tile.ell
         scene.add_polygon(
-            pts, fill=color_for_period(period), stroke="#333333", opacity=0.55
+            pts, fill=color_for_period(tile.period), stroke="#333333", opacity=0.55
         )
         c = tile.center.to_complex()
         scene.add_point(c.real, c.imag, color="#000000", radius=1.6)

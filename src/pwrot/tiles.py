@@ -2,13 +2,17 @@
 classify it, verify the permutation/rotation structure on it, and scan
 rational grids for an inventory of tiles.
 
-A periodic seed off the critical line determines a minimal itinerary block of
-length ell; the cell is the intersection of the k*ell half-plane constraints
-pulled back along the block (k the order of the block's rotation part), and
-the block map's fixed point is the cell's rotation center.  The constraints
-come from one walk of the prefix-map offsets (``dynamics.branch_offsets``)
-and stream through ``geometry.binding_halfplanes``, which holds at most one
-per direction, at most m in all, however long the walk.
+A tile is its minimal itinerary block: every point of one component of the
+regular set has the same periodic itinerary, so the block of length ell of
+any seed in it names the tile, and ell, the rotation order
+k = q / gcd(ell, q), the polygon and the center all follow from the block.
+The cell is the intersection of the k*ell half-plane constraints pulled back
+along the block.  They come from one walk of the prefix-map offsets
+(``dynamics.branch_offsets``) and stream through
+``geometry.binding_halfplanes``, which holds at most one per direction, at
+most m in all, however long the walk.  The same walk passes the offset b_ell
+of the block map w -> lambda^ell w + b_ell, whose fixed point is the center
+when k > 1; a k = 1 tile has no unique center and reports its seed.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .dynamics import (
     AffineMap,
     Itinerary,
     OrbitRecord,
-    affine_along,
     branch_offsets,
     itinerary,
     itinerary_period,
@@ -53,27 +56,43 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class Tile:
-    """One connected component of the regular set, with its symbolic data."""
+    """One connected component of the regular set, keyed by its minimal
+    itinerary block ``word``.  ``center`` is the fixed point of the block map
+    when k > 1; a k = 1 tile (q divides ell) reports the first seed it was
+    built from as its center."""
 
     polygon: ConvexPolygon
     word: Itinerary          # minimal block, length ell
-    ell: int
-    k: int
     center: CycloNum
     seed: CycloNum
-    rotational: bool = True
 
     @property
     def ctx(self) -> FieldContext:
         return self.seed.ctx
 
     @property
+    def ell(self) -> int:
+        return len(self.word)
+
+    @property
+    def k(self) -> int:
+        return rotation_order(self.ctx, self.ell)
+
+    @property
+    def rotational(self) -> bool:
+        return self.k > 1
+
+    @property
+    def period(self) -> int:
+        """The minimal period k*ell of the tile's interior points."""
+        return self.k * self.ell
+
+    @property
     def sides(self) -> int:
         return len(self.polygon)
 
     def key(self):
-        block = tuple(self.word.word)
-        return (_least_rotation(block), self.center)
+        return self.word.word
 
 
 @dataclass
@@ -94,35 +113,10 @@ class CheckReport:
         return [(label, detail) for label, ok, detail in self.checks if not ok]
 
 
-def _least_rotation(word: tuple) -> tuple:
-    """Lexicographically least cyclic rotation (Booth's algorithm)."""
-    n = len(word)
-    if n == 0:
-        return word
-    s = word + word
-    f = [-1] * len(s)
-    kk = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - kk - 1]
-        while i != -1 and sj != s[kk + i + 1]:
-            if sj < s[kk + i + 1]:
-                kk = j - i - 1
-            i = f[i]
-        if sj != s[kk + i + 1]:
-            if sj < s[kk]:
-                kk = j
-            f[j - kk] = -1
-        else:
-            f[j - kk] = i + 1
-    return tuple(s[kk:kk + n])
-
-
-def _symbolic_data(rec: OrbitRecord):
-    """(block, ell, k, center, rotational) of the tile owning a periodic seed,
-    from the seed's first-return record."""
+def _minimal_block(rec: OrbitRecord) -> tuple[int, ...]:
+    """The minimal itinerary block of a periodic seed, from the seed's
+    first-return record."""
     z = rec.start
-    ctx = z.ctx
     if rec.iterates_on_line:
         raise CriticalLineError(rec.iterates_on_line[0][0])
     if rec.period is None:
@@ -130,29 +124,29 @@ def _symbolic_data(rec: OrbitRecord):
     n = rec.period
     word_n = itinerary(z, n)
     ell = itinerary_period(word_n)
-    block = word_n.word[:ell]
-
-    if ell % ctx.q == 0:
-        # the block map's linear part is 1, hence the identity on the tile;
-        # there is no unique center and the full period is the tile period
-        return word_n.word, n, 1, z, False
-
-    k = rotation_order(ctx, ell)
-    center = rotation_center(affine_along(ctx, block))
+    k = rotation_order(z.ctx, ell)
     if n not in (ell, k * ell):
         raise InternalInconsistencyError(
             f"period {n} is neither ell={ell} nor k*ell={k * ell}"
         )
-    return block, ell, k, center, True
+    return word_n.word[:ell]
 
 
-def _build_tile(z: CycloNum, block, ell, k, center, rotational) -> Tile:
+def _build_tile(z: CycloNum, block) -> Tile:
     ctx = z.ctx
-    pulled_back = (
-        HalfPlane(j % ctx.q, b, block[j % ell])
-        for j, b in enumerate(branch_offsets(ctx, block, k * ell - 1))
-    )
-    poly = intersect_halfplanes(binding_halfplanes(pulled_back))
+    ell = len(block)
+    n = rotation_order(ctx, ell) * ell
+    center = z
+
+    def pulled_back():
+        # b_ell is on the walk only when k > 1, where it gives the center
+        nonlocal center
+        for j, b in enumerate(branch_offsets(ctx, block, n - 1)):
+            if j == ell:
+                center = rotation_center(AffineMap(ell % ctx.q, b))
+            yield HalfPlane(j % ctx.q, b, block[j % ell])
+
+    poly = intersect_halfplanes(binding_halfplanes(pulled_back()))
     if not isinstance(poly, ConvexPolygon):
         raise InternalInconsistencyError(
             f"constraint intersection degenerated to {poly!r} for a periodic seed"
@@ -161,15 +155,7 @@ def _build_tile(z: CycloNum, block, ell, k, center, rotational) -> Tile:
         raise InternalInconsistencyError("seed is not interior to its own tile")
     if polygon_contains(poly, center) != Location.INTERIOR:
         raise InternalInconsistencyError("center is not interior to the tile")
-    return Tile(
-        polygon=poly,
-        word=Itinerary(block, periodic=True, ell=len(block)),
-        ell=ell,
-        k=k,
-        center=center,
-        seed=z,
-        rotational=rotational,
-    )
+    return Tile(polygon=poly, word=Itinerary(block), center=center, seed=z)
 
 
 def tile_from_seed(z: CycloNum, budget: int) -> Tile:
@@ -177,10 +163,10 @@ def tile_from_seed(z: CycloNum, budget: int) -> Tile:
 
     Detects the exact period, extracts the minimal itinerary block, streams
     the k*ell pulled-back half-plane constraints from one offset walk into
-    the at most m that bind, intersects those, and locates the rotation
-    center of the block map.
+    the at most m that bind, intersects those, and takes the rotation center
+    from the block-map offset that the same walk passes.
     """
-    return _build_tile(z, *_symbolic_data(minimal_period(z, budget)))
+    return _build_tile(z, _minimal_block(minimal_period(z, budget)))
 
 
 def tile_images(t: Tile):
@@ -239,17 +225,16 @@ def verify_rotation_structure(t: Tile, samples: int = 5, seed: int = 0) -> Check
         "block map fixes the center", block_map(t.center) == t.center, ""
     )
 
-    rec = minimal_period(t.center, t.k * t.ell + 1)
+    rec = minimal_period(t.center, t.period + 1)
     report.record(
         "center has minimal period ell", rec.period == t.ell, f"got {rec.period}"
     )
 
-    expected = t.ell if not t.rotational else t.k * t.ell
     for idx, sample in enumerate(interior_samples(t, samples, seed)):
-        rec = minimal_period(sample, expected + 1)
+        rec = minimal_period(sample, t.period + 1)
         report.record(
             f"interior sample {idx} has period k*ell",
-            rec.period == expected and not rec.iterates_on_line,
+            rec.period == t.period and not rec.iterates_on_line,
             f"got {rec.period}",
         )
     return report
@@ -313,7 +298,7 @@ class ScanReport:
     step: Fraction
     budget: int
     outcomes: list
-    tiles: dict                    # tile key -> (Tile, multiplicity)
+    tiles: dict                    # tile key (its block) -> (Tile, multiplicity)
     histogram: dict                # period -> sample count
 
     @property
@@ -363,11 +348,9 @@ def scan_region(
 
 
 def _absorb_tile(tiles: dict, rec: OrbitRecord):
-    block, ell, k, center, rotational = _symbolic_data(rec)
-    key = (_least_rotation(tuple(block)), center)
-    if key in tiles:
-        t, mult = tiles[key]
-        tiles[key] = (t, mult + 1)
+    block = _minimal_block(rec)
+    if block in tiles:
+        t, mult = tiles[block]
+        tiles[block] = (t, mult + 1)
     else:
-        t = _build_tile(rec.start, block, ell, k, center, rotational)
-        tiles[key] = (t, 1)
+        tiles[block] = (_build_tile(rec.start, block), 1)

@@ -24,7 +24,6 @@ lines; set PWROT_LONG=1 to include the extended period-table run.
 """
 
 import math
-import os
 import random
 import time
 from fractions import Fraction
@@ -58,8 +57,6 @@ from pwrot.tiles import (
     tile_from_seed,
     tile_images,
 )
-
-LONG_RUN = bool(os.environ.get("PWROT_LONG"))
 
 
 def conclude(num, ok, detail):
@@ -205,7 +202,7 @@ def test_criterion_03_period_table(pentagon_periods):
     conclude(3, ok, detail)
 
 
-@pytest.mark.skipif(not LONG_RUN, reason="extended table run; set PWROT_LONG=1")
+@pytest.mark.long
 def test_criterion_03_extended_period_table(pentagon_periods):
     periods, _, elapsed_rest = pentagon_periods
     ok = periods[7:] == PINNED_PERIODS_REST and elapsed_rest < 600.0

@@ -1,4 +1,3 @@
-import os
 import random
 from fractions import Fraction
 
@@ -128,7 +127,6 @@ class TestPentagonCenters:
         assert [p for _, _, p in rows] == [1, 7, 38, 232, None]
 
     @pytest.mark.long
-    @pytest.mark.skipif(not os.environ.get("PWROT_LONG"), reason="set PWROT_LONG=1")
     def test_long_period_table(self, gc):
         rows = pentagon_center_periods(gc, 9, 11_000_000)
         assert [p for _, _, p in rows] == VERIFIED_PERIODS + VERIFIED_PERIODS_LONG

@@ -1,5 +1,3 @@
-import os
-import random
 import tracemalloc
 from fractions import Fraction
 
@@ -7,7 +5,15 @@ import pytest
 
 from pwrot import tiles as tiles_module
 from pwrot.casestudy import golden_context, golden_rescale, hexagon_context, pentagon_centers
-from pwrot.dynamics import AffineMap, branch_offsets, minimal_period, step
+from pwrot.cyclo import make_field
+from pwrot.dynamics import (
+    AffineMap,
+    affine_along,
+    branch_offsets,
+    minimal_period,
+    rotation_center,
+    step,
+)
 from pwrot.errors import BudgetExceededError, CriticalLineError
 from pwrot.geometry import (
     Box,
@@ -19,7 +25,6 @@ from pwrot.geometry import (
     polygon_is_regular,
 )
 from pwrot.tiles import (
-    _least_rotation,
     interior_samples,
     scan_region,
     slope_census,
@@ -49,16 +54,6 @@ def p0_tile(gc):
 @pytest.fixture(scope="module")
 def p1_tile(gc):
     return tile_from_seed(golden_rescale(gc, gc.P0), 100)
-
-
-class TestLeastRotation:
-    def test_brute_force_agreement(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            n = rng.randint(1, 12)
-            word = tuple(rng.choice([1, -1]) for _ in range(n))
-            best = min(word[i:] + word[:i] for i in range(n))
-            assert _least_rotation(word) == best
 
 
 class TestTileFromSeed:
@@ -125,6 +120,30 @@ class TestTileFromSeed:
         other = tile_from_seed(other_seed, 100)
         assert other.polygon.key() == p1_tile.polygon.key()
         assert other.key() == p1_tile.key()
+
+
+class TestBlockKey:
+    """A tile is keyed by its minimal itinerary block.  A k = 1 tile has no
+    unique center and reports its first seed, so a key holding the center
+    would list it once per seed."""
+
+    BOX = Box("2.24", "-2.77", "2.30", "-2.74")
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return scan_region(make_field(11, 12), self.BOX, Fraction(1, 100), 3000)
+
+    def test_scan_lists_each_tile_once(self, report):
+        assert [mult for _, mult in report.tiles.values()] == [3, 18, 3, 2]
+        assert len({t.polygon.key() for t in report.tile_list}) == 4
+
+    def test_seeds_of_a_k1_tile_share_a_key(self, report):
+        tile = next(t for t in report.tile_list if t.ell == 228)
+        assert tile.k == 1 and tile.center == tile.seed
+        a, b = (tile_from_seed(z, 3000) for z in interior_samples(tile, 2, seed=3))
+        assert a.seed != b.seed
+        assert a.key() == b.key() == tile.key()
+        assert a.polygon == b.polygon == tile.polygon
 
 
 class TestVerification:
@@ -230,6 +249,8 @@ class TestStreamedConstraints:
             assert len(streamed) <= ctx.m
             assert list(branch_offsets(ctx, word, n - 1)) == [h.b for h in full]
             assert intersect_halfplanes(streamed) == intersect_halfplanes(list(full)) == tile.polygon
+            # the center the build walk took from b_ell is the block map's fixed point
+            assert tile.center == rotation_center(affine_along(ctx, word))
 
     def test_intersections_see_at_most_m_constraints(self, gc, monkeypatch):
         sizes = []
@@ -255,7 +276,7 @@ class TestStreamedConstraints:
         assert peak < 1 << 20
 
 
-@pytest.mark.skipif(not os.environ.get("PWROT_LONG"), reason="P6 tile build; set PWROT_LONG=1")
+@pytest.mark.long
 def test_p6_tile_is_a_regular_pentagon(gc):
     p6 = pentagon_centers(gc, 6)[6]
     tile = tile_from_seed(p6, 50000)
