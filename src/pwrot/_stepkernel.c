@@ -1,6 +1,8 @@
 /* Compiled orbit kernel: int64 twin of ``_steppy.Kernel``.
  *
- * Same constructor, entry points and return tuples as the pure kernel.  A
+ * Same constructor, one entry point ``walk`` and return tuple as the pure
+ * kernel: the signs of the iterates as an array('b'), the on-line iterates,
+ * and a stop at the first exact return when a target is given.  A
  * step is v -> M v -+ D*L on int64 vectors; the branch sign comes from the
  * same certified float fast path, then the exact integer zero test (v fixed
  * by the conjugation matrix K), then the caller's exact ``hard_sign(tuple)``
@@ -19,9 +21,11 @@
 #include <math.h>
 #include <string.h>
 
-enum { STATUS_OK = 0, STATUS_BUDGET = 1, STATUS_OVERFLOW = 2, STATUS_ZERO = 3 };
+enum { STATUS_OK = 0, STATUS_BUDGET = 1, STATUS_OVERFLOW = 2, TOUCH_CAP = 100000 };
 
 typedef long long i64;
+
+static PyObject *array_type;  /* array.array, which holds the signs */
 
 typedef struct {
     PyObject_HEAD
@@ -91,10 +95,10 @@ static PyObject *vec_new(const i64 *v, Py_ssize_t d, int as_list)
     return seq;
 }
 
-/* touches.append((index, tuple(v))) while fewer than cap are recorded. */
-static int add_touch(PyObject *touches, i64 index, const i64 *v, Py_ssize_t d, i64 cap)
+/* touches.append((index, tuple(v))) while fewer than TOUCH_CAP are recorded. */
+static int add_touch(PyObject *touches, i64 index, const i64 *v, Py_ssize_t d)
 {
-    if (PyList_GET_SIZE(touches) >= cap)
+    if (PyList_GET_SIZE(touches) >= TOUCH_CAP)
         return 0;
     PyObject *pair = Py_BuildValue("(LN)", index, vec_new(v, d, 0));
     if (pair == NULL)
@@ -261,87 +265,55 @@ static i64 *scratch(const Kernel *k, PyObject *v_start)
     return buf;
 }
 
-static PyObject *Kernel_period_search(Kernel *k, PyObject *args, PyObject *kwds)
+/* signs.frombytes(chunk[:*n]), then *n = 0. */
+static int flush_signs(PyObject *signs, const char *chunk, Py_ssize_t *n)
 {
-    static char *kwlist[] = {"v_start", "v_target", "budget", "idx_offset", "touch_cap", NULL};
-    PyObject *v_start, *v_target, *touches, *out = NULL;
-    i64 budget, idx_offset = 0, touch_cap = 100000, steps, *buf, *v, *w, *tgt, *t;
-    int status = STATUS_BUDGET, s;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOL|LL", kwlist, &v_start, &v_target, &budget,
-                                     &idx_offset, &touch_cap))
+    PyObject *r = PyObject_CallMethod(signs, "frombytes", "y#", chunk, *n);
+    *n = 0;
+    Py_XDECREF(r);
+    return r == NULL ? -1 : 0;
+}
+
+static PyObject *Kernel_walk(Kernel *k, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"v_start", "budget", "target", NULL};
+    PyObject *v_start, *target = Py_None, *signs, *touches, *out = NULL;
+    i64 budget, steps, *buf, *v, *w, *tgt, *t;
+    char chunk[4096];  /* signs pass through it into the array, a chunk at a time */
+    Py_ssize_t nchunk = 0;
+    int s;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OL|O", kwlist, &v_start, &budget, &target))
         return NULL;
     const Py_ssize_t d = k->d;
+    const int has_target = target != Py_None;
+    int status = has_target ? STATUS_BUDGET : STATUS_OK;
     if ((buf = scratch(k, v_start)) == NULL)
         return NULL;
     v = buf, w = buf + d, tgt = buf + 2 * d;
+    signs = PyObject_CallFunction(array_type, "s", "b");
     touches = PyList_New(0);
-    if (touches == NULL || read_ints(v_target, tgt, d) < 0)
+    if (signs == NULL || touches == NULL || (has_target && read_ints(target, tgt, d) < 0))
         goto done;
     for (steps = 0; steps < budget; steps++) {
         if (too_big(k, v)) {
             status = STATUS_OVERFLOW;
             break;
         }
-        if (kernel_sign(k, v, &s) < 0
-            || (s == 0 && add_touch(touches, idx_offset + steps, v, d, touch_cap) < 0))
+        if (kernel_sign(k, v, &s) < 0 || (s == 0 && add_touch(touches, steps, v, d) < 0))
+            goto done;
+        chunk[nchunk++] = (char)s;
+        if (nchunk == (Py_ssize_t)sizeof chunk && flush_signs(signs, chunk, &nchunk) < 0)
             goto done;
         kernel_step(k, v, w, s >= 0);
         t = v, v = w, w = t;
-        if (memcmp(v, tgt, (size_t)d * sizeof(i64)) == 0) {
+        if (has_target && memcmp(v, tgt, (size_t)d * sizeof(i64)) == 0) {
             status = STATUS_OK;
-            steps++;
             break;
         }
     }
-    if (status == STATUS_BUDGET)
-        steps = budget;
-    out = Py_BuildValue("(iLNN)", status, steps, touches, vec_new(v, d, 1));  /* steals touches */
-    touches = NULL;
-done:
-    Py_XDECREF(touches);
-    PyMem_Free(buf);
-    return out;
-}
-
-static PyObject *Kernel_sign_walk(Kernel *k, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"v_start", "nsteps", "stop_on_zero", "include_final", "touch_cap", NULL};
-    PyObject *v_start, *signs, *touches, *sign, *out = NULL;
-    i64 nsteps, touch_cap = 100000, *buf, *v, *w, *t;
-    int stop_on_zero = 0, include_final = 0, status = STATUS_OK, s, rc;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OL|ppL", kwlist, &v_start, &nsteps,
-                                     &stop_on_zero, &include_final, &touch_cap))
-        return NULL;
-    const Py_ssize_t d = k->d;
-    if ((buf = scratch(k, v_start)) == NULL)
-        return NULL;
-    v = buf, w = buf + d;
-    signs = PyList_New(0);
-    touches = PyList_New(0);
-    if (signs == NULL || touches == NULL)
+    if (flush_signs(signs, chunk, &nchunk) < 0)
         goto done;
-    /* iterates 0..nsteps-1, and iterate nsteps too with include_final */
-    for (i64 i = 0; i < nsteps || (i == nsteps && include_final); i++) {
-        if (too_big(k, v)) {
-            status = STATUS_OVERFLOW;
-            break;
-        }
-        if (kernel_sign(k, v, &s) < 0 || (sign = PyLong_FromLong(s)) == NULL)
-            goto done;
-        rc = PyList_Append(signs, sign);
-        Py_DECREF(sign);
-        if (rc < 0 || (s == 0 && add_touch(touches, i, v, d, touch_cap) < 0))
-            goto done;
-        if (i == nsteps)
-            break;
-        if (s == 0 && stop_on_zero) {
-            status = STATUS_ZERO;
-            break;
-        }
-        kernel_step(k, v, w, s >= 0);
-        t = v, v = w, w = t;
-    }
-    out = Py_BuildValue("(iNNN)", status, signs, touches, vec_new(v, d, 1));  /* steals the lists */
+    out = Py_BuildValue("(iNNN)", status, signs, touches, vec_new(v, d, 1));  /* steals both */
     signs = touches = NULL;
 done:
     Py_XDECREF(signs);
@@ -351,10 +323,8 @@ done:
 }
 
 static PyMethodDef Kernel_methods[] = {
-    {"period_search", (PyCFunction)(void (*)(void))Kernel_period_search, METH_VARARGS | METH_KEYWORDS,
-     "As _steppy.Kernel.period_search, and STATUS_OVERFLOW past the threshold."},
-    {"sign_walk", (PyCFunction)(void (*)(void))Kernel_sign_walk, METH_VARARGS | METH_KEYWORDS,
-     "As _steppy.Kernel.sign_walk, and STATUS_OVERFLOW past the threshold."},
+    {"walk", (PyCFunction)(void (*)(void))Kernel_walk, METH_VARARGS | METH_KEYWORDS,
+     "As _steppy.Kernel.walk, and STATUS_OVERFLOW past the threshold."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -384,11 +354,18 @@ PyMODINIT_FUNC PyInit__stepkernel(void)
     PyObject *m = PyModule_Create(&module);
     if (m == NULL)
         return NULL;
+    PyObject *arr = PyImport_ImportModule("array");
+    array_type = arr ? PyObject_GetAttrString(arr, "array") : NULL;
+    Py_XDECREF(arr);
+    if (array_type == NULL) {
+        Py_DECREF(m);
+        return NULL;
+    }
     Py_INCREF(&KernelType);
     if (PyModule_AddObject(m, "Kernel", (PyObject *)&KernelType) < 0
         || PyModule_AddStringConstant(m, "IMPL", "compiled") < 0
         || PyModule_AddIntMacro(m, STATUS_OK) < 0 || PyModule_AddIntMacro(m, STATUS_BUDGET) < 0
-        || PyModule_AddIntMacro(m, STATUS_OVERFLOW) < 0 || PyModule_AddIntMacro(m, STATUS_ZERO) < 0) {
+        || PyModule_AddIntMacro(m, STATUS_OVERFLOW) < 0) {
         Py_DECREF(m);
         return NULL;
     }

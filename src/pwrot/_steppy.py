@@ -8,6 +8,9 @@ integer coefficient vector.  The branch is chosen by the sign of
 exact integer zero test, and a caller-supplied exact oracle for the rare
 ambiguous nonzero cases.
 
+The one entry point, ``Kernel.walk``, serves both first-return searches and
+sign sequences: it records the sign of every iterate as one signed byte and
+every on-line iterate, and stops at an exact return when given a target.
 This module is the always-available fallback; arithmetic is Python ints and
 therefore never overflows.  The compiled twin, the C extension built from
 ``_stepkernel.c``, has the same interface and hands back on int64 overflow.
@@ -15,12 +18,15 @@ therefore never overflows.  The compiled twin, the C extension built from
 
 from __future__ import annotations
 
+from array import array
+
 IMPL = "pure"
 
-STATUS_OK = 0          # period found / walk completed
-STATUS_BUDGET = 1
+STATUS_OK = 0          # target reached, or every step walked without one
+STATUS_BUDGET = 1      # target not reached within the budget
 STATUS_OVERFLOW = 2    # compiled kernel only
-STATUS_ZERO = 3
+
+TOUCH_CAP = 100000     # on-line iterates recorded per walk
 
 
 class Kernel:
@@ -71,52 +77,29 @@ class Kernel:
             for i in range(self.d)
         ]
 
-    # -- entry points -----------------------------------------------------------
+    # -- the walk -----------------------------------------------------------------
 
-    def period_search(self, v_start, v_target, budget, idx_offset=0,
-                      touch_cap=100000):
-        """Iterate until v equals v_target or the budget runs out.
+    def walk(self, v_start, budget, target=None):
+        """Sign the iterates v_0, v_1, ... of v_start, at most ``budget`` of them.
 
-        Returns (status, steps_done, touches, v_final) where touches is a
-        list of (absolute index, coefficient tuple) with exactly vanishing
-        imaginary part, capped at touch_cap entries.
+        Returns (status, signs, touches, v): ``signs`` holds one signed byte
+        per signed iterate, ``touches`` pairs the index of each on-line
+        iterate with its coefficient tuple (the first TOUCH_CAP of them), and
+        v is the first iterate not signed.  With a target the walk stops at
+        the first step that lands on it (STATUS_OK, so len(signs) is the
+        return time) or ends with STATUS_BUDGET; without one it signs
+        ``budget`` iterates and ends with STATUS_OK.
         """
         v = list(v_start)
-        target = tuple(v_target)
+        target = None if target is None else list(target)
+        signs = array("b")
         touches = []
         for i in range(budget):
             s = self._sign(v)
-            if s == 0 and len(touches) < touch_cap:
-                touches.append((idx_offset + i, tuple(v)))
-            v = self._step(v, s >= 0)
-            if tuple(v) == target:
-                return STATUS_OK, i + 1, touches, v
-        return STATUS_BUDGET, budget, touches, v
-
-    def sign_walk(self, v_start, nsteps, stop_on_zero=False,
-                  include_final=False, touch_cap=100000):
-        """Record the address sign of the first ``nsteps`` iterates.
-
-        Returns (status, signs, touches, v_final).  With ``stop_on_zero`` the
-        walk aborts at the first on-line iterate (its 0 is the last recorded
-        sign).  With ``include_final`` the sign of iterate ``nsteps`` is
-        recorded too (signs has length nsteps + 1).
-        """
-        v = list(v_start)
-        signs = []
-        touches = []
-        for i in range(nsteps):
-            s = self._sign(v)
             signs.append(s)
-            if s == 0:
-                if len(touches) < touch_cap:
-                    touches.append((i, tuple(v)))
-                if stop_on_zero:
-                    return STATUS_ZERO, signs, touches, v
+            if s == 0 and len(touches) < TOUCH_CAP:
+                touches.append((i, tuple(v)))
             v = self._step(v, s >= 0)
-        if include_final:
-            s = self._sign(v)
-            signs.append(s)
-            if s == 0 and len(touches) < touch_cap:
-                touches.append((nsteps, tuple(v)))
-        return STATUS_OK, signs, touches, v
+            if v == target:
+                return STATUS_OK, signs, touches, v
+        return (STATUS_OK if target is None else STATUS_BUDGET), signs, touches, v

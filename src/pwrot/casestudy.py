@@ -107,7 +107,7 @@ def q_orbit_returns(gc: GoldenContext, nsteps: int):
     real with no irrational height part, which holds for every observed
     return.
     """
-    _, _, touches = run_signs(gc.Q, nsteps, include_final=True)
+    _, touches = run_signs(gc.Q, nsteps + 1)  # iterates 0..nsteps
     out = []
     for idx, val in touches:
         coords = golden_coords(val)

@@ -34,7 +34,7 @@ from .errors import (
     PwrotError,
 )
 from .geometry import Box, polygon_is_regular
-from .pointexpr import parse_alpha, parse_box, parse_point
+from .pointexpr import parse_alpha, parse_box, parse_point, parse_rational
 from .render import (
     Scene,
     bundle_scene,
@@ -269,7 +269,7 @@ def cmd_scan(args) -> int:
     ctx = _field(args)
     box = parse_box(args.box)
     report = scan_region(
-        ctx, box, Fraction(args.grid), args.budget, max_tile_period=args.max_tile_period
+        ctx, box, parse_rational(args.grid), args.budget, max_tile_period=args.max_tile_period
     )
     if args.format == "json":
         _emit(json.dumps(_scan_sidecar(report), indent=1) + "\n", args.out)
@@ -399,9 +399,11 @@ def _apply_config(args):
         if hasattr(args, key) and getattr(args, key) is None:
             if key in ("n", "depth", "budget", "cap", "max_n", "samples", "sample_seed",
                        "max_tile_period"):
-                setattr(args, key, int(value))
-            else:
-                setattr(args, key, value)
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ParameterError(f"config key {key} needs an integer, got {value!r}") from None
+            setattr(args, key, value)
 
 
 def _add_common(sub, alpha=True):

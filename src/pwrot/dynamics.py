@@ -77,10 +77,14 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class OrbitRecord:
+    """One first-return walk: the period (None past the budget), the on-line
+    iterates, the steps walked and the sign of each iterate walked."""
+
     start: CycloNum
     period: Optional[int]
     iterates_on_line: tuple[tuple[int, CycloNum], ...]
     budget_used: int
+    signs: Sequence[int]
 
 
 def step(z: CycloNum) -> CycloNum:
@@ -123,7 +127,8 @@ def minimal_period(z: CycloNum, budget: int) -> OrbitRecord:
     """Search for the first exact return F^n(z) = z with n <= budget.
 
     The first exact return of a bijection is the minimal period.  Indices
-    where the orbit lies on the critical line are recorded along the way.
+    where the orbit lies on the critical line, and the sign of every iterate,
+    are recorded along the way.
     A missing period within budget is an outcome, not an error, and proves
     nothing about aperiodicity.
     """
@@ -144,9 +149,9 @@ def itinerary(z: CycloNum, n: int) -> Itinerary:
         raise ParameterError("itinerary length must be >= 0")
     from .stepper import run_signs
 
-    signs, zero_index, _ = run_signs(z, n, stop_on_zero=True)
-    if zero_index is not None:
-        raise CriticalLineError(zero_index)
+    signs, touches = run_signs(z, n)
+    if touches:
+        raise CriticalLineError(touches[0][0])
     return Itinerary(tuple(signs))
 
 
@@ -156,7 +161,7 @@ def itinerary_period(word: Itinerary | Sequence[int]) -> int:
     Assumes the word is the full cycle of an exactly periodic orbit, so the
     answer divides the word length.
     """
-    w = tuple(word.word if isinstance(word, Itinerary) else word)
+    w = word.word if isinstance(word, Itinerary) else word
     n = len(w)
     if n == 0:
         raise ParameterError("empty word has no period")

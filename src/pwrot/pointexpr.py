@@ -27,7 +27,8 @@ _NAME_RE = re.compile(r"^(P(\d+)|Q|R|S|C|H\.v([1-6]))$")
 _RATIONAL_RE = re.compile(r"^[+-]?(\d+(/\d+)?|\d*\.\d+)$")
 
 
-def _parse_rational(text: str, position: int) -> Fraction:
+def parse_rational(text: str, position: int = 0) -> Fraction:
+    """A signed integer, fraction 'a/b' or decimal 'a.b'; ParseError otherwise."""
     token = text.strip()
     if not _RATIONAL_RE.match(token):
         raise ParseError(f"expected a rational number, got {token!r}", position)
@@ -55,8 +56,8 @@ def _parse_pair(src: str, ctx: FieldContext) -> CycloNum:
     parts = inner.split(",")
     if len(parts) != 2:
         raise ParseError("a point pair needs exactly one comma", src.find("(") + 1)
-    x = _parse_rational(parts[0], 1)
-    y = _parse_rational(parts[1], 2 + len(parts[0]))
+    x = parse_rational(parts[0], 1)
+    y = parse_rational(parts[1], 2 + len(parts[0]))
     return ctx.point(x, y)
 
 
@@ -71,7 +72,7 @@ def _parse_vector(src: str, ctx: FieldContext) -> CycloNum:
     offset = 1
     coeffs = []
     for part in parts:
-        coeffs.append(_parse_rational(part, offset))
+        coeffs.append(parse_rational(part, offset))
         offset += len(part) + 1
     return ctx.num(coeffs)
 
@@ -130,10 +131,10 @@ def _parse_phi_literal(src: str, ctx: FieldContext) -> CycloNum:
         if body == "phi":
             total = total + phi * sign
         elif body.endswith("*phi"):
-            coeff = _parse_rational(body[:-4], pos)
+            coeff = parse_rational(body[:-4], pos)
             total = total + phi * (sign * coeff)
         else:
-            total = total + ctx.from_rational(sign * _parse_rational(body, pos))
+            total = total + ctx.from_rational(sign * parse_rational(body, pos))
     return total
 
 
@@ -152,5 +153,5 @@ def parse_box(text: str):
     parts = text.split(",")
     if len(parts) != 4:
         raise ParseError("a box needs four comma-separated rationals", 0)
-    vals = [_parse_rational(p, i) for i, p in enumerate(parts)]
+    vals = [parse_rational(p, i) for i, p in enumerate(parts)]
     return Box(*vals)

@@ -7,7 +7,9 @@ vector, so exact period detection over millions of steps is pure integer
 work on ``vec``, with no conversion in or out.  This module builds those
 tables once per field context and hands them to the fastest available
 kernel: the compiled extension when importable (with an int64 overflow guard
-and fallback), else the pure-Python twin.
+and fallback), else the pure-Python twin.  Every orbit computation is one
+kernel walk through ``_walk``, which holds the one overflow handoff;
+``run_period`` and ``run_signs`` are its two views.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import os
 
 from . import _steppy
+from ._steppy import STATUS_OK, STATUS_OVERFLOW, TOUCH_CAP
 from .cyclo import CycloNum, FieldContext
 from .dynamics import OrbitRecord
 from .errors import InternalInconsistencyError
@@ -25,11 +28,6 @@ except ImportError:  # extension not built; pure fallback only
     _stepkernel = None
 
 HAVE_COMPILED = _stepkernel is not None
-
-STATUS_OK = _steppy.STATUS_OK
-STATUS_BUDGET = _steppy.STATUS_BUDGET
-STATUS_OVERFLOW = _steppy.STATUS_OVERFLOW
-STATUS_ZERO = _steppy.STATUS_ZERO
 
 _INT64_GUARD = 2 ** 62
 
@@ -116,62 +114,37 @@ def _kernel(plan: _Plan, v, denom: int):
     return plan.pure_kernel(denom)
 
 
-def run_period(z: CycloNum, budget: int, touch_cap: int = 100000) -> OrbitRecord:
-    """Exact first-return search behind ``dynamics.minimal_period``."""
-    ctx = z.ctx
-    plan = _plan(ctx)
-    v0, denom = z.vec, z.den
-    kern = _kernel(plan, v0, denom)
-    status, done, touches, v = kern.period_search(list(v0), v0, budget, 0, touch_cap)
-    if status == STATUS_OVERFLOW:
-        # resume exactly where the int64 walk stopped
-        status, steps, tch, v = plan.pure_kernel(denom).period_search(
-            v, v0, budget - done, done, touch_cap - len(touches)
-        )
-        touches.extend(tch)
-        done += steps
-    period = done if status == STATUS_OK else None
-    on_line = tuple(
-        (idx, ctx.from_lattice(vec, denom)) for idx, vec in touches
-    )
-    return OrbitRecord(
-        start=z, period=period, iterates_on_line=on_line, budget_used=done
-    )
-
-
-def run_signs(
-    z: CycloNum,
-    nsteps: int,
-    stop_on_zero: bool = False,
-    include_final: bool = False,
-    touch_cap: int = 100000,
-):
-    """Address signs of the first iterates of z.
-
-    Returns (signs, first_zero_index_or_None, touches) where touches pairs
-    on-line indices with their exact values.
-    """
+def _walk(z: CycloNum, budget: int, target=None):
+    """One kernel walk of the orbit of z: (status, signs, touches), with the
+    touches' exact values.  The compiled kernel hands off to the pure one at
+    its int64 bound, which resumes exactly where it stopped."""
     ctx = z.ctx
     plan = _plan(ctx)
     denom = z.den
-    kern = _kernel(plan, z.vec, denom)
-    status, signs, tch, v = kern.sign_walk(
-        list(z.vec), nsteps, stop_on_zero, include_final, touch_cap
-    )
-    touches = [(idx, ctx.from_lattice(vec, denom)) for idx, vec in tch]
+    status, signs, touches, v = _kernel(plan, z.vec, denom).walk(z.vec, budget, target)
     if status == STATUS_OVERFLOW:
-        # resume exactly where the int64 walk stopped
-        offset = len(signs)
-        status, part, tch, v = plan.pure_kernel(denom).sign_walk(
-            v, nsteps - offset, stop_on_zero, include_final,
-            touch_cap - len(touches),
-        )
-        signs.extend(part)
-        touches.extend(
-            (idx + offset, ctx.from_lattice(vec, denom)) for idx, vec in tch
-        )
+        done = len(signs)
+        status, more, tch, _ = plan.pure_kernel(denom).walk(v, budget - done, target)
+        signs.extend(more)
+        touches += [(done + i, vec) for i, vec in tch[:TOUCH_CAP - len(touches)]]
+    on_line = tuple((i, ctx.from_lattice(vec, denom)) for i, vec in touches)
+    return status, signs, on_line
 
-    zero_index = None
-    if stop_on_zero and signs and signs[-1] == 0:
-        zero_index = len(signs) - 1
-    return signs, zero_index, touches
+
+def run_period(z: CycloNum, budget: int) -> OrbitRecord:
+    """Exact first-return search behind ``dynamics.minimal_period``."""
+    status, signs, on_line = _walk(z, budget, z.vec)
+    return OrbitRecord(
+        start=z,
+        period=len(signs) if status == STATUS_OK else None,
+        iterates_on_line=on_line,
+        budget_used=len(signs),
+        signs=signs,
+    )
+
+
+def run_signs(z: CycloNum, nsteps: int):
+    """(signs, touches): the signs of the first ``nsteps`` iterates of z, as
+    signed bytes, and the on-line indices paired with their exact values."""
+    _, signs, on_line = _walk(z, nsteps)
+    return signs, on_line

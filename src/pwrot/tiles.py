@@ -6,9 +6,10 @@ A tile is its minimal itinerary block: every point of one component of the
 regular set has the same periodic itinerary, so the block of length ell of
 any seed in it names the tile, and ell, the rotation order
 k = q / gcd(ell, q), the polygon and the center all follow from the block.
-The cell is the intersection of the k*ell half-plane constraints pulled back
-along the block.  They come from one walk of the prefix-map offsets
-(``dynamics.branch_offsets``) and stream through
+The block is read off the signs that the seed's first-return walk records,
+so a seed costs one kernel walk.  The cell is the intersection of the k*ell
+half-plane constraints pulled back along the block.  They come from one walk
+of the prefix-map offsets (``dynamics.branch_offsets``) and stream through
 ``geometry.binding_halfplanes``, which holds at most one per direction, at
 most m in all, however long the walk.  The same walk passes the offset b_ell
 of the block map w -> lambda^ell w + b_ell, whose fixed point is the center
@@ -29,7 +30,6 @@ from .dynamics import (
     Itinerary,
     OrbitRecord,
     branch_offsets,
-    itinerary,
     itinerary_period,
     minimal_period,
     rotation_center,
@@ -39,6 +39,7 @@ from .errors import (
     BudgetExceededError,
     CriticalLineError,
     InternalInconsistencyError,
+    ParameterError,
 )
 from .geometry import (
     Box,
@@ -114,22 +115,20 @@ class CheckReport:
 
 
 def _minimal_block(rec: OrbitRecord) -> tuple[int, ...]:
-    """The minimal itinerary block of a periodic seed, from the seed's
-    first-return record."""
-    z = rec.start
+    """The minimal itinerary block of a periodic seed, read off the signs of
+    its first-return walk."""
     if rec.iterates_on_line:
         raise CriticalLineError(rec.iterates_on_line[0][0])
     if rec.period is None:
         raise BudgetExceededError(rec.budget_used)
     n = rec.period
-    word_n = itinerary(z, n)
-    ell = itinerary_period(word_n)
-    k = rotation_order(z.ctx, ell)
+    ell = itinerary_period(rec.signs)
+    k = rotation_order(rec.start.ctx, ell)
     if n not in (ell, k * ell):
         raise InternalInconsistencyError(
             f"period {n} is neither ell={ell} nor k*ell={k * ell}"
         )
-    return word_n.word[:ell]
+    return tuple(rec.signs[:ell])
 
 
 def _build_tile(z: CycloNum, block) -> Tile:
@@ -161,10 +160,11 @@ def _build_tile(z: CycloNum, block) -> Tile:
 def tile_from_seed(z: CycloNum, budget: int) -> Tile:
     """The tile containing a periodic seed that stays off the critical line.
 
-    Detects the exact period, extracts the minimal itinerary block, streams
-    the k*ell pulled-back half-plane constraints from one offset walk into
-    the at most m that bind, intersects those, and takes the rotation center
-    from the block-map offset that the same walk passes.
+    Detects the exact period, reads the minimal itinerary block off the signs
+    of that same walk, streams the k*ell pulled-back half-plane constraints
+    from one offset walk into the at most m that bind, intersects those, and
+    takes the rotation center from the block-map offset that the offset walk
+    passes.
     """
     return _build_tile(z, _minimal_block(minimal_period(z, budget)))
 
@@ -201,6 +201,8 @@ def verify_rotation_structure(t: Tile, samples: int = 5, seed: int = 0) -> Check
     distinct images returning at ell, the block map rotating the vertex set
     about the center, the center's minimal period ell, and interior samples
     of minimal period k*ell."""
+    if samples < 0:
+        raise ParameterError("samples must be >= 0")
     report = CheckReport(name="component permutation and rotation structure")
     images, block_map = tile_images(t)
 
@@ -321,7 +323,7 @@ def scan_region(
     """
     step = Fraction(step)
     if step <= 0:
-        raise ValueError("step must be positive")
+        raise ParameterError("step must be positive")
     outcomes = []
     tiles: dict = {}
     histogram: dict = {}

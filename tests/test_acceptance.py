@@ -463,8 +463,8 @@ def test_criterion_10_renormalization_geometry(gc):
     ]
 
     def hit_depth(z, limit=80):
-        _, zero_idx, _ = run_signs(z, limit, stop_on_zero=True)
-        return zero_idx
+        _, touches = run_signs(z, limit)
+        return touches[0][0] if touches else None
 
     curated = []
     max_hit = 0

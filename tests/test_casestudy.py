@@ -192,8 +192,8 @@ class TestRenormalizationIncidence:
         assert len(inside) >= 15
 
         def hit_depth(z, limit=80):
-            _, zero_idx, _ = run_signs(z, limit, stop_on_zero=True)
-            return zero_idx
+            _, touches = run_signs(z, limit)
+            return touches[0][0] if touches else None
 
         curated = []
         max_hit = 0

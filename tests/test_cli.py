@@ -196,6 +196,14 @@ class TestScan:
         assert sidecar["outcomes"]["period"] > 0
         assert sidecar["tiles"]
 
+    @pytest.mark.parametrize("grid", ["0", "abc"])
+    def test_bad_grid_is_bad_input(self, capsys, grid):
+        code, out, err = run(
+            capsys, "scan", "--alpha", "4/5", "--box=-1,-1,1,1", "--grid", grid,
+        )
+        assert code == 4
+        assert out == "" and err.startswith("error: ")
+
     # The three tile-scan grids of the benchmark.  The digests are the
     # SHA-256 of the CSV and of its JSON sidecar as written by
     # `pwrot scan --alpha A --box=B --grid G --budget N --out scan.csv`
@@ -273,6 +281,13 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_negative_samples_is_bad_input(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--alpha", "4/5", "--seed", "P1", "--samples", "-1",
+        )
+        assert code == 4
+        assert out == "" and "samples" in err
+
 
 class TestConfig:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
@@ -300,3 +315,10 @@ class TestConfig:
             "--alpha", "4/5", "--point", "Q",
         )
         assert code == 4
+
+    def test_non_integer_config_value_is_bad_input(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("alpha = 4/5\nn = x\n")
+        code, out, err = run(capsys, "iterate", "--config", str(cfg), "--point", "Q")
+        assert code == 4
+        assert out == "" and "n" in err

@@ -32,7 +32,7 @@ def test_pure_kernel_matches_field_arithmetic(ctx):
     values = orbit(z, 25)
     cur = list(v)
     for val in values[1:]:
-        _, signs, _, cur = kern.sign_walk(cur, 1)
+        _, signs, _, cur = kern.walk(cur, 1)
         assert ctx.num([Fraction(x, denom) for x in cur]) == val
 
 
@@ -43,11 +43,11 @@ class TestCompiledAgreesWithPure:
         v, denom = z.vec, z.den
         pure = plan.pure_kernel(denom)
         comp = plan.compiled_kernel(denom)
-        rp = pure.period_search(list(v), list(v), budget)
-        rc = comp.period_search(list(v), list(v), budget)
+        rp = pure.walk(list(v), budget, list(v))
+        rc = comp.walk(list(v), budget, list(v))
         assert rp == rc
-        sp = pure.sign_walk(list(v), min(budget, 300), include_final=True)
-        sc = comp.sign_walk(list(v), min(budget, 300), include_final=True)
+        sp = pure.walk(list(v), min(budget, 300) + 1)
+        sc = comp.walk(list(v), min(budget, 300) + 1)
         assert sp == sc
 
     def test_fixed_point(self, ctx):
@@ -82,21 +82,46 @@ class TestCompiledAgreesWithPure:
 
 @pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
 def test_overflow_hands_off_to_pure(ctx, monkeypatch):
-    # shrink the guard so the compiled walk overflows mid-orbit, then check
-    # the resumed result still matches an all-pure run
-    phi, _, _ = golden_elements(ctx)
+    # shrink the guard so each compiled walk overflows mid-orbit, then check
+    # the one resume path, with and without a target, still matches an
+    # all-pure walk: period, signs, touch indices and touch values.  Every
+    # |v_j| on the orbit of Q (denominator 1) is at most 15 and starts at 1;
+    # F(P1) (denominator 5) starts at 6 and reaches 7 on its 7-cycle.
+    phi, s, _ = golden_elements(ctx)
+    p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
+    w1 = step((2 * phi - 3) * p0 + (2 - 2 * phi))
     q0 = -phi
+
+    def walks():
+        return [run_period(q0, 240), run_period(w1, 100), run_signs(q0, 241)]
+
     plan = stepper._plan(ctx)
-    monkeypatch.setattr(plan, "int64_threshold", lambda denom: 25)
-    rec_mixed = run_period(q0, 240)
+    real_pure = plan.pure_kernel
+    resumed = []
+
+    def counted_pure(denom):
+        resumed.append(denom)
+        return real_pure(denom)
+
+    with monkeypatch.context() as m:
+        m.setattr(plan, "int64_threshold", lambda denom: 2 if denom == 1 else 6)
+        m.setattr(plan, "pure_kernel", counted_pure)
+        mixed = walks()
+    # each walk started compiled and handed off once
+    assert resumed == [1, 5, 1]
     monkeypatch.setattr(stepper, "_compiled_enabled", lambda: False)
-    rec_pure = run_period(q0, 240)
-    assert rec_mixed.period == rec_pure.period
-    assert [i for i, _ in rec_mixed.iterates_on_line] == [
-        i for i, _ in rec_pure.iterates_on_line
-    ]
-    mixed_signs = run_signs(q0, 240, include_final=True)
-    assert mixed_signs[0] == run_signs(q0, 240, include_final=True)[0]
+    pure = walks()
+    for rec_mixed, rec_pure in zip(mixed[:2], pure[:2]):
+        assert rec_mixed.period == rec_pure.period
+        assert rec_mixed.signs == rec_pure.signs
+        assert rec_mixed.iterates_on_line == rec_pure.iterates_on_line
+        assert rec_mixed == rec_pure
+    assert mixed[0].period is None and mixed[1].period == 7
+    assert [i for i, _ in mixed[0].iterates_on_line][:3] == [0, 3, 10]
+    signs, touches = mixed[2]
+    assert signs == pure[2][0] and signs[:240] == mixed[0].signs
+    assert [i for i, _ in touches] == [i for i, _ in pure[2][1]]
+    assert [v for _, v in touches] == [v for _, v in pure[2][1]]
 
 
 @pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
@@ -121,7 +146,7 @@ def test_forced_hard_sign_matches_fast_path(ctx, monkeypatch):
     p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
     p1 = (2 * phi - 3) * p0 + (2 - 2 * phi)
     rec = run_period(p1, 100)
-    signs = run_signs(-phi, 240, include_final=True)
+    signs = run_signs(-phi, 241)
     assert rec.period == 7
 
     hard_sign = stepper._Plan.hard_sign
@@ -136,7 +161,7 @@ def test_forced_hard_sign_matches_fast_path(ctx, monkeypatch):
     monkeypatch.setattr(stepper, "_compiled_enabled", lambda: False)
     assert run_period(p1, 100) == rec
     assert len(calls) == 7
-    assert run_signs(-phi, 240, include_final=True) == signs
+    assert run_signs(-phi, 241) == signs
     assert len(calls) == 7 + sum(1 for x in signs[0] if x)
 
 
@@ -151,7 +176,7 @@ def test_compiled_forced_hard_sign_matches_pure(ctx, monkeypatch):
     p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
     p1 = (2 * phi - 3) * p0 + (2 - 2 * phi)
     rec = run_period(p1, 100)
-    signs = run_signs(-phi, 240, include_final=True)
+    signs = run_signs(-phi, 241)
 
     plan = stepper._plan(ctx)
     hard_sign = stepper._Plan.hard_sign
@@ -163,7 +188,7 @@ def test_compiled_forced_hard_sign_matches_pure(ctx, monkeypatch):
 
     def walks():
         calls.clear()
-        return run_period(p1, 100), run_signs(-phi, 240, include_final=True), list(calls)
+        return run_period(p1, 100), run_signs(-phi, 241), list(calls)
 
     monkeypatch.setattr(plan, "margin", float("inf"))
     monkeypatch.setattr(stepper._Plan, "hard_sign", counted)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pwrot import stepper
 from pwrot import tiles as tiles_module
 from pwrot.casestudy import golden_context, golden_rescale, hexagon_context, pentagon_centers
 from pwrot.cyclo import make_field
@@ -10,6 +11,7 @@ from pwrot.dynamics import (
     AffineMap,
     affine_along,
     branch_offsets,
+    itinerary,
     minimal_period,
     rotation_center,
     step,
@@ -274,6 +276,26 @@ class TestStreamedConstraints:
             tracemalloc.stop()
         assert tile.k * tile.ell == 6940
         assert peak < 1 << 20
+
+
+def test_tiles_make_no_second_walk(gc, monkeypatch):
+    # a tile reads its block off the signs of its seed's first-return walk,
+    # so neither a tile build nor a scan walks the seed's itinerary again
+    hc = hexagon_context()
+
+    def second_walk(*args, **kwargs):
+        raise AssertionError("a second kernel walk")
+
+    with monkeypatch.context() as m:
+        m.setattr(tiles_module, "itinerary", second_walk, raising=False)
+        m.setattr(stepper, "run_signs", second_walk)
+        built = [tile_from_seed(pentagon_centers(gc, 4)[4], 7000), tile_from_seed(hc.center, 100)]
+        report = scan_region(gc.ctx, Box(-1, -1, 1, 1), Fraction(1, 2), 2000)
+    assert len(report.outcomes) == 25 and report.tiles
+    assert built[0].period == 6940 and built[1].ell == 20
+    for tile in built + report.tile_list:
+        n = minimal_period(tile.seed, tile.period).period
+        assert tile.word.word == itinerary(tile.seed, n).word[:tile.ell]
 
 
 @pytest.mark.long
