@@ -5,7 +5,6 @@ from .cyclo import (
     CycloNum,
     FieldContext,
     Sign,
-    approx,
     cyclotomic_polynomial,
     make_field,
     sign_of_real,
@@ -15,7 +14,6 @@ __all__ = [
     "CycloNum",
     "FieldContext",
     "Sign",
-    "approx",
     "cyclotomic_polynomial",
     "make_field",
     "sign_of_real",

@@ -2,11 +2,14 @@
  *
  * Same constructor, one entry point ``walk`` and return tuple as the pure
  * kernel: the signs of the iterates as an array('b'), the on-line iterates,
- * and a stop at the first exact return when a target is given.  A
- * step is v -> M v -+ D*L on int64 vectors; the branch sign comes from the
- * same certified float fast path, then the exact integer zero test (v fixed
- * by the conjugation matrix K), then the caller's exact ``hard_sign(tuple)``
- * for the rare ambiguous nonzero sign, whose exceptions propagate.
+ * a stop at the first exact return when a target is given, and the per-class
+ * nominees for the iterate nearest the line.  A step is v -> M v -+ D*L on
+ * int64 vectors; the branch sign comes from the same certified float fast
+ * path, then the exact integer zero test (v fixed by the conjugation matrix
+ * K), then the caller's exact ``hard_sign(tuple)`` for the rare ambiguous
+ * nonzero sign, whose exceptions propagate.  The float sum that decides a
+ * sign also bounds |Im(v)|, and only nominates: the nominees are settled
+ * exactly by the caller.
  *
  * The caller guarantees (via the threshold handed to the constructor) that
  * one more step, and the zero test, cannot overflow int64 while max|v_j|
@@ -28,16 +31,23 @@ typedef long long i64;
 static PyObject *array_type;  /* array.array, which holds the signs */
 
 typedef struct {
+    i64 *val;        /* nonzero entries, by row */
+    i64 *col;        /* their columns */
+    i64 *end;        /* row i ends at val[end[i]] */
+} Sparse;
+
+typedef struct {
     PyObject_HEAD
     Py_ssize_t d;
-    i64 *m_val;      /* nonzero entries of M (multiplication by lambda), by row */
-    i64 *m_col;      /* their columns */
-    i64 *m_end;      /* row i of M ends at m_val[m_end[i]] */
-    i64 *mat_k;      /* d*d, row-major: complex conjugation */
+    i64 *block;      /* one allocation holds every table below */
+    Sparse mul;      /* M: multiplication by lambda */
+    Sparse conj;     /* K: complex conjugation */
     i64 *off_plus;   /* -D*L, the + branch */
     i64 *off_minus;  /* +D*L, the - branch */
     double *sines;
     double margin;
+    Py_ssize_t m;    /* direction classes */
+    Py_ssize_t t0;   /* lambda = zeta^t0 */
     i64 threshold;
     PyObject *hard_sign;
 } Kernel;
@@ -66,15 +76,24 @@ static int read_ints(PyObject *seq, i64 *out, Py_ssize_t n)
     return 0;
 }
 
-/* Read a d x d matrix given as a sequence of d rows. */
-static int read_matrix(PyObject *rows, i64 *out, Py_ssize_t d)
+/* Read a d x d matrix given as a sequence of d rows, keeping its nonzero
+ * entries. */
+static int read_sparse(PyObject *rows, Sparse *a, Py_ssize_t d)
 {
+    i64 n = 0;
     for (Py_ssize_t i = 0; i < d; i++) {
         PyObject *row = PySequence_GetItem(rows, i);
-        int rc = row ? read_ints(row, out + i * d, d) : -1;
+        int rc = row ? read_ints(row, a->val + n, d) : -1;
         Py_XDECREF(row);
         if (rc < 0)
             return -1;
+        for (Py_ssize_t j = 0, start = n; j < d; j++) {
+            if (a->val[start + j] != 0) {
+                a->val[n] = a->val[start + j];
+                a->col[n++] = j;
+            }
+        }
+        a->end[i] = n;
     }
     return 0;
 }
@@ -110,27 +129,60 @@ static int add_touch(PyObject *touches, i64 index, const i64 *v, Py_ssize_t d)
 
 /* -- the walk --------------------------------------------------------------- */
 
-/* Exact sign of Im(v) into *sign; -1 with an exception set if hard_sign raised. */
-static int kernel_sign(Kernel *k, const i64 *v, int *sign)
+static int same(const i64 *a, const i64 *b, Py_ssize_t d)
 {
-    const Py_ssize_t d = k->d;
+    for (Py_ssize_t j = 0; j < d; j++)
+        if (a[j] != b[j])
+            return 0;
+    return 1;
+}
+
+static int too_big(const Kernel *k, const i64 *v)
+{
+    for (Py_ssize_t j = 0; j < k->d; j++)
+        if (v[j] > k->threshold || v[j] < -k->threshold)
+            return 1;
+    return 0;
+}
+
+/* The sign of Im(v) when the certified float sum decides it, else 0; then
+ * |Im(v)| * D is within *err of *mag. */
+static int float_sign(const Kernel *k, const i64 *v, double *mag, double *err)
+{
     double total = 0.0, absum = 0.0;
-    for (Py_ssize_t j = 0; j < d; j++) {
+    for (Py_ssize_t j = 0; j < k->d; j++) {
         double x = (double)v[j];
         total += x * k->sines[j];
         absum += fabs(x);
     }
-    if (fabs(total) > k->margin * absum) {
-        *sign = total > 0.0 ? 1 : -1;
+    *mag = fabs(total);
+    *err = k->margin * absum;
+    if (*mag <= *err)
         return 0;
-    }
-    /* exact zero test: v fixed by conjugation */
+    return (total > 0.0) - (total < 0.0);  /* no branch: the sign is data */
+}
+
+/* w = A v. */
+static void sparse_apply(const Sparse *a, Py_ssize_t d, const i64 *v, i64 *w)
+{
+    i64 n = 0;
     for (Py_ssize_t i = 0; i < d; i++) {
-        const i64 *row = k->mat_k + i * d;
         i64 acc = 0;
-        for (Py_ssize_t j = 0; j < d; j++)
-            acc += row[j] * v[j];
-        if (acc != v[i]) {
+        for (; n < a->end[i]; n++)
+            acc += a->val[n] * v[a->col[n]];
+        w[i] = acc;
+    }
+}
+
+/* Exact sign of Im(v) into *sign when the float sum did not decide it: the
+ * exact zero test (v fixed by conjugation), else hard_sign.  tmp holds d
+ * entries.  -1 with an exception set if hard_sign raised. */
+static int exact_sign(Kernel *k, const i64 *v, int *sign, i64 *tmp)
+{
+    const Py_ssize_t d = k->d;
+    sparse_apply(&k->conj, d, v, tmp);
+    for (Py_ssize_t i = 0; i < d; i++) {
+        if (tmp[i] != v[i]) {
             PyObject *t = vec_new(v, d, 0);
             PyObject *r = t ? PyObject_CallOneArg(k->hard_sign, t) : NULL;
             Py_XDECREF(t);
@@ -148,33 +200,94 @@ static int kernel_sign(Kernel *k, const i64 *v, int *sign)
     return 0;
 }
 
+/* The nomination state of one walk: per class c the candidate list
+ * cands[c], its bound bnd[c], and in lead[c*d...] the fingerprint of the
+ * list's first entry. */
+typedef struct {
+    PyObject *cands;
+    double *bnd;
+    i64 *lead;
+} Select;
+
+/* out = s * (K v - v), which two iterates share exactly when they share
+ * s * Im(v).  No entry overflows while max|v_j| is within the threshold. */
+static void fingerprint(const Kernel *k, const i64 *v, int s, i64 *out)
+{
+    sparse_apply(&k->conj, k->d, v, out);
+    for (Py_ssize_t i = 0; i < k->d; i++)
+        out[i] = s * (out[i] - v[i]);
+}
+
+/* lead[c] from the first entry (j, vec, lo) of class c's list; its sign is
+ * +1 when lambda^j = zeta^c.  tmp holds d entries. */
+static int read_lead(const Kernel *k, Select *sel, Py_ssize_t c, i64 *tmp)
+{
+    PyObject *first = PyList_GET_ITEM(PyList_GET_ITEM(sel->cands, c), 0);
+    i64 j = PyLong_AsLongLong(PyTuple_GET_ITEM(first, 0));
+    if ((j == -1 && PyErr_Occurred()) || read_ints(PyTuple_GET_ITEM(first, 1), tmp, k->d) < 0)
+        return -1;
+    if (j < 0 || too_big(k, tmp)) {
+        PyErr_SetString(PyExc_ValueError, "carried candidate out of the kernel's range");
+        return -1;
+    }
+    fingerprint(k, tmp, k->t0 * (Py_ssize_t)(j % k->m) % k->m == c ? 1 : -1, sel->lead + c * k->d);
+    return 0;
+}
+
+/* Nominate iterate `index` of sign s, with lo <= bnd[c], for class c as
+ * _steppy.Kernel.walk does: an exact tie of the list's first entry is left
+ * out; otherwise the iterate is listed, and when hi lowers the bound the
+ * listed ones with lo above it go.  fp and tmp hold d entries each.  -1 with
+ * an exception set on failure. */
+static int nominate(const Kernel *k, Select *sel, Py_ssize_t c, int s, i64 index,
+                    const i64 *v, double lo, double hi, i64 *fp, i64 *tmp)
+{
+    const Py_ssize_t d = k->d;
+    PyObject *list = PyList_GET_ITEM(sel->cands, c);
+    fingerprint(k, v, s, fp);
+    if (PyList_GET_SIZE(list) > 0 && same(fp, sel->lead + c * d, d))
+        return 0;
+    if (hi < sel->bnd[c]) {
+        sel->bnd[c] = hi;
+        for (Py_ssize_t i = PyList_GET_SIZE(list) - 1; i >= 0; i--) {
+            PyObject *x = PyTuple_GET_ITEM(PyList_GET_ITEM(list, i), 2);
+            if (PyFloat_AS_DOUBLE(x) > hi && PyList_SetSlice(list, i, i + 1, NULL) < 0)
+                return -1;
+        }
+    }
+    PyObject *item = Py_BuildValue("(LNd)", index, vec_new(v, d, 0), lo);
+    if (item == NULL)
+        return -1;
+    int rc = PyList_Append(list, item);
+    Py_DECREF(item);
+    if (rc < 0)
+        return -1;
+    if (PyList_GET_SIZE(list) > 1)
+        return read_lead(k, sel, c, tmp);
+    memcpy(sel->lead + c * d, fp, (size_t)d * sizeof(i64));
+    return 0;
+}
+
 static void kernel_step(const Kernel *k, const i64 *v, i64 *w, int positive)
 {
     const Py_ssize_t d = k->d;
     const i64 *off = positive ? k->off_plus : k->off_minus;
+    const i64 *val = k->mul.val, *col = k->mul.col, *end = k->mul.end;
     i64 n = 0;
     for (Py_ssize_t i = 0; i < d; i++) {
         i64 acc = off[i];
-        for (; n < k->m_end[i]; n++)
-            acc += k->m_val[n] * v[k->m_col[n]];
+        for (; n < end[i]; n++)
+            acc += val[n] * v[col[n]];
         w[i] = acc;
     }
-}
-
-static int too_big(const Kernel *k, const i64 *v)
-{
-    for (Py_ssize_t j = 0; j < k->d; j++)
-        if (v[j] > k->threshold || v[j] < -k->threshold)
-            return 1;
-    return 0;
 }
 
 /* -- the Python type -------------------------------------------------------- */
 
 static void kernel_free(Kernel *k)
 {
-    PyMem_Free(k->m_val);  /* one block holds every table */
-    k->m_val = NULL;
+    PyMem_Free(k->block);
+    k->block = NULL;
     Py_CLEAR(k->hard_sign);
 }
 
@@ -187,45 +300,43 @@ static void Kernel_dealloc(Kernel *k)
 static int Kernel_init(Kernel *k, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"rows_m", "rows_k", "lvec", "denom", "sines", "margin",
-                             "hard_sign", "threshold", NULL};
+                             "hard_sign", "m", "t0", "threshold", NULL};
     PyObject *rows_m, *rows_k, *lvec, *sines, *hard_sign;
-    i64 denom, threshold, n = 0;
+    i64 denom, threshold;
+    Py_ssize_t m, t0;
     double margin;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOLOdOL", kwlist, &rows_m, &rows_k, &lvec,
-                                     &denom, &sines, &margin, &hard_sign, &threshold))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOLOdOnnL", kwlist, &rows_m, &rows_k, &lvec,
+                                     &denom, &sines, &margin, &hard_sign, &m, &t0, &threshold))
         return -1;
     kernel_free(k);
+    if (m < 2 || m % 2 || t0 < 0 || t0 >= m) {
+        PyErr_SetString(PyExc_ValueError, "need an even m >= 2 and 0 <= t0 < m");
+        return -1;
+    }
+    k->m = m;
+    k->t0 = t0;
     if ((sines = PySequence_Fast(sines, "expected a sequence of floats")) == NULL)
         return -1;
     const Py_ssize_t d = PySequence_Fast_GET_SIZE(sines);
-    /* m_val, m_col, m_end, mat_k, off_plus, off_minus, then the sines */
-    k->m_val = PyMem_Malloc((size_t)d * (size_t)(3 * d + 3) * sizeof(i64) + (size_t)d * sizeof(double));
-    if (k->m_val == NULL) {
+    /* M and K (values, columns, row ends), off_plus, off_minus, then the sines */
+    k->block = PyMem_Malloc((size_t)d * (size_t)(4 * d + 4) * sizeof(i64) + (size_t)d * sizeof(double));
+    if (k->block == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
     k->d = d;
-    k->m_col = k->m_val + d * d;
-    k->m_end = k->m_col + d * d;
-    k->mat_k = k->m_end + d;
-    k->off_plus = k->mat_k + d * d;
+    k->mul = (Sparse){k->block, k->block + d * d, k->block + 2 * d * d};
+    k->conj = (Sparse){k->mul.end + d, k->mul.end + d + d * d, k->mul.end + d + 2 * d * d};
+    k->off_plus = k->conj.end + d;
     k->off_minus = k->off_plus + d;
     k->sines = (double *)(k->off_minus + d);
     k->margin = margin;
     k->threshold = threshold;
     Py_INCREF(hard_sign);
     k->hard_sign = hard_sign;
-    if (read_matrix(rows_m, k->m_val, d) < 0 || read_matrix(rows_k, k->mat_k, d) < 0
+    if (read_sparse(rows_m, &k->mul, d) < 0 || read_sparse(rows_k, &k->conj, d) < 0
         || read_ints(lvec, k->off_minus, d) < 0)
         goto fail;
-    for (Py_ssize_t i = 0; i < d * d; i++) {  /* compact M in place to its nonzero entries */
-        if (k->m_val[i] != 0) {
-            k->m_val[n] = k->m_val[i];
-            k->m_col[n++] = i % d;
-        }
-        if (i % d == d - 1)
-            k->m_end[i / d] = n;
-    }
     for (Py_ssize_t i = 0; i < d; i++) {
         i64 c = k->off_minus[i], bound = c ? LLONG_MAX / (c < 0 ? -c : c) : LLONG_MAX;
         if (denom > bound || denom < -bound) {
@@ -246,14 +357,16 @@ fail:
     return -1;
 }
 
-/* Scratch for the iterate, the next one and a target, the iterate read in. */
+/* Scratch for the iterate, the next one and a target (the iterate read in),
+ * two more vectors, the m class leads and the m class bounds. */
 static i64 *scratch(const Kernel *k, PyObject *v_start)
 {
-    if (k->m_val == NULL) {
+    if (k->block == NULL) {
         PyErr_SetString(PyExc_RuntimeError, "kernel not initialised");
         return NULL;
     }
-    i64 *buf = PyMem_Malloc(3 * (size_t)k->d * sizeof(i64));
+    i64 *buf = PyMem_Malloc((size_t)(5 + k->m) * (size_t)k->d * sizeof(i64)
+                            + (size_t)k->m * sizeof(double));
     if (buf == NULL) {
         PyErr_NoMemory();
         return NULL;
@@ -263,6 +376,63 @@ static i64 *scratch(const Kernel *k, PyObject *v_start)
         return NULL;
     }
     return buf;
+}
+
+/* The state of a walk not yet begun: (array('b'), [], ([inf] * m, [[], ...])). */
+static PyObject *fresh_carry(Py_ssize_t m)
+{
+    PyObject *bounds = PyList_New(m), *cands = PyList_New(m);
+    for (Py_ssize_t c = 0; bounds != NULL && cands != NULL && c < m; c++) {
+        PyObject *inf = PyFloat_FromDouble(INFINITY), *list = PyList_New(0);
+        if (inf == NULL || list == NULL) {
+            Py_XDECREF(inf);
+            Py_XDECREF(list);
+            Py_CLEAR(bounds);
+            break;
+        }
+        PyList_SET_ITEM(bounds, c, inf);
+        PyList_SET_ITEM(cands, c, list);
+    }
+    if (bounds == NULL || cands == NULL) {
+        Py_XDECREF(bounds);
+        Py_XDECREF(cands);
+        return NULL;
+    }
+    return Py_BuildValue("(NN(NN))", PyObject_CallFunction(array_type, "s", "b"), PyList_New(0),
+                         bounds, cands);
+}
+
+/* Borrow the parts of a carry into sel and read its bounds and leads; -1
+ * with an exception set unless it has the form of a walk's
+ * (signs, touches, select).  tmp holds d entries. */
+static int unpack_carry(const Kernel *k, PyObject *carry, PyObject **signs, PyObject **touches,
+                        PyObject **bounds, Select *sel, i64 *tmp)
+{
+    if (!PyArg_ParseTuple(carry, "O!O!(O!O!)", (PyTypeObject *)array_type, signs, &PyList_Type,
+                          touches, &PyList_Type, bounds, &PyList_Type, &sel->cands))
+        return -1;
+    PyObject *code = PyObject_GetAttrString(*signs, "typecode");
+    int ok = code != NULL && PyUnicode_Check(code) && PyUnicode_CompareWithASCIIString(code, "b") == 0
+             && PyList_GET_SIZE(*bounds) == k->m && PyList_GET_SIZE(sel->cands) == k->m;
+    Py_XDECREF(code);
+    for (Py_ssize_t c = 0; ok && c < k->m; c++) {
+        PyObject *list = PyList_GET_ITEM(sel->cands, c);
+        ok = PyList_Check(list);
+        for (Py_ssize_t i = 0; ok && i < PyList_GET_SIZE(list); i++) {
+            PyObject *x = PyList_GET_ITEM(list, i);
+            ok = PyTuple_Check(x) && PyTuple_GET_SIZE(x) == 3 && PyLong_Check(PyTuple_GET_ITEM(x, 0))
+                 && PyFloat_Check(PyTuple_GET_ITEM(x, 2));
+        }
+        if (!ok)
+            break;
+        sel->bnd[c] = PyFloat_AsDouble(PyList_GET_ITEM(*bounds, c));
+        if ((sel->bnd[c] == -1.0 && PyErr_Occurred())
+            || (PyList_GET_SIZE(list) > 0 && read_lead(k, sel, c, tmp) < 0))
+            return -1;
+    }
+    if (!ok && !PyErr_Occurred())
+        PyErr_SetString(PyExc_TypeError, "carry must be the (signs, touches, select) of a walk");
+    return ok ? 0 : -1;
 }
 
 /* signs.frombytes(chunk[:*n]), then *n = 0. */
@@ -276,48 +446,73 @@ static int flush_signs(PyObject *signs, const char *chunk, Py_ssize_t *n)
 
 static PyObject *Kernel_walk(Kernel *k, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"v_start", "budget", "target", NULL};
-    PyObject *v_start, *target = Py_None, *signs, *touches, *out = NULL;
-    i64 budget, steps, *buf, *v, *w, *tgt, *t;
+    static char *kwlist[] = {"v_start", "budget", "target", "carry", NULL};
+    PyObject *v_start, *target = Py_None, *carry = Py_None, *out = NULL;
+    PyObject *signs, *touches, *bounds;
+    Select sel;
+    i64 budget, steps, *buf, *v, *w, *tgt, *t, *fp, *tmp;
+    double mag, err;
     char chunk[4096];  /* signs pass through it into the array, a chunk at a time */
-    Py_ssize_t nchunk = 0;
+    Py_ssize_t nchunk = 0, e, c;
     int s;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OL|O", kwlist, &v_start, &budget, &target))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OL|OO", kwlist, &v_start, &budget, &target,
+                                     &carry))
         return NULL;
-    const Py_ssize_t d = k->d;
+    const Py_ssize_t d = k->d, m = k->m;
     const int has_target = target != Py_None;
     int status = has_target ? STATUS_BUDGET : STATUS_OK;
     if ((buf = scratch(k, v_start)) == NULL)
         return NULL;
-    v = buf, w = buf + d, tgt = buf + 2 * d;
-    signs = PyObject_CallFunction(array_type, "s", "b");
-    touches = PyList_New(0);
-    if (signs == NULL || touches == NULL || (has_target && read_ints(target, tgt, d) < 0))
+    v = buf, w = buf + d, tgt = buf + 2 * d, fp = buf + 3 * d, tmp = buf + 4 * d;
+    sel.lead = buf + 5 * d;
+    sel.bnd = (double *)(sel.lead + m * d);
+    if (carry == Py_None)
+        carry = fresh_carry(m);
+    else
+        Py_INCREF(carry);
+    if (carry == NULL || unpack_carry(k, carry, &signs, &touches, &bounds, &sel, tmp) < 0
+        || (has_target && read_ints(target, tgt, d) < 0) || (steps = PyObject_Length(signs)) < 0)
         goto done;
-    for (steps = 0; steps < budget; steps++) {
+    e = k->t0 * (Py_ssize_t)(steps % m) % m;  /* lambda^steps = zeta^e */
+    for (; steps < budget; steps++) {
         if (too_big(k, v)) {
             status = STATUS_OVERFLOW;
             break;
         }
-        if (kernel_sign(k, v, &s) < 0 || (s == 0 && add_touch(touches, steps, v, d) < 0))
-            goto done;
+        if ((s = float_sign(k, v, &mag, &err)) == 0) {
+            mag = 0.0, err = INFINITY;
+            if (exact_sign(k, v, &s, fp) < 0 || (s == 0 && add_touch(touches, steps, v, d) < 0))
+                goto done;
+        }
+        if (s != 0) {
+            c = e + ((m / 2) & -(Py_ssize_t)(s < 0));  /* its class, without a branch */
+            c -= m & -(Py_ssize_t)(c >= m);
+            if (mag - err <= sel.bnd[c]
+                && nominate(k, &sel, c, s, steps, v, mag - err, mag + err, fp, tmp) < 0)
+                goto done;
+        }
         chunk[nchunk++] = (char)s;
         if (nchunk == (Py_ssize_t)sizeof chunk && flush_signs(signs, chunk, &nchunk) < 0)
             goto done;
         kernel_step(k, v, w, s >= 0);
         t = v, v = w, w = t;
-        if (has_target && memcmp(v, tgt, (size_t)d * sizeof(i64)) == 0) {
+        e += k->t0;
+        e -= m & -(Py_ssize_t)(e >= m);
+        if (has_target && same(v, tgt, d)) {
             status = STATUS_OK;
             break;
         }
     }
     if (flush_signs(signs, chunk, &nchunk) < 0)
         goto done;
-    out = Py_BuildValue("(iNNN)", status, signs, touches, vec_new(v, d, 1));  /* steals both */
-    signs = touches = NULL;
+    for (Py_ssize_t i = 0; i < m; i++) {
+        PyObject *x = PyFloat_FromDouble(sel.bnd[i]);
+        if (x == NULL || PyList_SetItem(bounds, i, x) < 0)
+            goto done;
+    }
+    out = Py_BuildValue("(iOON(OO))", status, signs, touches, vec_new(v, d, 1), bounds, sel.cands);
 done:
-    Py_XDECREF(signs);
-    Py_XDECREF(touches);
+    Py_XDECREF(carry);
     PyMem_Free(buf);
     return out;
 }
@@ -334,7 +529,7 @@ static PyTypeObject KernelType = {
     .tp_basicsize = sizeof(Kernel),
     .tp_dealloc = (destructor)Kernel_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Kernel(rows_m, rows_k, lvec, denom, sines, margin, hard_sign, threshold)",
+    .tp_doc = "Kernel(rows_m, rows_k, lvec, denom, sines, margin, hard_sign, m, t0, threshold)",
     .tp_methods = Kernel_methods,
     .tp_init = (initproc)Kernel_init,
     .tp_new = PyType_GenericNew,

@@ -8,12 +8,14 @@ integer coefficient vector.  The branch is chosen by the sign of
 exact integer zero test, and a caller-supplied exact oracle for the rare
 ambiguous nonzero cases.
 
-The one entry point, ``Kernel.walk``, serves both first-return searches and
-sign sequences: it records the sign of every iterate as one signed byte and
-every on-line iterate, and stops at an exact return when given a target.
-This module is the always-available fallback; arithmetic is Python ints and
-therefore never overflows.  The compiled twin, the C extension built from
-``_stepkernel.c``, has the same interface and hands back on int64 overflow.
+The one entry point, ``Kernel.walk``, serves first-return searches, sign
+sequences and tiles: it records the sign of every iterate as one signed
+byte and every on-line iterate, stops at an exact return when given a
+target, and nominates, per direction class, the iterates that may lie
+nearest the line (see ``walk``).  This module is the always-available
+fallback; arithmetic is Python ints and therefore never overflows.  The
+compiled twin, the C extension built from ``_stepkernel.c``, has the same
+interface and hands back on int64 overflow.
 """
 
 from __future__ import annotations
@@ -28,15 +30,19 @@ STATUS_OVERFLOW = 2    # compiled kernel only
 
 TOUCH_CAP = 100000     # on-line iterates recorded per walk
 
+_INF = float("inf")
+
 
 class Kernel:
     def __init__(self, rows_m, rows_k, lvec, denom, sines, margin, hard_sign,
-                 int64_threshold=0):
+                 m, t0, int64_threshold=0):
         self.rows_m = tuple(tuple(row) for row in rows_m)
         self.rows_k = tuple(tuple(row) for row in rows_k)
         self.sines = tuple(sines)
         self.margin = margin
         self.hard_sign = hard_sign
+        self.m = m
+        self.t0 = t0
         self.d = len(self.sines)
         # branch offsets: + branch subtracts D*L, - branch adds it
         self.off_plus = tuple(-denom * c for c in lvec)
@@ -45,6 +51,8 @@ class Kernel:
     # -- sign of Im(v), exact ------------------------------------------------
 
     def _sign(self, v):
+        """(s, lo, hi): the exact sign of Im(v), and bounds on |Im(v)| * D
+        from the float sum when it decided the sign, else (-inf, inf)."""
         sines = self.sines
         try:
             total = 0.0
@@ -54,10 +62,11 @@ class Kernel:
                     xf = float(x)
                     total += xf * sines[j]
                     absum += abs(xf)
-            if absum != absum or absum == float("inf"):
+            if absum != absum or absum == _INF:
                 raise OverflowError
-            if abs(total) > self.margin * absum:
-                return 1 if total > 0.0 else -1
+            mag, err = abs(total), self.margin * absum
+            if mag > err:
+                return (1 if total > 0.0 else -1), mag - err, mag + err
         except OverflowError:
             pass
         # exact zero test: v fixed by conjugation
@@ -66,8 +75,17 @@ class Kernel:
             for j, c in row:
                 acc += c * v[j]
             if acc != v[i]:
-                return self.hard_sign(tuple(v))
-        return 0
+                return self.hard_sign(tuple(v)), -_INF, _INF
+        return 0, -_INF, _INF
+
+    def _fingerprint(self, v, s):
+        """s * (K v - v), shared by two iterates exactly when s * Im(v) is."""
+        return [s * (sum(c * v[j] for j, c in row) - v[i]) for i, row in enumerate(self.rows_k)]
+
+    def _lead(self, c, entry):
+        """The fingerprint of a listed (j, vec, lo) of class c."""
+        j, vec, _ = entry
+        return self._fingerprint(vec, 1 if self.t0 * j % self.m == c else -1)
 
     def _step(self, v, positive_branch):
         rows = self.rows_m
@@ -79,27 +97,55 @@ class Kernel:
 
     # -- the walk -----------------------------------------------------------------
 
-    def walk(self, v_start, budget, target=None):
-        """Sign the iterates v_0, v_1, ... of v_start, at most ``budget`` of them.
+    def walk(self, v_start, budget, target=None, carry=None):
+        """Sign the iterates of v_start until ``budget`` iterates are signed.
 
-        Returns (status, signs, touches, v): ``signs`` holds one signed byte
-        per signed iterate, ``touches`` pairs the index of each on-line
-        iterate with its coefficient tuple (the first TOUCH_CAP of them), and
-        v is the first iterate not signed.  With a target the walk stops at
-        the first step that lands on it (STATUS_OK, so len(signs) is the
-        return time) or ends with STATUS_BUDGET; without one it signs
-        ``budget`` iterates and ends with STATUS_OK.
+        Returns (status, signs, touches, v, select): one signed byte per
+        iterate signed, the index and coefficient tuple of each on-line
+        iterate (the first TOUCH_CAP), and the first iterate not signed.
+        With a target the walk stops at the first step that lands on it
+        (STATUS_OK, and len(signs) is the return time) or ends with
+        STATUS_BUDGET.  ``carry`` is the (signs, touches, select) of a walk
+        that stopped at v_start, which this walk extends.
+
+        select = (bounds, candidates) nominates, per class
+        e = (t0*j + (m/2 if s_j < 0)) mod m, the iterates that may have the
+        least s_j Im(v_j), the earliest on an exact tie.  A float that
+        decided a sign bounds that value within [lo, hi], else lo = -inf and
+        hi = inf.  bounds[e] is the least hi of the class; candidates[e]
+        lists (j, tuple(v_j), lo) for each iterate with lo <= bounds[e] but
+        those whose value equals the first one's exactly (``_fingerprint``).
+        The caller settles the candidates exactly.
         """
+        m, t0, half = self.m, self.t0, self.m // 2
+        if carry is None:
+            carry = array("b"), [], ([_INF] * m, [[] for _ in range(m)])
+        signs, touches, (bounds, cands) = carry
         v = list(v_start)
         target = None if target is None else list(target)
-        signs = array("b")
-        touches = []
-        for i in range(budget):
-            s = self._sign(v)
+        first = len(signs)
+        leads = [self._lead(c, listed[0]) if listed else None for c, listed in enumerate(cands)]
+        e = t0 * first % m  # lambda^j = zeta^e
+        for i in range(first, budget):
+            s, lo, hi = self._sign(v)
             signs.append(s)
-            if s == 0 and len(touches) < TOUCH_CAP:
-                touches.append((i, tuple(v)))
+            if s == 0:
+                if len(touches) < TOUCH_CAP:
+                    touches.append((i, tuple(v)))
+            else:
+                c = e if s > 0 else (e + half) % m
+                if lo <= bounds[c]:
+                    fp = self._fingerprint(v, s)
+                    listed = cands[c]
+                    if not listed or fp != leads[c]:
+                        if hi < bounds[c]:
+                            bounds[c] = hi
+                            listed = cands[c] = [x for x in listed if x[2] <= hi]
+                        listed.append((i, tuple(v), lo))
+                        leads[c] = fp if len(listed) == 1 else self._lead(c, listed[0])
             v = self._step(v, s >= 0)
+            e = (e + t0) % m
             if v == target:
-                return STATUS_OK, signs, touches, v
-        return (STATUS_OK if target is None else STATUS_BUDGET), signs, touches, v
+                return STATUS_OK, signs, touches, v, (bounds, cands)
+        status = STATUS_OK if target is None else STATUS_BUDGET
+        return status, signs, touches, v, (bounds, cands)

@@ -23,11 +23,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import DomainError, ParameterError, WrongContextError
-
-_ZERO = Fraction(0)
 
 
 class Sign(enum.IntEnum):
@@ -91,26 +89,6 @@ def _euler_phi(n: int) -> int:
     if m > 1:
         result -= result // m
     return result
-
-
-class ComplexBox(NamedTuple):
-    """A rectangular complex enclosure with exact rational endpoints."""
-
-    re_lo: Fraction
-    re_hi: Fraction
-    im_lo: Fraction
-    im_hi: Fraction
-
-    @property
-    def mid(self) -> complex:
-        return complex((self.re_lo + self.re_hi) / 2, (self.im_lo + self.im_hi) / 2)
-
-    @property
-    def width(self) -> Fraction:
-        return max(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
-
-    def contains_zero(self) -> bool:
-        return self.re_lo <= 0 <= self.re_hi and self.im_lo <= 0 <= self.im_hi
 
 
 @lru_cache(maxsize=None)
@@ -547,37 +525,6 @@ def sign_of_real(a: CycloNum) -> Sign:
 def sign_of_imag(a: CycloNum) -> Sign:
     """Exact sign of Im(a); the predicate behind the branch choice."""
     return a.ctx._sign(a.vec, imag=True)
-
-
-def approx(a: CycloNum, bits: int = 64) -> ComplexBox:
-    """Certified complex enclosure of the numeric embedding of ``a``.
-
-    Re(a) lies in [T - E, T + E] / (den 2^p) with T and E as in
-    ``FieldContext._sign``, and Im(a) likewise; p doubles from
-    bits + 16 until the box width is at most ``2^(1-bits) * (1 + |a|)``.
-    """
-    if bits < 16:
-        raise ParameterError("bits must be >= 16")
-    ctx = a.ctx
-    bound = sum(map(abs, a.vec))
-    p = bits + 16
-    while True:
-        cos, sin = _fixed_nodes(ctx.m, ctx.d, p)
-        re = sum(map(mul, a.vec, cos))
-        im = sum(map(mul, a.vec, sin))
-        scale = a.den << p
-        box = ComplexBox(
-            Fraction(re - bound, scale), Fraction(re + bound, scale),
-            Fraction(im - bound, scale), Fraction(im + bound, scale),
-        )
-        lo_abs = max(
-            _ZERO,
-            max(abs(box.re_lo + box.re_hi), abs(box.im_lo + box.im_hi)) / 2
-            - box.width,
-        )
-        if box.width <= Fraction(2) ** (1 - bits) * (1 + lo_abs):
-            return box
-        p *= 2
 
 
 # -- golden-ratio subfield formatting (fields with m == 20) --------------------------

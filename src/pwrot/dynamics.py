@@ -16,11 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag
-from .errors import (
-    CriticalLineError,
-    DegenerateRotationError,
-    ParameterError,
-)
+from .errors import CriticalLineError, ParameterError
 
 
 class Address(enum.Enum):
@@ -78,13 +74,16 @@ class AffineMap:
 @dataclass(frozen=True)
 class OrbitRecord:
     """One first-return walk: the period (None past the budget), the on-line
-    iterates, the steps walked and the sign of each iterate walked."""
+    iterates, the steps walked, the sign of each iterate walked, and per
+    class e the nominees (j, vec, lo) of ``_steppy.Kernel.walk``, with
+    z_j = vec / start.den."""
 
     start: CycloNum
     period: Optional[int]
     iterates_on_line: tuple[tuple[int, CycloNum], ...]
     budget_used: int
     signs: Sequence[int]
+    nominees: tuple = ()
 
 
 def step(z: CycloNum) -> CycloNum:
@@ -204,17 +203,6 @@ def affine_along(ctx: FieldContext, word: Itinerary | Sequence[int]) -> AffineMa
     """
     n = len(word)
     return AffineMap(n % ctx.q, deque(branch_offsets(ctx, word, n), maxlen=1).pop())
-
-
-def rotation_center(g: AffineMap) -> CycloNum:
-    """The unique fixed point of w -> lambda^t w + b when lambda^t != 1."""
-    ctx = g.ctx
-    if g.power % ctx.q == 0:
-        raise DegenerateRotationError(
-            "linear part is 1; the map is a translation or the identity"
-        )
-    u = g.linear_part()
-    return g.offset * (ctx.one() - u).inverse()
 
 
 def rotation_order(ctx: FieldContext, ell: int) -> int:

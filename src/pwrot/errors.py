@@ -18,10 +18,6 @@ class WrongContextError(PwrotError, ValueError):
     operation was invoked on the wrong field."""
 
 
-class DegenerateRotationError(PwrotError, ArithmeticError):
-    """Affine map has linear part 1; it has no unique rotation center."""
-
-
 class CriticalLineError(PwrotError):
     """An orbit touched the discontinuity line where a symbolic word is required.
 

@@ -9,8 +9,9 @@ boundedness are decided by comparing exponents, and every crossing is the
 grid corner of two lines: a closed form whose only reciprocal, 1/Im(zeta^k),
 is cached per exponent difference.  Predicates (side of a line, vertex
 incidence, convexity) reduce to the exact sign oracle.  Half-plane
-intersection finds its vertices with one half-plane sweep and returns the
-closure of the open intersection; segment clipping moves an endpoint that
+intersection finds its vertices with one half-plane sweep, certifies them
+by one interior point, and returns the closure of the open intersection;
+segment clipping moves an endpoint that
 lies outside a box face to the corner of the segment's line with that face.
 """
 
@@ -174,11 +175,13 @@ def intersect_halfplanes(constraints: Sequence[HalfPlane]):
     binds; an antiparallel pair e, e + m/2 bounds a strip that is empty
     unless the two Im(c) sum to a positive number; and the intersection is
     unbounded exactly when some cyclic gap between the sorted exponents is
-    at least m/2.  A bounded system goes through one half-plane sweep in the
-    counterclockwise order of the edge directions zeta^-e (de Berg et al.,
-    Computational Geometry, 4.2), and its vertices are checked against every
-    constraint, which rejects empty and point-shaped intersections; a
-    segment-shaped one is a strip of width zero, rejected before the sweep.
+    at least m/2.  A bounded system goes through one half-plane sweep.  When
+    the open intersection is nonempty the sweep's vertex ring is its closure,
+    whose vertex average lies strictly inside every constraint; when it is
+    empty no point does.  So one strict test of that average against each
+    binding constraint certifies the ring or gives EMPTY, which rejects
+    empty and point-shaped intersections; a segment-shaped one is a strip of
+    width zero, rejected before the sweep.
     """
     if not constraints:
         raise ParameterError("at least one constraint is required")
@@ -193,32 +196,56 @@ def intersect_halfplanes(constraints: Sequence[HalfPlane]):
     if any(f - e >= half for e, f in zip(exps, exps[1:] + [exps[0] + m])):
         return UNBOUNDED
 
-    beta = {e: c.imag() for e, c in offset.items()}
-
-    def side(e: int, w: CycloNum) -> Sign:
-        return sign_of_imag(w.mul_zeta(e) + offset[e])
-
-    def corner(e: int, f: int) -> CycloNum:
-        return grid_corner(e, beta[e], f, beta[f])
-
-    edges: deque[int] = deque()
-    for e in reversed(exps):
-        while len(edges) >= 2 and side(e, corner(edges[-2], edges[-1])) != Sign.POSITIVE:
-            edges.pop()
-        while len(edges) >= 2 and side(e, corner(edges[0], edges[1])) != Sign.POSITIVE:
-            edges.popleft()
-        edges.append(e)
-    while len(edges) >= 3 and side(edges[0], corner(edges[-2], edges[-1])) != Sign.POSITIVE:
-        edges.pop()
-    while len(edges) >= 3 and side(edges[-1], corner(edges[0], edges[1])) != Sign.POSITIVE:
-        edges.popleft()
-
-    vertices = [corner(edges[j - 1], edges[j]) for j in range(len(edges))]
-    if len(set(vertices)) < 3 or any(
-        side(e, w) == Sign.NEGATIVE for e in exps for w in vertices
-    ):
+    vertices = _sweep(offset)
+    if not vertices:
+        return EMPTY
+    center = vertex_average(vertices)
+    if any(_side(offset, e, center) != Sign.POSITIVE for e in offset):
         return EMPTY
     return make_polygon(vertices)
+
+
+def _side(offset: dict[int, CycloNum], e: int, w: CycloNum) -> Sign:
+    """Sign of Im(zeta^e * w + offset[e])."""
+    return sign_of_imag(w.mul_zeta(e) + offset[e])
+
+
+def _sweep(offset: dict[int, CycloNum]) -> list[CycloNum]:
+    """One half-plane sweep over the bounded system Im(zeta^e * w + offset[e])
+    > 0, in the counterclockwise order of the edge directions zeta^-e (de
+    Berg et al., Computational Geometry, 4.2): the vertex ring of the edges
+    it keeps, or [] when it keeps fewer than three."""
+    beta = {e: c.imag() for e, c in offset.items()}
+    corners: dict[tuple[int, int], CycloNum] = {}
+
+    def corner(f: int, g: int) -> CycloNum:
+        if (f, g) not in corners:
+            corners[f, g] = grid_corner(f, beta[f], g, beta[g])
+        return corners[f, g]
+
+    def inside(e: int, f: int, g: int) -> bool:
+        """The corner of f and g lies strictly inside constraint e."""
+        return _side(offset, e, corner(f, g)) == Sign.POSITIVE
+
+    edges: deque[int] = deque()
+    for e in sorted(offset, reverse=True):
+        while len(edges) >= 2 and not inside(e, edges[-2], edges[-1]):
+            edges.pop()
+        while len(edges) >= 2 and not inside(e, edges[0], edges[1]):
+            edges.popleft()
+        edges.append(e)
+    while len(edges) >= 3 and not inside(edges[0], edges[-2], edges[-1]):
+        edges.pop()
+    while len(edges) >= 3 and not inside(edges[-1], edges[0], edges[1]):
+        edges.popleft()
+    if len(edges) < 3:
+        return []
+    return [corner(edges[j - 1], edges[j]) for j in range(len(edges))]
+
+
+def vertex_average(vertices: Sequence[CycloNum]) -> CycloNum:
+    """The exact average of a nonempty list of points."""
+    return sum(vertices[1:], vertices[0]) / len(vertices)
 
 
 def _cmp_points(p: CycloNum, r: CycloNum) -> int:

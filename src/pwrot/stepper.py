@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 
 from . import _steppy
-from ._steppy import STATUS_OK, STATUS_OVERFLOW, TOUCH_CAP
+from ._steppy import STATUS_OK, STATUS_OVERFLOW
 from .cyclo import CycloNum, FieldContext
 from .dynamics import OrbitRecord
 from .errors import InternalInconsistencyError
@@ -47,7 +47,7 @@ class _Plan:
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
         d, m = ctx.d, ctx.m
-        t0 = m * ctx.p // ctx.q
+        self.t0 = t0 = m * ctx.p // ctx.q
         vecs = ctx._zeta_vecs
         self.mat_m = [[vecs[(t0 + j) % m][i] for j in range(d)] for i in range(d)]
         self.mat_k = [[vecs[(m - j) % m][i] for j in range(d)] for i in range(d)]
@@ -86,13 +86,13 @@ class _Plan:
     def pure_kernel(self, denom: int):
         return _steppy.Kernel(
             self.rows_m, self.rows_k, self.lvec, denom,
-            self.sines, self.margin, self.hard_sign,
+            self.sines, self.margin, self.hard_sign, self.ctx.m, self.t0,
         )
 
     def compiled_kernel(self, denom: int):
         return _stepkernel.Kernel(
             self.mat_m, self.mat_k, self.lvec, denom,
-            self.sines, self.margin, self.hard_sign,
+            self.sines, self.margin, self.hard_sign, self.ctx.m, self.t0,
             self.int64_threshold(denom),
         )
 
@@ -115,36 +115,37 @@ def _kernel(plan: _Plan, v, denom: int):
 
 
 def _walk(z: CycloNum, budget: int, target=None):
-    """One kernel walk of the orbit of z: (status, signs, touches), with the
-    touches' exact values.  The compiled kernel hands off to the pure one at
-    its int64 bound, which resumes exactly where it stopped."""
+    """One kernel walk of the orbit of z: (status, signs, touches, nominees),
+    with the touches' exact values.  The compiled kernel hands off to the pure
+    one at its int64 bound, which resumes exactly where it stopped and carries
+    on the signs, the touches and the per-class nominees."""
     ctx = z.ctx
     plan = _plan(ctx)
     denom = z.den
-    status, signs, touches, v = _kernel(plan, z.vec, denom).walk(z.vec, budget, target)
+    status, signs, touches, v, select = _kernel(plan, z.vec, denom).walk(z.vec, budget, target)
     if status == STATUS_OVERFLOW:
-        done = len(signs)
-        status, more, tch, _ = plan.pure_kernel(denom).walk(v, budget - done, target)
-        signs.extend(more)
-        touches += [(done + i, vec) for i, vec in tch[:TOUCH_CAP - len(touches)]]
+        status, signs, touches, _, select = plan.pure_kernel(denom).walk(
+            v, budget, target, (signs, touches, select)
+        )
     on_line = tuple((i, ctx.from_lattice(vec, denom)) for i, vec in touches)
-    return status, signs, on_line
+    return status, signs, on_line, tuple(select[1])
 
 
 def run_period(z: CycloNum, budget: int) -> OrbitRecord:
     """Exact first-return search behind ``dynamics.minimal_period``."""
-    status, signs, on_line = _walk(z, budget, z.vec)
+    status, signs, on_line, nominees = _walk(z, budget, z.vec)
     return OrbitRecord(
         start=z,
         period=len(signs) if status == STATUS_OK else None,
         iterates_on_line=on_line,
         budget_used=len(signs),
         signs=signs,
+        nominees=nominees,
     )
 
 
 def run_signs(z: CycloNum, nsteps: int):
     """(signs, touches): the signs of the first ``nsteps`` iterates of z, as
     signed bytes, and the on-line indices paired with their exact values."""
-    _, signs, on_line = _walk(z, nsteps)
+    _, signs, on_line, _ = _walk(z, nsteps)
     return signs, on_line

@@ -7,13 +7,16 @@ regular set has the same periodic itinerary, so the block of length ell of
 any seed in it names the tile, and ell, the rotation order
 k = q / gcd(ell, q), the polygon and the center all follow from the block.
 The block is read off the signs that the seed's first-return walk records,
-so a seed costs one kernel walk.  The cell is the intersection of the k*ell
-half-plane constraints pulled back along the block.  They come from one walk
-of the prefix-map offsets (``dynamics.branch_offsets``) and stream through
-``geometry.binding_halfplanes``, which holds at most one per direction, at
-most m in all, however long the walk.  The same walk passes the offset b_ell
-of the block map w -> lambda^ell w + b_ell, whose fixed point is the center
-when k > 1; a k = 1 tile has no unique center and reports its seed.
+and the polygon comes from the same walk, so a seed costs one kernel walk
+and nothing walks its branch offsets.  The cell is the intersection of the
+k*ell constraints s_j Im(lambda^j w + b_j) > 0 pulled back along the block,
+with b_j = z_j - lambda^j z; within a direction class they are nested, and
+the one whose iterate z_j lies nearest the line binds.  The kernel
+nominates those iterates by certified floats while it walks, and exact
+signs settle each class, so at most m constraints reach
+``geometry.intersect_halfplanes``.  When k > 1 the block map permutes the
+vertices and fixes one point, the center, so the center is the vertex
+average; a k = 1 tile has no unique center and reports its seed.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .cyclo import CycloNum, FieldContext
+from .cyclo import CycloNum, FieldContext, sign_of_imag
 from .dynamics import (
     AffineMap,
     Itinerary,
@@ -32,7 +35,6 @@ from .dynamics import (
     branch_offsets,
     itinerary_period,
     minimal_period,
-    rotation_center,
     rotation_order,
 )
 from .errors import (
@@ -47,11 +49,11 @@ from .geometry import (
     HalfPlane,
     Location,
     apply_affine,
-    binding_halfplanes,
     edge_direction_power,
     intersect_halfplanes,
     polygon_contains,
     polygon_is_regular,
+    vertex_average,
 )
 
 
@@ -131,29 +133,53 @@ def _minimal_block(rec: OrbitRecord) -> tuple[int, ...]:
     return tuple(rec.signs[:ell])
 
 
-def _build_tile(z: CycloNum, block) -> Tile:
+def _binding_halfplanes(rec: OrbitRecord, period: int) -> list[HalfPlane]:
+    """The binding pulled-back constraints, one per class, from the nominees
+    of the seed's first-return walk.
+
+    Constraint j < period, s_j Im(lambda^j w + b_j) > 0, is in the class
+    e = (t0*j + (m/2 if s_j < 0)) mod m, and the one of least s_j Im(z_j)
+    binds there; the first index on a tie.  A center seed's walk ends at
+    ell = period / k, and z_(j + i*ell) = z_j is in class e + i*ell*t0, so
+    each nominee stands for k indices.  Exact signs settle each class.
+    """
+    z = rec.start
+    ctx = z.ctx
+    m, t0, walked = ctx.m, ctx.m * ctx.p // ctx.q, rec.period
+    classes = [[] for _ in range(m)]
+    for e, nominees in enumerate(rec.nominees):
+        for i in range(0, period, walked):
+            classes[(e + i * t0) % m] += [(j + i, vec) for j, vec, _ in nominees]
+    out = []
+    for nominees in classes:
+        best = None
+        for j, vec in sorted(nominees):
+            s, z_j = rec.signs[j % walked], ctx.from_lattice(vec, z.den)
+            if best is None or sign_of_imag(z_j * s - best[1] * best[2]) < 0:
+                best = (j, z_j, s)
+        if best:
+            j, z_j, s = best
+            out.append(HalfPlane(j % ctx.q, z_j - z.mul_zeta(t0 * j % m), s))
+    return out
+
+
+def _build_tile(rec: OrbitRecord, block) -> Tile:
+    """The tile of a seed from its first-return walk and minimal block: the
+    intersection of the binding constraints the walk nominated, checked to
+    hold the seed, with the vertex average as the center when k > 1."""
+    z = rec.start
     ctx = z.ctx
     ell = len(block)
-    n = rotation_order(ctx, ell) * ell
-    center = z
-
-    def pulled_back():
-        # b_ell is on the walk only when k > 1, where it gives the center
-        nonlocal center
-        for j, b in enumerate(branch_offsets(ctx, block, n - 1)):
-            if j == ell:
-                center = rotation_center(AffineMap(ell % ctx.q, b))
-            yield HalfPlane(j % ctx.q, b, block[j % ell])
-
-    poly = intersect_halfplanes(binding_halfplanes(pulled_back()))
+    k = rotation_order(ctx, ell)
+    poly = intersect_halfplanes(_binding_halfplanes(rec, k * ell))
     if not isinstance(poly, ConvexPolygon):
         raise InternalInconsistencyError(
             f"constraint intersection degenerated to {poly!r} for a periodic seed"
         )
     if polygon_contains(poly, z) != Location.INTERIOR:
         raise InternalInconsistencyError("seed is not interior to its own tile")
-    if polygon_contains(poly, center) != Location.INTERIOR:
-        raise InternalInconsistencyError("center is not interior to the tile")
+    # the block map permutes the vertices and, when k > 1, fixes one point
+    center = vertex_average(poly.vertices) if k > 1 else z
     return Tile(polygon=poly, word=Itinerary(block), center=center, seed=z)
 
 
@@ -161,12 +187,13 @@ def tile_from_seed(z: CycloNum, budget: int) -> Tile:
     """The tile containing a periodic seed that stays off the critical line.
 
     Detects the exact period, reads the minimal itinerary block off the signs
-    of that same walk, streams the k*ell pulled-back half-plane constraints
-    from one offset walk into the at most m that bind, intersects those, and
-    takes the rotation center from the block-map offset that the offset walk
-    passes.
+    of that same walk, and builds the tile from the walk's per-class
+    nominees: the at most m binding constraints are settled exactly among
+    them, with no second walk and no walk of the branch offsets.  The center
+    of a k > 1 tile is the average of its vertices.
     """
-    return _build_tile(z, _minimal_block(minimal_period(z, budget)))
+    rec = minimal_period(z, budget)
+    return _build_tile(rec, _minimal_block(rec))
 
 
 def tile_images(t: Tile):
@@ -355,4 +382,4 @@ def _absorb_tile(tiles: dict, rec: OrbitRecord):
         t, mult = tiles[block]
         tiles[block] = (t, mult + 1)
     else:
-        tiles[block] = (_build_tile(rec.start, block), 1)
+        tiles[block] = (_build_tile(rec, block), 1)

@@ -26,6 +26,21 @@ GOLDEN_ITERATES_PHI = [
 ]
 
 
+# The three tile-scan grids of the benchmark, with the SHA-256 of the CSV
+# and of its JSON sidecar; see TestScan.test_golden_digests.
+SCAN_DIGESTS = [
+    ("4/5", "-3,-3,3,3", "1", 3000,
+     "99c78cf3301c4e690dce42123613b1ac93bb3e803085c78672f23a118a27744c",
+     "b8202fbea58ecab40991a65d32c20f5d3d07f49fb4eab9371ea3ab2b5087187a"),
+    ("11/12", "-1,-1,3,2", "1/2", 1000,
+     "8afca72115ca2d09165cb2850b9dee2da7db1ba0e3889f4e8ad412546905a739",
+     "a06049abd1d6c9bf79bc355f74a0f9f961cfd155d1ad03ae68cf1cc30d4f4406"),
+    ("3/7", "-2,-2,2,2", "4/3", 3000,
+     "a94565922e274f818e867e89710e805fa0b95cc15b6d2a9015eafae872cfa738",
+     "31f96efd751364a6d0a9e5cd37429ac26720b65569cbed9e5e4a182f66f14d0b"),
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -210,20 +225,7 @@ class TestScan:
     # (`sha256sum scan.csv scan.json`) before half-plane intersection moved
     # to the integer direction grid, so any change in tile vertices, vertex
     # order or canonical start fails here.
-    @pytest.mark.parametrize(
-        "alpha, box, grid, budget, csv_digest, json_digest",
-        [
-            ("4/5", "-3,-3,3,3", "1", 3000,
-             "99c78cf3301c4e690dce42123613b1ac93bb3e803085c78672f23a118a27744c",
-             "b8202fbea58ecab40991a65d32c20f5d3d07f49fb4eab9371ea3ab2b5087187a"),
-            ("11/12", "-1,-1,3,2", "1/2", 1000,
-             "8afca72115ca2d09165cb2850b9dee2da7db1ba0e3889f4e8ad412546905a739",
-             "a06049abd1d6c9bf79bc355f74a0f9f961cfd155d1ad03ae68cf1cc30d4f4406"),
-            ("3/7", "-2,-2,2,2", "4/3", 3000,
-             "a94565922e274f818e867e89710e805fa0b95cc15b6d2a9015eafae872cfa738",
-             "31f96efd751364a6d0a9e5cd37429ac26720b65569cbed9e5e4a182f66f14d0b"),
-        ],
-    )
+    @pytest.mark.parametrize("alpha, box, grid, budget, csv_digest, json_digest", SCAN_DIGESTS)
     def test_golden_digests(self, capsys, tmp_path, alpha, box, grid, budget,
                             csv_digest, json_digest):
         target = tmp_path / "scan.csv"
@@ -234,6 +236,14 @@ class TestScan:
         assert code == 0
         assert hashlib.sha256(target.read_bytes()).hexdigest() == csv_digest
         assert hashlib.sha256((tmp_path / "scan.json").read_bytes()).hexdigest() == json_digest
+
+    @pytest.mark.parametrize("alpha, box, grid, budget, csv_digest, json_digest", SCAN_DIGESTS)
+    def test_golden_digests_pure_kernel(self, capsys, tmp_path, monkeypatch, alpha, box, grid,
+                                        budget, csv_digest, json_digest):
+        # the same bytes when every walk runs on the pure kernel
+        monkeypatch.setenv("PWROT_PURE", "1")
+        self.test_golden_digests(capsys, tmp_path, alpha, box, grid, budget, csv_digest,
+                                 json_digest)
 
 
 class TestCasestudy:

@@ -14,11 +14,10 @@ from pwrot.dynamics import (
     itinerary_period,
     minimal_period,
     orbit,
-    rotation_center,
     rotation_order,
     step,
 )
-from pwrot.errors import CriticalLineError, DegenerateRotationError, ParameterError
+from pwrot.errors import CriticalLineError, ParameterError
 
 
 @pytest.fixture(scope="module")
@@ -307,7 +306,14 @@ class TestAffineAlong:
         assert g(z) == z + g.offset
 
 
+def rotation_center(g):
+    """The fixed point of w -> lambda^t w + b, for lambda^t != 1."""
+    return g.offset * (g.ctx.one() - g.linear_part()).inverse()
+
+
 class TestRotationCenter:
+    """Known centers are the fixed points of their block maps."""
+
     def test_one_step_center(self, golden):
         ctx, _, _ = golden
         g = affine_along(ctx, (1,))
@@ -327,12 +333,6 @@ class TestRotationCenter:
         p1 = (2 * phi - 3) * p0 + (2 - 2 * phi)
         g = affine_along(ctx, itinerary(p1, 7))
         assert rotation_center(g) == p1
-
-    def test_degenerate_rejected(self, golden):
-        ctx, _, _ = golden
-        g = affine_along(ctx, (1,) * 5)
-        with pytest.raises(DegenerateRotationError):
-            rotation_center(g)
 
 
 class TestRotationOrder:

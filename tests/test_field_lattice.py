@@ -13,7 +13,6 @@ from pwrot.cyclo import (
     CycloNum,
     Sign,
     SubfieldBasis,
-    approx,
     golden_coords,
     golden_elements,
     make_field,
@@ -21,6 +20,8 @@ from pwrot.cyclo import (
     sign_of_real,
 )
 from pwrot.errors import DomainError, ParameterError
+
+from enclosure import approx
 
 FIELDS = [(4, 5), (11, 12), (3, 7)]
 

@@ -25,6 +25,7 @@ from pwrot.geometry import (
     polygon_is_regular,
 )
 from pwrot.errors import ParameterError
+from pwrot import geometry
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +238,117 @@ class TestIntersectHalfplanes:
     def test_rejects_empty_input(self):
         with pytest.raises(ParameterError):
             intersect_halfplanes([])
+
+
+def swept_and_rechecked(constraints):
+    """(ring, result) with the earlier final check of intersect_halfplanes,
+    every ring vertex against every constraint, in place of the one-point
+    certificate; ring is the sweep's vertex ring, or None when the system is
+    rejected before the sweep."""
+    ctx = constraints[0].b.ctx
+    m, half = ctx.m, ctx.m // 2
+    offset = dict(map(geometry._grid_form, binding_halfplanes(constraints)))
+    for e, b in offset.items():
+        if e < half and e + half in offset and sign_of_imag(b + offset[e + half]) != Sign.POSITIVE:
+            return None, EMPTY
+    exps = sorted(offset)
+    if any(f - e >= half for e, f in zip(exps, exps[1:] + [exps[0] + m])):
+        return None, UNBOUNDED
+    ring = geometry._sweep(offset)
+    if len(set(ring)) < 3 or any(
+        geometry._side(offset, e, w) == Sign.NEGATIVE for e in exps for w in ring
+    ):
+        return ring, EMPTY
+    return ring, make_polygon(ring)
+
+
+def random_grid_system(ctx, rng, kind):
+    """Grid constraints through a few shared half-integer points: with
+    random sides ("random"), three or more lines through one point whose
+    closed intersection is that point ("point"), or a strip of width zero
+    cut by two more lines ("segment")."""
+    q = ctx.q
+
+    def half_point():
+        return ctx.point(Fraction(rng.randint(-6, 6), 2), Fraction(rng.randint(-6, 6), 2))
+
+    def through(t, w, s):
+        return HalfPlane(t, -(ctx.lam_pow(t) * w), s)
+
+    if kind == "point":
+        # the inward normals zeta^e of lines through w leave no gap of m/2
+        w, cons = half_point(), []
+        while intersect_halfplanes(cons or [through(0, w, 1)]) is UNBOUNDED:
+            cons.append(through(rng.randrange(q), w, rng.choice((1, -1))))
+        return cons
+    if kind == "segment":
+        t, w = rng.randrange(q), half_point()
+        return [through(t, w, 1), through(t, w, -1)] + [
+            through(rng.randrange(q), half_point(), rng.choice((1, -1))) for _ in range(2)
+        ]
+    c, anchors = half_point(), [half_point() for _ in range(3)]
+    cons = []
+    for _ in range(rng.randint(3, 3 * q)):
+        t = rng.randrange(q)
+        h = through(t, rng.choice(anchors), 1)
+        s = int(sign_of_imag(ctx.lam_pow(t) * c + h.b)) or 1
+        cons.append(HalfPlane(t, h.b, s if rng.random() < 0.95 else -s))
+    return cons
+
+
+class TestSweepCertificate:
+    """The one-point certificate of intersect_halfplanes decides as the
+    earlier check of every vertex against every constraint did."""
+
+    def test_certificate_matches_vertex_recheck(self):
+        rng = random.Random(5)
+        seen = {"empty": 0, "unbounded": 0, "polygon": 0}
+        for p, q in [(4, 5), (11, 12), (3, 7), (1, 4), (1, 3)]:
+            ctx = make_field(p, q)
+            for kind in ["random"] * 30 + ["point"] * 5 + ["segment"] * 5:
+                cons = random_grid_system(ctx, rng, kind)
+                ring, expected = swept_and_rechecked(cons)
+                assert not (ring and expected is EMPTY)
+                result = intersect_halfplanes(cons)
+                if expected is EMPTY or expected is UNBOUNDED:
+                    assert result is expected
+                    seen["empty" if expected is EMPTY else "unbounded"] += 1
+                else:
+                    assert result == expected
+                    seen["polygon"] += 1
+                if kind != "random":
+                    assert result is EMPTY
+        assert min(seen.values()) >= 20, seen
+
+    def test_ring_of_an_empty_system_is_rejected(self, ctx12, monkeypatch):
+        # x > 1, y > 1 and sqrt(3) x + y < 1 bound no point, but the corners
+        # of their lines form a triangle.  The sweep keeps fewer than three
+        # of them; forced to keep every edge it returns that triangle, and
+        # the certificate must reject it, as the check of every vertex
+        # against every constraint does.  (No random system in the test
+        # above makes the sweep return a ring for an empty intersection.)
+        i = ctx12.i_unit
+        cons = [HalfPlane(9, -i, 1), HalfPlane(0, -i, 1), HalfPlane(4, i / 2, 1)]
+        assert intersect_halfplanes(cons) is EMPTY
+        assert swept_and_rechecked(cons) == ([], EMPTY)
+
+        def keep_every_edge(offset):
+            exps = sorted(offset, reverse=True)
+            beta = {e: c.imag() for e, c in offset.items()}
+            return [
+                geometry.grid_corner(f, beta[f], g, beta[g])
+                for f, g in zip(exps[-1:] + exps[:-1], exps)
+            ]
+
+        square = intersect_halfplanes(square_constraints(ctx12))
+        monkeypatch.setattr(geometry, "_sweep", keep_every_edge)
+        ring, result = swept_and_rechecked(cons)
+        sqrt3 = ctx12.lam_pow(1).real() * 2
+        assert set(ring) == {ctx12.point(1, 1), ctx12.point(0, 1), 1 + i * (1 - sqrt3)}
+        assert result is EMPTY
+        assert intersect_halfplanes(cons) is EMPTY
+        # on a nonempty system that ring is the sweep's, and it is certified
+        assert intersect_halfplanes(square_constraints(ctx12)) == square
 
 
 class TestPolygon:

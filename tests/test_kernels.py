@@ -1,19 +1,29 @@
 """The compiled and pure orbit kernels must be observationally identical."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from pwrot import stepper
+from pwrot.casestudy import golden_context, hexagon_context, pentagon_centers
 from pwrot.cyclo import golden_elements, make_field
-from pwrot.dynamics import minimal_period, orbit, step
+from pwrot.dynamics import branch_offsets, minimal_period, orbit, step
+from pwrot.geometry import Box, HalfPlane, binding_halfplanes, intersect_halfplanes
 from pwrot.stepper import run_period, run_signs
+from pwrot.tiles import interior_samples, scan_region, tile_from_seed
 
 
 @pytest.fixture(scope="module")
 def ctx():
     return make_field(4, 5)
+
+
+def walked(rec):
+    """A first-return record without its nominees, which depend on which
+    signs the floats decided."""
+    return dataclasses.replace(rec, nominees=())
 
 
 def test_decompose_round_trip(ctx):
@@ -32,12 +42,46 @@ def test_pure_kernel_matches_field_arithmetic(ctx):
     values = orbit(z, 25)
     cur = list(v)
     for val in values[1:]:
-        _, signs, _, cur = kern.walk(cur, 1)
+        _, signs, _, cur, _ = kern.walk(cur, 1)
         assert ctx.num([Fraction(x, denom) for x in cur]) == val
+
+
+def tile_seeds():
+    """P0..P4, an interior point of the P2 tile and the hexagon center, with
+    budgets past their periods."""
+    gc, hc = golden_context(), hexagon_context()
+    centers = pentagon_centers(gc, 4)
+    sample = interior_samples(tile_from_seed(centers[2], 200), 1, seed=4)[0]
+    return [(z, 7000) for z in centers] + [(sample, 7000), (hc.center, 100)]
+
+
+def scan_seeds():
+    """The first seed of each tile of the three tile-scan grids of the
+    benchmark, with the scan's budget."""
+    grids = [((4, 5), Box(-3, -3, 3, 3), 1, 3000), ((11, 12), Box(-1, -1, 3, 2), Fraction(1, 2), 1000),
+             ((3, 7), Box(-2, -2, 2, 2), Fraction(4, 3), 3000)]
+    return [
+        (t.seed, budget)
+        for (p, q), box, step, budget in grids
+        for t in scan_region(make_field(p, q), box, step, budget).tile_list
+    ]
+
+
+def streamed_polygon(tile):
+    """The tile's polygon from every pulled-back constraint, streamed from the
+    walk of branch offsets: the reference the nominees must reproduce."""
+    ctx, word, n = tile.ctx, tile.word.word, tile.period
+    return intersect_halfplanes(binding_halfplanes(
+        HalfPlane(j % ctx.q, b, word[j % tile.ell])
+        for j, b in enumerate(branch_offsets(ctx, word, n - 1))
+    ))
 
 
 @pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
 class TestCompiledAgreesWithPure:
+    """Every output of a walk agrees: status, signs, touches, the last
+    iterate, and the per-class bounds and nominees."""
+
     def _compare(self, ctx, z, budget):
         plan = stepper._plan(ctx)
         v, denom = z.vec, z.den
@@ -79,6 +123,14 @@ class TestCompiledAgreesWithPure:
             c = make_field(p, q)
             self._compare(c, c.point(Fraction(1, 3), Fraction(1, 5)), 300)
 
+    def test_tile_seeds(self):
+        for z, budget in tile_seeds():
+            plan = stepper._plan(z.ctx)
+            pure = plan.pure_kernel(z.den).walk(z.vec, budget, z.vec)
+            assert pure == plan.compiled_kernel(z.den).walk(z.vec, budget, z.vec)
+            bounds, nominees = pure[4]
+            assert any(nominees) and len(bounds) == len(nominees) == z.ctx.m
+
 
 @pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
 def test_overflow_hands_off_to_pure(ctx, monkeypatch):
@@ -115,6 +167,7 @@ def test_overflow_hands_off_to_pure(ctx, monkeypatch):
         assert rec_mixed.period == rec_pure.period
         assert rec_mixed.signs == rec_pure.signs
         assert rec_mixed.iterates_on_line == rec_pure.iterates_on_line
+        assert rec_mixed.nominees == rec_pure.nominees
         assert rec_mixed == rec_pure
     assert mixed[0].period is None and mixed[1].period == 7
     assert [i for i, _ in mixed[0].iterates_on_line][:3] == [0, 3, 10]
@@ -122,6 +175,60 @@ def test_overflow_hands_off_to_pure(ctx, monkeypatch):
     assert signs == pure[2][0] and signs[:240] == mixed[0].signs
     assert [i for i, _ in touches] == [i for i, _ in pure[2][1]]
     assert [v for _, v in touches] == [v for _, v in pure[2][1]]
+
+
+@pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
+def test_overflow_handoff_carries_the_nominees(monkeypatch):
+    # a guard at the seed's own largest coefficient makes each compiled walk
+    # hand off once the orbit grows past it (the orbits of P0 and P1 never
+    # do); the pure kernel then carries on the per-class bounds and nominees,
+    # so records and tiles do not change
+    monkeypatch.delenv("PWROT_PURE", raising=False)
+    seeds = tile_seeds()[2:]
+    with monkeypatch.context() as m:
+        m.setattr(stepper, "_compiled_enabled", lambda: False)
+        pure = [(run_period(z, budget), tile_from_seed(z, budget)) for z, budget in seeds]
+    for (z, budget), (rec, tile) in zip(seeds, pure):
+        plan = stepper._plan(z.ctx)
+        real_pure, resumed = plan.pure_kernel, []
+
+        def counted(denom):
+            resumed.append(denom)
+            return real_pure(denom)
+
+        with monkeypatch.context() as m:
+            m.setattr(plan, "int64_threshold", lambda denom: max(map(abs, z.vec)))
+            m.setattr(plan, "pure_kernel", counted)
+            mixed = run_period(z, budget)
+            assert tile_from_seed(z, budget) == tile
+        assert resumed == [z.den, z.den], "each walk must start compiled and hand off"
+        assert mixed.nominees == rec.nominees and any(mixed.nominees)
+        assert mixed == rec
+
+
+@pytest.mark.parametrize("compiled", [False, True])
+def test_forced_near_ties_are_settled_exactly(monkeypatch, compiled):
+    # with a margin no float sum can clear, no float bounds an iterate: every
+    # iterate off the line is nominated, and the binding constraint of each
+    # class is found by exact signs alone; the tiles must not change.  At
+    # even q a class holds iterates of both signs.
+    if compiled and not stepper.HAVE_COMPILED:
+        pytest.skip("compiled kernel not built")
+    monkeypatch.delenv("PWROT_PURE", raising=False)
+    seeds = tile_seeds() + scan_seeds()
+    tiles = [tile_from_seed(z, budget) for z, budget in seeds]
+    floated = [sum(map(len, run_period(z, budget).nominees)) for z, budget in seeds]
+    monkeypatch.setattr(stepper, "_compiled_enabled", lambda: compiled)
+    for z, _ in seeds:
+        monkeypatch.setattr(stepper._plan(z.ctx), "margin", float("inf"))
+    for (z, budget), tile, before in zip(seeds, tiles, floated):
+        rec = run_period(z, budget)
+        nominated = sum(map(len, rec.nominees))
+        assert all(lo == float("-inf") for c in rec.nominees for _, _, lo in c)
+        assert nominated > before or rec.budget_used <= z.ctx.m
+        forced = tile_from_seed(z, budget)
+        assert forced == tile
+        assert forced.polygon == streamed_polygon(tile)
 
 
 @pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
@@ -159,7 +266,7 @@ def test_forced_hard_sign_matches_fast_path(ctx, monkeypatch):
     monkeypatch.setattr(stepper._plan(ctx), "margin", float("inf"))
     monkeypatch.setattr(stepper._Plan, "hard_sign", counted)
     monkeypatch.setattr(stepper, "_compiled_enabled", lambda: False)
-    assert run_period(p1, 100) == rec
+    assert walked(run_period(p1, 100)) == walked(rec)
     assert len(calls) == 7
     assert run_signs(-phi, 241) == signs
     assert len(calls) == 7 + sum(1 for x in signs[0] if x)
@@ -199,7 +306,7 @@ def test_compiled_forced_hard_sign_matches_pure(ctx, monkeypatch):
         m.setattr(plan, "pure_kernel", None)  # the compiled kernel must do every step
         compiled = walks()
     assert compiled == pure
-    assert compiled[:2] == (rec, signs)
+    assert (walked(compiled[0]), compiled[1]) == (walked(rec), signs)
     assert len(compiled[2]) == 7 + sum(1 for x in signs[0] if x)
 
     def failing(plan, v):

@@ -13,7 +13,6 @@ from pwrot.dynamics import (
     branch_offsets,
     itinerary,
     minimal_period,
-    rotation_center,
     step,
 )
 from pwrot.errors import BudgetExceededError, CriticalLineError
@@ -40,6 +39,11 @@ from pwrot.tiles import (
 @pytest.fixture(scope="module")
 def gc():
     return golden_context()
+
+
+def rotation_center(g):
+    """The fixed point of w -> lambda^t w + b, for lambda^t != 1."""
+    return g.offset * (g.ctx.one() - g.linear_part()).inverse()
 
 
 @pytest.fixture(scope="module")
@@ -227,8 +231,10 @@ class TestScan:
 
 
 class TestStreamedConstraints:
-    """A tile's k*ell pulled-back constraints stream from one offset walk,
-    and intersect_halfplanes only ever sees the at most m that bind."""
+    """A tile's polygon equals the intersection of all k*ell pulled-back
+    constraints, streamed from the walk of branch offsets as a reference,
+    though the tile takes only the at most m that bind from its seed's
+    period walk; intersect_halfplanes never sees more than m."""
 
     @pytest.fixture(scope="class")
     def known_tiles(self, gc, hexagon_tile):
@@ -251,7 +257,7 @@ class TestStreamedConstraints:
             assert len(streamed) <= ctx.m
             assert list(branch_offsets(ctx, word, n - 1)) == [h.b for h in full]
             assert intersect_halfplanes(streamed) == intersect_halfplanes(list(full)) == tile.polygon
-            # the center the build walk took from b_ell is the block map's fixed point
+            # the vertex average is the block map's fixed point
             assert tile.center == rotation_center(affine_along(ctx, word))
 
     def test_intersections_see_at_most_m_constraints(self, gc, monkeypatch):
@@ -279,15 +285,17 @@ class TestStreamedConstraints:
 
 
 def test_tiles_make_no_second_walk(gc, monkeypatch):
-    # a tile reads its block off the signs of its seed's first-return walk,
-    # so neither a tile build nor a scan walks the seed's itinerary again
+    # a tile reads its block and its binding constraints off its seed's
+    # first-return walk, so neither a tile build nor a scan walks the seed's
+    # itinerary or its branch offsets again
     hc = hexagon_context()
 
     def second_walk(*args, **kwargs):
-        raise AssertionError("a second kernel walk")
+        raise AssertionError("a second walk")
 
     with monkeypatch.context() as m:
         m.setattr(tiles_module, "itinerary", second_walk, raising=False)
+        m.setattr(tiles_module, "branch_offsets", second_walk)
         m.setattr(stepper, "run_signs", second_walk)
         built = [tile_from_seed(pentagon_centers(gc, 4)[4], 7000), tile_from_seed(hc.center, 100)]
         report = scan_region(gc.ctx, Box(-1, -1, 1, 1), Fraction(1, 2), 2000)
@@ -296,6 +304,15 @@ def test_tiles_make_no_second_walk(gc, monkeypatch):
     for tile in built + report.tile_list:
         n = minimal_period(tile.seed, tile.period).period
         assert tile.word.word == itinerary(tile.seed, n).word[:tile.ell]
+
+
+@pytest.mark.long
+def test_p7_tile_is_a_regular_pentagon(gc):
+    p7 = pentagon_centers(gc, 7)[7]
+    tile = tile_from_seed(p7, 300000)
+    assert (tile.ell, tile.k, tile.sides) == (299932, 5, 5)
+    assert tile.center == p7
+    assert polygon_is_regular(tile.polygon)
 
 
 @pytest.mark.long
