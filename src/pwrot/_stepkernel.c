@@ -159,7 +159,7 @@ static int float_sign(const Kernel *k, const i64 *v, double *mag, double *err)
     *err = k->margin * absum;
     if (*mag <= *err)
         return 0;
-    return (total > 0.0) - (total < 0.0);  /* no branch: the sign is data */
+    return total > 0.0 ? 1 : -1;
 }
 
 /* w = A v. */

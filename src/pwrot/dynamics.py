@@ -83,7 +83,7 @@ class OrbitRecord:
     iterates_on_line: tuple[tuple[int, CycloNum], ...]
     budget_used: int
     signs: Sequence[int]
-    nominees: tuple = ()
+    nominees: tuple
 
 
 def step(z: CycloNum) -> CycloNum:

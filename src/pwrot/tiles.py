@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .cyclo import CycloNum, FieldContext, sign_of_imag
+from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag
 from .dynamics import (
     AffineMap,
     Itinerary,
@@ -155,7 +155,7 @@ def _binding_halfplanes(rec: OrbitRecord, period: int) -> list[HalfPlane]:
         best = None
         for j, vec in sorted(nominees):
             s, z_j = rec.signs[j % walked], ctx.from_lattice(vec, z.den)
-            if best is None or sign_of_imag(z_j * s - best[1] * best[2]) < 0:
+            if best is None or sign_of_imag(z_j * s - best[1] * best[2]) == Sign.NEGATIVE:
                 best = (j, z_j, s)
         if best:
             j, z_j, s = best
