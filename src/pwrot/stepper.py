@@ -54,7 +54,10 @@ class _Plan:
         self.lvec = list(vecs[t0])
         self.sines = list(ctx._sin)
         # the kernels' float sign of sum(v_j * sines_j) stands only when it
-        # clears margin * sum|v_j|; otherwise they call hard_sign
+        # clears margin * sum|v_j|; otherwise they call hard_sign.  The margin
+        # is several times the sum's worst error, about (d + 4) 2^-53 sum|v_j|,
+        # so |sum| -+ margin * sum|v_j| also brackets |Im(v)| * D, with room
+        # for the roundings of those bounds: the nominees rest on it
         self.margin = (4 * d + 64) * 2.0 ** -52
         self.rows_m = [
             tuple((j, c) for j, c in enumerate(row) if c) for row in self.mat_m
