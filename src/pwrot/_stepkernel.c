@@ -3,7 +3,9 @@
  * Same constructor, one entry point ``walk`` and return tuple as the pure
  * kernel: the signs of the iterates as an array('b'), the on-line iterates,
  * a stop at the first exact return when a target is given, and the per-class
- * nominees for the iterate nearest the line.  A step is v -> M v -+ D*L on
+ * nominees for the iterate nearest the line when ``select`` is true.  Its
+ * walk always starts fresh (no ``carry``): a walk resumed after the int64
+ * handoff is the pure kernel's.  A step is v -> M v -+ D*L on
  * int64 vectors; the branch sign comes from the same certified float fast
  * path, then the exact integer zero test (v fixed by the conjugation matrix
  * K), then the caller's exact ``hard_sign(tuple)`` for the rare ambiguous
@@ -218,18 +220,14 @@ static void fingerprint(const Kernel *k, const i64 *v, int s, i64 *out)
         out[i] = s * (out[i] - v[i]);
 }
 
-/* lead[c] from the first entry (j, vec, lo) of class c's list; its sign is
- * +1 when lambda^j = zeta^c.  tmp holds d entries. */
+/* lead[c] from the first entry (j, vec, lo) of class c's list, which this
+ * walk listed; its sign is +1 when lambda^j = zeta^c.  tmp holds d entries. */
 static int read_lead(const Kernel *k, Select *sel, Py_ssize_t c, i64 *tmp)
 {
     PyObject *first = PyList_GET_ITEM(PyList_GET_ITEM(sel->cands, c), 0);
     i64 j = PyLong_AsLongLong(PyTuple_GET_ITEM(first, 0));
     if ((j == -1 && PyErr_Occurred()) || read_ints(PyTuple_GET_ITEM(first, 1), tmp, k->d) < 0)
         return -1;
-    if (j < 0 || too_big(k, tmp)) {
-        PyErr_SetString(PyExc_ValueError, "carried candidate out of the kernel's range");
-        return -1;
-    }
     fingerprint(k, tmp, k->t0 * (Py_ssize_t)(j % k->m) % k->m == c ? 1 : -1, sel->lead + c * k->d);
     return 0;
 }
@@ -378,148 +376,171 @@ static i64 *scratch(const Kernel *k, PyObject *v_start)
     return buf;
 }
 
-/* The state of a walk not yet begun: (array('b'), [], ([inf] * m, [[], ...])). */
-static PyObject *fresh_carry(Py_ssize_t m)
+enum { CHUNK = 4096 };  /* signs pass through a chunk into the array */
+
+/* A walk in progress: the iterate v, room w for the next one, the number of
+ * iterates signed, lambda^steps = zeta^e, and the signs not yet flushed. */
+typedef struct {
+    i64 *v, *w;
+    i64 steps;
+    Py_ssize_t e;
+    char chunk[CHUNK];
+} Walk;
+
+/* Take the routine steps of a walk while fewer than `until` iterates are
+ * signed: an iterate is routine when it is within the threshold, the float
+ * decides its sign and, with bounds bnd, it nominates nothing (lo above its
+ * class's bound).  chunk[0] holds the sign of iterate `first`.  Returns 1
+ * when a step lands on tgt (if not NULL).  The loop makes no call and is
+ * kept out of line so that its state stays in registers; inlined beside the
+ * rest of the walk, whose Python calls need them, it went to the stack. */
+Py_NO_INLINE static int routine(const Kernel *k, Walk *st, i64 first, i64 until, const i64 *tgt,
+                                const double *bnd)
 {
-    PyObject *bounds = PyList_New(m), *cands = PyList_New(m);
-    for (Py_ssize_t c = 0; bounds != NULL && cands != NULL && c < m; c++) {
-        PyObject *inf = PyFloat_FromDouble(INFINITY), *list = PyList_New(0);
-        if (inf == NULL || list == NULL) {
-            Py_XDECREF(inf);
-            Py_XDECREF(list);
-            Py_CLEAR(bounds);
+    const Py_ssize_t d = k->d, m = k->m, t0 = k->t0;
+    i64 *v = st->v, *w = st->w, *t, steps = st->steps;
+    Py_ssize_t e = st->e, c;
+    int hit = 0;
+    for (; steps < until && !too_big(k, v); steps++) {
+        double total = 0.0, absum = 0.0;
+        for (Py_ssize_t j = 0; j < d; j++) {
+            double x = (double)v[j];
+            total += x * k->sines[j];
+            absum += fabs(x);
+        }
+        double lo = fabs(total) - k->margin * absum;
+        int positive = total > 0.0;
+        c = e + ((m / 2) & -(Py_ssize_t)!positive);  /* its class, without a branch */
+        c -= m & -(Py_ssize_t)(c >= m);
+        if (lo <= 0.0 || (bnd != NULL && lo <= bnd[c]))
+            break;
+        st->chunk[steps - first] = positive ? 1 : -1;
+        kernel_step(k, v, w, positive);
+        t = v, v = w, w = t;
+        e += t0;
+        e -= m & -(Py_ssize_t)(e >= m);
+        if (tgt != NULL && same(v, tgt, d)) {
+            hit = 1;
+            steps++;
             break;
         }
-        PyList_SET_ITEM(bounds, c, inf);
-        PyList_SET_ITEM(cands, c, list);
     }
-    if (bounds == NULL || cands == NULL) {
-        Py_XDECREF(bounds);
-        Py_XDECREF(cands);
-        return NULL;
-    }
-    return Py_BuildValue("(NN(NN))", PyObject_CallFunction(array_type, "s", "b"), PyList_New(0),
-                         bounds, cands);
+    st->v = v, st->w = w, st->steps = steps, st->e = e;
+    return hit;
 }
 
-/* Borrow the parts of a carry into sel and read its bounds and leads; -1
- * with an exception set unless it has the form of a walk's
- * (signs, touches, select).  tmp holds d entries. */
-static int unpack_carry(const Kernel *k, PyObject *carry, PyObject **signs, PyObject **touches,
-                        PyObject **bounds, Select *sel, i64 *tmp)
+/* signs.frombytes(chunk[:n]). */
+static int flush_signs(PyObject *signs, const char *chunk, Py_ssize_t n)
 {
-    if (!PyArg_ParseTuple(carry, "O!O!(O!O!)", (PyTypeObject *)array_type, signs, &PyList_Type,
-                          touches, &PyList_Type, bounds, &PyList_Type, &sel->cands))
-        return -1;
-    PyObject *code = PyObject_GetAttrString(*signs, "typecode");
-    int ok = code != NULL && PyUnicode_Check(code) && PyUnicode_CompareWithASCIIString(code, "b") == 0
-             && PyList_GET_SIZE(*bounds) == k->m && PyList_GET_SIZE(sel->cands) == k->m;
-    Py_XDECREF(code);
-    for (Py_ssize_t c = 0; ok && c < k->m; c++) {
-        PyObject *list = PyList_GET_ITEM(sel->cands, c);
-        ok = PyList_Check(list);
-        for (Py_ssize_t i = 0; ok && i < PyList_GET_SIZE(list); i++) {
-            PyObject *x = PyList_GET_ITEM(list, i);
-            ok = PyTuple_Check(x) && PyTuple_GET_SIZE(x) == 3 && PyLong_Check(PyTuple_GET_ITEM(x, 0))
-                 && PyFloat_Check(PyTuple_GET_ITEM(x, 2));
-        }
-        if (!ok)
-            break;
-        sel->bnd[c] = PyFloat_AsDouble(PyList_GET_ITEM(*bounds, c));
-        if ((sel->bnd[c] == -1.0 && PyErr_Occurred())
-            || (PyList_GET_SIZE(list) > 0 && read_lead(k, sel, c, tmp) < 0))
-            return -1;
-    }
-    if (!ok && !PyErr_Occurred())
-        PyErr_SetString(PyExc_TypeError, "carry must be the (signs, touches, select) of a walk");
-    return ok ? 0 : -1;
-}
-
-/* signs.frombytes(chunk[:*n]), then *n = 0. */
-static int flush_signs(PyObject *signs, const char *chunk, Py_ssize_t *n)
-{
-    PyObject *r = PyObject_CallMethod(signs, "frombytes", "y#", chunk, *n);
-    *n = 0;
+    PyObject *r = PyObject_CallMethod(signs, "frombytes", "y#", chunk, n);
     Py_XDECREF(r);
     return r == NULL ? -1 : 0;
 }
 
 static PyObject *Kernel_walk(Kernel *k, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"v_start", "budget", "target", "carry", NULL};
-    PyObject *v_start, *target = Py_None, *carry = Py_None, *out = NULL;
-    PyObject *signs, *touches, *bounds;
-    Select sel;
-    i64 budget, steps, *buf, *v, *w, *tgt, *t, *fp, *tmp;
+    static char *kwlist[] = {"v_start", "budget", "target", "select", NULL};
+    PyObject *v_start, *target = Py_None, *signs, *touches, *bounds = NULL, *select, *out = NULL;
+    Select sel = {NULL, NULL, NULL};
+    Walk st;
+    i64 budget, first = 0, until, *buf, *tgt = NULL, *t, *fp, *tmp;
     double mag, err;
-    char chunk[4096];  /* signs pass through it into the array, a chunk at a time */
-    Py_ssize_t nchunk = 0, e, c;
-    int s;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OL|OO", kwlist, &v_start, &budget, &target,
-                                     &carry))
+    Py_ssize_t c;
+    int s, selecting = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OL|Op", kwlist, &v_start, &budget, &target,
+                                     &selecting))
         return NULL;
     const Py_ssize_t d = k->d, m = k->m;
-    const int has_target = target != Py_None;
-    int status = has_target ? STATUS_BUDGET : STATUS_OK;
+    int status = target != Py_None ? STATUS_BUDGET : STATUS_OK;
     if ((buf = scratch(k, v_start)) == NULL)
         return NULL;
-    v = buf, w = buf + d, tgt = buf + 2 * d, fp = buf + 3 * d, tmp = buf + 4 * d;
-    sel.lead = buf + 5 * d;
-    sel.bnd = (double *)(sel.lead + m * d);
-    if (carry == Py_None)
-        carry = fresh_carry(m);
-    else
-        Py_INCREF(carry);
-    if (carry == NULL || unpack_carry(k, carry, &signs, &touches, &bounds, &sel, tmp) < 0
-        || (has_target && read_ints(target, tgt, d) < 0) || (steps = PyObject_Length(signs)) < 0)
+    st.v = buf, st.w = buf + d, st.steps = 0, st.e = 0;
+    fp = buf + 3 * d, tmp = buf + 4 * d;
+    if (target != Py_None)
+        tgt = buf + 2 * d;
+    signs = PyObject_CallFunction(array_type, "s", "b");
+    touches = PyList_New(0);
+    if (signs == NULL || touches == NULL || (tgt != NULL && read_ints(target, tgt, d) < 0))
         goto done;
-    e = k->t0 * (Py_ssize_t)(steps % m) % m;  /* lambda^steps = zeta^e */
-    for (; steps < budget; steps++) {
-        if (too_big(k, v)) {
+    if (selecting) {
+        sel.lead = buf + 5 * d;
+        sel.bnd = (double *)(sel.lead + m * d);
+        if ((bounds = PyList_New(m)) == NULL || (sel.cands = PyList_New(m)) == NULL)
+            goto done;
+        for (c = 0; c < m; c++) {
+            sel.bnd[c] = INFINITY;
+            PyObject *list = PyList_New(0);
+            if (list == NULL)
+                goto done;
+            PyList_SET_ITEM(sel.cands, c, list);
+        }
+    }
+    for (;;) {  /* the chunk holds the signs of iterates first .. steps - 1 */
+        if (st.steps == first + CHUNK) {
+            if (flush_signs(signs, st.chunk, CHUNK) < 0)
+                goto done;
+            first = st.steps;
+        }
+        if (st.steps == budget)
+            break;
+        until = budget < first + CHUNK ? budget : first + CHUNK;
+        if (routine(k, &st, first, until, tgt, sel.bnd)) {
+            status = STATUS_OK;
+            break;
+        }
+        if (st.steps == until)
+            continue;
+        /* one iterate that is not routine */
+        if (too_big(k, st.v)) {
             status = STATUS_OVERFLOW;
             break;
         }
-        if ((s = float_sign(k, v, &mag, &err)) == 0) {
+        if ((s = float_sign(k, st.v, &mag, &err)) == 0) {
             mag = 0.0, err = INFINITY;
-            if (exact_sign(k, v, &s, fp) < 0 || (s == 0 && add_touch(touches, steps, v, d) < 0))
+            if (exact_sign(k, st.v, &s, fp) < 0
+                || (s == 0 && add_touch(touches, st.steps, st.v, d) < 0))
                 goto done;
         }
-        if (s != 0) {
-            c = e + ((m / 2) & -(Py_ssize_t)(s < 0));  /* its class, without a branch */
-            c -= m & -(Py_ssize_t)(c >= m);
+        if (s != 0 && selecting) {
+            c = (st.e + (s < 0 ? m / 2 : 0)) % m;
             if (mag - err <= sel.bnd[c]
-                && nominate(k, &sel, c, s, steps, v, mag - err, mag + err, fp, tmp) < 0)
+                && nominate(k, &sel, c, s, st.steps, st.v, mag - err, mag + err, fp, tmp) < 0)
                 goto done;
         }
-        chunk[nchunk++] = (char)s;
-        if (nchunk == (Py_ssize_t)sizeof chunk && flush_signs(signs, chunk, &nchunk) < 0)
-            goto done;
-        kernel_step(k, v, w, s >= 0);
-        t = v, v = w, w = t;
-        e += k->t0;
-        e -= m & -(Py_ssize_t)(e >= m);
-        if (has_target && same(v, tgt, d)) {
+        st.chunk[st.steps++ - first] = (char)s;
+        kernel_step(k, st.v, st.w, s >= 0);
+        t = st.v, st.v = st.w, st.w = t;
+        st.e = (st.e + k->t0) % m;
+        if (tgt != NULL && same(st.v, tgt, d)) {
             status = STATUS_OK;
             break;
         }
     }
-    if (flush_signs(signs, chunk, &nchunk) < 0)
+    if (flush_signs(signs, st.chunk, st.steps - first) < 0)
         goto done;
-    for (Py_ssize_t i = 0; i < m; i++) {
-        PyObject *x = PyFloat_FromDouble(sel.bnd[i]);
-        if (x == NULL || PyList_SetItem(bounds, i, x) < 0)
+    for (c = 0; selecting && c < m; c++) {
+        PyObject *x = PyFloat_FromDouble(sel.bnd[c]);
+        if (x == NULL)
             goto done;
+        PyList_SET_ITEM(bounds, c, x);
     }
-    out = Py_BuildValue("(iOON(OO))", status, signs, touches, vec_new(v, d, 1), bounds, sel.cands);
+    select = selecting ? Py_BuildValue("(NN)", bounds, sel.cands) : Py_NewRef(Py_None);
+    bounds = sel.cands = NULL;
+    /* steals the four, also on failure */
+    out = Py_BuildValue("(iNNNN)", status, signs, touches, vec_new(st.v, d, 1), select);
+    signs = touches = NULL;
 done:
-    Py_XDECREF(carry);
+    Py_XDECREF(signs);
+    Py_XDECREF(touches);
+    Py_XDECREF(bounds);
+    Py_XDECREF(sel.cands);
     PyMem_Free(buf);
     return out;
 }
 
 static PyMethodDef Kernel_methods[] = {
     {"walk", (PyCFunction)(void (*)(void))Kernel_walk, METH_VARARGS | METH_KEYWORDS,
-     "As _steppy.Kernel.walk, and STATUS_OVERFLOW past the threshold."},
+     "As _steppy.Kernel.walk without carry, and STATUS_OVERFLOW past the threshold."},
     {NULL, NULL, 0, NULL},
 };
 

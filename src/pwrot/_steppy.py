@@ -15,7 +15,8 @@ target, and nominates, per direction class, the iterates that may lie
 nearest the line (see ``walk``).  This module is the always-available
 fallback; arithmetic is Python ints and therefore never overflows.  The
 compiled twin, the C extension built from ``_stepkernel.c``, has the same
-interface and hands back on int64 overflow.
+interface but for ``carry``, and hands back on int64 overflow; this kernel
+resumes its walk from the state it hands back.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class Kernel:
 
     # -- the walk -----------------------------------------------------------------
 
-    def walk(self, v_start, budget, target=None, carry=None):
+    def walk(self, v_start, budget, target=None, select=False, carry=None):
         """Sign the iterates of v_start until ``budget`` iterates are signed.
 
         Returns (status, signs, touches, v, select): one signed byte per
@@ -108,19 +109,22 @@ class Kernel:
         STATUS_BUDGET.  ``carry`` is the (signs, touches, select) of a walk
         that stopped at v_start, which this walk extends.
 
-        select = (bounds, candidates) nominates, per class
-        e = (t0*j + (m/2 if s_j < 0)) mod m, the iterates that may have the
-        least s_j Im(v_j), the earliest on an exact tie.  A float that
-        decided a sign bounds that value within [lo, hi], else lo = -inf and
-        hi = inf.  bounds[e] is the least hi of the class; candidates[e]
-        lists (j, tuple(v_j), lo) for each iterate with lo <= bounds[e] but
-        those whose value equals the first one's exactly (``_fingerprint``).
-        The caller settles the candidates exactly.
+        With ``select`` true, select = (bounds, candidates) nominates, per
+        class e = (t0*j + (m/2 if s_j < 0)) mod m, the iterates that may
+        have the least s_j Im(v_j), the earliest on an exact tie; else it is
+        None.  A float that decided a sign bounds that value within
+        [lo, hi], else lo = -inf and hi = inf.  bounds[e] is the least hi of
+        the class; candidates[e] lists (j, tuple(v_j), lo) for each iterate
+        with lo <= bounds[e] but those whose value equals the first one's
+        exactly (``_fingerprint``).  The caller settles the candidates
+        exactly.
         """
         m, t0, half = self.m, self.t0, self.m // 2
         if carry is None:
-            carry = array("b"), [], ([_INF] * m, [[] for _ in range(m)])
-        signs, touches, (bounds, cands) = carry
+            sel = ([_INF] * m, [[] for _ in range(m)]) if select else None
+            carry = array("b"), [], sel
+        signs, touches, sel = carry
+        bounds, cands = sel or ((), ())
         v = list(v_start)
         target = None if target is None else list(target)
         first = len(signs)
@@ -132,7 +136,7 @@ class Kernel:
             if s == 0:
                 if len(touches) < TOUCH_CAP:
                     touches.append((i, tuple(v)))
-            else:
+            elif sel:
                 c = e if s > 0 else (e + half) % m
                 if lo <= bounds[c]:
                     fp = self._fingerprint(v, s)
@@ -146,6 +150,6 @@ class Kernel:
             v = self._step(v, s >= 0)
             e = (e + t0) % m
             if v == target:
-                return STATUS_OK, signs, touches, v, (bounds, cands)
+                return STATUS_OK, signs, touches, v, sel
         status = STATUS_OK if target is None else STATUS_BUDGET
-        return status, signs, touches, v, (bounds, cands)
+        return status, signs, touches, v, sel

@@ -74,16 +74,16 @@ class AffineMap:
 @dataclass(frozen=True)
 class OrbitRecord:
     """One first-return walk: the period (None past the budget), the on-line
-    iterates, the steps walked, the sign of each iterate walked, and per
-    class e the nominees (j, vec, lo) of ``_steppy.Kernel.walk``, with
-    z_j = vec / start.den."""
+    iterates, the steps walked, the sign of each iterate walked, and, when
+    the walk nominated, per class e the nominees (j, vec, lo) of
+    ``_steppy.Kernel.walk``, with z_j = vec / start.den."""
 
     start: CycloNum
     period: Optional[int]
     iterates_on_line: tuple[tuple[int, CycloNum], ...]
     budget_used: int
     signs: Sequence[int]
-    nominees: tuple
+    nominees: Optional[tuple]
 
 
 def step(z: CycloNum) -> CycloNum:
@@ -122,12 +122,13 @@ def orbit(z: CycloNum, n: int) -> list[CycloNum]:
     return out
 
 
-def minimal_period(z: CycloNum, budget: int) -> OrbitRecord:
+def minimal_period(z: CycloNum, budget: int, nominate: bool = False) -> OrbitRecord:
     """Search for the first exact return F^n(z) = z with n <= budget.
 
     The first exact return of a bijection is the minimal period.  Indices
     where the orbit lies on the critical line, and the sign of every iterate,
-    are recorded along the way.
+    are recorded along the way, and with ``nominate`` the per-class nominees
+    that a tile is built from.
     A missing period within budget is an outcome, not an error, and proves
     nothing about aperiodicity.
     """
@@ -135,7 +136,7 @@ def minimal_period(z: CycloNum, budget: int) -> OrbitRecord:
         raise ParameterError("budget must be >= 1")
     from .stepper import run_period  # local import to avoid a cycle
 
-    return run_period(z, budget)
+    return run_period(z, budget, nominate)
 
 
 def itinerary(z: CycloNum, n: int) -> Itinerary:

@@ -9,10 +9,10 @@ boundedness are decided by comparing exponents, and every crossing is the
 grid corner of two lines: a closed form whose only reciprocal, 1/Im(zeta^k),
 is cached per exponent difference.  Predicates (side of a line, vertex
 incidence, convexity) reduce to the exact sign oracle.  Half-plane
-intersection finds its vertices with one half-plane sweep, certifies them
-by one interior point, and returns the closure of the open intersection;
-segment clipping moves an endpoint that
-lies outside a box face to the corner of the segment's line with that face.
+intersection finds its vertices with one half-plane sweep, certifies by one
+interior point that the open intersection is nonempty, and returns its
+closure; segment clipping moves an endpoint that lies outside a box face to
+the corner of the segment's line with that face.
 """
 
 from __future__ import annotations
@@ -176,12 +176,15 @@ def intersect_halfplanes(constraints: Sequence[HalfPlane]):
     unless the two Im(c) sum to a positive number; and the intersection is
     unbounded exactly when some cyclic gap between the sorted exponents is
     at least m/2.  A bounded system goes through one half-plane sweep.  When
-    the open intersection is nonempty the sweep's vertex ring is its closure,
-    whose vertex average lies strictly inside every constraint; when it is
-    empty no point does.  So one strict test of that average against each
-    binding constraint certifies the ring or gives EMPTY, which rejects
-    empty and point-shaped intersections; a segment-shaped one is a strip of
-    width zero, rejected before the sweep.
+    the open intersection is nonempty the sweep's vertex ring is its closure
+    (de Berg et al., 4.2), whose vertex average lies strictly inside every
+    constraint; when it is empty no point does.  So one strict test of that
+    average against each binding constraint tells the two apart and gives
+    EMPTY for empty and point-shaped intersections; a segment-shaped one is
+    a strip of width zero, rejected before the sweep.  The test certifies
+    nonemptiness only: that the ring is the intersection rests on the
+    sweep, which the tests hold to a check of every vertex against every
+    constraint on random systems.
     """
     if not constraints:
         raise ParameterError("at least one constraint is required")

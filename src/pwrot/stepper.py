@@ -117,26 +117,29 @@ def _kernel(plan: _Plan, v, denom: int):
     return plan.pure_kernel(denom)
 
 
-def _walk(z: CycloNum, budget: int, target=None):
+def _walk(z: CycloNum, budget: int, target=None, select=False):
     """One kernel walk of the orbit of z: (status, signs, touches, nominees),
-    with the touches' exact values.  The compiled kernel hands off to the pure
-    one at its int64 bound, which resumes exactly where it stopped and carries
-    on the signs, the touches and the per-class nominees."""
+    with the touches' exact values, and nominees None unless ``select``.  The
+    compiled kernel hands off to the pure one at its int64 bound, which
+    resumes exactly where it stopped and carries on the signs, the touches
+    and the per-class nominees."""
     ctx = z.ctx
     plan = _plan(ctx)
     denom = z.den
-    status, signs, touches, v, select = _kernel(plan, z.vec, denom).walk(z.vec, budget, target)
+    status, signs, touches, v, sel = _kernel(plan, z.vec, denom).walk(
+        z.vec, budget, target, select
+    )
     if status == STATUS_OVERFLOW:
-        status, signs, touches, _, select = plan.pure_kernel(denom).walk(
-            v, budget, target, (signs, touches, select)
+        status, signs, touches, _, sel = plan.pure_kernel(denom).walk(
+            v, budget, target, select, (signs, touches, sel)
         )
     on_line = tuple((i, ctx.from_lattice(vec, denom)) for i, vec in touches)
-    return status, signs, on_line, tuple(select[1])
+    return status, signs, on_line, None if sel is None else tuple(sel[1])
 
 
-def run_period(z: CycloNum, budget: int) -> OrbitRecord:
+def run_period(z: CycloNum, budget: int, nominate: bool = False) -> OrbitRecord:
     """Exact first-return search behind ``dynamics.minimal_period``."""
-    status, signs, on_line, nominees = _walk(z, budget, z.vec)
+    status, signs, on_line, nominees = _walk(z, budget, z.vec, nominate)
     return OrbitRecord(
         start=z,
         period=len(signs) if status == STATUS_OK else None,

@@ -192,7 +192,7 @@ def tile_from_seed(z: CycloNum, budget: int) -> Tile:
     them, with no second walk and no walk of the branch offsets.  The center
     of a k > 1 tile is the average of its vertices.
     """
-    rec = minimal_period(z, budget)
+    rec = minimal_period(z, budget, nominate=True)
     return _build_tile(rec, _minimal_block(rec))
 
 
@@ -359,7 +359,7 @@ def scan_region(
         x = box.x0
         while x <= box.x1:
             z = ctx.point(x, y)
-            rec = minimal_period(z, budget)
+            rec = minimal_period(z, budget, nominate=True)
             if rec.iterates_on_line:
                 outcomes.append(
                     ScanOutcome(x, y, "critical", touch_index=rec.iterates_on_line[0][0])

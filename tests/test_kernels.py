@@ -1,6 +1,5 @@
 """The compiled and pure orbit kernels must be observationally identical."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -18,12 +17,6 @@ from pwrot.tiles import interior_samples, scan_region, tile_from_seed
 @pytest.fixture(scope="module")
 def ctx():
     return make_field(4, 5)
-
-
-def walked(rec):
-    """A first-return record without its nominees, which depend on which
-    signs the floats decided."""
-    return dataclasses.replace(rec, nominees=())
 
 
 def test_decompose_round_trip(ctx):
@@ -80,16 +73,19 @@ def streamed_polygon(tile):
 @pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
 class TestCompiledAgreesWithPure:
     """Every output of a walk agrees: status, signs, touches, the last
-    iterate, and the per-class bounds and nominees."""
+    iterate, and the per-class bounds and nominees when it selects them."""
 
     def _compare(self, ctx, z, budget):
         plan = stepper._plan(ctx)
         v, denom = z.vec, z.den
         pure = plan.pure_kernel(denom)
         comp = plan.compiled_kernel(denom)
-        rp = pure.walk(list(v), budget, list(v))
-        rc = comp.walk(list(v), budget, list(v))
+        rp = pure.walk(list(v), budget, list(v), True)
+        rc = comp.walk(list(v), budget, list(v), True)
         assert rp == rc
+        # a walk that does not select is the same walk, with no nominees
+        unselected = rp[:4] + (None,)
+        assert pure.walk(list(v), budget, list(v)) == comp.walk(list(v), budget, list(v)) == unselected
         sp = pure.walk(list(v), min(budget, 300) + 1)
         sc = comp.walk(list(v), min(budget, 300) + 1)
         assert sp == sc
@@ -126,8 +122,8 @@ class TestCompiledAgreesWithPure:
     def test_tile_seeds(self):
         for z, budget in tile_seeds():
             plan = stepper._plan(z.ctx)
-            pure = plan.pure_kernel(z.den).walk(z.vec, budget, z.vec)
-            assert pure == plan.compiled_kernel(z.den).walk(z.vec, budget, z.vec)
+            pure = plan.pure_kernel(z.den).walk(z.vec, budget, z.vec, True)
+            assert pure == plan.compiled_kernel(z.den).walk(z.vec, budget, z.vec, True)
             bounds, nominees = pure[4]
             assert any(nominees) and len(bounds) == len(nominees) == z.ctx.m
 
@@ -145,7 +141,7 @@ def test_overflow_hands_off_to_pure(ctx, monkeypatch):
     q0 = -phi
 
     def walks():
-        return [run_period(q0, 240), run_period(w1, 100), run_signs(q0, 241)]
+        return [run_period(q0, 240, True), run_period(w1, 100, True), run_signs(q0, 241)]
 
     plan = stepper._plan(ctx)
     real_pure = plan.pure_kernel
@@ -187,7 +183,7 @@ def test_overflow_handoff_carries_the_nominees(monkeypatch):
     seeds = tile_seeds()[2:]
     with monkeypatch.context() as m:
         m.setattr(stepper, "_compiled_enabled", lambda: False)
-        pure = [(run_period(z, budget), tile_from_seed(z, budget)) for z, budget in seeds]
+        pure = [(run_period(z, budget, True), tile_from_seed(z, budget)) for z, budget in seeds]
     for (z, budget), (rec, tile) in zip(seeds, pure):
         plan = stepper._plan(z.ctx)
         real_pure, resumed = plan.pure_kernel, []
@@ -199,7 +195,7 @@ def test_overflow_handoff_carries_the_nominees(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(plan, "int64_threshold", lambda denom: max(map(abs, z.vec)))
             m.setattr(plan, "pure_kernel", counted)
-            mixed = run_period(z, budget)
+            mixed = run_period(z, budget, True)
             assert tile_from_seed(z, budget) == tile
         assert resumed == [z.den, z.den], "each walk must start compiled and hand off"
         assert mixed.nominees == rec.nominees and any(mixed.nominees)
@@ -217,12 +213,12 @@ def test_forced_near_ties_are_settled_exactly(monkeypatch, compiled):
     monkeypatch.delenv("PWROT_PURE", raising=False)
     seeds = tile_seeds() + scan_seeds()
     tiles = [tile_from_seed(z, budget) for z, budget in seeds]
-    floated = [sum(map(len, run_period(z, budget).nominees)) for z, budget in seeds]
+    floated = [sum(map(len, run_period(z, budget, True).nominees)) for z, budget in seeds]
     monkeypatch.setattr(stepper, "_compiled_enabled", lambda: compiled)
     for z, _ in seeds:
         monkeypatch.setattr(stepper._plan(z.ctx), "margin", float("inf"))
     for (z, budget), tile, before in zip(seeds, tiles, floated):
-        rec = run_period(z, budget)
+        rec = run_period(z, budget, True)
         nominated = sum(map(len, rec.nominees))
         assert all(lo == float("-inf") for c in rec.nominees for _, _, lo in c)
         assert nominated > before or rec.budget_used <= z.ctx.m
@@ -266,7 +262,7 @@ def test_forced_hard_sign_matches_fast_path(ctx, monkeypatch):
     monkeypatch.setattr(stepper._plan(ctx), "margin", float("inf"))
     monkeypatch.setattr(stepper._Plan, "hard_sign", counted)
     monkeypatch.setattr(stepper, "_compiled_enabled", lambda: False)
-    assert walked(run_period(p1, 100)) == walked(rec)
+    assert run_period(p1, 100) == rec
     assert len(calls) == 7
     assert run_signs(-phi, 241) == signs
     assert len(calls) == 7 + sum(1 for x in signs[0] if x)
@@ -306,7 +302,7 @@ def test_compiled_forced_hard_sign_matches_pure(ctx, monkeypatch):
         m.setattr(plan, "pure_kernel", None)  # the compiled kernel must do every step
         compiled = walks()
     assert compiled == pure
-    assert (walked(compiled[0]), compiled[1]) == (walked(rec), signs)
+    assert (compiled[0], compiled[1]) == (rec, signs)
     assert len(compiled[2]) == 7 + sum(1 for x in signs[0] if x)
 
     def failing(plan, v):

@@ -202,9 +202,9 @@ class TestScan:
     def test_scan_searches_each_period_once(self, gc, monkeypatch):
         calls = []
 
-        def counted(z, budget):
+        def counted(z, budget, **kwargs):
             calls.append(z)
-            return minimal_period(z, budget)
+            return minimal_period(z, budget, **kwargs)
 
         monkeypatch.setattr(tiles_module, "minimal_period", counted)
         report = scan_region(gc.ctx, Box(-1, -1, 1, 1), Fraction(1, 2), 2000)
