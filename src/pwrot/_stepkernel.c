@@ -481,7 +481,7 @@ static PyObject *Kernel_walk(Kernel *k, PyObject *args, PyObject *kwds)
                 goto done;
             first = st.steps;
         }
-        if (st.steps == budget)
+        if (st.steps >= budget)
             break;
         until = budget < first + CHUNK ? budget : first + CHUNK;
         if (routine(k, &st, first, until, tgt, sel.bnd)) {

@@ -119,6 +119,15 @@ class TestCompiledAgreesWithPure:
             c = make_field(p, q)
             self._compare(c, c.point(Fraction(1, 3), Fraction(1, 5)), 300)
 
+    def test_budgets_that_sign_nothing(self, ctx):
+        plan = stepper._plan(ctx)
+        z = ctx.point(Fraction(1, 3), Fraction(2, 7))
+        for budget in (0, -3):
+            for select in (False, True):
+                pure = plan.pure_kernel(z.den).walk(z.vec, budget, None, select)
+                assert plan.compiled_kernel(z.den).walk(z.vec, budget, None, select) == pure
+                assert len(pure[1]) == 0 and pure[3] == list(z.vec)
+
     def test_tile_seeds(self):
         for z, budget in tile_seeds():
             plan = stepper._plan(z.ctx)
