@@ -11,8 +11,8 @@ ambiguous nonzero cases.
 The one entry point, ``Kernel.walk``, serves first-return searches, sign
 sequences and tiles: it records the sign of every iterate as one signed
 byte and every on-line iterate, stops at an exact return when given a
-target, and nominates, per direction class, the iterates that may lie
-nearest the line (see ``walk``).  This module is the always-available
+target, and when asked nominates, per direction class, the iterates that
+may lie nearest the line (see ``walk``).  This module is the always-available
 fallback; arithmetic is Python ints and therefore never overflows.  The
 compiled twin, the C extension built from ``_stepkernel.c``, has the same
 interface but for ``carry``, and hands back on int64 overflow; this kernel
@@ -107,7 +107,8 @@ class Kernel:
         With a target the walk stops at the first step that lands on it
         (STATUS_OK, and len(signs) is the return time) or ends with
         STATUS_BUDGET.  ``carry`` is the (signs, touches, select) of a walk
-        that stopped at v_start, which this walk extends.
+        that stopped at v_start, which this walk extends; its select, not
+        the argument, then says whether this walk nominates.
 
         With ``select`` true, select = (bounds, candidates) nominates, per
         class e = (t0*j + (m/2 if s_j < 0)) mod m, the iterates that may
