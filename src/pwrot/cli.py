@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,13 +36,7 @@ from .errors import (
 )
 from .geometry import Box, polygon_is_regular
 from .pointexpr import parse_alpha, parse_box, parse_point, parse_rational
-from .render import (
-    Scene,
-    bundle_scene,
-    color_for_depth,
-    orbit_scene,
-    tiles_scene,
-)
+from .render import Scene, orbit_scene, segment_scene, tiles_scene
 from .tiles import (interior_samples, scan_region, tile_from_seed, tile_images,
                     verify_polygon_bounds, verify_rotation_structure)
 
@@ -72,6 +67,17 @@ def _fmt_value(z: CycloNum, style: str) -> str:
     return str(z) if coords is None else format_golden_coords(coords)
 
 
+def _coeff_strs(z: CycloNum) -> list[str]:
+    """``str(c)`` for each rational coefficient c of z, written from the
+    integer vector with one gcd per coefficient."""
+    den = z.den
+    out = []
+    for x in z.vec:
+        g = math.gcd(x, den)
+        out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return out
+
+
 def _shadow(z: CycloNum):
     c = z.to_complex()
     return c.real, c.imag
@@ -98,7 +104,7 @@ def cmd_iterate(args) -> int:
             data.append(
                 {
                     "index": i,
-                    "coeffs": [str(c) for c in w.coeffs],
+                    "coeffs": _coeff_strs(w),
                     "re": re,
                     "im": im,
                     "address": address(w).char,
@@ -159,9 +165,9 @@ def _tile_json(tile) -> dict:
         "sides": tile.sides,
         "regular": polygon_is_regular(tile.polygon),
         "word": str(tile.word),
-        "center": [str(c) for c in tile.center.coeffs],
+        "center": _coeff_strs(tile.center),
         "center_shadow": _shadow(tile.center),
-        "vertices": [[str(c) for c in v.coeffs] for v in tile.polygon.vertices],
+        "vertices": [_coeff_strs(v) for v in tile.polygon.vertices],
         "vertex_shadows": [_shadow(v) for v in tile.polygon.vertices],
     }
 
@@ -197,13 +203,7 @@ def cmd_critical(args) -> int:
         segments = bundle.all_segments()
         if args.merge:
             segments = merge_collinear(ctx, segments)
-            scene = Scene()
-            for seg in segments:
-                a, b = seg.a.to_complex(), seg.b.to_complex()
-                scene.add_segment(a.real, a.imag, b.real, b.imag, color=color_for_depth(seg.depth))
-            _emit(scene.to_svg(), args.out)
-        else:
-            _emit(bundle_scene(bundle).to_svg(), args.out)
+        _emit(segment_scene(segments).to_svg(), args.out)
     elif args.format == "json":
         data = [
             {
@@ -211,8 +211,8 @@ def cmd_critical(args) -> int:
                 "direction": layer.direction,
                 "segments": [
                     {
-                        "a": [str(c) for c in seg.a.coeffs],
-                        "b": [str(c) for c in seg.b.coeffs],
+                        "a": _coeff_strs(seg.a),
+                        "b": _coeff_strs(seg.b),
                         "a_shadow": _shadow(seg.a),
                         "b_shadow": _shadow(seg.b),
                     }
@@ -229,8 +229,8 @@ def cmd_critical(args) -> int:
                 ar, ai = _shadow(seg.a)
                 br, bi = _shadow(seg.b)
                 lines.append(
-                    f"{layer.depth}\t[{', '.join(str(c) for c in seg.a.coeffs)}]\t"
-                    f"[{', '.join(str(c) for c in seg.b.coeffs)}]\t"
+                    f"{layer.depth}\t[{', '.join(_coeff_strs(seg.a))}]\t"
+                    f"[{', '.join(_coeff_strs(seg.b))}]\t"
                     f"({ar:.12g},{ai:.12g})-({br:.12g},{bi:.12g})"
                 )
         _emit("\n".join(lines) + "\n", args.out)
@@ -329,12 +329,8 @@ def _report_text(report) -> str:
 def _golden_svg(gc, path):
     """Nested-triangle figure: critical web, rescaled triangles, pentagon
     centers, the seven-cycle pentagons, and one full interior orbit."""
-    scene = Scene()
     bundle = critical_bundle(gc.ctx, 12, Box(-2, Fraction(-1, 2), 3, Fraction(9, 2)))
-    for layer in bundle.layers:
-        for seg in layer.segments:
-            a, b = seg.a.to_complex(), seg.b.to_complex()
-            scene.add_segment(a.real, a.imag, b.real, b.imag, color="#bbbbbb", width=0.7)
+    scene = segment_scene(bundle.all_segments(), color="#bbbbbb", width=0.7)
     tri = [gc.Q, gc.S, gc.R]
     for n in range(3):
         pts = [_shadow(v) for v in tri]

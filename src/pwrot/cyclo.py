@@ -11,9 +11,11 @@ the field and the kernels share one representation.
 The pair is kept reduced, so equality of field elements is equality of
 pairs.  Ring operations, conjugation and the Galois maps run on integers;
 the inverse is the product of the nontrivial Galois conjugates over the
-norm.  The sign of a real element is decided by an exact zero test followed
-by integer fixed-point enclosures of the embedding at doubling precision, so
-no decision in the package ever rests on floating point alone.
+norm.  The sign of a real element is decided by integer fixed-point
+enclosures of the embedding at doubling precision, with an exact zero test
+when the first fails, so no decision in the package ever rests on floating
+point alone.  The first of those enclosures, for both parts of an element
+at once, also compares its coordinates with rationals (box clipping).
 """
 
 from __future__ import annotations
@@ -298,6 +300,17 @@ class FieldContext:
                 return Sign.ZERO
             p *= 2
 
+    def enclosure(self, a: "CycloNum") -> tuple[int, int, int, int]:
+        """Integers (X, Y, E, s) with s = den * 2^64 and |X - s*Re(a)| < E,
+        |Y - s*Im(a)| < E, or X = Y = E = 0 for a = 0: the p = 64 sums of
+        ``_sign`` for both parts at once, with E = sum|vec_j|.  For a
+        rational n/b with b > 0, b*X - n*s has the sign of Re(a) - n/b
+        whenever its absolute value exceeds b*E (likewise Y for Im(a)); a
+        smaller value decides nothing."""
+        cos, sin = _fixed_nodes(self.m, self.d, 64)
+        vec = a.vec
+        return sum(map(mul, vec, cos)), sum(map(mul, vec, sin)), sum(map(abs, vec)), a.den << 64
+
 
 class CycloNum:
     """An element of Q(zeta_m) as ``vec / den``: an integer vector over the
@@ -346,11 +359,6 @@ class CycloNum:
     def is_rational(self) -> bool:
         return not any(self.vec[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise DomainError("element is not rational")
-        return Fraction(self.vec[0], self.den)
-
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other):
@@ -393,12 +401,6 @@ class CycloNum:
     def mul_zeta(self, e: int) -> "CycloNum":
         """Multiply by zeta^e (fast path used by the affine calculus)."""
         return CycloNum(self.ctx, tuple(self.ctx._permute(self.vec, 1, e)), self.den)
-
-    def galois(self, k: int) -> "CycloNum":
-        """The field automorphism zeta -> zeta^k, for k prime to m."""
-        if math.gcd(k, self.ctx.m) != 1:
-            raise ParameterError(f"zeta -> zeta^{k} is not an automorphism for m={self.ctx.m}")
-        return CycloNum(self.ctx, tuple(self.ctx._permute(self.vec, k, 0)), self.den)
 
     def inverse(self) -> "CycloNum":
         """Multiplicative inverse by the norm identity

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -57,18 +56,6 @@ class AffineMap:
         ctx = self.ctx
         t = (ctx.m * ctx.p // ctx.q) * (self.power % ctx.q)
         return w.mul_zeta(t) + self.offset
-
-    def compose_after(self, first: "AffineMap") -> "AffineMap":
-        """self o first, exactly: (t2, b2) o (t1, b1) = (t1+t2, lam^t2*b1 + b2)."""
-        ctx = self.ctx
-        t = (ctx.m * ctx.p // ctx.q) * (self.power % ctx.q)
-        return AffineMap(
-            (self.power + first.power) % ctx.q,
-            first.offset.mul_zeta(t) + self.offset,
-        )
-
-    def linear_part(self) -> CycloNum:
-        return self.ctx.lam_pow(self.power)
 
 
 @dataclass(frozen=True)
@@ -195,15 +182,6 @@ def branch_offsets(ctx: FieldContext, word: Itinerary | Sequence[int], n: int):
     for j in range(n):
         b = (b - w[j % len(w)]).mul_zeta(t)
         yield b
-
-
-def affine_along(ctx: FieldContext, word: Itinerary | Sequence[int]) -> AffineMap:
-    """The exact composition of one-step branch maps along ``word``.
-
-    Equals F^n on every point whose length-n itinerary is ``word``.
-    """
-    n = len(word)
-    return AffineMap(n % ctx.q, deque(branch_offsets(ctx, word, n), maxlen=1).pop())
 
 
 def rotation_order(ctx: FieldContext, ell: int) -> int:

@@ -12,7 +12,9 @@ incidence, convexity) reduce to the exact sign oracle.  Half-plane
 intersection finds its vertices with one half-plane sweep, certifies by one
 interior point that the open intersection is nonempty, and returns its
 closure; segment clipping moves an endpoint that lies outside a box face to
-the corner of the segment's line with that face.
+the corner of the segment's line with that face.  Clipping decides the
+faces by one certified integer enclosure per endpoint, and falls back to
+the exact sign oracle only for a face the enclosure leaves open.
 """
 
 from __future__ import annotations
@@ -81,10 +83,6 @@ class HalfPlane:
     b: CycloNum
     side: int
 
-    def side_of(self, w: CycloNum) -> Sign:
-        """Sign of Im(lambda^power * w + b), before ``side`` is applied."""
-        return sign_of_imag(self.b.ctx.lam_pow(self.power) * w + self.b)
-
 
 @dataclass(frozen=True)
 class ConvexPolygon:
@@ -111,9 +109,6 @@ class ExactSegment:
     b: CycloNum
     power: int
     depth: int = 0
-
-    def midpoint(self) -> CycloNum:
-        return (self.a + self.b) / 2
 
     def grid_line(self) -> tuple[int, CycloNum]:
         """(e, beta) with the segment on the grid line Im(zeta^e * w) = -beta."""
@@ -347,21 +342,38 @@ def clip_segment_to_box(seg: ExactSegment, box: Box) -> Optional[ExactSegment]:
     The faces y >= y0, x >= x0, y <= y1 and x <= x1 are the grid half-planes
     Im(zeta^f * w) + beta_f >= 0 with f = 0, m/4, m/2, 3m/4.  Face by face,
     a segment with both endpoints outside is dropped, and an endpoint outside
-    moves to the grid corner of the segment's line with the face.
+    moves to the grid corner of the segment's line with the face.  Each
+    endpoint gets one certified enclosure (``FieldContext.enclosure``), which
+    decides a face by integer compares; only a face it leaves open, with
+    the endpoint on it or within sum|vec_j| / (den * 2^64) of it, takes the
+    exact test.
     """
     ctx = seg.a.ctx
     m = ctx.m
-    e, beta = seg.grid_line()
-    a, b = seg.a, seg.b
-    for f, bound in ((0, -box.y0), (m // 4, -box.x0), (m // 2, box.y1), (3 * m // 4, box.x1)):
-        c = ctx.point(0, bound)
-        a_out = sign_of_imag(a.mul_zeta(f) + c) == Sign.NEGATIVE
-        b_out = sign_of_imag(b.mul_zeta(f) + c) == Sign.NEGATIVE
-        if a_out and b_out:
+    ends = [seg.a, seg.b]
+    boxes = [ctx.enclosure(w) for w in ends]
+    line = None
+    for f, imag, s, bound in (
+        (0, True, 1, -box.y0), (m // 4, False, 1, -box.x0),
+        (m // 2, True, -1, box.y1), (3 * m // 4, False, -1, box.x1),
+    ):
+        num, den = bound.numerator, bound.denominator
+        out = []
+        for w, (x, y, err, scale) in zip(ends, boxes):
+            # den * scale * (s * coordinate + bound), within den * err
+            gap = s * den * (y if imag else x) + num * scale
+            if abs(gap) > den * err:
+                out.append(gap < 0)
+            else:
+                out.append(sign_of_imag(w.mul_zeta(f) + ctx.point(0, bound)) == Sign.NEGATIVE)
+        if out[0] and out[1]:
             return None
-        if a_out or b_out:
-            w = grid_corner(e, beta, f, ctx.from_rational(bound))
-            a, b = (w, b) if a_out else (a, w)
+        if out[0] or out[1]:
+            line = line or seg.grid_line()
+            k = 0 if out[0] else 1
+            ends[k] = grid_corner(*line, f, ctx.from_rational(bound))
+            boxes[k] = ctx.enclosure(ends[k])
+    a, b = ends
     if a == b:
         return None
     return ExactSegment(a, b, seg.power, seg.depth)

@@ -102,13 +102,14 @@ class Scene:
         return "\n".join(out) + "\n"
 
 
-def bundle_scene(bundle, viewport=None) -> Scene:
-    scene = Scene(viewport=viewport)
-    for layer in bundle.layers:
-        color = color_for_depth(layer.depth)
-        for seg in layer.segments:
-            a, b = seg.a.to_complex(), seg.b.to_complex()
-            scene.add_segment(a.real, a.imag, b.real, b.imag, color=color)
+def segment_scene(segments, color=None, width=1.0) -> Scene:
+    """Exact segments in order, each in ``color`` or else in the color of its
+    depth."""
+    scene = Scene()
+    for seg in segments:
+        a, b = seg.a.to_complex(), seg.b.to_complex()
+        scene.add_segment(a.real, a.imag, b.real, b.imag,
+                          color=color or color_for_depth(seg.depth), width=width)
     return scene
 
 

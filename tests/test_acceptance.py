@@ -354,14 +354,14 @@ def test_criterion_08_critical_set_soundness(discovered):
                 problems.append(f"{p}/{q}: segment off the slope grid")
                 continue
             census.add(t % (q // 2) if q % 2 == 0 else t)
-            w = seg.midpoint()
+            w = (seg.a + seg.b) / 2
             for _ in range(seg.depth):
                 w = step(w)
             if not w.imag().is_zero():
                 problems.append(f"{p}/{q}: depth-{seg.depth} midpoint misses the line")
         for _ in range(500):
             seg = segs[rng.randrange(len(segs))]
-            w = seg.midpoint()
+            w = (seg.a + seg.b) / 2
             for _ in range(seg.depth):
                 w = step(w)
             if not w.imag().is_zero():

@@ -41,6 +41,27 @@ SCAN_DIGESTS = [
 ]
 
 
+# `pwrot critical` outputs with their SHA-256: the two depth-20 bundles of
+# the benchmark, a text dump, and an SVG with and without --merge; see
+# TestCritical.test_golden_digests.
+CRITICAL_DIGESTS = [
+    (("--alpha", "4/5", "--depth", "20", "--box=-4,-4,4,4", "--direction", "both",
+      "--format", "json"),
+     "ff87b8896d134aebd9e5a1cc62c07ee03da7d3e9a5b6e37cbc50c024db687b17"),
+    (("--alpha", "11/12", "--depth", "20", "--box=-1,-2,6,3", "--direction", "both",
+      "--format", "json"),
+     "e0c7a4bfc8915c3fc6f7f28df6e3c0e056e9acc202836ab702064663d74a87c9"),
+    (("--alpha", "3/7", "--depth", "6", "--box=-2,-2,2,2", "--direction", "both"),
+     "cd8639f858135eecdd1e902d05da098ddbb8e6bfaeff28e5ff43642fe3129686"),
+    (("--alpha", "4/5", "--depth", "8", "--box=-3,-3,3,3", "--direction", "both",
+      "--format", "svg"),
+     "6a1e3fa7280b77f5933935ae21a446931c21d1a288146c011dd7d6d4575b031c"),
+    (("--alpha", "4/5", "--depth", "8", "--box=-3,-3,3,3", "--direction", "both",
+      "--format", "svg", "--merge"),
+     "99bdc1013ae46150db0b7578068d4bd46075e7e52868e2ea1e4ecace8ddad6d8"),
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -78,6 +99,19 @@ class TestIterate:
             assert int(idx) == i
             assert value == GOLDEN_ITERATES_PHI[i]
         assert lines[0].endswith("\t0")   # Q starts on the line
+
+    def test_json_digest(self, capsys, tmp_path):
+        # the SHA-256 of the exact coefficient strings and shadows, taken
+        # before the strings were written without Fraction objects
+        target = tmp_path / "orbit.json"
+        code, _, _ = run(
+            capsys, "iterate", "--alpha", "3/7", "--point", "(1/3, 1/5)", "--n", "40",
+            "--format", "json", "--out", str(target),
+        )
+        assert code == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "0c7a82d3b27c0bbdb29aaf497b2b6ac4e52abc654a454f3fe7688cc3cc122e39"
+        )
 
     def test_origin_one_step(self, capsys):
         code, out, _ = run(
@@ -195,6 +229,16 @@ class TestCritical:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    # The digests are the SHA-256 of `pwrot critical ARGS --out FILE`, taken
+    # before box clipping was decided by one enclosure per endpoint, so any
+    # change in a segment, its order or its printed form fails here.
+    @pytest.mark.parametrize("args, digest", CRITICAL_DIGESTS)
+    def test_golden_digests(self, capsys, tmp_path, args, digest):
+        target = tmp_path / "critical.out"
+        code, _, _ = run(capsys, "critical", *args, "--out", str(target))
+        assert code == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
 
 class TestScan:
     def test_csv_and_sidecar(self, capsys, tmp_path):
@@ -274,6 +318,14 @@ class TestCasestudy:
         )
         assert code == 0
         assert ET.parse(target).getroot().tag.endswith("svg")
+        # taken before the SVG writers shared one segment scene builder
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "9205f0fec3d28610175ec8f557d3c9fed8e252f94076639c96aecc3e164c96b6"
+        )
+
+    def test_golden_svg_pure_kernel(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("PWROT_PURE", "1")
+        self.test_golden_svg(capsys, tmp_path)
 
 
 class TestVerify:

@@ -131,7 +131,7 @@ class TestBundle:
         for seg in small.all_segments():
             grid_power(ctx5, seg)
             candidates = by_depth.get(seg.depth, [])
-            for w in (seg.a, seg.b, seg.midpoint()):
+            for w in (seg.a, seg.b, (seg.a + seg.b) / 2):
                 assert any(point_on_segment(c, w) for c in candidates)
 
     def test_crossings_need_no_field_inverse(self, ctx5, monkeypatch):

@@ -224,7 +224,7 @@ class TestEmbedding:
         ctx = make_field(4, 5)
         assert ctx.point(0, 0).is_zero()
         half = ctx.point(Fraction(1, 2), 0)
-        assert half.is_rational() and half.rational_value() == Fraction(1, 2)
+        assert half.is_rational() and half == Fraction(1, 2)
 
     def test_named_point_on_line_is_conj_fixed(self):
         ctx = make_field(4, 5)

@@ -8,7 +8,6 @@ from pwrot.dynamics import (
     Address,
     Itinerary,
     address,
-    affine_along,
     inverse_step,
     itinerary,
     itinerary_period,
@@ -18,6 +17,8 @@ from pwrot.dynamics import (
     step,
 )
 from pwrot.errors import CriticalLineError, ParameterError
+
+from affine import affine_along, compose, rotation_center
 
 
 @pytest.fixture(scope="module")
@@ -285,7 +286,7 @@ class TestAffineAlong:
             w1 = tuple(rng.choice([1, -1]) for _ in range(rng.randint(0, 6)))
             w2 = tuple(rng.choice([1, -1]) for _ in range(rng.randint(0, 6)))
             lhs = affine_along(ctx, w1 + w2)
-            rhs = affine_along(ctx, w2).compose_after(affine_along(ctx, w1))
+            rhs = compose(affine_along(ctx, w2), affine_along(ctx, w1))
             assert lhs == rhs
 
     def test_equal_symbols_of_length_q_compose_to_identity(self, golden):
@@ -294,21 +295,16 @@ class TestAffineAlong:
         ctx, _, _ = golden
         g = affine_along(ctx, (1,) * 5)
         assert g.power % 5 == 0
-        assert g.linear_part() == 1
+        assert ctx.lam_pow(g.power) == 1
         assert g.offset.is_zero()
 
     def test_mixed_word_of_length_q_is_a_pure_translation(self, golden):
         ctx, _, _ = golden
         g = affine_along(ctx, (1, 1, -1, 1, 1))
-        assert g.linear_part() == 1
+        assert ctx.lam_pow(g.power) == 1
         assert not g.offset.is_zero()
         z = ctx.point(1, 1)
         assert g(z) == z + g.offset
-
-
-def rotation_center(g):
-    """The fixed point of w -> lambda^t w + b, for lambda^t != 1."""
-    return g.offset * (g.ctx.one() - g.linear_part()).inverse()
 
 
 class TestRotationCenter:

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from pwrot.cyclo import Sign, make_field, sign_of_imag, sign_of_real
-from pwrot.dynamics import Address, AffineMap, address, affine_along, step
+from pwrot.critical import window
+from pwrot.cyclo import Sign, _fixed_nodes, make_field, sign_of_imag, sign_of_real
+from pwrot.dynamics import Address, AffineMap, address, step
 from pwrot.geometry import (
     EMPTY,
     UNBOUNDED,
@@ -17,6 +18,7 @@ from pwrot.geometry import (
     binding_halfplanes,
     clip_segment_to_box,
     edge_direction_power,
+    grid_corner,
     intersect_halfplanes,
     make_polygon,
     orientation,
@@ -26,6 +28,8 @@ from pwrot.geometry import (
 )
 from pwrot.errors import ParameterError
 from pwrot import geometry
+
+from affine import affine_along
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +51,14 @@ def lower(ctx):
     return HalfPlane(0, ctx.zero(), -1)
 
 
+def side_of(h, w):
+    """Sign of Im(lambda^power * w + b), before the side of h is applied."""
+    return sign_of_imag(h.b.ctx.lam_pow(h.power) * w + h.b)
+
+
 def holds(h, w):
     """w lies in the open half-plane h."""
-    return h.side_of(w) * h.side > 0
+    return side_of(h, w) * h.side > 0
 
 
 class TestHalfPlaneFromConstraint:
@@ -211,11 +220,11 @@ class TestIntersectHalfplanes:
                 polygons += 1
                 assert polygon_contains(poly, c) == Location.INTERIOR
                 for v in poly.vertices:
-                    assert all(h.side_of(v) * h.side >= 0 for h in cons)
+                    assert all(side_of(h, v) * h.side >= 0 for h in cons)
                 for a, b in poly.edges():
                     assert orientation(a, b, c) == Sign.POSITIVE
                     assert any(
-                        h.side_of(a) == Sign.ZERO and h.side_of(b) == Sign.ZERO and holds(h, c)
+                        side_of(h, a) == Sign.ZERO and side_of(h, b) == Sign.ZERO and holds(h, c)
                         for h in cons
                     )
         assert polygons >= 30
@@ -225,7 +234,7 @@ class TestIntersectHalfplanes:
         poly = intersect_halfplanes(cons)
         for h in cons:
             for v in poly.vertices:
-                assert h.side_of(v) != (
+                assert side_of(h, v) != (
                     Sign.NEGATIVE if h.side > 0 else Sign.POSITIVE
                 )
         centroid = poly.vertices[0]
@@ -417,6 +426,183 @@ def in_box(w, box):
 def on_face(w, box):
     x, y = w.real(), w.imag()
     return in_box(w, box) and (x in (box.x0, box.x1) or y in (box.y0, box.y1))
+
+
+def reference_clip(seg, box):
+    """The clip with every face decided by the exact sign oracle: the
+    reference for the enclosure certificate of ``clip_segment_to_box``."""
+    ctx = seg.a.ctx
+    m = ctx.m
+    e, beta = seg.grid_line()
+    a, b = seg.a, seg.b
+    for f, bound in ((0, -box.y0), (m // 4, -box.x0), (m // 2, box.y1), (3 * m // 4, box.x1)):
+        c = ctx.point(0, bound)
+        a_out = sign_of_imag(a.mul_zeta(f) + c) == Sign.NEGATIVE
+        b_out = sign_of_imag(b.mul_zeta(f) + c) == Sign.NEGATIVE
+        if a_out and b_out:
+            return None
+        if a_out or b_out:
+            w = grid_corner(e, beta, f, ctx.from_rational(bound))
+            a, b = (w, b) if a_out else (a, w)
+    if a == b:
+        return None
+    return ExactSegment(a, b, seg.power, seg.depth)
+
+
+@pytest.fixture
+def exact_faces(monkeypatch):
+    """Counts the faces ``clip_segment_to_box`` leaves to the exact test."""
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return sign_of_imag(a)
+
+    monkeypatch.setattr(geometry, "sign_of_imag", counted)
+    return calls
+
+
+class TestClipCertificate:
+    """Each endpoint's enclosure decides the faces it clears by more than its
+    error; an endpoint on or within about 2^-64 of a face takes the exact
+    test.  Every case is checked against ``reference_clip``."""
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
+    def test_endpoint_on_fractional_face(self, exact_faces, p, q):
+        ctx = make_field(p, q)
+        box = Box(-2, Fraction(1, 3), 2, 3)
+        a = ctx.point(Fraction(1, 2), Fraction(1, 3))
+        for t in range(ctx.q):
+            u = ctx.lam_pow(t)
+            for seg in (ExactSegment(a, a + 2 * u, t), ExactSegment(a - 2 * u, a, t)):
+                before = len(exact_faces)
+                assert clip_segment_to_box(seg, box) == reference_clip(seg, box)
+                assert len(exact_faces) > before
+        flat = ExactSegment(ctx.point(-5, Fraction(1, 3)), ctx.point(5, Fraction(1, 3)), 0)
+        out = clip_segment_to_box(flat, box)
+        assert (out.a, out.b) == (ctx.point(-2, Fraction(1, 3)), ctx.point(2, Fraction(1, 3)))
+
+    def test_endpoint_on_box_corner(self, ctx5, exact_faces):
+        box = Box(Fraction(-3, 2), Fraction(1, 3), 2, 3)
+        corner = ctx5.point(box.x0, box.y0)
+        for t in range(ctx5.q):
+            u = ctx5.lam_pow(t)
+            for seg in (ExactSegment(corner, corner + 3 * u, t), ExactSegment(corner - 3 * u, corner, t)):
+                before = len(exact_faces)
+                assert clip_segment_to_box(seg, box) == reference_clip(seg, box)
+                assert len(exact_faces) >= before + 2
+
+    def test_endpoint_on_window_face(self, ctx12, exact_faces):
+        box = window(Box(-1, -1, 2, 1), 3)
+        h = box.x1
+        assert h == -box.x0 and h.denominator == 1
+        kept = 0
+        for t in range(ctx12.q):
+            u = ctx12.lam_pow(t)
+            for end in (ctx12.point(h, Fraction(1, 2)), ctx12.point(Fraction(-1, 4), -h)):
+                seg = ExactSegment(end, end + 5 * u, t, depth=2)
+                before = len(exact_faces)
+                out = clip_segment_to_box(seg, box)
+                assert out == reference_clip(seg, box)
+                assert len(exact_faces) > before
+                kept += out is not None and out.a == end
+        assert kept > 0
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
+    def test_endpoint_a_hair_off_a_face(self, exact_faces, p, q):
+        # 10^-30 is far below the enclosure's error, so only the exact test
+        # tells inside from outside
+        ctx = make_field(p, q)
+        box = Box(-2, Fraction(1, 3), 2, 3)
+        for eps in (Fraction(1, 10 ** 30), Fraction(-1, 10 ** 30)):
+            a = ctx.point(Fraction(1, 2), Fraction(1, 3) + eps)
+            for t in range(ctx.q):
+                u = ctx.lam_pow(t)
+                if u.imag().is_zero():
+                    continue
+                seg = ExactSegment(a, a + 2 * u, t)
+                before = len(exact_faces)
+                out = clip_segment_to_box(seg, box)
+                assert out == reference_clip(seg, box)
+                assert len(exact_faces) > before
+                assert (out is not None and out.a == a) == (eps > 0)
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
+    def test_error_bound_is_tight_for_a_unit_vector(self, p, q):
+        # a = zeta^j has E = 1.  A face strictly between a coordinate of a
+        # and its node's N_j / 2^64 puts the gap within E of zero but on the
+        # wrong side of it, so only the full bound E sends a to the exact test.
+        ctx = make_field(p, q)
+        nodes64, nodes128 = _fixed_nodes(ctx.m, ctx.d, 64), _fixed_nodes(ctx.m, ctx.d, 128)
+        tested = 0
+        up = next(t for t in range(ctx.q) if sign_of_imag(ctx.lam_pow(t)) == Sign.POSITIVE)
+        for part in (0, 1):
+            # a grid direction that crosses the face: x grows along 1, y along lambda^up
+            t = 0 if part == 0 else up
+            u = ctx.lam_pow(t)
+            for j in range(1, ctx.d):
+                n64, n128 = nodes64[part][j], nodes128[part][j]
+                miss = (n64 << 64) - n128  # about 2^64 * (N_j - 2^64 * coordinate)
+                if abs(miss) < 1 << 54:
+                    continue
+                a = ctx.zeta_pow(j)
+                face = Fraction((n64 << 64) + n128, 1 << 129)
+                lo, hi = (face - 4, face) if miss > 0 else (face, face + 4)
+                box = Box(lo, -2, hi, 2) if part == 0 else Box(-2, lo, 2, hi)
+                # the coordinate lies below the face when miss > 0, above it otherwise
+                seg = ExactSegment(a, a - u if miss > 0 else a + u, t)
+                assert clip_segment_to_box(seg, box) == reference_clip(seg, box) == seg
+                tested += 1
+        assert tested >= 2
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
+    def test_random_segments_match_reference(self, p, q):
+        # seeded grid segments whose endpoints are generic field points, or
+        # rational in one coordinate and irrational in the other, against
+        # boxes with faces at random, through an endpoint, or within 10^-30
+        # of one
+        ctx = make_field(p, q)
+        rng = random.Random(1000 * p + q)
+
+        def rational(lo, hi):
+            return Fraction(rng.randint(6 * lo, 6 * hi), 6)
+
+        def endpoint():
+            x, y = rational(-3, 3), rational(-3, 3)
+            k = rng.randrange(1, ctx.m)
+            c = rational(-1, 1)
+            z = ctx.zeta_pow(k)
+            kind = rng.randrange(3)
+            if kind == 0:
+                return ctx.point(x, y) + c * (z + z.conj()), None, y
+            if kind == 1:
+                return ctx.point(x, y) + c * (z - z.conj()), x, None
+            vec = [rng.randint(-3, 3) for _ in range(ctx.d)]
+            return ctx.from_lattice(vec, rng.randint(1, 6)), None, None
+
+        faces_hit = 0
+        for _ in range(150):
+            a, ax, ay = endpoint()
+            t = rng.randrange(-ctx.q, 2 * ctx.q)
+            b = a + rational(-4, 4) * ctx.lam_pow(t)
+            if a == b:
+                continue
+            bounds = [rational(-4, -1), rational(-4, -1), rational(1, 4), rational(1, 4)]
+            tiny = rng.choice((0, Fraction(1, 10 ** 30), Fraction(-1, 10 ** 30)))
+            if ax is not None:
+                bounds[rng.choice((0, 2))] = ax + tiny
+                faces_hit += 1
+            if ay is not None:
+                bounds[rng.choice((1, 3))] = ay + tiny
+                faces_hit += 1
+            x0, x1 = sorted((bounds[0], bounds[2]))
+            y0, y1 = sorted((bounds[1], bounds[3]))
+            if x0 == x1 or y0 == y1:
+                continue
+            seg = ExactSegment(a, b, t, depth=rng.randrange(5))
+            box = Box(x0, y0, x1, y1)
+            assert clip_segment_to_box(seg, box) == reference_clip(seg, box)
+        assert faces_hit >= 60
 
 
 class TestSegments:

@@ -9,7 +9,6 @@ from pwrot.casestudy import golden_context, golden_rescale, hexagon_context, pen
 from pwrot.cyclo import make_field
 from pwrot.dynamics import (
     AffineMap,
-    affine_along,
     branch_offsets,
     itinerary,
     minimal_period,
@@ -35,15 +34,12 @@ from pwrot.tiles import (
     verify_polygon_bounds,
 )
 
+from affine import affine_along, compose, rotation_center
+
 
 @pytest.fixture(scope="module")
 def gc():
     return golden_context()
-
-
-def rotation_center(g):
-    """The fixed point of w -> lambda^t w + b, for lambda^t != 1."""
-    return g.offset * (g.ctx.one() - g.linear_part()).inverse()
 
 
 @pytest.fixture(scope="module")
@@ -248,7 +244,7 @@ class TestStreamedConstraints:
             g, full = AffineMap(0, ctx.zero()), []
             for j in range(n):
                 full.append(HalfPlane(g.power % ctx.q, g.offset, word[j % tile.ell]))
-                g = branch[word[j % tile.ell]].compose_after(g)
+                g = compose(branch[word[j % tile.ell]], g)
             walk = (
                 HalfPlane(j % ctx.q, b, word[j % tile.ell])
                 for j, b in enumerate(branch_offsets(ctx, word, n - 1))
