@@ -2,16 +2,16 @@
  *
  * Same constructor, one entry point ``walk`` and return tuple as the pure
  * kernel: the signs of the iterates as an array('b'), the on-line iterates,
- * a stop at the first exact return when a target is given, and the per-class
- * nominees for the iterate nearest the line when ``select`` is true.  Its
- * walk always starts fresh (no ``carry``): a walk resumed after the int64
- * handoff is the pure kernel's.  A step is v -> M v -+ D*L on
- * int64 vectors; the branch sign comes from the same certified float fast
- * path, then the exact integer zero test (v fixed by the conjugation matrix
- * K), then the caller's exact ``hard_sign(tuple)`` for the rare ambiguous
- * nonzero sign, whose exceptions propagate.  The float sum that decides a
- * sign also bounds |Im(v)|, and only nominates: the nominees are settled
- * exactly by the caller.
+ * a stop at the first exact return when a target is given, and per class
+ * the one nominee nearest the line when ``select`` is true.  Its walk always
+ * starts fresh (no ``carry``): a walk resumed after the int64 handoff is the
+ * pure kernel's.  A step is v -> M v -+ D*L on int64 vectors; the branch
+ * sign comes from the same certified float fast path, then the exact integer
+ * zero test (v fixed by the conjugation matrix K), then the caller's exact
+ * ``hard_sign(tuple)`` for the rare ambiguous nonzero sign, whose exceptions
+ * propagate.  The float sum that decides a sign also bounds |Im(v)|, which
+ * only passes over iterates that cannot be nearest: a class's nominee is
+ * replaced by the same three sign tests on the difference of the two.
  *
  * The caller guarantees (via the threshold handed to the constructor) that
  * one more step, and the zero test, cannot overflow int64 while max|v_j|
@@ -147,8 +147,9 @@ static int too_big(const Kernel *k, const i64 *v)
     return 0;
 }
 
-/* The sign of Im(v) when the certified float sum decides it, else 0; then
- * |Im(v)| * D is within *err of *mag. */
+/* The sign of Im(v) when the certified float sum decides it (*mag > *err),
+ * else 0; then |Im(v)| * D is within *err of *mag.  An infinite margin
+ * decides nothing, not even for v = 0, where it makes *err NaN. */
 static int float_sign(const Kernel *k, const i64 *v, double *mag, double *err)
 {
     double total = 0.0, absum = 0.0;
@@ -159,7 +160,7 @@ static int float_sign(const Kernel *k, const i64 *v, double *mag, double *err)
     }
     *mag = fabs(total);
     *err = k->margin * absum;
-    if (*mag <= *err)
+    if (!(*mag > *err))
         return 0;
     return total > 0.0 ? 1 : -1;
 }
@@ -202,67 +203,42 @@ static int exact_sign(Kernel *k, const i64 *v, int *sign, i64 *tmp)
     return 0;
 }
 
-/* The nomination state of one walk: per class c the candidate list
- * cands[c], its bound bnd[c], and in lead[c*d...] the fingerprint of the
- * list's first entry. */
+/* The nomination state of one walk: per class c the bound bnd[c], the
+ * index j[c] of the best iterate (-1 while the class has none) and its
+ * vector at vec[c*d]. */
 typedef struct {
-    PyObject *cands;
     double *bnd;
-    i64 *lead;
+    i64 *j;
+    i64 *vec;
 } Select;
 
-/* out = s * (K v - v), which two iterates share exactly when they share
- * s * Im(v).  No entry overflows while max|v_j| is within the threshold. */
-static void fingerprint(const Kernel *k, const i64 *v, int s, i64 *out)
-{
-    sparse_apply(&k->conj, k->d, v, out);
-    for (Py_ssize_t i = 0; i < k->d; i++)
-        out[i] = s * (out[i] - v[i]);
-}
-
-/* lead[c] from the first entry (j, vec, lo) of class c's list, which this
- * walk listed; its sign is +1 when lambda^j = zeta^c.  tmp holds d entries. */
-static int read_lead(const Kernel *k, Select *sel, Py_ssize_t c, i64 *tmp)
-{
-    PyObject *first = PyList_GET_ITEM(PyList_GET_ITEM(sel->cands, c), 0);
-    i64 j = PyLong_AsLongLong(PyTuple_GET_ITEM(first, 0));
-    if ((j == -1 && PyErr_Occurred()) || read_ints(PyTuple_GET_ITEM(first, 1), tmp, k->d) < 0)
-        return -1;
-    fingerprint(k, tmp, k->t0 * (Py_ssize_t)(j % k->m) % k->m == c ? 1 : -1, sel->lead + c * k->d);
-    return 0;
-}
-
-/* Nominate iterate `index` of sign s, with lo <= bnd[c], for class c as
- * _steppy.Kernel.walk does: an exact tie of the list's first entry is left
- * out; otherwise the iterate is listed, and when hi lowers the bound the
- * listed ones with lo above it go.  fp and tmp hold d entries each.  -1 with
- * an exception set on failure. */
-static int nominate(const Kernel *k, Select *sel, Py_ssize_t c, int s, i64 index,
-                    const i64 *v, double lo, double hi, i64 *fp, i64 *tmp)
+/* Make iterate `index` of sign s, class c, the class's best as
+ * _steppy.Kernel.walk does: when the class has none, or when s Im(v) is below
+ * the best's value, decided exactly on the difference of the two (an exact
+ * tie keeps the earlier).  hi lowers the class's bound either way.  No entry
+ * of the difference, or of K times it, overflows while max|v_j| is within
+ * the threshold.  diff and tmp hold d entries each.  -1 with an exception
+ * set if hard_sign raised. */
+static int nominate(Kernel *k, Select *sel, Py_ssize_t c, int s, i64 index, const i64 *v,
+                    double hi, i64 *diff, i64 *tmp)
 {
     const Py_ssize_t d = k->d;
-    PyObject *list = PyList_GET_ITEM(sel->cands, c);
-    fingerprint(k, v, s, fp);
-    if (PyList_GET_SIZE(list) > 0 && same(fp, sel->lead + c * d, d))
-        return 0;
-    if (hi < sel->bnd[c]) {
-        sel->bnd[c] = hi;
-        for (Py_ssize_t i = PyList_GET_SIZE(list) - 1; i >= 0; i--) {
-            PyObject *x = PyTuple_GET_ITEM(PyList_GET_ITEM(list, i), 2);
-            if (PyFloat_AS_DOUBLE(x) > hi && PyList_SetSlice(list, i, i + 1, NULL) < 0)
-                return -1;
-        }
+    i64 *best = sel->vec + c * d;
+    int below = -1;
+    double mag, err;
+    if (sel->j[c] >= 0) {
+        int sb = k->t0 * (sel->j[c] % k->m) % k->m == c ? 1 : -1;
+        for (Py_ssize_t i = 0; i < d; i++)
+            diff[i] = s * v[i] - sb * best[i];
+        if ((below = float_sign(k, diff, &mag, &err)) == 0 && exact_sign(k, diff, &below, tmp) < 0)
+            return -1;
     }
-    PyObject *item = Py_BuildValue("(LNd)", index, vec_new(v, d, 0), lo);
-    if (item == NULL)
-        return -1;
-    int rc = PyList_Append(list, item);
-    Py_DECREF(item);
-    if (rc < 0)
-        return -1;
-    if (PyList_GET_SIZE(list) > 1)
-        return read_lead(k, sel, c, tmp);
-    memcpy(sel->lead + c * d, fp, (size_t)d * sizeof(i64));
+    if (below < 0) {
+        sel->j[c] = index;
+        memcpy(best, v, (size_t)d * sizeof(i64));
+    }
+    if (hi < sel->bnd[c])
+        sel->bnd[c] = hi;
     return 0;
 }
 
@@ -356,14 +332,14 @@ fail:
 }
 
 /* Scratch for the iterate, the next one and a target (the iterate read in),
- * two more vectors, the m class leads and the m class bounds. */
+ * two more vectors, then per class a best iterate, its index and a bound. */
 static i64 *scratch(const Kernel *k, PyObject *v_start)
 {
     if (k->block == NULL) {
         PyErr_SetString(PyExc_RuntimeError, "kernel not initialised");
         return NULL;
     }
-    i64 *buf = PyMem_Malloc((size_t)(5 + k->m) * (size_t)k->d * sizeof(i64)
+    i64 *buf = PyMem_Malloc((size_t)((5 + k->m) * k->d + k->m) * sizeof(i64)
                             + (size_t)k->m * sizeof(double));
     if (buf == NULL) {
         PyErr_NoMemory();
@@ -412,7 +388,7 @@ Py_NO_INLINE static int routine(const Kernel *k, Walk *st, i64 first, i64 until,
         int positive = total > 0.0;
         c = e + ((m / 2) & -(Py_ssize_t)!positive);  /* its class, without a branch */
         c -= m & -(Py_ssize_t)(c >= m);
-        if (lo <= 0.0 || (bnd != NULL && lo <= bnd[c]))
+        if (!(lo > 0.0) || (bnd != NULL && lo <= bnd[c]))
             break;
         st->chunk[steps - first] = positive ? 1 : -1;
         kernel_step(k, v, w, positive);
@@ -437,13 +413,29 @@ static int flush_signs(PyObject *signs, const char *chunk, Py_ssize_t n)
     return r == NULL ? -1 : 0;
 }
 
+/* (bounds, best) as _steppy.Kernel.walk returns them; NULL on failure. */
+static PyObject *select_new(const Kernel *k, const Select *sel)
+{
+    PyObject *bounds = PyList_New(k->m), *best = PyList_New(k->m);
+    for (Py_ssize_t c = 0; bounds != NULL && best != NULL && c < k->m; c++) {
+        PyObject *x = PyFloat_FromDouble(sel->bnd[c]);
+        PyObject *b = sel->j[c] < 0 ? Py_NewRef(Py_None)
+                      : Py_BuildValue("(LN)", sel->j[c], vec_new(sel->vec + c * k->d, k->d, 0));
+        PyList_SET_ITEM(bounds, c, x);
+        PyList_SET_ITEM(best, c, b);
+        if (x == NULL || b == NULL)
+            Py_CLEAR(bounds);
+    }
+    return Py_BuildValue("(NN)", bounds, best);  /* steals both, also on failure */
+}
+
 static PyObject *Kernel_walk(Kernel *k, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"v_start", "budget", "target", "select", NULL};
-    PyObject *v_start, *target = Py_None, *signs, *touches, *bounds = NULL, *select, *out = NULL;
+    PyObject *v_start, *target = Py_None, *signs, *touches, *out = NULL;
     Select sel = {NULL, NULL, NULL};
     Walk st;
-    i64 budget, first = 0, until, *buf, *tgt = NULL, *t, *fp, *tmp;
+    i64 budget, first = 0, until, *buf, *tgt = NULL, *t, *diff, *tmp;
     double mag, err;
     Py_ssize_t c;
     int s, selecting = 0;
@@ -455,7 +447,7 @@ static PyObject *Kernel_walk(Kernel *k, PyObject *args, PyObject *kwds)
     if ((buf = scratch(k, v_start)) == NULL)
         return NULL;
     st.v = buf, st.w = buf + d, st.steps = 0, st.e = 0;
-    fp = buf + 3 * d, tmp = buf + 4 * d;
+    diff = buf + 3 * d, tmp = buf + 4 * d;
     if (target != Py_None)
         tgt = buf + 2 * d;
     signs = PyObject_CallFunction(array_type, "s", "b");
@@ -463,17 +455,11 @@ static PyObject *Kernel_walk(Kernel *k, PyObject *args, PyObject *kwds)
     if (signs == NULL || touches == NULL || (tgt != NULL && read_ints(target, tgt, d) < 0))
         goto done;
     if (selecting) {
-        sel.lead = buf + 5 * d;
-        sel.bnd = (double *)(sel.lead + m * d);
-        if ((bounds = PyList_New(m)) == NULL || (sel.cands = PyList_New(m)) == NULL)
-            goto done;
-        for (c = 0; c < m; c++) {
-            sel.bnd[c] = INFINITY;
-            PyObject *list = PyList_New(0);
-            if (list == NULL)
-                goto done;
-            PyList_SET_ITEM(sel.cands, c, list);
-        }
+        sel.vec = buf + 5 * d;
+        sel.j = sel.vec + m * d;
+        sel.bnd = (double *)(sel.j + m);
+        for (c = 0; c < m; c++)
+            sel.j[c] = -1, sel.bnd[c] = INFINITY;
     }
     for (;;) {  /* the chunk holds the signs of iterates first .. steps - 1 */
         if (st.steps == first + CHUNK) {
@@ -497,14 +483,14 @@ static PyObject *Kernel_walk(Kernel *k, PyObject *args, PyObject *kwds)
         }
         if ((s = float_sign(k, st.v, &mag, &err)) == 0) {
             mag = 0.0, err = INFINITY;
-            if (exact_sign(k, st.v, &s, fp) < 0
+            if (exact_sign(k, st.v, &s, diff) < 0
                 || (s == 0 && add_touch(touches, st.steps, st.v, d) < 0))
                 goto done;
         }
         if (s != 0 && selecting) {
             c = (st.e + (s < 0 ? m / 2 : 0)) % m;
             if (mag - err <= sel.bnd[c]
-                && nominate(k, &sel, c, s, st.steps, st.v, mag - err, mag + err, fp, tmp) < 0)
+                && nominate(k, &sel, c, s, st.steps, st.v, mag + err, diff, tmp) < 0)
                 goto done;
         }
         st.chunk[st.steps++ - first] = (char)s;
@@ -518,22 +504,13 @@ static PyObject *Kernel_walk(Kernel *k, PyObject *args, PyObject *kwds)
     }
     if (flush_signs(signs, st.chunk, st.steps - first) < 0)
         goto done;
-    for (c = 0; selecting && c < m; c++) {
-        PyObject *x = PyFloat_FromDouble(sel.bnd[c]);
-        if (x == NULL)
-            goto done;
-        PyList_SET_ITEM(bounds, c, x);
-    }
-    select = selecting ? Py_BuildValue("(NN)", bounds, sel.cands) : Py_NewRef(Py_None);
-    bounds = sel.cands = NULL;
     /* steals the four, also on failure */
-    out = Py_BuildValue("(iNNNN)", status, signs, touches, vec_new(st.v, d, 1), select);
+    out = Py_BuildValue("(iNNNN)", status, signs, touches, vec_new(st.v, d, 1),
+                        selecting ? select_new(k, &sel) : Py_NewRef(Py_None));
     signs = touches = NULL;
 done:
     Py_XDECREF(signs);
     Py_XDECREF(touches);
-    Py_XDECREF(bounds);
-    Py_XDECREF(sel.cands);
     PyMem_Free(buf);
     return out;
 }

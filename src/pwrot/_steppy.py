@@ -11,12 +11,13 @@ ambiguous nonzero cases.
 The one entry point, ``Kernel.walk``, serves first-return searches, sign
 sequences and tiles: it records the sign of every iterate as one signed
 byte and every on-line iterate, stops at an exact return when given a
-target, and when asked nominates, per direction class, the iterates that
-may lie nearest the line (see ``walk``).  This module is the always-available
-fallback; arithmetic is Python ints and therefore never overflows.  The
-compiled twin, the C extension built from ``_stepkernel.c``, has the same
-interface but for ``carry``, and hands back on int64 overflow; this kernel
-resumes its walk from the state it hands back.
+target, and when asked nominates, per direction class, the one iterate
+nearest the line, decided exactly (see ``walk``).  This module is the
+always-available fallback; arithmetic is Python ints and therefore never
+overflows.  The compiled twin, the C extension built from
+``_stepkernel.c``, has the same interface but for ``carry``, and hands back
+on int64 overflow; this kernel resumes its walk from the state it hands
+back.
 """
 
 from __future__ import annotations
@@ -79,14 +80,12 @@ class Kernel:
                 return self.hard_sign(tuple(v)), -_INF, _INF
         return 0, -_INF, _INF
 
-    def _fingerprint(self, v, s):
-        """s * (K v - v), shared by two iterates exactly when s * Im(v) is."""
-        return [s * (sum(c * v[j] for j, c in row) - v[i]) for i, row in enumerate(self.rows_k)]
-
-    def _lead(self, c, entry):
-        """The fingerprint of a listed (j, vec, lo) of class c."""
-        j, vec, _ = entry
-        return self._fingerprint(vec, 1 if self.t0 * j % self.m == c else -1)
+    def _below(self, v, s, c, best):
+        """Whether s Im(v) is below the value of class c's best (j, vec),
+        decided exactly on the integer difference of the two."""
+        j, vec = best
+        sb = 1 if self.t0 * j % self.m == c else -1
+        return self._sign([s * x - sb * y for x, y in zip(v, vec)])[0] < 0
 
     def _step(self, v, positive_branch):
         rows = self.rows_m
@@ -110,26 +109,23 @@ class Kernel:
         that stopped at v_start, which this walk extends; its select, not
         the argument, then says whether this walk nominates.
 
-        With ``select`` true, select = (bounds, candidates) nominates, per
-        class e = (t0*j + (m/2 if s_j < 0)) mod m, the iterates that may
-        have the least s_j Im(v_j), the earliest on an exact tie; else it is
-        None.  A float that decided a sign bounds that value within
-        [lo, hi], else lo = -inf and hi = inf.  bounds[e] is the least hi of
-        the class; candidates[e] lists (j, tuple(v_j), lo) for each iterate
-        with lo <= bounds[e] but those whose value equals the first one's
-        exactly (``_fingerprint``).  The caller settles the candidates
-        exactly.
+        With ``select`` true, select = (bounds, best) nominates, per class
+        e = (t0*j + (m/2 if s_j < 0)) mod m, the iterate of least
+        s_j Im(v_j), the earliest on an exact tie; else it is None.  best[e]
+        is its (j, tuple(v_j)), or None for a class no iterate is in.  A
+        float that decided a sign bounds that value within [lo, hi], else
+        lo = -inf and hi = inf; bounds[e] is the least hi of the class, and
+        an iterate with lo above it is passed over.  Any other is compared
+        with best[e] by the exact sign of the difference of the two values.
         """
         m, t0, half = self.m, self.t0, self.m // 2
         if carry is None:
-            sel = ([_INF] * m, [[] for _ in range(m)]) if select else None
-            carry = array("b"), [], sel
+            carry = array("b"), [], ([_INF] * m, [None] * m) if select else None
         signs, touches, sel = carry
-        bounds, cands = sel or ((), ())
+        bounds, best = sel or ((), ())
         v = list(v_start)
         target = None if target is None else list(target)
         first = len(signs)
-        leads = [self._lead(c, listed[0]) if listed else None for c, listed in enumerate(cands)]
         e = t0 * first % m  # lambda^j = zeta^e
         for i in range(first, budget):
             s, lo, hi = self._sign(v)
@@ -140,14 +136,9 @@ class Kernel:
             elif sel:
                 c = e if s > 0 else (e + half) % m
                 if lo <= bounds[c]:
-                    fp = self._fingerprint(v, s)
-                    listed = cands[c]
-                    if not listed or fp != leads[c]:
-                        if hi < bounds[c]:
-                            bounds[c] = hi
-                            listed = cands[c] = [x for x in listed if x[2] <= hi]
-                        listed.append((i, tuple(v), lo))
-                        leads[c] = fp if len(listed) == 1 else self._lead(c, listed[0])
+                    if best[c] is None or self._below(v, s, c, best[c]):
+                        best[c] = (i, tuple(v))
+                    bounds[c] = min(bounds[c], hi)
             v = self._step(v, s >= 0)
             e = (e + t0) % m
             if v == target:

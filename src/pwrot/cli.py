@@ -36,7 +36,7 @@ from .errors import (
 )
 from .geometry import Box, polygon_is_regular
 from .pointexpr import parse_alpha, parse_box, parse_point, parse_rational
-from .render import Scene, orbit_scene, segment_scene, tiles_scene
+from .render import orbit_scene, polygon_scene, segment_scene, tiles_scene
 from .tiles import (interior_samples, scan_region, tile_from_seed, tile_images,
                     verify_polygon_bounds, verify_rotation_structure)
 
@@ -180,11 +180,8 @@ def cmd_tile(args) -> int:
         _emit(json.dumps(_tile_json(tile), indent=1) + "\n", args.out)
     elif args.format == "svg":
         images, _ = tile_images(tile)
-        scene = Scene()
-        for img in images:
-            pts = [_shadow(v) for v in img.vertices]
-            scene.add_polygon(pts, fill="#88bbdd", stroke="#333333", opacity=0.55)
-        _emit(scene.to_svg(), args.out)
+        _emit(polygon_scene((img.vertices for img in images), "#88bbdd", opacity=0.55).to_svg(),
+              args.out)
     else:
         _emit(_tile_text(tile), args.out)
     return EXIT_OK
@@ -331,17 +328,13 @@ def _golden_svg(gc, path):
     centers, the seven-cycle pentagons, and one full interior orbit."""
     bundle = critical_bundle(gc.ctx, 12, Box(-2, Fraction(-1, 2), 3, Fraction(9, 2)))
     scene = segment_scene(bundle.all_segments(), color="#bbbbbb", width=0.7)
-    tri = [gc.Q, gc.S, gc.R]
-    for n in range(3):
-        pts = [_shadow(v) for v in tri]
-        scene.add_polygon(pts, fill="none", stroke="#2255cc")
-        tri = [golden_rescale(gc, v) for v in tri]
-    p1 = golden_rescale(gc, gc.P0)
-    seven = tile_from_seed(p1, 100)
+    triangles = [[gc.Q, gc.S, gc.R]]
+    for _ in range(2):
+        triangles.append([golden_rescale(gc, v) for v in triangles[-1]])
+    polygon_scene(triangles, "none", "#2255cc", scene=scene)
+    seven = tile_from_seed(golden_rescale(gc, gc.P0), 100)
     images, _ = tile_images(seven)
-    for img in images:
-        scene.add_polygon([_shadow(v) for v in img.vertices], fill="#cde6f5",
-                          stroke="#336699", opacity=0.6)
+    polygon_scene((img.vertices for img in images), "#cde6f5", "#336699", 0.6, scene)
     sample = interior_samples(seven, 1, seed=1)[0]
     for w in orbit(sample, 34):
         c = w.to_complex()
@@ -355,13 +348,8 @@ def _golden_svg(gc, path):
 
 
 def _hexagon_svg(path):
-    hc = hexagon_context()
-    tile = tile_from_seed(hc.center, 100)
-    images, _ = tile_images(tile)
-    scene = Scene()
-    for img in images:
-        pts = [_shadow(v) for v in img.vertices]
-        scene.add_polygon(pts, fill="#ddaa33", stroke="#333333", opacity=0.5)
+    images, _ = tile_images(tile_from_seed(hexagon_context().center, 100))
+    scene = polygon_scene((img.vertices for img in images), "#ddaa33", opacity=0.5)
     Path(path).write_text(scene.to_svg(), encoding="utf-8")
 
 
@@ -379,27 +367,39 @@ def cmd_verify(args) -> int:
 # -- argument plumbing -----------------------------------------------------------
 
 
-def _apply_config(args):
-    if not getattr(args, "config", None):
-        return
-    path = Path(args.config)
-    if not path.exists():
-        raise ParameterError(f"config file {path} does not exist")
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or "=" not in line:
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        if hasattr(args, key) and getattr(args, key) is None:
-            if key in ("n", "depth", "budget", "cap", "max_n", "samples", "sample_seed",
-                       "max_tile_period"):
-                try:
-                    value = int(value)
-                except ValueError:
-                    raise ParameterError(f"config key {key} needs an integer, got {value!r}") from None
-            setattr(args, key, value)
+def _parse_args(parser, argv):
+    """The parsed arguments.  The ``key = value`` lines of a --config file
+    act as flags placed before those of the command line, so a flag given
+    there wins and each value is converted and checked like its flag; a
+    switch takes true or false, and keys the command does not have are
+    ignored."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    if args.config:
+        path = Path(args.config)
+        if not path.exists():
+            raise ParameterError(f"config file {path} does not exist")
+        flags = []
+        for line in path.read_text(encoding="utf-8").splitlines():
+            key, eq, value = line.partition("=")
+            key, value = key.strip().replace("-", "_"), value.strip()
+            if not eq or key in ("command", "which", "func", "config") or not hasattr(args, key):
+                continue
+            flag = "--" + key.replace("_", "-")
+            if isinstance(getattr(args, key), bool):  # a switch
+                if value.lower() not in ("true", "false"):
+                    raise ParameterError(f"config key {key} needs true or false, got {value!r}")
+                if value.lower() == "true":
+                    flags.append(flag)
+            else:
+                flags.append(f"{flag}={value}")
+        try:
+            args = parser.parse_args(argv[:1] + flags + argv[1:])
+        except SystemExit:
+            raise ParameterError(f"config file {path} holds a bad value (above)") from None
+    if hasattr(args, "alpha") and args.alpha is None:
+        raise ParameterError("--alpha p/q is required (e.g. 4/5 for 8*pi/5)")
+    return args
 
 
 def _add_common(sub, alpha=True):
@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     it = subs.add_parser("iterate", help="print an exact orbit")
     _add_common(it)
     it.add_argument("--point", required=True)
-    it.add_argument("--n", type=int, default=None)
+    it.add_argument("--n", type=int, default=10)
     it.add_argument(
         "--format",
         choices=["pretty", "phi", "coeff", "csv", "json", "svg"],
@@ -431,31 +431,31 @@ def build_parser() -> argparse.ArgumentParser:
     pe = subs.add_parser("period", help="exact minimal period search")
     _add_common(pe)
     pe.add_argument("--point", required=True)
-    pe.add_argument("--budget", type=int, default=None)
+    pe.add_argument("--budget", type=int, default=100000)
     pe.set_defaults(func=cmd_period)
 
     ti = subs.add_parser("tile", help="extract the tile of a periodic seed")
     _add_common(ti)
     ti.add_argument("--seed", required=True)
-    ti.add_argument("--budget", type=int, default=None)
+    ti.add_argument("--budget", type=int, default=100000)
     ti.add_argument("--format", choices=["text", "json", "svg"], default="text")
     ti.set_defaults(func=cmd_tile)
 
     cr = subs.add_parser("critical", help="critical-set segment bundle")
     _add_common(cr)
-    cr.add_argument("--depth", type=int, default=None)
-    cr.add_argument("--box", required=False, default=None, help="x0,y0,x1,y1")
+    cr.add_argument("--depth", type=int, default=10)
+    cr.add_argument("--box", default="-3,-3,3,3", help="x0,y0,x1,y1")
     cr.add_argument("--direction", choices=["pullback", "forward", "both"], default="pullback")
-    cr.add_argument("--cap", type=int, default=None)
+    cr.add_argument("--cap", type=int, default=1000000)
     cr.add_argument("--merge", action="store_true", help="merge collinear overlaps (svg)")
     cr.add_argument("--format", choices=["text", "json", "svg"], default="text")
     cr.set_defaults(func=cmd_critical)
 
     sc = subs.add_parser("scan", help="periods and tiles over a rational grid")
     _add_common(sc)
-    sc.add_argument("--box", required=False, default=None)
-    sc.add_argument("--grid", required=False, default=None, help="grid step, rational")
-    sc.add_argument("--budget", type=int, default=None)
+    sc.add_argument("--box", default="-3,-3,3,3", help="x0,y0,x1,y1")
+    sc.add_argument("--grid", default="1/2", help="grid step, rational")
+    sc.add_argument("--budget", type=int, default=100000)
     sc.add_argument("--max-tile-period", type=int, default=None, dest="max_tile_period")
     sc.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
     sc.set_defaults(func=cmd_scan)
@@ -463,62 +463,33 @@ def build_parser() -> argparse.ArgumentParser:
     cs = subs.add_parser("casestudy", help="worked golden and hexagon cases")
     cs.add_argument("which", choices=["golden", "returns", "hexagon"])
     _add_common(cs, alpha=False)
-    cs.add_argument("--table", action="store_true", help="(golden) print the period table")
-    cs.add_argument("--max-n", type=int, default=None, dest="max_n")
-    cs.add_argument("--n", type=int, default=None)
-    cs.add_argument("--budget", type=int, default=None)
+    cs.add_argument("--table", action="store_true",
+                    help="(golden) no effect: the period table is always printed")
+    cs.add_argument("--max-n", type=int, default=6, dest="max_n")
+    cs.add_argument("--n", type=int, default=220, help="(returns) steps of the orbit of Q")
+    cs.add_argument("--budget", type=int, default=100000)
     cs.add_argument("--svg", help="also write a figure to this path")
     cs.set_defaults(func=cmd_casestudy)
 
     ve = subs.add_parser("verify", help="verify the permutation/rotation structure and polygon bounds of a tile")
     _add_common(ve)
     ve.add_argument("--seed", required=True)
-    ve.add_argument("--budget", type=int, default=None)
-    ve.add_argument("--samples", type=int, default=None)
-    ve.add_argument("--sample-seed", type=int, default=None, dest="sample_seed")
+    ve.add_argument("--budget", type=int, default=100000)
+    ve.add_argument("--samples", type=int, default=5)
+    ve.add_argument("--sample-seed", type=int, default=0, dest="sample_seed")
     ve.set_defaults(func=cmd_verify)
 
     return parser
 
 
-_DEFAULTS = {
-    "n": 10,
-    "budget": 100000,
-    "depth": 10,
-    "cap": 1000000,
-    "max_n": 6,
-    "samples": 5,
-    "sample_seed": 0,
-    "grid": "1/2",
-    "box": "-3,-3,3,3",
-    "alpha": None,
-}
-
-
-def _fill_defaults(args):
-    if getattr(args, "command", None) == "casestudy" and args.which == "returns":
-        if args.n is None:
-            args.n = 220
-    for key, value in _DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
-    if hasattr(args, "alpha") and args.alpha is None:
-        raise ParameterError("--alpha p/q is required (e.g. 4/5 for 8*pi/5)")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; our contract reserves 2 for
-        # budget exhaustion, so usage problems become bad-input
-        if exc.code in (0, None):
-            return EXIT_OK
-        return EXIT_BAD_INPUT
-    try:
-        _apply_config(args)
-        _fill_defaults(args)
+        try:
+            args = _parse_args(build_parser(), argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors; our contract reserves 2 for
+            # budget exhaustion, so usage problems become bad-input
+            return EXIT_OK if exc.code in (0, None) else EXIT_BAD_INPUT
         return args.func(args)
     except BudgetExceededError as err:
         print(f"budget exhausted: {err}", file=sys.stderr)

@@ -62,8 +62,9 @@ class AffineMap:
 class OrbitRecord:
     """One first-return walk: the period (None past the budget), the on-line
     iterates, the steps walked, the sign of each iterate walked, and, when
-    the walk nominated, per class e the nominees (j, vec, lo) of
-    ``_steppy.Kernel.walk``, with z_j = vec / start.den."""
+    the walk nominated, per class e the nominee (j, vec) of least
+    s_j Im(z_j) of ``_steppy.Kernel.walk`` (None for an empty class), with
+    z_j = vec / start.den."""
 
     start: CycloNum
     period: Optional[int]

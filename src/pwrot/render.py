@@ -113,6 +113,16 @@ def segment_scene(segments, color=None, width=1.0) -> Scene:
     return scene
 
 
+def polygon_scene(polygons, fill, stroke="#333333", opacity=1.0, scene=None) -> Scene:
+    """Exact polygons in order, each given by its vertices, added to
+    ``scene`` or to a new one."""
+    scene = Scene() if scene is None else scene
+    for vertices in polygons:
+        pts = [(c.real, c.imag) for c in (v.to_complex() for v in vertices)]
+        scene.add_polygon(pts, fill=fill, stroke=stroke, opacity=opacity)
+    return scene
+
+
 def tiles_scene(tiles, viewport=None) -> Scene:
     scene = Scene(viewport=viewport)
     for tile in tiles:

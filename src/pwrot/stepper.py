@@ -57,7 +57,8 @@ class _Plan:
         # clears margin * sum|v_j|; otherwise they call hard_sign.  The margin
         # is several times the sum's worst error, about (d + 4) 2^-53 sum|v_j|,
         # so |sum| -+ margin * sum|v_j| also brackets |Im(v)| * D, with room
-        # for the roundings of those bounds: the nominees rest on it
+        # for the roundings of those bounds: the walks pass over an iterate
+        # that cannot be its class's nominee by it
         self.margin = (4 * d + 64) * 2.0 ** -52
         self.rows_m = [
             tuple((j, c) for j, c in enumerate(row) if c) for row in self.mat_m

@@ -11,12 +11,12 @@ and the polygon comes from the same walk, so a seed costs one kernel walk
 and nothing walks its branch offsets.  The cell is the intersection of the
 k*ell constraints s_j Im(lambda^j w + b_j) > 0 pulled back along the block,
 with b_j = z_j - lambda^j z; within a direction class they are nested, and
-the one whose iterate z_j lies nearest the line binds.  The kernel
-nominates those iterates by certified floats while it walks, and exact
-signs settle each class, so at most m constraints reach
-``geometry.intersect_halfplanes``.  When k > 1 the block map permutes the
-vertices and fixes one point, the center, so the center is the vertex
-average; a k = 1 tile has no unique center and reports its seed.
+the one whose iterate z_j lies nearest the line binds.  The kernel keeps
+that iterate per class while it walks, decided by exact signs, so at most
+m constraints reach ``geometry.intersect_halfplanes``.  When k > 1 the
+block map permutes the vertices and fixes one point, the center, so the
+center is the vertex average; a k = 1 tile has no unique center and
+reports its seed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag
+from .cyclo import CycloNum, FieldContext
 from .dynamics import (
     AffineMap,
     Itinerary,
@@ -49,6 +49,7 @@ from .geometry import (
     HalfPlane,
     Location,
     apply_affine,
+    binding_halfplanes,
     edge_direction_power,
     intersect_halfplanes,
     polygon_contains,
@@ -139,28 +140,22 @@ def _binding_halfplanes(rec: OrbitRecord, period: int) -> list[HalfPlane]:
 
     Constraint j < period, s_j Im(lambda^j w + b_j) > 0, is in the class
     e = (t0*j + (m/2 if s_j < 0)) mod m, and the one of least s_j Im(z_j)
-    binds there; the first index on a tie.  A center seed's walk ends at
-    ell = period / k, and z_(j + i*ell) = z_j is in class e + i*ell*t0, so
-    each nominee stands for k indices.  Exact signs settle each class.
+    binds there, which the walk nominated; the first index on a tie.  A
+    center seed's walk ends at ell = period / k, and z_(j + i*ell) = z_j is
+    in class e + i*ell*t0, so each nominee stands for k indices; the k
+    copies go to ``binding_halfplanes`` in index order, which keeps the
+    first least one per class.
     """
     z = rec.start
     ctx = z.ctx
     m, t0, walked = ctx.m, ctx.m * ctx.p // ctx.q, rec.period
-    classes = [[] for _ in range(m)]
-    for e, nominees in enumerate(rec.nominees):
-        for i in range(0, period, walked):
-            classes[(e + i * t0) % m] += [(j + i, vec) for j, vec, _ in nominees]
-    out = []
-    for nominees in classes:
-        best = None
-        for j, vec in sorted(nominees):
-            s, z_j = rec.signs[j % walked], ctx.from_lattice(vec, z.den)
-            if best is None or sign_of_imag(z_j * s - best[1] * best[2]) == Sign.NEGATIVE:
-                best = (j, z_j, s)
-        if best:
-            j, z_j, s = best
-            out.append(HalfPlane(j % ctx.q, z_j - z.mul_zeta(t0 * j % m), s))
-    return out
+    nominees = sorted((j + i, vec) for j, vec in filter(None, rec.nominees)
+                      for i in range(0, period, walked))
+    return binding_halfplanes(
+        HalfPlane(j % ctx.q, ctx.from_lattice(vec, z.den) - z.mul_zeta(t0 * j % m),
+                  rec.signs[j % walked])
+        for j, vec in nominees
+    )
 
 
 def _build_tile(rec: OrbitRecord, block) -> Tile:
@@ -187,10 +182,10 @@ def tile_from_seed(z: CycloNum, budget: int) -> Tile:
     """The tile containing a periodic seed that stays off the critical line.
 
     Detects the exact period, reads the minimal itinerary block off the signs
-    of that same walk, and builds the tile from the walk's per-class
-    nominees: the at most m binding constraints are settled exactly among
-    them, with no second walk and no walk of the branch offsets.  The center
-    of a k > 1 tile is the average of its vertices.
+    of that same walk, and builds the tile from the walk's one nominee per
+    class, the at most m binding constraints, with no second walk and no
+    walk of the branch offsets.  The center of a k > 1 tile is the average
+    of its vertices.
     """
     rec = minimal_period(z, budget, nominate=True)
     return _build_tile(rec, _minimal_block(rec))

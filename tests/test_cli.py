@@ -196,6 +196,18 @@ class TestTile:
         assert len(data["vertices"]) == 5
         assert all(len(v) == 8 for v in data["vertices"])
 
+    def test_svg_digest(self, capsys, tmp_path):
+        target = tmp_path / "tile.svg"
+        code, _, _ = run(
+            capsys, "tile", "--alpha", "4/5", "--seed", "P1", "--format", "svg",
+            "--out", str(target),
+        )
+        assert code == 0
+        # taken before the SVG writers shared one polygon scene builder
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "729df6fcee340bd6a84cf9d1a4ba3f37246dc6163b0b20b57a502e9b03df82aa"
+        )
+
     def test_seed_on_line_is_bad_input(self, capsys):
         code, _, err = run(capsys, "tile", "--alpha", "4/5", "--seed", "Q")
         assert code == 4
@@ -311,6 +323,15 @@ class TestCasestudy:
         assert code == 0
         assert "all checks passed" in out
 
+    def test_hexagon_svg(self, capsys, tmp_path):
+        target = tmp_path / "hexagon.svg"
+        code, _, _ = run(capsys, "casestudy", "hexagon", "--svg", str(target))
+        assert code == 0
+        # taken before the SVG writers shared one polygon scene builder
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "f01209b726dea633ba648382fb3177ad94e11c3ca582c3e654b61d377f6692e4"
+        )
+
     def test_golden_svg(self, capsys, tmp_path):
         target = tmp_path / "fig.svg"
         code, _, _ = run(
@@ -377,6 +398,31 @@ class TestConfig:
             "--alpha", "4/5", "--point", "Q",
         )
         assert code == 4
+
+    def test_config_sets_options_that_have_defaults(self, capsys, tmp_path):
+        # format and direction have defaults, which once kept the file's values
+        cfg = tmp_path / "cfg"
+        cfg.write_text("alpha=4/5\ndepth=2\nbox=-1,-1,1,1\nformat=json\ndirection=forward\n")
+        code, out, _ = run(capsys, "critical", "--config", str(cfg))
+        assert code == 0
+        assert [layer["direction"] for layer in json.loads(out)["layers"]] == ["forward"] * 3
+        code, out, _ = run(capsys, "critical", "--config", str(cfg), "--format", "text")
+        assert code == 0 and out.startswith("0\t[")
+
+    def test_bad_config_value_names_its_key(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg"
+        for line, key in [("format = xml", "--format"), ("merge = maybe", "merge")]:
+            cfg.write_text(f"alpha = 4/5\n{line}\n")
+            code, out, err = run(capsys, "critical", "--config", str(cfg))
+            assert code == 4
+            assert out == "" and key in err
+
+    def test_keys_the_command_lacks_are_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("alpha = 4/5\nn = 3\ndepth = x\nwhich = golden\nconfig = absent\n")
+        code, out, _ = run(capsys, "iterate", "--config", str(cfg), "--point", "P0")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 4
 
     def test_non_integer_config_value_is_bad_input(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"

@@ -1,13 +1,17 @@
 """The compiled and pure orbit kernels must be observationally identical."""
 
 import random
+import shutil
+import subprocess
+import sysconfig
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from pwrot import stepper
 from pwrot.casestudy import golden_context, hexagon_context, pentagon_centers
-from pwrot.cyclo import golden_elements, make_field
+from pwrot.cyclo import Sign, golden_elements, make_field, sign_of_imag
 from pwrot.dynamics import branch_offsets, minimal_period, orbit, step
 from pwrot.geometry import Box, HalfPlane, binding_halfplanes, intersect_halfplanes
 from pwrot.stepper import run_period, run_signs
@@ -58,6 +62,31 @@ def scan_seeds():
         for (p, q), box, step, budget in grids
         for t in scan_region(make_field(p, q), box, step, budget).tile_list
     ]
+
+
+def field_nominees(z, budget):
+    """Per class e = (t0*j + (m/2 if s_j < 0)) mod m, the (j, z_j) of least
+    s_j Im(z_j) on the walk from z to its first return, the earliest on an
+    exact tie, by field arithmetic alone: what a nominating walk returns."""
+    ctx = z.ctx
+    m, t0 = ctx.m, ctx.m * ctx.p // ctx.q
+    best = [None] * m
+    w = z
+    for j in range(budget):
+        s = sign_of_imag(w)
+        assert s != Sign.ZERO
+        c = (t0 * j + (m // 2 if s < 0 else 0)) % m
+        if best[c] is None or sign_of_imag(w * int(s) - best[c][1] * best[c][2]) == Sign.NEGATIVE:
+            best[c] = (j, w, int(s))
+        w = step(w)
+        if w == z:
+            return [b and b[:2] for b in best]
+    raise AssertionError("no return within the budget")
+
+
+def as_field(z, nominees):
+    """A walk's nominees with their iterates as field elements."""
+    return [n and (n[0], z.ctx.from_lattice(n[1], z.den)) for n in nominees]
 
 
 def streamed_polygon(tile):
@@ -211,29 +240,84 @@ def test_overflow_handoff_carries_the_nominees(monkeypatch):
         assert mixed == rec
 
 
+@pytest.fixture(scope="module")
+def contract():
+    """Seeds at 4/5, 11/12 and 3/7, each with its budget and the nominees
+    its walk must return."""
+    return [(z, budget, field_nominees(z, budget)) for z, budget in tile_seeds() + scan_seeds()]
+
+
+@pytest.mark.parametrize("kernel", ["pure", "compiled", "handoff"])
+def test_nominees_are_the_least_of_each_class(monkeypatch, contract, kernel):
+    # one nominee per class, the least s_j Im(z_j) and the earliest on an
+    # exact tie, whichever kernel walks; "handoff" starts compiled with a
+    # guard at the seed's own largest coefficient, so the walks whose orbit
+    # outgrows it finish in the pure kernel on the carried state
+    if kernel != "pure" and not stepper.HAVE_COMPILED:
+        pytest.skip("compiled kernel not built")
+    monkeypatch.delenv("PWROT_PURE", raising=False)
+    monkeypatch.setattr(stepper, "_compiled_enabled", lambda: kernel != "pure")
+    handoffs = []
+    for z, budget, expected in contract:
+        plan = stepper._plan(z.ctx)
+        with monkeypatch.context() as m:
+            if kernel == "handoff":
+                real_pure = plan.pure_kernel
+                m.setattr(plan, "int64_threshold", lambda denom: max(map(abs, z.vec)))
+                m.setattr(plan, "pure_kernel", lambda denom: handoffs.append(z) or real_pure(denom))
+            rec = run_period(z, budget, True)
+        assert rec.period is not None and len(rec.nominees) == z.ctx.m
+        assert as_field(z, rec.nominees) == expected
+    assert (len(handoffs) > 0) == (kernel == "handoff")
+
+
 @pytest.mark.parametrize("compiled", [False, True])
 def test_forced_near_ties_are_settled_exactly(monkeypatch, compiled):
     # with a margin no float sum can clear, no float bounds an iterate: every
-    # iterate off the line is nominated, and the binding constraint of each
-    # class is found by exact signs alone; the tiles must not change.  At
-    # even q a class holds iterates of both signs.
+    # iterate off the line is compared with its class's nominee by exact
+    # signs alone, and the nominees and tiles must not change.  At even q a
+    # class holds iterates of both signs, and exact ties leave a zero
+    # difference, which the exact zero test settles.
     if compiled and not stepper.HAVE_COMPILED:
         pytest.skip("compiled kernel not built")
     monkeypatch.delenv("PWROT_PURE", raising=False)
     seeds = tile_seeds() + scan_seeds()
     tiles = [tile_from_seed(z, budget) for z, budget in seeds]
-    floated = [sum(map(len, run_period(z, budget, True).nominees)) for z, budget in seeds]
+    floated = [run_period(z, budget, True).nominees for z, budget in seeds]
     monkeypatch.setattr(stepper, "_compiled_enabled", lambda: compiled)
     for z, _ in seeds:
         monkeypatch.setattr(stepper._plan(z.ctx), "margin", float("inf"))
     for (z, budget), tile, before in zip(seeds, tiles, floated):
-        rec = run_period(z, budget, True)
-        nominated = sum(map(len, rec.nominees))
-        assert all(lo == float("-inf") for c in rec.nominees for _, _, lo in c)
-        assert nominated > before or rec.budget_used <= z.ctx.m
+        assert run_period(z, budget, True).nominees == before
         forced = tile_from_seed(z, budget)
         assert forced == tile
         assert forced.polygon == streamed_polygon(tile)
+
+
+@pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
+def test_origin_with_infinite_margin(ctx, monkeypatch):
+    # an infinite margin times sum|v_j| = 0 is NaN at the origin: the float
+    # must decide nothing there, so the zero test signs it 0, a touch
+    plan = stepper._plan(ctx)
+    monkeypatch.setattr(plan, "margin", float("inf"))
+    z = ctx.zero()
+    pure = plan.pure_kernel(z.den).walk(z.vec, 3, None, True)
+    assert plan.compiled_kernel(z.den).walk(z.vec, 3, None, True) == pure
+    assert list(pure[1]) == [0, 1, 1] and pure[2] == [(0, tuple(z.vec))]
+
+
+def test_kernel_compiles_without_warnings():
+    # the suite's build of the extension hides the compiler's output
+    cc = shutil.which("cc")
+    include = Path(sysconfig.get_paths()["include"])
+    if cc is None or not (include / "Python.h").exists():
+        pytest.skip("no C compiler or Python headers")
+    source = Path(stepper.__file__).with_name("_stepkernel.c")
+    proc = subprocess.run(
+        [cc, "-fsyntax-only", "-Wall", "-Wextra", "-Werror", f"-I{include}", str(source)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
