@@ -464,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     cs.add_argument("which", choices=["golden", "returns", "hexagon"])
     _add_common(cs, alpha=False)
     cs.add_argument("--table", action="store_true",
-                    help="(golden) no effect: the period table is always printed")
+                    help="(golden) no effect, kept for existing scripts: "
+                    "the table is always printed")
     cs.add_argument("--max-n", type=int, default=6, dest="max_n")
     cs.add_argument("--n", type=int, default=220, help="(returns) steps of the orbit of Q")
     cs.add_argument("--budget", type=int, default=100000)
