@@ -3,21 +3,20 @@
  * Same constructor, one entry point ``walk`` and return tuple as the pure
  * kernel: the signs of the iterates as an array('b'), the on-line iterates,
  * a stop at the first exact return when a target is given, and per class
- * the one nominee nearest the line when ``select`` is true.  Its walk always
- * starts fresh (no ``carry``): a walk resumed after the int64 handoff is the
- * pure kernel's.  A step is v -> M v -+ D*L on int64 vectors; the branch
- * sign comes from the same certified float fast path, then the exact integer
- * zero test (v fixed by the conjugation matrix K), then the caller's exact
- * ``hard_sign(tuple)`` for the rare ambiguous nonzero sign, whose exceptions
- * propagate.  The float sum that decides a sign also bounds |Im(v)|, which
- * only passes over iterates that cannot be nearest: a class's nominee is
- * replaced by the same three sign tests on the difference of the two.
+ * the one nominee nearest the line when ``select`` is true.  A step is
+ * v -> M v -+ D*L on int64 vectors; the branch sign comes from the same
+ * certified float fast path, then the exact integer zero test (v fixed by the
+ * conjugation matrix K), then the caller's exact ``hard_sign(tuple)`` for the
+ * rare ambiguous nonzero sign, whose exceptions propagate.  The float sum
+ * that decides a sign also bounds |Im(v)|, which only passes over iterates
+ * that cannot be nearest: a class's nominee is replaced by the same three
+ * sign tests on the difference of the two.
  *
  * The caller guarantees (via the threshold handed to the constructor) that
  * one more step, and the zero test, cannot overflow int64 while max|v_j|
- * stays at or below the threshold; when the walk grows past it the kernel
- * returns STATUS_OVERFLOW with its current state so the pure kernel can
- * resume exactly there.
+ * stays at or below the threshold; when an iterate grows past it the walk
+ * drops what it has found and returns None, and the caller walks the orbit
+ * again in the pure kernel.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -26,7 +25,7 @@
 #include <math.h>
 #include <string.h>
 
-enum { STATUS_OK = 0, STATUS_BUDGET = 1, STATUS_OVERFLOW = 2, TOUCH_CAP = 100000 };
+enum { STATUS_OK = 0, STATUS_BUDGET = 1, TOUCH_CAP = 100000 };
 
 typedef long long i64;
 
@@ -100,16 +99,14 @@ static int read_sparse(PyObject *rows, Sparse *a, Py_ssize_t d)
     return 0;
 }
 
-/* v as a new tuple of ints, or as a new list with as_list. */
-static PyObject *vec_new(const i64 *v, Py_ssize_t d, int as_list)
+/* v as a new tuple of ints. */
+static PyObject *vec_new(const i64 *v, Py_ssize_t d)
 {
-    PyObject *seq = as_list ? PyList_New(d) : PyTuple_New(d);
+    PyObject *seq = PyTuple_New(d);
     for (Py_ssize_t j = 0; seq != NULL && j < d; j++) {
         PyObject *x = PyLong_FromLongLong(v[j]);
         if (x == NULL)
             Py_CLEAR(seq);
-        else if (as_list)
-            PyList_SET_ITEM(seq, j, x);
         else
             PyTuple_SET_ITEM(seq, j, x);
     }
@@ -121,7 +118,7 @@ static int add_touch(PyObject *touches, i64 index, const i64 *v, Py_ssize_t d)
 {
     if (PyList_GET_SIZE(touches) >= TOUCH_CAP)
         return 0;
-    PyObject *pair = Py_BuildValue("(LN)", index, vec_new(v, d, 0));
+    PyObject *pair = Py_BuildValue("(LN)", index, vec_new(v, d));
     if (pair == NULL)
         return -1;
     int rc = PyList_Append(touches, pair);
@@ -186,7 +183,7 @@ static int exact_sign(Kernel *k, const i64 *v, int *sign, i64 *tmp)
     sparse_apply(&k->conj, d, v, tmp);
     for (Py_ssize_t i = 0; i < d; i++) {
         if (tmp[i] != v[i]) {
-            PyObject *t = vec_new(v, d, 0);
+            PyObject *t = vec_new(v, d);
             PyObject *r = t ? PyObject_CallOneArg(k->hard_sign, t) : NULL;
             Py_XDECREF(t);
             if (r == NULL)
@@ -273,13 +270,13 @@ static void Kernel_dealloc(Kernel *k)
 
 static int Kernel_init(Kernel *k, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"rows_m", "rows_k", "lvec", "denom", "sines", "margin",
+    static char *kwlist[] = {"mat_m", "mat_k", "lvec", "denom", "sines", "margin",
                              "hard_sign", "m", "t0", "threshold", NULL};
-    PyObject *rows_m, *rows_k, *lvec, *sines, *hard_sign;
+    PyObject *mat_m, *mat_k, *lvec, *sines, *hard_sign;
     i64 denom, threshold;
     Py_ssize_t m, t0;
     double margin;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOLOdOnnL", kwlist, &rows_m, &rows_k, &lvec,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOLOdOnnL", kwlist, &mat_m, &mat_k, &lvec,
                                      &denom, &sines, &margin, &hard_sign, &m, &t0, &threshold))
         return -1;
     kernel_free(k);
@@ -308,7 +305,7 @@ static int Kernel_init(Kernel *k, PyObject *args, PyObject *kwds)
     k->threshold = threshold;
     Py_INCREF(hard_sign);
     k->hard_sign = hard_sign;
-    if (read_sparse(rows_m, &k->mul, d) < 0 || read_sparse(rows_k, &k->conj, d) < 0
+    if (read_sparse(mat_m, &k->mul, d) < 0 || read_sparse(mat_k, &k->conj, d) < 0
         || read_ints(lvec, k->off_minus, d) < 0)
         goto fail;
     for (Py_ssize_t i = 0; i < d; i++) {
@@ -420,7 +417,7 @@ static PyObject *select_new(const Kernel *k, const Select *sel)
     for (Py_ssize_t c = 0; bounds != NULL && best != NULL && c < k->m; c++) {
         PyObject *x = PyFloat_FromDouble(sel->bnd[c]);
         PyObject *b = sel->j[c] < 0 ? Py_NewRef(Py_None)
-                      : Py_BuildValue("(LN)", sel->j[c], vec_new(sel->vec + c * k->d, k->d, 0));
+                      : Py_BuildValue("(LN)", sel->j[c], vec_new(sel->vec + c * k->d, k->d));
         PyList_SET_ITEM(bounds, c, x);
         PyList_SET_ITEM(best, c, b);
         if (x == NULL || b == NULL)
@@ -478,8 +475,8 @@ static PyObject *Kernel_walk(Kernel *k, PyObject *args, PyObject *kwds)
             continue;
         /* one iterate that is not routine */
         if (too_big(k, st.v)) {
-            status = STATUS_OVERFLOW;
-            break;
+            out = Py_NewRef(Py_None);
+            goto done;
         }
         if ((s = float_sign(k, st.v, &mag, &err)) == 0) {
             mag = 0.0, err = INFINITY;
@@ -504,8 +501,8 @@ static PyObject *Kernel_walk(Kernel *k, PyObject *args, PyObject *kwds)
     }
     if (flush_signs(signs, st.chunk, st.steps - first) < 0)
         goto done;
-    /* steals the four, also on failure */
-    out = Py_BuildValue("(iNNNN)", status, signs, touches, vec_new(st.v, d, 1),
+    /* steals the three, also on failure */
+    out = Py_BuildValue("(iNNN)", status, signs, touches,
                         selecting ? select_new(k, &sel) : Py_NewRef(Py_None));
     signs = touches = NULL;
 done:
@@ -517,7 +514,7 @@ done:
 
 static PyMethodDef Kernel_methods[] = {
     {"walk", (PyCFunction)(void (*)(void))Kernel_walk, METH_VARARGS | METH_KEYWORDS,
-     "As _steppy.Kernel.walk without carry, and STATUS_OVERFLOW past the threshold."},
+     "As _steppy.Kernel.walk, or None once an iterate passes the threshold."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -527,7 +524,7 @@ static PyTypeObject KernelType = {
     .tp_basicsize = sizeof(Kernel),
     .tp_dealloc = (destructor)Kernel_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Kernel(rows_m, rows_k, lvec, denom, sines, margin, hard_sign, m, t0, threshold)",
+    .tp_doc = "Kernel(mat_m, mat_k, lvec, denom, sines, margin, hard_sign, m, t0, threshold)",
     .tp_methods = Kernel_methods,
     .tp_init = (initproc)Kernel_init,
     .tp_new = PyType_GenericNew,
@@ -557,8 +554,7 @@ PyMODINIT_FUNC PyInit__stepkernel(void)
     Py_INCREF(&KernelType);
     if (PyModule_AddObject(m, "Kernel", (PyObject *)&KernelType) < 0
         || PyModule_AddStringConstant(m, "IMPL", "compiled") < 0
-        || PyModule_AddIntMacro(m, STATUS_OK) < 0 || PyModule_AddIntMacro(m, STATUS_BUDGET) < 0
-        || PyModule_AddIntMacro(m, STATUS_OVERFLOW) < 0) {
+        || PyModule_AddIntMacro(m, STATUS_OK) < 0 || PyModule_AddIntMacro(m, STATUS_BUDGET) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -15,9 +15,8 @@ target, and when asked nominates, per direction class, the one iterate
 nearest the line, decided exactly (see ``walk``).  This module is the
 always-available fallback; arithmetic is Python ints and therefore never
 overflows.  The compiled twin, the C extension built from
-``_stepkernel.c``, has the same interface but for ``carry``, and hands back
-on int64 overflow; this kernel resumes its walk from the state it hands
-back.
+``_stepkernel.c``, has the same interface but gives up on int64 overflow,
+and then ``stepper`` walks the orbit again in this kernel from its start.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ IMPL = "pure"
 
 STATUS_OK = 0          # target reached, or every step walked without one
 STATUS_BUDGET = 1      # target not reached within the budget
-STATUS_OVERFLOW = 2    # compiled kernel only
 
 TOUCH_CAP = 100000     # on-line iterates recorded per walk
 
@@ -36,10 +34,12 @@ _INF = float("inf")
 
 
 class Kernel:
-    def __init__(self, rows_m, rows_k, lvec, denom, sines, margin, hard_sign,
-                 m, t0, int64_threshold=0):
-        self.rows_m = tuple(tuple(row) for row in rows_m)
-        self.rows_k = tuple(tuple(row) for row in rows_k)
+    def __init__(self, mat_m, mat_k, lvec, denom, sines, margin, hard_sign, m, t0):
+        # per row of M and of K, its nonzero (column, entry) pairs
+        self.rows_m, self.rows_k = (
+            tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in mat)
+            for mat in (mat_m, mat_k)
+        )
         self.sines = tuple(sines)
         self.margin = margin
         self.hard_sign = hard_sign
@@ -97,17 +97,14 @@ class Kernel:
 
     # -- the walk -----------------------------------------------------------------
 
-    def walk(self, v_start, budget, target=None, select=False, carry=None):
+    def walk(self, v_start, budget, target=None, select=False):
         """Sign the iterates of v_start until ``budget`` iterates are signed.
 
-        Returns (status, signs, touches, v, select): one signed byte per
-        iterate signed, the index and coefficient tuple of each on-line
-        iterate (the first TOUCH_CAP), and the first iterate not signed.
-        With a target the walk stops at the first step that lands on it
-        (STATUS_OK, and len(signs) is the return time) or ends with
-        STATUS_BUDGET.  ``carry`` is the (signs, touches, select) of a walk
-        that stopped at v_start, which this walk extends; its select, not
-        the argument, then says whether this walk nominates.
+        Returns (status, signs, touches, select): one signed byte per
+        iterate signed, and the index and coefficient tuple of each on-line
+        iterate (the first TOUCH_CAP).  With a target the walk stops at the
+        first step that lands on it (STATUS_OK, and len(signs) is the return
+        time) or ends with STATUS_BUDGET.
 
         With ``select`` true, select = (bounds, best) nominates, per class
         e = (t0*j + (m/2 if s_j < 0)) mod m, the iterate of least
@@ -119,15 +116,13 @@ class Kernel:
         with best[e] by the exact sign of the difference of the two values.
         """
         m, t0, half = self.m, self.t0, self.m // 2
-        if carry is None:
-            carry = array("b"), [], ([_INF] * m, [None] * m) if select else None
-        signs, touches, sel = carry
+        signs, touches = array("b"), []
+        sel = ([_INF] * m, [None] * m) if select else None
         bounds, best = sel or ((), ())
         v = list(v_start)
         target = None if target is None else list(target)
-        first = len(signs)
-        e = t0 * first % m  # lambda^j = zeta^e
-        for i in range(first, budget):
+        e = 0  # lambda^i = zeta^e
+        for i in range(budget):
             s, lo, hi = self._sign(v)
             signs.append(s)
             if s == 0:
@@ -142,6 +137,6 @@ class Kernel:
             v = self._step(v, s >= 0)
             e = (e + t0) % m
             if v == target:
-                return STATUS_OK, signs, touches, v, sel
+                return STATUS_OK, signs, touches, sel
         status = STATUS_OK if target is None else STATUS_BUDGET
-        return status, signs, touches, v, sel
+        return status, signs, touches, sel

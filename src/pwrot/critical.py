@@ -153,6 +153,8 @@ def critical_bundle(
     """
     if total_depth < 0:
         raise ParameterError("depth must be >= 0")
+    if cap < 0:
+        raise ParameterError("cap must be >= 0")
     directions = [PULLBACK, FORWARD] if direction == "both" else [direction]
     if any(d not in (PULLBACK, FORWARD) for d in directions):
         raise ParameterError(f"unknown direction {direction!r}")

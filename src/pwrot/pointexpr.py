@@ -32,7 +32,10 @@ def parse_rational(text: str, position: int = 0) -> Fraction:
     token = text.strip()
     if not _RATIONAL_RE.match(token):
         raise ParseError(f"expected a rational number, got {token!r}", position)
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {token!r}", position) from None
 
 
 def parse_point(text: str, ctx: FieldContext) -> CycloNum:
@@ -107,8 +110,6 @@ def _parse_phi_literal(src: str, ctx: FieldContext) -> CycloNum:
         raise ParseError("phi literals need a conductor-20 field (--alpha 4/5)", 0)
     phi, _, _ = golden_elements(ctx)
     total = ctx.zero()
-    pos = 0
-    token = ""
     # split into signed terms at top level
     terms = []
     for chunk in re.split(r"(?=[+-])", src.replace(" ", "")):

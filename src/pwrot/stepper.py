@@ -6,10 +6,11 @@ conjugation is an integer matrix, and the branch translation is an integer
 vector, so exact period detection over millions of steps is pure integer
 work on ``vec``, with no conversion in or out.  This module builds those
 tables once per field context and hands them to the fastest available
-kernel: the compiled extension when importable (with an int64 overflow guard
-and fallback), else the pure-Python twin.  Every orbit computation is one
-kernel walk through ``_walk``, which holds the one overflow handoff;
-``run_period`` and ``run_signs`` are its two views.
+kernel: the compiled extension when importable and the start fits its int64
+guard, else the pure-Python twin.  Every orbit computation is one walk
+through ``_walk``, which reruns a compiled walk that outgrows int64 in the
+pure kernel from its start; ``run_period`` and ``run_signs`` are its two
+views.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import os
 
 from . import _steppy
-from ._steppy import STATUS_OK, STATUS_OVERFLOW
+from ._steppy import STATUS_OK
 from .cyclo import CycloNum, FieldContext
 from .dynamics import OrbitRecord
 from .errors import InternalInconsistencyError
@@ -60,12 +61,6 @@ class _Plan:
         # for the roundings of those bounds: the walks pass over an iterate
         # that cannot be its class's nominee by it
         self.margin = (4 * d + 64) * 2.0 ** -52
-        self.rows_m = [
-            tuple((j, c) for j, c in enumerate(row) if c) for row in self.mat_m
-        ]
-        self.rows_k = [
-            tuple((j, c) for j, c in enumerate(row) if c) for row in self.mat_k
-        ]
         self.rowsum = max(
             max(sum(abs(c) for c in row) for row in self.mat_m),
             max(sum(abs(c) for c in row) for row in self.mat_k),
@@ -89,7 +84,7 @@ class _Plan:
 
     def pure_kernel(self, denom: int):
         return _steppy.Kernel(
-            self.rows_m, self.rows_k, self.lvec, denom,
+            self.mat_m, self.mat_k, self.lvec, denom,
             self.sines, self.margin, self.hard_sign, self.ctx.m, self.t0,
         )
 
@@ -109,31 +104,25 @@ def _plan(ctx: FieldContext) -> _Plan:
     return plan
 
 
-def _kernel(plan: _Plan, v, denom: int):
-    """The compiled kernel when v fits its int64 bound, else the pure one."""
-    if _compiled_enabled():
-        thresh = plan.int64_threshold(denom)
-        if thresh > 0 and max(abs(x) for x in v) <= thresh:
-            return plan.compiled_kernel(denom)
-    return plan.pure_kernel(denom)
-
-
 def _walk(z: CycloNum, budget: int, target=None, select=False):
     """One kernel walk of the orbit of z: (status, signs, touches, nominees),
     with the touches' exact values, and nominees None unless ``select``.  The
-    compiled kernel hands off to the pure one at its int64 bound, which
-    resumes exactly where it stopped and carries on the signs, the touches
-    and the per-class nominees."""
+    compiled kernel walks when z fits its int64 bound; a compiled walk that
+    outgrows the bound returns None, and the pure kernel walks the orbit
+    again from z.  Each Galois embedding of an iterate moves by at most 1 per
+    step, so coefficients grow at most linearly, and only a walk that starts
+    near the bound (a huge denominator or coefficient) outgrows it."""
     ctx = z.ctx
     plan = _plan(ctx)
     denom = z.den
-    status, signs, touches, v, sel = _kernel(plan, z.vec, denom).walk(
-        z.vec, budget, target, select
-    )
-    if status == STATUS_OVERFLOW:
-        status, signs, touches, _, sel = plan.pure_kernel(denom).walk(
-            v, budget, target, select, (signs, touches, sel)
-        )
+    out = None
+    if _compiled_enabled():
+        thresh = plan.int64_threshold(denom)
+        if thresh > 0 and max(abs(x) for x in z.vec) <= thresh:
+            out = plan.compiled_kernel(denom).walk(z.vec, budget, target, select)
+    if out is None:
+        out = plan.pure_kernel(denom).walk(z.vec, budget, target, select)
+    status, signs, touches, sel = out
     on_line = tuple((i, ctx.from_lattice(vec, denom)) for i, vec in touches)
     return status, signs, on_line, None if sel is None else tuple(sel[1])
 

@@ -152,6 +152,19 @@ class TestIterate:
         code, _, _ = run(capsys, "iterate", "--alpha", "5/10", "--point", "Q")
         assert code == 4
 
+    @pytest.mark.parametrize("args", [
+        ("scan", "--alpha", "4/5", "--grid", "1/0"),
+        ("critical", "--alpha", "4/5", "--box", "0,0,1/0,1"),
+        ("period", "--alpha", "4/5", "--point", "(1/0,2)"),
+        ("period", "--alpha", "11/12", "--point", "[1,1/0,0,0]"),
+        ("period", "--alpha", "4/5", "--point", "1/0+phi"),
+        ("critical", "--alpha", "4/5", "--cap", "-1", "--depth", "2"),
+    ])
+    def test_zero_denominator_or_negative_cap_exit_code(self, capsys, args):
+        code, out, err = run(capsys, *args)
+        assert code == 4
+        assert out == "" and err.startswith("error: ")
+
     def test_missing_alpha(self, capsys):
         code, _, err = run(capsys, "iterate", "--point", "Q")
         assert code == 4

@@ -15,7 +15,7 @@ from pwrot.critical import (
 from pwrot import critical, geometry
 from pwrot.cyclo import CycloNum, make_field
 from pwrot.dynamics import step
-from pwrot.errors import InternalInconsistencyError
+from pwrot.errors import InternalInconsistencyError, ParameterError
 from pwrot.geometry import Box, ExactSegment, edge_direction_power, point_on_segment
 from pwrot.tiles import tile_from_seed
 
@@ -175,6 +175,11 @@ class TestBundle:
         bundle = critical_bundle(ctx5, 10, BOX, cap=10)
         assert bundle.truncated
         assert max(layer.depth for layer in bundle.layers) < 10
+
+    def test_negative_cap_is_rejected(self, ctx5):
+        with pytest.raises(ParameterError, match="cap must be >= 0"):
+            critical_bundle(ctx5, 2, BOX, cap=-1)
+        assert critical_bundle(ctx5, 2, BOX, cap=0).truncated
 
     def test_hexagon_boundary_on_critical_set(self):
         # vertices reach the line within 14 backward levels; the slowest edge

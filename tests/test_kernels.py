@@ -39,7 +39,7 @@ def test_pure_kernel_matches_field_arithmetic(ctx):
     values = orbit(z, 25)
     cur = list(v)
     for val in values[1:]:
-        _, signs, _, cur, _ = kern.walk(cur, 1)
+        cur = kern._step(cur, kern._sign(cur)[0] >= 0)
         assert ctx.num([Fraction(x, denom) for x in cur]) == val
 
 
@@ -101,8 +101,8 @@ def streamed_polygon(tile):
 
 @pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
 class TestCompiledAgreesWithPure:
-    """Every output of a walk agrees: status, signs, touches, the last
-    iterate, and the per-class bounds and nominees when it selects them."""
+    """Every output of a walk agrees: status, signs, touches, and the
+    per-class bounds and nominees when it selects them."""
 
     def _compare(self, ctx, z, budget):
         plan = stepper._plan(ctx)
@@ -113,7 +113,7 @@ class TestCompiledAgreesWithPure:
         rc = comp.walk(list(v), budget, list(v), True)
         assert rp == rc
         # a walk that does not select is the same walk, with no nominees
-        unselected = rp[:4] + (None,)
+        unselected = rp[:3] + (None,)
         assert pure.walk(list(v), budget, list(v)) == comp.walk(list(v), budget, list(v)) == unselected
         sp = pure.walk(list(v), min(budget, 300) + 1)
         sc = comp.walk(list(v), min(budget, 300) + 1)
@@ -155,24 +155,69 @@ class TestCompiledAgreesWithPure:
             for select in (False, True):
                 pure = plan.pure_kernel(z.den).walk(z.vec, budget, None, select)
                 assert plan.compiled_kernel(z.den).walk(z.vec, budget, None, select) == pure
-                assert len(pure[1]) == 0 and pure[3] == list(z.vec)
+                assert len(pure[1]) == 0 and pure[2] == []
 
     def test_tile_seeds(self):
         for z, budget in tile_seeds():
             plan = stepper._plan(z.ctx)
             pure = plan.pure_kernel(z.den).walk(z.vec, budget, z.vec, True)
             assert pure == plan.compiled_kernel(z.den).walk(z.vec, budget, z.vec, True)
-            bounds, nominees = pure[4]
+            bounds, nominees = pure[3]
             assert any(nominees) and len(bounds) == len(nominees) == z.ctx.m
+
+
+class _Logged:
+    """A kernel whose walks are logged as (kind, v_start, gave up)."""
+
+    def __init__(self, kind, kern, log):
+        self.kind, self.kern, self.log = kind, kern, log
+
+    def walk(self, v_start, *args):
+        out = self.kern.walk(v_start, *args)
+        self.log.append((self.kind, tuple(v_start), out is None))
+        return out
+
+
+def log_walks(m, plan, log):
+    """Log every walk of plan's kernels into log, within the monkeypatch
+    context m."""
+    for kind in ("compiled", "pure"):
+        make = getattr(plan, f"{kind}_kernel")
+        m.setattr(plan, f"{kind}_kernel",
+                  lambda denom, kind=kind, make=make: _Logged(kind, make(denom), log))
+
+
+def rerun_log(starts):
+    """The log of walks from these starts that each overflow the compiled
+    kernel once and are walked again, from the start, by the pure one."""
+    return [(kind, tuple(z.vec), kind == "compiled") for z in starts for kind in ("compiled", "pure")]
+
+
+@pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
+def test_compiled_walk_past_its_threshold_returns_none(ctx, monkeypatch):
+    # every |v_j| on the orbit of Q (denominator 1) is at most 15 and starts
+    # at 1: a threshold of 0 has the walk start past it, one of 2 has it
+    # cross mid-walk; either way the walk returns None, found or not
+    plan = stepper._plan(ctx)
+    q0 = -golden_elements(ctx)[0]
+    for thresh in (0, 2):
+        monkeypatch.setattr(plan, "int64_threshold", lambda denom: thresh)
+        kern = plan.compiled_kernel(q0.den)
+        for target in (None, q0.vec):
+            for select in (False, True):
+                assert kern.walk(q0.vec, 240, target, select) is None
+    monkeypatch.undo()
+    assert plan.compiled_kernel(q0.den).walk(q0.vec, 240, q0.vec, True) is not None
 
 
 @pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
 def test_overflow_hands_off_to_pure(ctx, monkeypatch):
     # shrink the guard so each compiled walk overflows mid-orbit, then check
-    # the one resume path, with and without a target, still matches an
-    # all-pure walk: period, signs, touch indices and touch values.  Every
-    # |v_j| on the orbit of Q (denominator 1) is at most 15 and starts at 1;
-    # F(P1) (denominator 5) starts at 6 and reaches 7 on its 7-cycle.
+    # that the pure rerun, with and without a target, matches an all-pure
+    # walk: period, signs, touch indices and touch values.  Every |v_j| on
+    # the orbit of Q (denominator 1) is at most 15 and starts at 1; F(P1)
+    # (denominator 5) starts at 6 and reaches 7 on its 7-cycle.
+    monkeypatch.delenv("PWROT_PURE", raising=False)
     phi, s, _ = golden_elements(ctx)
     p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
     w1 = step((2 * phi - 3) * p0 + (2 - 2 * phi))
@@ -182,19 +227,13 @@ def test_overflow_hands_off_to_pure(ctx, monkeypatch):
         return [run_period(q0, 240, True), run_period(w1, 100, True), run_signs(q0, 241)]
 
     plan = stepper._plan(ctx)
-    real_pure = plan.pure_kernel
-    resumed = []
-
-    def counted_pure(denom):
-        resumed.append(denom)
-        return real_pure(denom)
-
+    log = []
     with monkeypatch.context() as m:
         m.setattr(plan, "int64_threshold", lambda denom: 2 if denom == 1 else 6)
-        m.setattr(plan, "pure_kernel", counted_pure)
+        log_walks(m, plan, log)
         mixed = walks()
-    # each walk started compiled and handed off once
-    assert resumed == [1, 5, 1]
+    # each walk started compiled, gave up, and ran once more, pure, from its start
+    assert log == rerun_log([q0, w1, q0])
     monkeypatch.setattr(stepper, "_compiled_enabled", lambda: False)
     pure = walks()
     for rec_mixed, rec_pure in zip(mixed[:2], pure[:2]):
@@ -214,9 +253,9 @@ def test_overflow_hands_off_to_pure(ctx, monkeypatch):
 @pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
 def test_overflow_handoff_carries_the_nominees(monkeypatch):
     # a guard at the seed's own largest coefficient makes each compiled walk
-    # hand off once the orbit grows past it (the orbits of P0 and P1 never
-    # do); the pure kernel then carries on the per-class bounds and nominees,
-    # so records and tiles do not change
+    # give up once the orbit grows past it (the orbits of P0 and P1 never
+    # do); the pure kernel then walks again from the seed, so the per-class
+    # nominees, records and tiles do not change
     monkeypatch.delenv("PWROT_PURE", raising=False)
     seeds = tile_seeds()[2:]
     with monkeypatch.context() as m:
@@ -224,18 +263,13 @@ def test_overflow_handoff_carries_the_nominees(monkeypatch):
         pure = [(run_period(z, budget, True), tile_from_seed(z, budget)) for z, budget in seeds]
     for (z, budget), (rec, tile) in zip(seeds, pure):
         plan = stepper._plan(z.ctx)
-        real_pure, resumed = plan.pure_kernel, []
-
-        def counted(denom):
-            resumed.append(denom)
-            return real_pure(denom)
-
+        log = []
         with monkeypatch.context() as m:
             m.setattr(plan, "int64_threshold", lambda denom: max(map(abs, z.vec)))
-            m.setattr(plan, "pure_kernel", counted)
+            log_walks(m, plan, log)
             mixed = run_period(z, budget, True)
             assert tile_from_seed(z, budget) == tile
-        assert resumed == [z.den, z.den], "each walk must start compiled and hand off"
+        assert log == rerun_log([z, z]), "each walk must start compiled and rerun pure"
         assert mixed.nominees == rec.nominees and any(mixed.nominees)
         assert mixed == rec
 
@@ -252,7 +286,7 @@ def test_nominees_are_the_least_of_each_class(monkeypatch, contract, kernel):
     # one nominee per class, the least s_j Im(z_j) and the earliest on an
     # exact tie, whichever kernel walks; "handoff" starts compiled with a
     # guard at the seed's own largest coefficient, so the walks whose orbit
-    # outgrows it finish in the pure kernel on the carried state
+    # outgrows it run again in the pure kernel
     if kernel != "pure" and not stepper.HAVE_COMPILED:
         pytest.skip("compiled kernel not built")
     monkeypatch.delenv("PWROT_PURE", raising=False)
@@ -306,25 +340,33 @@ def test_origin_with_infinite_margin(ctx, monkeypatch):
     assert list(pure[1]) == [0, 1, 1] and pure[2] == [(0, tuple(z.vec))]
 
 
-def test_kernel_compiles_without_warnings():
+def test_kernel_compiles_without_warnings(tmp_path):
     # the suite's build of the extension hides the compiler's output
     cc = shutil.which("cc")
     include = Path(sysconfig.get_paths()["include"])
     if cc is None or not (include / "Python.h").exists():
         pytest.skip("no C compiler or Python headers")
     source = Path(stepper.__file__).with_name("_stepkernel.c")
-    proc = subprocess.run(
-        [cc, "-fsyntax-only", "-Wall", "-Wextra", "-Werror", f"-I{include}", str(source)],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
+    # -fsyntax-only never runs the optimizer, whose analyses give warnings
+    # such as -Wmaybe-uninitialized, so the kernel is also compiled at -O2
+    for mode in (["-fsyntax-only"], ["-O2", "-c", "-o", str(tmp_path / "kernel.o")]):
+        proc = subprocess.run(
+            [cc, *mode, "-Wall", "-Wextra", "-Werror", f"-I{include}", str(source)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
-def test_huge_denominator_uses_pure_path(ctx):
+def test_huge_denominator_uses_pure_path(ctx, monkeypatch):
+    # a denominator past the int64 guard leaves no room for a compiled step,
+    # so the walk is the pure kernel's
+    monkeypatch.delenv("PWROT_PURE", raising=False)
     z = ctx.point(Fraction(1, 2 ** 61), Fraction(1, 3))
-    rec = minimal_period(z, 50)  # must not crash or misbehave
-    assert rec.budget_used <= 50
+    assert stepper._plan(ctx).int64_threshold(z.den) == 0
+    rec = minimal_period(z, 50)
+    monkeypatch.setenv("PWROT_PURE", "1")
+    assert rec == minimal_period(z, 50)
 
 
 def test_env_override_forces_pure(ctx, monkeypatch):

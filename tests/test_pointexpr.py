@@ -4,7 +4,7 @@ import pytest
 
 from pwrot.casestudy import golden_context, hexagon_context, pentagon_centers
 from pwrot.cyclo import make_field
-from pwrot.pointexpr import ParseError, parse_alpha, parse_box, parse_point
+from pwrot.pointexpr import ParseError, parse_alpha, parse_box, parse_point, parse_rational
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +107,19 @@ class TestAlphaAndBox:
         assert box.x0 == Fraction(-1, 2)
         with pytest.raises(ParseError):
             parse_box("1,2,3")
+
+
+class TestZeroDenominators:
+    def test_rational(self):
+        with pytest.raises(ParseError):
+            parse_rational("1/0")
+        with pytest.raises(ParseError):
+            parse_rational("-0/0")
+
+    def test_every_form(self, ctx5, ctx12):
+        for text, ctx in [("(1/0, 2)", ctx5), ("(1, 2/0)", ctx5), ("[1, 1/0, 0, 0]", ctx12),
+                          ("1/0 + phi", ctx5), ("1 + 1/0*phi", ctx5)]:
+            with pytest.raises(ParseError):
+                parse_point(text, ctx)
+        with pytest.raises(ParseError):
+            parse_box("0,0,1/0,1")
