@@ -13,11 +13,10 @@ k*ell constraints s_j Im(lambda^j w + b_j) > 0 pulled back along the block,
 with b_j = z_j - lambda^j z; within a direction class they are nested, and
 the one whose iterate z_j lies nearest the line binds.  The kernel keeps
 that iterate per class while it walks, decided by exact signs, so at most
-m constraints reach ``geometry.intersect_halfplanes``: one per nominee, or
-for a center seed, whose nominees stand for k indices each, the binding one
-per class of their copies.  When k > 1 the block map permutes the vertices
-and fixes one point, the center, so the center is the vertex average; a
-k = 1 tile has no unique center and reports its seed.
+m constraints reach ``geometry.intersect_halfplanes``.  When k > 1 the
+block map permutes the vertices and fixes one point, the center, so the
+center is the vertex average; a k = 1 tile has no unique center and
+reports its seed.
 """
 
 from __future__ import annotations
@@ -141,25 +140,22 @@ def _binding_halfplanes(rec: OrbitRecord, period: int) -> list[HalfPlane]:
 
     Constraint j < period, s_j Im(lambda^j w + b_j) > 0, is in the class
     e = (t0*j + (m/2 if s_j < 0)) mod m, and the one of least s_j Im(z_j)
-    binds there, which the walk nominated; the first index on a tie.  A walk
-    to the full period nominates one constraint per class, which go to
-    ``intersect_halfplanes`` as they are.  A center seed's walk ends at
-    ell = period / k, and z_(j + i*ell) = z_j is in class e + i*ell*t0, so
-    each nominee stands for k indices; nominees whose copies share classes
-    are settled by ``binding_halfplanes`` over the copies in index order,
-    which keeps the first least one per class, so at most m are returned.
+    binds there, which the walk nominated; the first index on a tie.  A
+    center seed's walk ends at ell = period / k, and z_(j + i*ell) = z_j is
+    in class e + i*ell*t0, so each nominee stands for k indices; the k
+    copies go to ``binding_halfplanes`` in index order, which keeps the
+    first least one per class.
     """
     z = rec.start
     ctx = z.ctx
     m, t0, walked = ctx.m, ctx.m * ctx.p // ctx.q, rec.period
     nominees = sorted((j + i, vec) for j, vec in filter(None, rec.nominees)
                       for i in range(0, period, walked))
-    constraints = [
+    return binding_halfplanes(
         HalfPlane(j % ctx.q, ctx.from_lattice(vec, z.den) - z.mul_zeta(t0 * j % m),
                   rec.signs[j % walked])
         for j, vec in nominees
-    ]
-    return constraints if walked == period else binding_halfplanes(constraints)
+    )
 
 
 def _build_tile(rec: OrbitRecord, block) -> Tile:
