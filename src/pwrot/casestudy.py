@@ -19,13 +19,12 @@ from typing import Optional
 from .cyclo import (
     CycloNum,
     FieldContext,
-    golden_coords,
     golden_elements,
     make_field,
     sign_of_real,
 )
 from .dynamics import minimal_period
-from .errors import WrongContextError
+from .errors import BudgetExceededError, ParameterError, WrongContextError
 from .geometry import ConvexPolygon, apply_affine, make_polygon, polygon_is_regular
 from .stepper import run_signs
 from .tiles import CheckReport, tile_from_seed, tile_images
@@ -82,6 +81,8 @@ def golden_rescale(gc: GoldenContext, z: CycloNum) -> CycloNum:
 
 def pentagon_centers(gc: GoldenContext, max_n: int) -> list[CycloNum]:
     """P_0 .. P_max_n with P_{n+1} = r(P_n)."""
+    if max_n < 0:
+        raise ParameterError("max_n must be >= 0")
     out = [gc.P0]
     for _ in range(max_n):
         out.append(golden_rescale(gc, out[-1]))
@@ -99,23 +100,12 @@ def pentagon_center_periods(
     return rows
 
 
-def q_orbit_returns(gc: GoldenContext, nsteps: int):
-    """Critical-line returns of the orbit of Q within ``nsteps`` steps.
-
-    Returns (index, exact value, phi-coordinates or None); the value's
-    phi-coordinates are (a, b) with value = a + b*phi whenever the return is
-    real with no irrational height part, which holds for every observed
-    return.
-    """
-    _, touches = run_signs(gc.Q, nsteps + 1)  # iterates 0..nsteps
-    out = []
-    for idx, val in touches:
-        coords = golden_coords(val)
-        pair = None
-        if coords is not None and not coords[2] and not coords[3]:
-            pair = (coords[0], coords[1])
-        out.append((idx, val, pair))
-    return out
+def q_orbit_returns(gc: GoldenContext, nsteps: int) -> tuple[tuple[int, CycloNum], ...]:
+    """Critical-line returns (index, exact value) of the orbit of Q within
+    ``nsteps`` steps.  Every observed return is real and lies in Z[phi]."""
+    if nsteps < 0:
+        raise ParameterError("the number of steps must be >= 0")
+    return run_signs(gc.Q, nsteps + 1)[1]  # iterates 0..nsteps
 
 
 # -- dodecagon case ---------------------------------------------------------------
@@ -162,12 +152,15 @@ def hexagon_case(budget: int = 100) -> CheckReport:
     Checks: the center is 20-periodic, the extracted tile equals the known
     six-vertex hexagon, the hexagon fails exact regularity, the 20 images are
     pairwise distinct with an exact return, and no open image crosses the
-    discontinuity line.
+    discontinuity line.  Raises ``BudgetExceededError`` when the center has
+    not returned within ``budget`` steps, which falsifies nothing.
     """
     hc = hexagon_context()
     report = CheckReport(name="irregular hexagon tile")
 
     rec = minimal_period(hc.center, budget)
+    if rec.period is None:
+        raise BudgetExceededError(rec.budget_used)
     report.record("center is 20-periodic", rec.period == 20, f"got {rec.period}")
     if rec.period != 20:
         return report

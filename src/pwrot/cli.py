@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +24,7 @@ from .casestudy import (
     q_orbit_returns,
 )
 from .critical import critical_bundle, merge_collinear
-from .cyclo import CycloNum, format_golden, format_golden_coords, golden_coords, make_field
+from .cyclo import CycloNum, format_golden, fraction_str, make_field
 from .dynamics import address, minimal_period, orbit
 from .errors import (
     BudgetExceededError,
@@ -59,23 +58,15 @@ def _emit(text: str, out):
 
 
 def _fmt_value(z: CycloNum, style: str) -> str:
-    if style == "phi":
-        if z.ctx.m != 20:
-            raise ParameterError("phi format needs a conductor-20 field (--alpha 4/5)")
-        return format_golden(z)
-    coords = golden_coords(z) if style == "pretty" and z.ctx.m == 20 else None
-    return str(z) if coords is None else format_golden_coords(coords)
+    if style == "phi" and z.ctx.m != 20:
+        raise ParameterError("phi format needs a conductor-20 field (--alpha 4/5)")
+    return format_golden(z) if style != "coeff" and z.ctx.m == 20 else str(z)
 
 
 def _coeff_strs(z: CycloNum) -> list[str]:
     """``str(c)`` for each rational coefficient c of z, written from the
     integer vector with one gcd per coefficient."""
-    den = z.den
-    out = []
-    for x in z.vec:
-        g = math.gcd(x, den)
-        out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
-    return out
+    return [fraction_str(x, z.den) for x in z.vec]
 
 
 def _shadow(z: CycloNum):
@@ -298,11 +289,9 @@ def cmd_casestudy(args) -> int:
         return EXIT_BUDGET if exhausted else EXIT_OK
     if args.which == "returns":
         gc = golden_context()
-        lines = ["index\tvalue"]
-        for idx, val, pair in q_orbit_returns(gc, args.n):
-            # pair holds the coordinates of a real return, already computed
-            shown = format_golden(val) if pair is None else format_golden_coords((*pair, 0, 0))
-            lines.append(f"{idx}\t{shown}")
+        lines = ["index\tvalue"] + [
+            f"{idx}\t{format_golden(val)}" for idx, val in q_orbit_returns(gc, args.n)
+        ]
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
     # hexagon

@@ -479,21 +479,8 @@ class CycloNum:
     # -- rendering ---------------------------------------------------------------
 
     def __str__(self):
-        terms = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = abs(c)
-            if j == 0:
-                body = str(mag)
-            else:
-                var = "z" if j == 1 else f"z^{j}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not terms:
-                terms.append(body if c > 0 else f"-{body}")
-            else:
-                terms.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(terms) if terms else "0"
+        units = ["", "z"] + [f"z^{j}" for j in range(2, self.ctx.d)]
+        return _sum_str(zip(self.vec, units), self.den)
 
     def __repr__(self):
         return f"<CycloNum {self} (m={self.ctx.m})>"
@@ -539,7 +526,7 @@ class SubfieldBasis:
     ``[I_k; 0 | E]``, so for an element with coefficient vector ``a``,
     ``E a`` is its coordinates stacked on a residual that vanishes exactly
     when ``a`` lies in the span.  The rows of ``E`` are kept as sparse
-    integer rows with a denominator, and ``coords`` applies them to the
+    integer rows over one denominator, and ``lattice`` applies them to the
     element's integer vector.
     """
 
@@ -562,22 +549,25 @@ class SubfieldBasis:
                 if r != col and rows[r][col]:
                     f = rows[r][col]
                     rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-        scaled = []
-        for row in rows:
-            den = math.lcm(*(x.denominator for x in row[k:]))
-            scaled.append((tuple((j, int(x * den)) for j, x in enumerate(row[k:]) if x), den))
-        self._proj = scaled[:k]
-        self._residual = [row for row, _ in scaled[k:]]
+        self._den = math.lcm(*(x.denominator for row in rows for x in row[k:]))
+        scaled = [tuple((j, int(x * self._den)) for j, x in enumerate(row[k:]) if x) for row in rows]
+        self._proj, self._residual = scaled[:k], scaled[k:]
 
-    def coords(self, a: CycloNum):
-        """Rational coordinates of ``a`` over the basis, or None if outside."""
+    def lattice(self, a: CycloNum):
+        """The coordinates of ``a`` over the basis as integer numerators over
+        one positive denominator, not reduced, or None if ``a`` is outside."""
         if a.ctx is not self.ctx:
             raise WrongContextError("element from a different field context")
         v = a.vec
         for row in self._residual:
             if sum(c * v[j] for j, c in row):
                 return None
-        return tuple(Fraction(sum(c * v[j] for j, c in row), den * a.den) for row, den in self._proj)
+        return tuple(sum(c * v[j] for j, c in row) for row in self._proj), self._den * a.den
+
+    def coords(self, a: CycloNum):
+        """Rational coordinates of ``a`` over the basis, or None if outside."""
+        lat = self.lattice(a)
+        return None if lat is None else tuple(Fraction(x, lat[1]) for x in lat[0])
 
 
 def golden_elements(ctx: FieldContext):
@@ -607,38 +597,46 @@ def golden_coords(a: CycloNum):
     return basis.coords(a)
 
 
-def _linear_str(a: Fraction, b: Fraction, unit: str) -> str:
-    """Render a + b*unit with conventional sign handling."""
+def fraction_str(x: int, den: int) -> str:
+    """``str(Fraction(x, den))`` for a positive ``den``, with one gcd."""
+    g = math.gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
+def _sum_str(terms, den: int) -> str:
+    """Render the sum of ``(x/den)*unit`` over the (x, unit) pairs, an empty
+    unit marking the constant, with conventional sign handling."""
     parts = []
-    if a:
-        parts.append(str(a))
-    if b:
-        body = unit if abs(b) == 1 else f"{abs(b)}*{unit}"
+    for x, unit in terms:
+        if not x:
+            continue
+        mag = abs(x)
+        body = fraction_str(mag, den)
+        if unit:
+            body = unit if mag == den else f"{body}*{unit}"
         if not parts:
-            parts.append(body if b > 0 else f"-{body}")
+            parts.append(body if x > 0 else f"-{body}")
         else:
-            parts.append(f"+ {body}" if b > 0 else f"- {body}")
+            parts.append(f"+ {body}" if x > 0 else f"- {body}")
     return " ".join(parts) if parts else "0"
 
 
 def format_golden(a: CycloNum) -> str:
-    """Render in the form ``x + y*phi + (u + v*phi)*sqrt(2+phi)*i``."""
-    coords = golden_coords(a)
-    return str(a) if coords is None else format_golden_coords(coords)
-
-
-def format_golden_coords(coords) -> str:
-    """Render the ``golden_coords`` tuple (x, y, u, v) as ``format_golden`` does."""
-    x, y, u, v = coords
-    real = _linear_str(x, y, "phi")
+    """Render in the form ``x + y*phi + (u + v*phi)*sqrt(2+phi)*i``, or as
+    ``str(a)`` outside that span, from the integer coordinates."""
+    lat = golden_elements(a.ctx)[2].lattice(a)
+    if lat is None:
+        return str(a)
+    (x, y, u, v), den = lat
+    real = _sum_str(((x, ""), (y, "phi")), den)
     if not u and not v:
         return real
-    inner = _linear_str(u, v, "phi")
+    inner = _sum_str(((u, ""), (v, "phi")), den)
     if inner == "1":
         imag = "sqrt(2+phi)*i"
     elif inner == "-1":
         imag = "-sqrt(2+phi)*i"
-    elif "+" not in inner and "- " not in inner:
+    elif not (u and v):
         imag = f"{inner}*sqrt(2+phi)*i"
     else:
         imag = f"({inner})*sqrt(2+phi)*i"

@@ -346,6 +346,8 @@ def scan_region(
     step = Fraction(step)
     if step <= 0:
         raise ParameterError("step must be positive")
+    if max_tile_period is not None and max_tile_period < 0:
+        raise ParameterError("max_tile_period must be >= 0")
     outcomes = []
     tiles: dict = {}
     histogram: dict = {}

@@ -169,8 +169,8 @@ def test_criterion_02_return_indices(gc):
         (48, (-3, 3)), (53, (-5, 3)), (78, (-7, 5)), (83, (-9, 5)),
         (93, (-9, 7)), (220, (-10, 7)),
     ]
-    got = [(idx, pair) for idx, _, pair in rets]
-    want = [(i, (Fraction(a), Fraction(b))) for i, (a, b) in expected]
+    got = [(idx, golden_coords(val)) for idx, val in rets]
+    want = [(i, (Fraction(a), Fraction(b), 0, 0)) for i, (a, b) in expected]
     elapsed = time.perf_counter() - t0
     conclude(
         2,

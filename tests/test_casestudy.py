@@ -12,7 +12,7 @@ from pwrot.casestudy import (
     pentagon_centers,
     q_orbit_returns,
 )
-from pwrot.cyclo import Sign, make_field, sign_of_imag, sign_of_real
+from pwrot.cyclo import Sign, golden_coords, make_field, sign_of_imag, sign_of_real
 from pwrot.dynamics import minimal_period, step
 from pwrot.errors import WrongContextError
 from pwrot.geometry import Location, point_on_segment, polygon_contains
@@ -135,18 +135,19 @@ class TestPentagonCenters:
 class TestQReturns:
     def test_return_table(self, gc):
         rets = q_orbit_returns(gc, 220)
-        assert [(idx, pair) for idx, _, pair in rets] == [
-            (i, (Fraction(a), Fraction(b))) for i, (a, b) in EXPECTED_RETURNS
+        assert [(idx, golden_coords(val)) for idx, val in rets] == [
+            (i, (Fraction(a), Fraction(b), 0, 0)) for i, (a, b) in EXPECTED_RETURNS
         ]
 
     def test_returns_have_integer_coordinates(self, gc):
-        for _, _, pair in q_orbit_returns(gc, 220):
-            assert pair is not None
-            assert pair[0].denominator == 1 and pair[1].denominator == 1
+        for _, val in q_orbit_returns(gc, 220):
+            x, y, u, v = golden_coords(val)
+            assert u == v == 0
+            assert x.denominator == 1 and y.denominator == 1
 
     def test_short_run_prefix(self, gc):
         rets = q_orbit_returns(gc, 10)
-        assert [idx for idx, _, _ in rets] == [0, 3, 10]
+        assert [idx for idx, _ in rets] == [0, 3, 10]
         assert rets[-1][1] == gc.phi
 
 

@@ -62,6 +62,36 @@ CRITICAL_DIGESTS = [
 ]
 
 
+# Outputs written by `cyclo.format_golden`, or by `str` of an element outside
+# its span or field, with the SHA-256 of stdout, taken before the golden
+# coordinates were written from the integer vector: the two orbit-periods
+# commands of the benchmark, orbits, and tile text.  The third field says
+# whether the entry also runs with the pure kernel, which takes the smaller
+# golden and returns sizes; see TestFormatDigests.
+FORMAT_DIGESTS = [
+    (("casestudy", "golden", "--table", "--max-n", "7", "--budget", "400000"),
+     "22d8304f22f97ce4266d5e068043e5f030447c2c80b49a1e44d5f5d8a03dd7f7", False),
+    (("casestudy", "returns", "--n", "100000"),
+     "d4aa259e7589053f8d680775898276dc6dabef46d659e921efacdf8c88731716", False),
+    (("casestudy", "golden", "--table", "--max-n", "5", "--budget", "400000"),
+     "6792649605f7dc013e8e41172678c8d8d7a3c473416f7f348f0fc490ee550ce1", True),
+    (("casestudy", "returns", "--n", "10000"),
+     "6e003663e0171e923f430bce052dadd5df28714f37905688316a059b178ef5ed", True),
+    (("iterate", "--alpha", "4/5", "--point", "Q", "--n", "30", "--format", "phi"),
+     "1e686a40d863b4e1dc6a0da2af39d922b90efe8d497d05055db5591cee42bab1", True),
+    (("iterate", "--alpha", "4/5", "--point", "Q", "--n", "30", "--format", "pretty"),
+     "1e686a40d863b4e1dc6a0da2af39d922b90efe8d497d05055db5591cee42bab1", True),
+    (("iterate", "--alpha", "4/5", "--point", "(1/3,1/7)", "--n", "12"),
+     "5df88ba6839e8bcfd523f1b06f426a1bfe951d411b8f1b6f847d17d1333d0d30", True),
+    (("iterate", "--alpha", "3/7", "--point", "(1/2,1/3)", "--n", "20"),
+     "584bc4ebe1a90751e758d641642947be69a564fd4ab51653b3c934943c3ed741", True),
+    (("tile", "--alpha", "4/5", "--seed", "P1"),
+     "ea34a0b0c3968fdcf8a9f732ce6a16ff9281f6d453747574617558d12f6de820", True),
+    (("tile", "--alpha", "11/12", "--seed", "C"),
+     "c8b48e9001662fc77a397f9672e501cc00bc1896bd05bb0cb89a3484c66d12a1", True),
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -288,6 +318,11 @@ class TestScan:
         assert code == 4
         assert out == "" and err.startswith("error: ")
 
+    def test_negative_max_tile_period_is_bad_input(self, capsys):
+        code, out, err = run(capsys, "scan", "--alpha", "4/5", "--max-tile-period", "-1")
+        assert code == 4
+        assert out == "" and "max_tile_period" in err
+
     # The three tile-scan grids of the benchmark.  The digests are the
     # SHA-256 of the CSV and of its JSON sidecar as written by
     # `pwrot scan --alpha A --box=B --grid G --budget N --out scan.csv`
@@ -336,6 +371,20 @@ class TestCasestudy:
         assert code == 0
         assert "all checks passed" in out
 
+    @pytest.mark.parametrize("args", [
+        ("returns", "--n", "-1"),
+        ("golden", "--max-n", "-1"),
+    ])
+    def test_negative_size_is_bad_input(self, capsys, args):
+        code, out, err = run(capsys, "casestudy", *args)
+        assert code == 4
+        assert out == "" and err.startswith("error: ")
+
+    def test_hexagon_budget_exhaustion_exit_two(self, capsys):
+        code, out, err = run(capsys, "casestudy", "hexagon", "--budget", "19")
+        assert code == 2
+        assert out == "" and "within budget 19" in err
+
     def test_hexagon_svg(self, capsys, tmp_path):
         target = tmp_path / "hexagon.svg"
         code, _, _ = run(capsys, "casestudy", "hexagon", "--svg", str(target))
@@ -360,6 +409,19 @@ class TestCasestudy:
     def test_golden_svg_pure_kernel(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("PWROT_PURE", "1")
         self.test_golden_svg(capsys, tmp_path)
+
+
+class TestFormatDigests:
+    @pytest.mark.parametrize("args, digest", [e[:2] for e in FORMAT_DIGESTS])
+    def test_digests(self, capsys, args, digest):
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args, digest", [e[:2] for e in FORMAT_DIGESTS if e[2]])
+    def test_digests_pure_kernel(self, capsys, monkeypatch, args, digest):
+        monkeypatch.setenv("PWROT_PURE", "1")
+        self.test_digests(capsys, args, digest)
 
 
 class TestVerify:

@@ -17,6 +17,7 @@ from pwrot.cyclo import (
 from pwrot.errors import DomainError, ParameterError, WrongContextError
 
 from enclosure import approx
+from goldenref import golden_text, polynomial_text
 
 
 def brute_force_cyclotomic(n):
@@ -339,6 +340,59 @@ class TestGoldenFormatting:
     def test_wrong_context(self):
         with pytest.raises(WrongContextError):
             golden_elements(make_field(11, 12))
+
+
+class TestGoldenFormattingProperty:
+    """``format_golden`` and ``golden_coords``, which work on the integer
+    vector, against the ``Fraction`` references of ``goldenref``."""
+
+    def setup_method(self):
+        self.ctx = make_field(4, 5)
+        self.phi, self.s, _ = golden_elements(self.ctx)
+        self.rng = random.Random(41)
+
+    def coefficient(self):
+        kind = self.rng.randrange(5)
+        if kind < 2:
+            return Fraction(kind)
+        if kind == 2:
+            return Fraction(-1)
+        return Fraction(self.rng.randint(-40, 40), self.rng.randint(1, 24))
+
+    def element(self, x, y, u, v):
+        return x + y * self.phi + (u + v * self.phi) * self.s * self.ctx.i_unit
+
+    def check(self, coords):
+        coords = tuple(Fraction(c) for c in coords)
+        a = self.element(*coords)
+        assert golden_coords(a) == coords
+        assert format_golden(a) == golden_text(*coords)
+        # zeta^odd lies outside Q(zeta_5), the span of the basis
+        outside = a + self.ctx.zeta_pow(self.rng.choice((1, 3, 5, 7))) * Fraction(
+            self.rng.choice((1, -1)) * self.rng.randint(1, 9), self.rng.randint(1, 9))
+        for b in (outside, a * self.ctx.zeta_pow(5)) if any(coords) else (outside,):
+            assert golden_coords(b) is None
+            assert format_golden(b) == polynomial_text(b.coeffs) == str(b)
+
+    def test_random_elements(self):
+        for _ in range(400):
+            self.check([self.coefficient() for _ in range(4)])
+
+    @pytest.mark.parametrize("coords", [
+        (0, 0, 0, 0), (0, 0, 1, 0), (0, 0, -1, 0), (2, 0, 1, 0), (0, -1, -1, 0),
+        (0, 0, 0, 1), (0, 0, 0, -1), (0, 0, Fraction(1, 3), Fraction(-5, 6)),
+        (Fraction(-7, 4), 1, Fraction(-1, 2), 0), (Fraction(3, 8), Fraction(9, 10), 0, 0),
+    ])
+    def test_edge_cases(self, coords):
+        self.check(coords)
+
+    @pytest.mark.parametrize("p,q", [(4, 5), (3, 7), (11, 12)])
+    def test_polynomial_text(self, p, q):
+        ctx = make_field(p, q)
+        rng = random.Random(q)
+        for _ in range(100):
+            coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 6))) for _ in range(ctx.d)]
+            assert str(ctx.num(coeffs)) == polynomial_text(coeffs)
 
 
 class TestTextForm:
