@@ -15,7 +15,9 @@ norm.  The sign of a real element is decided by integer fixed-point
 enclosures of the embedding at doubling precision, with an exact zero test
 when the first fails, so no decision in the package ever rests on floating
 point alone.  The first of those enclosures, for both parts of an element
-at once, also compares its coordinates with rationals (box clipping).
+at once, also decides the geometry predicates by integer compares (box
+faces, turns, point order), and its nodes rotated by any of the m exponents
+enclose Im(zeta^e * a) for the side of a grid line.
 """
 
 from __future__ import annotations
@@ -97,7 +99,9 @@ def _euler_phi(n: int) -> int:
 def _fixed_nodes(m: int, d: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Integers (C_j), (S_j), j < d, with |C_j - 2^p cos(2 pi j/m)| < 1 and
     |S_j - 2^p sin(2 pi j/m)| < 1 (Brent & Zimmermann, Modern Computer
-    Arithmetic, 4.4).
+    Arithmetic, 4.4).  The bound holds for every j < m, so d = m gives the
+    nodes of all m exponents: the sign certificate reads j < d, the rotated
+    rows of ``FieldContext.sine_row`` all m.
 
     The work is in fixed point at w = p + g bits, errors in units of 2^-w.
     pi = 16 atan(1/5) - 4 atan(1/239), each atan(1/x) an alternating series
@@ -150,7 +154,8 @@ class FieldContext:
 
     __slots__ = (
         "p", "q", "m", "d", "phi_m", "lambda_", "i_unit",
-        "_zeta_vecs", "_zeta_rows", "_units", "_cos", "_sin", "_lam_pows", "_extras",
+        "_zeta_vecs", "_zeta_rows", "_units", "_cos", "_sin", "_lam_pows", "_sine_rows",
+        "_extras",
     )
 
     def __init__(self, p: int, q: int):
@@ -179,6 +184,7 @@ class FieldContext:
         self._lam_pows = tuple(
             self.zeta_pow((self.m * p // q) * t % self.m) for t in range(q)
         )
+        self._sine_rows = None
         self._extras: dict = {}
 
     def _build_zeta_table(self) -> tuple[tuple[int, ...], ...]:
@@ -301,15 +307,35 @@ class FieldContext:
             p *= 2
 
     def enclosure(self, a: "CycloNum") -> tuple[int, int, int, int]:
-        """Integers (X, Y, E, s) with s = den * 2^64 and |X - s*Re(a)| < E,
-        |Y - s*Im(a)| < E, or X = Y = E = 0 for a = 0: the p = 64 sums of
-        ``_sign`` for both parts at once, with E = sum|vec_j|.  For a
-        rational n/b with b > 0, b*X - n*s has the sign of Re(a) - n/b
-        whenever its absolute value exceeds b*E (likewise Y for Im(a)); a
-        smaller value decides nothing."""
+        """Integers (X, Y, E, s) with s = den * 2^64 and |X - s*Re(a)| <= E,
+        |Y - s*Im(a)| <= E, with equality only for a = 0, where X = Y = E =
+        0: the p = 64 sums of ``_sign`` for both parts at once, with E =
+        sum|vec_j|.  For a rational n/b with b > 0, b*X - n*s has the sign
+        of Re(a) - n/b whenever its absolute value exceeds b*E (likewise Y
+        for Im(a)); a smaller value decides nothing.  Box clipping compares
+        it with box faces, and ``geometry`` combines the enclosures of
+        polygon vertices into bounds on their cross products and coordinate
+        differences."""
         cos, sin = _fixed_nodes(self.m, self.d, 64)
         vec = a.vec
         return sum(map(mul, vec, cos)), sum(map(mul, vec, sin)), sum(map(abs, vec)), a.den << 64
+
+    def sine_row(self, e: int) -> tuple[int, ...]:
+        """The 64-bit sine nodes rotated by e: S_((j + e) mod m) for j < d,
+        from ``_fixed_nodes(m, m, 64)``, so that for a = vec / den the sum
+        T = sum(vec_j * row_j) is within E = sum|vec_j| of den * 2^64 *
+        Im(zeta^e * a), since Im(zeta^e * zeta^j) = sin(2 pi (j + e)/m) and
+        each node is within 1 of 2^64 times it.  Row e + m/4 gives Re(zeta^e
+        * a) the same way.  The m rows of d integers are built on first use.
+        """
+        rows = self._sine_rows
+        if rows is None:
+            m, d = self.m, self.d
+            sin = _fixed_nodes(m, m, 64)[1]
+            rows = self._sine_rows = tuple(
+                tuple(sin[(j + f) % m] for j in range(d)) for f in range(m)
+            )
+        return rows[e % self.m]
 
 
 class CycloNum:

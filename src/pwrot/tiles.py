@@ -12,11 +12,12 @@ and nothing walks its branch offsets.  The cell is the intersection of the
 k*ell constraints s_j Im(lambda^j w + b_j) > 0 pulled back along the block,
 with b_j = z_j - lambda^j z; within a direction class they are nested, and
 the one whose iterate z_j lies nearest the line binds.  The kernel keeps
-that iterate per class while it walks, decided by exact signs, so at most
-m constraints reach ``geometry.intersect_halfplanes``.  When k > 1 the
-block map permutes the vertices and fixes one point, the center, so the
-center is the vertex average; a k = 1 tile has no unique center and
-reports its seed.
+that iterate per class while it walks, decided by exact signs.  A center
+seed's walk ends at ell, so each nominee stands for k indices, and the one
+binding pass of ``geometry.intersect_halfplanes`` keeps at most m of the
+copies.  When k > 1 the block map permutes the vertices and fixes one
+point, the center, so the center is the vertex average; a k = 1 tile has
+no unique center and reports its seed.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .geometry import (
     HalfPlane,
     Location,
     apply_affine,
-    binding_halfplanes,
     edge_direction_power,
     intersect_halfplanes,
     polygon_contains,
@@ -134,39 +134,39 @@ def _minimal_block(rec: OrbitRecord) -> tuple[int, ...]:
     return tuple(rec.signs[:ell])
 
 
-def _binding_halfplanes(rec: OrbitRecord, period: int) -> list[HalfPlane]:
-    """The binding pulled-back constraints, one per class, from the nominees
-    of the seed's first-return walk.
+def _nominee_halfplanes(rec: OrbitRecord, period: int) -> list[HalfPlane]:
+    """The pulled-back constraints of the nominees of the seed's
+    first-return walk, in index order.
 
     Constraint j < period, s_j Im(lambda^j w + b_j) > 0, is in the class
     e = (t0*j + (m/2 if s_j < 0)) mod m, and the one of least s_j Im(z_j)
     binds there, which the walk nominated; the first index on a tie.  A
     center seed's walk ends at ell = period / k, and z_(j + i*ell) = z_j is
-    in class e + i*ell*t0, so each nominee stands for k indices; the k
-    copies go to ``binding_halfplanes`` in index order, which keeps the
-    first least one per class.
+    in class e + i*ell*t0, so each nominee stands for k indices, and the
+    copies that share a class are nested.  ``intersect_halfplanes`` makes
+    the one binding pass, which keeps the first least one per class.
     """
     z = rec.start
     ctx = z.ctx
     m, t0, walked = ctx.m, ctx.m * ctx.p // ctx.q, rec.period
     nominees = sorted((j + i, vec) for j, vec in filter(None, rec.nominees)
                       for i in range(0, period, walked))
-    return binding_halfplanes(
+    return [
         HalfPlane(j % ctx.q, ctx.from_lattice(vec, z.den) - z.mul_zeta(t0 * j % m),
                   rec.signs[j % walked])
         for j, vec in nominees
-    )
+    ]
 
 
 def _build_tile(rec: OrbitRecord, block) -> Tile:
     """The tile of a seed from its first-return walk and minimal block: the
-    intersection of the binding constraints the walk nominated, checked to
+    intersection of the constraints the walk nominated, checked to
     hold the seed, with the vertex average as the center when k > 1."""
     z = rec.start
     ctx = z.ctx
     ell = len(block)
     k = rotation_order(ctx, ell)
-    poly = intersect_halfplanes(_binding_halfplanes(rec, k * ell))
+    poly = intersect_halfplanes(_nominee_halfplanes(rec, k * ell))
     if not isinstance(poly, ConvexPolygon):
         raise InternalInconsistencyError(
             f"constraint intersection degenerated to {poly!r} for a periodic seed"

@@ -1,7 +1,9 @@
 """A certified complex enclosure of a field element, built in the tests from
-the sign certificate's fixed-point nodes; a reference for sign checks and for
-the nodes themselves."""
+the sign certificate's fixed-point nodes, a reference for sign checks; and
+2^p cos and sin of the nodes' angles in decimal arithmetic, a reference for
+the nodes themselves that shares no code with them."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
@@ -52,3 +54,31 @@ def approx(a, bits=64) -> ComplexBox:
         if box.width <= Fraction(2) ** (1 - bits) * (1 + lo_abs):
             return box
         p *= 2
+
+
+def scaled_cos_sin(k: int, m: int, bits: int = 64, digits: int = 60):
+    """(2^bits cos(2 pi k/m), 2^bits sin(2 pi k/m)) as Decimals with
+    ``digits`` significant digits: pi by the series 6 arcsin(1/2) of the
+    ``decimal`` documentation, cos and sin by their Taylor series."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        pi, last, t, n, na, d, da = Decimal(3), 0, Decimal(3), 1, 0, 0, 24
+        while pi != last:
+            last = pi
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            pi += t
+        x = 2 * pi * k / m
+        cos, sin, term, j = Decimal(0), Decimal(0), Decimal(1), 0
+        while term:
+            if j % 2 == 0:
+                cos += term if j % 4 == 0 else -term
+            else:
+                sin += term if j % 4 == 1 else -term
+            j += 1
+            term = term * x / j
+            if abs(term) < Decimal(10) ** -(digits + 5):
+                break
+        scale = Decimal(2) ** bits
+        return +(cos * scale), +(sin * scale)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import pwrot
+from pwrot import geometry
 from pwrot.cli import main
 
 GOLDEN_ITERATES_PHI = [
@@ -26,8 +27,9 @@ GOLDEN_ITERATES_PHI = [
 ]
 
 
-# The three tile-scan grids of the benchmark, with the SHA-256 of the CSV
-# and of its JSON sidecar; see TestScan.test_golden_digests.
+# The three tile-scan grids of the benchmark and the README scan (78 tiles),
+# with the SHA-256 of the CSV and of its JSON sidecar; see
+# TestScan.test_golden_digests.
 SCAN_DIGESTS = [
     ("4/5", "-3,-3,3,3", "1", 3000,
      "99c78cf3301c4e690dce42123613b1ac93bb3e803085c78672f23a118a27744c",
@@ -38,6 +40,9 @@ SCAN_DIGESTS = [
     ("3/7", "-2,-2,2,2", "4/3", 3000,
      "a94565922e274f818e867e89710e805fa0b95cc15b6d2a9015eafae872cfa738",
      "31f96efd751364a6d0a9e5cd37429ac26720b65569cbed9e5e4a182f66f14d0b"),
+    ("4/5", "-3,-3,3,3", "1/4", 3000,
+     "bdd3d47ec6f894f1888f90b61cc6c374e1558a8e7407aca75f4d0c52e077ecf3",
+     "5d7dfa9c0855cf2ea0ec2d224de8ec9edbc146688e330000431fa309dacb957d"),
 ]
 
 
@@ -90,6 +95,13 @@ FORMAT_DIGESTS = [
     (("tile", "--alpha", "11/12", "--seed", "C"),
      "c8b48e9001662fc77a397f9672e501cc00bc1896bd05bb0cb89a3484c66d12a1", True),
 ]
+
+
+@pytest.fixture
+def exact_predicates(monkeypatch):
+    """No integer enclosure decides a predicate of the tile build, so each
+    takes its exact test."""
+    monkeypatch.setattr(geometry, "_decide", lambda t, err: None)
 
 
 def run(capsys, *argv):
@@ -251,6 +263,9 @@ class TestTile:
             "729df6fcee340bd6a84cf9d1a4ba3f37246dc6163b0b20b57a502e9b03df82aa"
         )
 
+    def test_svg_digest_exact_predicates(self, capsys, tmp_path, exact_predicates):
+        self.test_svg_digest(capsys, tmp_path)
+
     def test_seed_on_line_is_bad_input(self, capsys):
         code, _, err = run(capsys, "tile", "--alpha", "4/5", "--seed", "Q")
         assert code == 4
@@ -323,12 +338,14 @@ class TestScan:
         assert code == 4
         assert out == "" and "max_tile_period" in err
 
-    # The three tile-scan grids of the benchmark.  The digests are the
-    # SHA-256 of the CSV and of its JSON sidecar as written by
-    # `pwrot scan --alpha A --box=B --grid G --budget N --out scan.csv`
-    # (`sha256sum scan.csv scan.json`) before half-plane intersection moved
-    # to the integer direction grid, so any change in tile vertices, vertex
-    # order or canonical start fails here.
+    # The three tile-scan grids of the benchmark and the README scan.  The
+    # digests are the SHA-256 of the CSV and of its JSON sidecar as written
+    # by `pwrot scan --alpha A --box=B --grid G --budget N --out scan.csv`
+    # (`sha256sum scan.csv scan.json`), the first three taken before
+    # half-plane intersection moved to the integer direction grid, the
+    # README scan's before the tile build's predicates were decided by
+    # integer enclosures, so any change in tile vertices, vertex order or
+    # canonical start fails here.
     @pytest.mark.parametrize("alpha, box, grid, budget, csv_digest, json_digest", SCAN_DIGESTS)
     def test_golden_digests(self, capsys, tmp_path, alpha, box, grid, budget,
                             csv_digest, json_digest):
@@ -346,6 +363,15 @@ class TestScan:
                                         budget, csv_digest, json_digest):
         # the same bytes when every walk runs on the pure kernel
         monkeypatch.setenv("PWROT_PURE", "1")
+        self.test_golden_digests(capsys, tmp_path, alpha, box, grid, budget, csv_digest,
+                                 json_digest)
+
+    @pytest.mark.parametrize("alpha, box, grid, budget, csv_digest, json_digest", SCAN_DIGESTS)
+    def test_golden_digests_exact_predicates(self, capsys, tmp_path, exact_predicates, alpha,
+                                             box, grid, budget, csv_digest, json_digest):
+        # the same bytes when no enclosure decides a predicate: every side,
+        # strip, binding, turn and point-order test of every tile build takes
+        # its exact test
         self.test_golden_digests(capsys, tmp_path, alpha, box, grid, budget, csv_digest,
                                  json_digest)
 
@@ -421,6 +447,10 @@ class TestFormatDigests:
     @pytest.mark.parametrize("args, digest", [e[:2] for e in FORMAT_DIGESTS if e[2]])
     def test_digests_pure_kernel(self, capsys, monkeypatch, args, digest):
         monkeypatch.setenv("PWROT_PURE", "1")
+        self.test_digests(capsys, args, digest)
+
+    @pytest.mark.parametrize("args, digest", [e[:2] for e in FORMAT_DIGESTS if e[0][0] == "tile"])
+    def test_tile_digests_exact_predicates(self, capsys, exact_predicates, args, digest):
         self.test_digests(capsys, args, digest)
 
 

@@ -21,7 +21,7 @@ from pwrot.cyclo import (
 )
 from pwrot.errors import DomainError, ParameterError
 
-from enclosure import approx
+from enclosure import approx, scaled_cos_sin
 
 FIELDS = [(4, 5), (11, 12), (3, 7)]
 
@@ -160,6 +160,38 @@ def test_fixed_nodes_enclose_cos_and_sin(p, q):
             assert abs(cos2[j] - 2 ** bits * cos[j]) <= 2 ** bits + 1
             assert abs(sin2[j] - 2 ** bits * sin[j]) <= 2 ** bits + 1
             assert abs(cos[j] ** 2 + sin[j] ** 2 - 4 ** bits) < 2 ** (bits + 2)
+
+
+@pytest.mark.parametrize("p,q", FIELDS)
+def test_nodes_of_all_m_exponents_are_within_one(p, q):
+    # every one of the m sine and cosine nodes at 64 bits, against a decimal
+    # reference; and the rotated rows read them, built on first use
+    ctx = cyclo.FieldContext(p, q)
+    m, d = ctx.m, ctx.d
+    assert m in (12, 20, 28)
+    cos, sin = cyclo._fixed_nodes(m, m, 64)
+    assert len(cos) == len(sin) == m
+    for k in range(m):
+        ref_cos, ref_sin = scaled_cos_sin(k, m)
+        assert abs(cos[k] - ref_cos) < 1 and abs(sin[k] - ref_sin) < 1
+    assert ctx._sine_rows is None
+    for e in range(-m, 2 * m):
+        assert ctx.sine_row(e) == tuple(sin[(j + e) % m] for j in range(d))
+    assert len(ctx._sine_rows) == m
+
+
+@pytest.mark.parametrize("p,q", FIELDS)
+def test_sine_rows_enclose_rotated_imaginary_parts(p, q):
+    # |sum(vec_j * row_e[j]) - den * 2^64 * Im(zeta^e * a)| <= sum|vec_j|
+    ctx = make_field(p, q)
+    rng = random.Random(7 * q)
+    sines = [scaled_cos_sin(k, ctx.m)[1] for k in range(ctx.m)]
+    for _ in range(20):
+        a = random_element(ctx, rng, span=1000)
+        for e in range(ctx.m):
+            t = sum(x * y for x, y in zip(a.vec, ctx.sine_row(e)))
+            ref = sum(x * sines[(j + e) % ctx.m] for j, x in enumerate(a.vec))
+            assert abs(t - ref) <= sum(map(abs, a.vec))
 
 
 def test_sign_beyond_the_double_range():

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from pwrot.geometry import (
     HalfPlane,
     Location,
     apply_affine,
-    binding_halfplanes,
     clip_segment_to_box,
     edge_direction_power,
     grid_corner,
@@ -212,9 +212,8 @@ class TestIntersectHalfplanes:
                         cons.append(HalfPlane(t, b, int(s)))
                 poly = intersect_halfplanes(cons)
                 assert poly is not EMPTY
-                binding = binding_halfplanes(h for h in cons)
-                assert len(binding) <= ctx.m
-                assert intersect_halfplanes(binding) == poly
+                assert len(geometry._binding_offsets(cons)) <= ctx.m
+                assert intersect_halfplanes(h for h in cons) == poly
                 if poly is UNBOUNDED:
                     continue
                 polygons += 1
@@ -256,9 +255,9 @@ def swept_and_rechecked(constraints):
     rejected before the sweep."""
     ctx = constraints[0].b.ctx
     m, half = ctx.m, ctx.m // 2
-    offset = dict(map(geometry._grid_form, binding_halfplanes(constraints)))
+    offset = geometry._binding_offsets(constraints)
     for e, b in offset.items():
-        if e < half and e + half in offset and sign_of_imag(b + offset[e + half]) != Sign.POSITIVE:
+        if e < half and e + half in offset and sign_of_imag(b.c + offset[e + half].c) != Sign.POSITIVE:
             return None, EMPTY
     exps = sorted(offset)
     if any(f - e >= half for e, f in zip(exps, exps[1:] + [exps[0] + m])):
@@ -343,7 +342,7 @@ class TestSweepCertificate:
 
         def keep_every_edge(offset):
             exps = sorted(offset, reverse=True)
-            beta = {e: c.imag() for e, c in offset.items()}
+            beta = {e: o.c.imag() for e, o in offset.items()}
             return [
                 geometry.grid_corner(f, beta[f], g, beta[g])
                 for f, g in zip(exps[-1:] + exps[:-1], exps)
@@ -400,6 +399,177 @@ class TestPolygon:
         img = apply_affine(square, g)
         assert {v.coeffs for v in img.vertices} == {g(v).coeffs for v in square.vertices}
         assert polygon_is_regular(img)
+
+
+@pytest.fixture
+def exact_signs(monkeypatch):
+    """Records, for each exact sign test a geometry predicate falls back to,
+    the name of the function that ran it."""
+    calls = []
+
+    def counting(fn):
+        def counted(a):
+            calls.append(sys._getframe(1).f_code.co_name)
+            return fn(a)
+        return counted
+
+    monkeypatch.setattr(geometry, "sign_of_imag", counting(sign_of_imag))
+    monkeypatch.setattr(geometry, "sign_of_real", counting(sign_of_real))
+    return calls
+
+
+def all_exact(fn, *args):
+    """fn(*args) with no enclosure deciding a sign: the exact reference."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_decide", lambda t, err: None)
+        return fn(*args)
+
+
+def pentagon(ctx5):
+    """The regular pentagon of the fifth roots of unity, lambda^t at 4/5:
+    irrational vertices, and its two leftmost vertices share a real part."""
+    return make_polygon([ctx5.lam_pow(t) for t in (0, 4, 3, 2, 1)])
+
+
+HAIR = Fraction(1, 10 ** 30)
+
+
+def through(ctx12, t, w):
+    """The constraint on the grid line through w along lambda^-t that holds
+    the center of the unit square."""
+    lam, b = ctx12.lam_pow(t), -(ctx12.lam_pow(t) * w)
+    return HalfPlane(t, b, int(sign_of_imag(lam * ctx12.point(Fraction(1, 2), Fraction(1, 2)) + b)))
+
+
+class TestPredicateCertificate:
+    """The tile build's predicates are decided by integer enclosures and
+    take the exact test only where those leave the sign open: a point on a
+    line, a tie, or a point a hair off a line.  Each case reaches the exact
+    test on its own, and its result matches the one with every predicate
+    decided exactly."""
+
+    def test_point_on_an_edge(self, ctx5, exact_signs):
+        p = pentagon(ctx5)
+        for a, b in p.edges():
+            for z in (a, (a + b) / 2, (2 * a + b) / 3):
+                del exact_signs[:]
+                assert polygon_contains(p, z) == Location.BOUNDARY
+                assert "_turn" in exact_signs
+                assert all_exact(polygon_contains, p, z) == Location.BOUNDARY
+        assert polygon_contains(p, ctx5.zero()) == Location.INTERIOR
+
+    def test_collinear_triple(self, ctx5, exact_signs):
+        verts = list(pentagon(ctx5).vertices)
+        for i in range(len(verts)):
+            a, b = verts[i - 1], verts[i]
+            mid = (a + 2 * b) / 3
+            del exact_signs[:]
+            assert orientation(a, mid, b) == Sign.ZERO
+            assert exact_signs == ["_turn"]
+            with pytest.raises(ParameterError):
+                make_polygon(verts[:i] + [mid] + verts[i:])
+
+    def test_equal_real_parts_tie_for_the_start(self, ctx5, exact_signs):
+        # lambda^3 and lambda^2 are conjugate, so both have the least real
+        # part; the imaginary part puts lambda^2 first
+        verts = [ctx5.lam_pow(t) for t in (0, 4, 3, 2, 1)]
+        for r in range(5):
+            del exact_signs[:]
+            p = make_polygon(verts[r:] + verts[:r])
+            assert p.vertices[0] == ctx5.lam_pow(2)
+            assert "_cmp_points" in exact_signs
+            assert all_exact(make_polygon, verts[r:] + verts[:r]) == p
+
+    @pytest.mark.parametrize("t", [4, 5])
+    def test_redundant_constraint_through_a_vertex(self, ctx12, exact_signs, t):
+        # the grid line through (1, 1) along lambda^-t (120 or 150 degrees)
+        # touches the unit square only there
+        cons = square_constraints(ctx12) + [through(ctx12, t, ctx12.point(1, 1))]
+        square = intersect_halfplanes(square_constraints(ctx12))
+        del exact_signs[:]
+        assert intersect_halfplanes(cons) == square
+        assert "_side" in exact_signs
+        assert all_exact(intersect_halfplanes, cons) == square
+
+    def test_nested_constraints_on_one_line(self, ctx12, exact_signs):
+        # y > 0 again, with an offset whose imaginary part is that of y > 0's
+        # but whose vector is not: the binding pass keeps the first of the
+        # two, in either order
+        sqrt3 = ctx12.zeta_pow(1) + ctx12.zeta_pow(1).conj()
+        square = intersect_halfplanes(square_constraints(ctx12))
+        for extra in (HalfPlane(0, sqrt3, 1), HalfPlane(0, -sqrt3, 1)):
+            for cons in (square_constraints(ctx12) + [extra], [extra] + square_constraints(ctx12)):
+                del exact_signs[:]
+                assert geometry._binding_offsets(cons)[0].c == cons[0].b
+                assert exact_signs == ["_binding_offsets"]
+                assert intersect_halfplanes(cons) == square
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
+    def test_strip_of_zero_width(self, exact_signs, p, q):
+        ctx = make_field(p, q)
+        w = ctx.lam_pow(1) / 3 + ctx.point(0, Fraction(1, 7))
+        for t in range(ctx.q):
+            b = -(ctx.lam_pow(t) * w)
+            cons = [HalfPlane(t, b, 1), HalfPlane(t, b, -1)]
+            del exact_signs[:]
+            assert intersect_halfplanes(cons) is EMPTY
+            assert exact_signs == ["intersect_halfplanes"]
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
+    def test_strip_a_hair_wide(self, exact_signs, p, q):
+        # Im(lambda^t w) between that of a point and that plus or minus
+        # 10^-30: the enclosures of the two offsets cannot tell
+        ctx = make_field(p, q)
+        w = ctx.lam_pow(1) / 3 + ctx.point(0, Fraction(1, 7))
+        for eps in (HAIR, -HAIR):
+            for t in range(ctx.q):
+                b = -(ctx.lam_pow(t) * w)
+                cons = [HalfPlane(t, b, 1), HalfPlane(t, b - ctx.point(0, eps), -1)]
+                del exact_signs[:]
+                result = intersect_halfplanes(cons)
+                assert result is (UNBOUNDED if eps > 0 else EMPTY)
+                assert exact_signs == ["intersect_halfplanes"]
+                assert all_exact(intersect_halfplanes, cons) is result
+
+    def test_point_a_hair_off_an_edge(self, ctx5, ctx12, exact_signs):
+        square = intersect_halfplanes(square_constraints(ctx12))
+        for eps, where in ((HAIR, Location.INTERIOR), (-HAIR, Location.EXTERIOR)):
+            del exact_signs[:]
+            assert polygon_contains(square, ctx12.point(Fraction(1, 2), eps)) == where
+            assert "_turn" in exact_signs
+        p = pentagon(ctx5)
+        for a, b in p.edges():
+            mid = (a + b) / 2
+            for eps, where in ((HAIR, Location.INTERIOR), (-HAIR, Location.EXTERIOR)):
+                z = mid + eps * (ctx5.zero() - mid)  # toward the center 0, or away
+                del exact_signs[:]
+                assert polygon_contains(p, z) == where
+                assert "_turn" in exact_signs
+                assert all_exact(polygon_contains, p, z) == where
+
+    def test_vertex_a_hair_off_the_start(self, ctx12, exact_signs):
+        # (eps, 1) and (0, 0) compete for the canonical start, their real
+        # parts 10^-30 apart
+        for eps in (HAIR, -HAIR):
+            verts = [ctx12.point(0, 0), ctx12.point(1, 0), ctx12.point(1, 1), ctx12.point(eps, 1)]
+            del exact_signs[:]
+            p = make_polygon(verts)
+            assert p.vertices[0] == (verts[0] if eps > 0 else verts[3])
+            assert "_cmp_points" in exact_signs
+            assert all_exact(make_polygon, verts) == p
+
+    @pytest.mark.parametrize("t", [4, 5])
+    def test_constraint_a_hair_off_a_vertex(self, ctx12, exact_signs, t):
+        # the line of the redundant constraint above, moved up by 10^-30
+        # (redundant) or down (it cuts a corner off the square)
+        square = intersect_halfplanes(square_constraints(ctx12))
+        for eps in (HAIR, -HAIR):
+            cons = square_constraints(ctx12) + [through(ctx12, t, ctx12.point(1, 1 + eps))]
+            del exact_signs[:]
+            poly = intersect_halfplanes(cons)
+            assert (poly == square) == (eps > 0) and len(poly) == (4 if eps > 0 else 5)
+            assert "_side" in exact_signs
+            assert all_exact(intersect_halfplanes, cons) == poly
 
 
 class TestEdgeDirections:

@@ -13,7 +13,7 @@ from pwrot import stepper
 from pwrot.casestudy import golden_context, hexagon_context, pentagon_centers
 from pwrot.cyclo import Sign, golden_elements, make_field, sign_of_imag
 from pwrot.dynamics import branch_offsets, minimal_period, orbit, step
-from pwrot.geometry import Box, HalfPlane, binding_halfplanes, intersect_halfplanes
+from pwrot.geometry import Box, HalfPlane, intersect_halfplanes
 from pwrot.stepper import run_period, run_signs
 from pwrot.tiles import interior_samples, scan_region, tile_from_seed
 
@@ -93,10 +93,10 @@ def streamed_polygon(tile):
     """The tile's polygon from every pulled-back constraint, streamed from the
     walk of branch offsets: the reference the nominees must reproduce."""
     ctx, word, n = tile.ctx, tile.word.word, tile.period
-    return intersect_halfplanes(binding_halfplanes(
+    return intersect_halfplanes(
         HalfPlane(j % ctx.q, b, word[j % tile.ell])
         for j, b in enumerate(branch_offsets(ctx, word, n - 1))
-    ))
+    )
 
 
 @pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pwrot import stepper
+from pwrot import geometry, stepper
 from pwrot import tiles as tiles_module
 from pwrot.casestudy import golden_context, golden_rescale, hexagon_context, pentagon_centers
 from pwrot.cyclo import make_field
@@ -19,7 +19,6 @@ from pwrot.geometry import (
     Box,
     HalfPlane,
     Location,
-    binding_halfplanes,
     intersect_halfplanes,
     polygon_contains,
     polygon_is_regular,
@@ -229,8 +228,8 @@ class TestScan:
 class TestStreamedConstraints:
     """A tile's polygon equals the intersection of all k*ell pulled-back
     constraints, streamed from the walk of branch offsets as a reference,
-    though the tile takes only the at most m that bind from its seed's
-    period walk; intersect_halfplanes never sees more than m."""
+    though the tile takes only its seed walk's nominees; the binding pass of
+    intersect_halfplanes keeps at most m of them."""
 
     @pytest.fixture(scope="class")
     def known_tiles(self, gc, hexagon_tile):
@@ -245,28 +244,35 @@ class TestStreamedConstraints:
             for j in range(n):
                 full.append(HalfPlane(g.power % ctx.q, g.offset, word[j % tile.ell]))
                 g = compose(branch[word[j % tile.ell]], g)
-            walk = (
-                HalfPlane(j % ctx.q, b, word[j % tile.ell])
-                for j, b in enumerate(branch_offsets(ctx, word, n - 1))
-            )
-            streamed = binding_halfplanes(walk)
-            assert len(streamed) <= ctx.m
+            def walk():
+                return (
+                    HalfPlane(j % ctx.q, b, word[j % tile.ell])
+                    for j, b in enumerate(branch_offsets(ctx, word, n - 1))
+                )
+
+            assert len(geometry._binding_offsets(walk())) <= ctx.m
             assert list(branch_offsets(ctx, word, n - 1)) == [h.b for h in full]
-            assert intersect_halfplanes(streamed) == intersect_halfplanes(list(full)) == tile.polygon
+            assert intersect_halfplanes(walk()) == intersect_halfplanes(full) == tile.polygon
             # the vertex average is the block map's fixed point
             assert tile.center == rotation_center(affine_along(ctx, word))
 
     def test_intersections_see_at_most_m_constraints(self, gc, monkeypatch):
+        # (constraints handed in, constraints the binding pass keeps) per
+        # tile: a center seed's nominees stand for k indices each, so P4's
+        # tile hands in more than m, and the one binding pass keeps at most m
         sizes = []
+        binding = geometry._binding_offsets
 
         def counted(constraints):
-            sizes.append(len(constraints))
-            return intersect_halfplanes(constraints)
+            kept = binding(constraints)
+            sizes.append((len(constraints), len(kept)))
+            return kept
 
-        monkeypatch.setattr(tiles_module, "intersect_halfplanes", counted)
+        monkeypatch.setattr(geometry, "_binding_offsets", counted)
         tile_from_seed(pentagon_centers(gc, 4)[4], 7000)
         scan_region(gc.ctx, Box(-1, -1, 1, 1), Fraction(1, 2), 2000)
-        assert sizes and max(sizes) <= gc.ctx.m
+        assert len(sizes) > 1 and sizes[0][0] > gc.ctx.m
+        assert max(kept for _, kept in sizes) <= gc.ctx.m
 
     def test_p4_tile_memory_is_bounded(self, gc):
         p4 = pentagon_centers(gc, 4)[4]
