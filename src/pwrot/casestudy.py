@@ -102,7 +102,8 @@ def pentagon_center_periods(
 
 def q_orbit_returns(gc: GoldenContext, nsteps: int) -> tuple[tuple[int, CycloNum], ...]:
     """Critical-line returns (index, exact value) of the orbit of Q within
-    ``nsteps`` steps.  Every observed return is real and lies in Z[phi]."""
+    ``nsteps`` steps, the first ``TOUCH_CAP`` of the walk's kernel.  Every
+    observed return is real and lies in Z[phi]."""
     if nsteps < 0:
         raise ParameterError("the number of steps must be >= 0")
     return run_signs(gc.Q, nsteps + 1)[1]  # iterates 0..nsteps

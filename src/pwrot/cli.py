@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from . import _steppy
 from .casestudy import (
     golden_context,
     golden_rescale,
@@ -28,7 +29,6 @@ from .cyclo import CycloNum, format_golden, fraction_str, make_field
 from .dynamics import address, minimal_period, orbit
 from .errors import (
     BudgetExceededError,
-    CriticalLineError,
     FalsifiedInvariantError,
     ParameterError,
     PwrotError,
@@ -74,6 +74,13 @@ def _shadow(z: CycloNum):
     return c.real, c.imag
 
 
+def _note_touch_cap(touches):
+    """Note on stderr that a touch list reached the cap of both kernels."""
+    if len(touches) >= _steppy.TOUCH_CAP:
+        print(f"note: touch cap {_steppy.TOUCH_CAP} reached; later critical-line touches"
+              " not listed", file=sys.stderr)
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -117,6 +124,7 @@ def cmd_period(args) -> int:
     ctx = _field(args)
     z = parse_point(args.point, ctx)
     rec = minimal_period(z, args.budget)
+    _note_touch_cap(rec.iterates_on_line)
     lines = []
     if rec.period is not None:
         lines.append(f"period {rec.period}")
@@ -288,10 +296,9 @@ def cmd_casestudy(args) -> int:
             _golden_svg(gc, args.svg)
         return EXIT_BUDGET if exhausted else EXIT_OK
     if args.which == "returns":
-        gc = golden_context()
-        lines = ["index\tvalue"] + [
-            f"{idx}\t{format_golden(val)}" for idx, val in q_orbit_returns(gc, args.n)
-        ]
+        returns = q_orbit_returns(golden_context(), args.n)
+        _note_touch_cap(returns)
+        lines = ["index\tvalue"] + [f"{idx}\t{format_golden(val)}" for idx, val in returns]
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
     # hexagon
@@ -487,9 +494,6 @@ def main(argv=None) -> int:
     except FalsifiedInvariantError as err:
         print(f"falsified invariant: {err}", file=sys.stderr)
         return EXIT_FALSIFIED
-    except (ParameterError, CriticalLineError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except PwrotError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -12,10 +12,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag
 from .errors import CriticalLineError, ParameterError
+from .stepper import OrbitRecord, run_period, run_signs
 
 
 class Address(enum.Enum):
@@ -56,22 +57,6 @@ class AffineMap:
         ctx = self.ctx
         t = (ctx.m * ctx.p // ctx.q) * (self.power % ctx.q)
         return w.mul_zeta(t) + self.offset
-
-
-@dataclass(frozen=True)
-class OrbitRecord:
-    """One first-return walk: the period (None past the budget), the on-line
-    iterates, the steps walked, the sign of each iterate walked, and, when
-    the walk nominated, per class e the nominee (j, vec) of least
-    s_j Im(z_j) of ``_steppy.Kernel.walk`` (None for an empty class), with
-    z_j = vec / start.den."""
-
-    start: CycloNum
-    period: Optional[int]
-    iterates_on_line: tuple[tuple[int, CycloNum], ...]
-    budget_used: int
-    signs: Sequence[int]
-    nominees: Optional[tuple]
 
 
 def step(z: CycloNum) -> CycloNum:
@@ -122,8 +107,6 @@ def minimal_period(z: CycloNum, budget: int, nominate: bool = False) -> OrbitRec
     """
     if budget < 1:
         raise ParameterError("budget must be >= 1")
-    from .stepper import run_period  # local import to avoid a cycle
-
     return run_period(z, budget, nominate)
 
 
@@ -135,8 +118,6 @@ def itinerary(z: CycloNum, n: int) -> Itinerary:
     """
     if n < 0:
         raise ParameterError("itinerary length must be >= 0")
-    from .stepper import run_signs
-
     signs, touches = run_signs(z, n)
     if touches:
         raise CriticalLineError(touches[0][0])

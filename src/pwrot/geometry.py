@@ -15,13 +15,14 @@ the segment's line with that face.
 
 Predicates (side of a line, the binding pass and the antiparallel strip,
 turns and point location, the canonical start, box faces) are decided by
-integer compares on certified 64-bit enclosures: the fixed-point sums of
-the sign oracle (``FieldContext.enclosure`` and ``sine_row``), combined by
-error bounds derived where each is used.  ``_decide`` makes every such
-decision of the tile build (box clipping makes the same compare inline),
-and a sign it leaves open, for a point on or within about 2^-64 of a line
-or a tie, takes the exact sign oracle.  Equality and regularity stay
-exact.
+integer compares on certified 64-bit enclosures, the fixed-point sums of
+the sign oracle (``FieldContext.enclosure`` and ``sine_row``), kept once
+per point or offset in one record, ``_Enclosed``.  ``_sum_sign`` decides a
+sum of two enclosed values and ``_turn`` a cross product, both through
+``_decide`` (box clipping makes the same compare inline), and a sign left
+open, for a point on or within about 2^-64 of a line or a tie, takes the
+exact sign oracle.  Equality is exact, and regularity and edge slopes are
+exact rotations by ``mul_zeta``, with no field product.
 """
 
 from __future__ import annotations
@@ -66,10 +67,8 @@ class Box:
     y1: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", Fraction(self.x0))
-        object.__setattr__(self, "y0", Fraction(self.y0))
-        object.__setattr__(self, "x1", Fraction(self.x1))
-        object.__setattr__(self, "y1", Fraction(self.y1))
+        for name in ("x0", "y0", "x1", "y1"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.x0 >= self.x1 or self.y0 >= self.y1:
             raise ParameterError("box must have positive width and height")
 
@@ -179,41 +178,47 @@ def _decide(t: int, err: int) -> Optional[Sign]:
     return None
 
 
-def _imag_sum_sign(t1: int, e1: int, den1: int, t2: int, e2: int, den2: int) -> Optional[Sign]:
-    """The sign of v1 + v2 from enclosures of den_i * 2^64 * v_i by t_i
-    within e_i, or None: t1*den2 + t2*den1 is within e1*den2 + e2*den1 of
-    den1*den2*2^64*(v1 + v2), since each term's error is scaled by the
-    other's positive denominator."""
-    return _decide(t1 * den2 + t2 * den1, e1 * den2 + e2 * den1)
+def _sum_sign(t1: int, e1: int, s1: int, t2: int, e2: int, s2: int) -> Optional[Sign]:
+    """The sign of v1 + v2 from enclosures |t_i - s_i*v_i| <= e_i at scales
+    s_i > 0, or None: t1*s2 + t2*s1 is within e1*s2 + e2*s1 of
+    s1*s2*(v1 + v2), since each term's error is scaled by the other's
+    positive scale.  This is the one rule for two enclosed values: the
+    binding pass, the strip test, ``_side`` and ``_cmp_points`` all use it."""
+    return _decide(t1 * s2 + t2 * s1, e1 * s2 + e2 * s1)
 
 
-class _Offset(NamedTuple):
-    """The binding constraint Im(zeta^e * w + c) > 0 of one exponent e, with
-    the enclosure of Im(c): t = sum(c_j * S_j) over ``sine_row(0)`` is within
-    err = sum|c_j| of c.den * 2^64 * Im(c)."""
+class _Enclosed(NamedTuple):
+    """A point w with its ``FieldContext.enclosure``: |x - s*Re(w)| <= err
+    and |y - s*Im(w)| <= err, s = w.den * 2^64."""
 
-    c: CycloNum
-    t: int
+    w: CycloNum
+    x: int
+    y: int
     err: int
+    s: int
 
 
-def _binding_offsets(constraints: Iterable[HalfPlane]) -> dict[int, _Offset]:
+def _enclosed(w: CycloNum) -> _Enclosed:
+    return _Enclosed(w, *w.ctx.enclosure(w))
+
+
+def _binding_offsets(constraints: Iterable[HalfPlane]) -> dict[int, _Enclosed]:
     """The constraints that can bind, at most one per direction, in grid
     form: written as Im(zeta^e * w + c) > 0, those of one exponent e are
-    nested, and the first with the least Im(c) is kept.  Takes any iterable
-    and holds at most m.  A later c' replaces c when Im(c' - c) < 0, decided
-    by ``_imag_sum_sign`` on the enclosures of Im(c') and -Im(c), with the
-    exact sign of Im(c' - c) only when they leave it open."""
-    best: dict[int, _Offset] = {}
+    nested, and the first with the least Im(c) is kept, enclosed.  Takes
+    any iterable and holds at most m.  A later c' replaces c when
+    Im(c' - c) < 0, decided by ``_sum_sign`` on the enclosures of Im(c')
+    and -Im(c), with the exact sign of Im(c' - c) only when they leave it
+    open."""
+    best: dict[int, _Enclosed] = {}
     for h in constraints:
         e, c = _grid_form(h)
-        vec = c.vec
-        new = _Offset(c, sum(map(mul, vec, c.ctx.sine_row(0))), sum(map(abs, vec)))
+        new = _enclosed(c)
         old = best.get(e)
         if old is not None:
-            s = _imag_sum_sign(new.t, new.err, c.den, -old.t, old.err, old.c.den)
+            s = _sum_sign(new.y, new.err, new.s, -old.y, old.err, old.s)
             if s is None:
-                s = sign_of_imag(c - old.c)
+                s = sign_of_imag(c - old.w)
             if s != Sign.NEGATIVE:
                 continue
         best[e] = new
@@ -229,9 +234,10 @@ def intersect_halfplanes(constraints: Iterable[HalfPlane]):
     direction decision compares exponents: only the least Im(c) per exponent
     binds, and one streaming pass over the constraints keeps it; an
     antiparallel pair e, e + m/2 bounds a strip that is empty unless the two
-    Im(c) sum to a positive number; and the intersection is unbounded
-    exactly when some cyclic gap between the sorted exponents is at least
-    m/2.  A bounded system goes through one half-plane sweep.  When the open
+    Im(c) sum to a positive number, decided from the offsets' enclosures by
+    ``_sum_sign`` (exactly only when they leave it open, as for a strip of
+    zero width); and the intersection is unbounded exactly when some cyclic
+    gap between the sorted exponents is at least m/2.  A bounded system goes through one half-plane sweep.  When the open
     intersection is nonempty the sweep's vertex ring is its closure (de Berg
     et al., 4.2), whose vertex average lies strictly inside every
     constraint; when it is empty no point does.  So one strict test of that
@@ -241,23 +247,19 @@ def intersect_halfplanes(constraints: Iterable[HalfPlane]):
     nonemptiness only: that the ring is the intersection rests on the
     sweep, which the tests hold to a check of every vertex against every
     constraint on random systems.
-
-    The strip test decides the sign of Im(c + c') from the two offsets'
-    enclosures by ``_imag_sum_sign``, and the exact test runs only when they
-    leave it open, as for a strip of zero width.
     """
     offset = _binding_offsets(constraints)
     if not offset:
         raise ParameterError("at least one constraint is required")
-    m = next(iter(offset.values())).c.ctx.m
+    m = next(iter(offset.values())).w.ctx.m
     half = m // 2
 
     for e, a in offset.items():
         b = offset.get(e + half)  # exponents lie in [0, m): only e < m/2 has one
         if b is not None:
-            s = _imag_sum_sign(a.t, a.err, a.c.den, b.t, b.err, b.c.den)
+            s = _sum_sign(a.y, a.err, a.s, b.y, b.err, b.s)
             if s is None:
-                s = sign_of_imag(a.c + b.c)
+                s = sign_of_imag(a.w + b.w)
             if s != Sign.POSITIVE:
                 return EMPTY
     exps = sorted(offset)
@@ -273,29 +275,28 @@ def intersect_halfplanes(constraints: Iterable[HalfPlane]):
     return make_polygon(vertices)
 
 
-def _side(offset: dict[int, _Offset], e: int, w: CycloNum) -> Sign:
-    """Sign of Im(zeta^e * w + c) with c = offset[e].c.
+def _side(offset: dict[int, _Enclosed], e: int, w: CycloNum) -> Sign:
+    """Sign of Im(zeta^e * w + c) with c = offset[e].w.
 
     The row ``sine_row(e)`` gives t_w = sum(w_j * row_j) within e_w =
-    sum|w_j| of w.den * 2^64 * Im(zeta^e * w).  With the offset's t_c
-    within e_c of c.den * 2^64 * Im(c), T = t_w*den_c + t_c*den_w is within
-    E = e_w*den_c + e_c*den_w of den_w*den_c*2^64 * Im(zeta^e * w + c), so
-    |T| > E gives the sign (``_imag_sum_sign``).  Only a point on the line,
-    or within about E / (den_w*den_c*2^64) of it, takes the exact test.
+    sum|w_j| of s_w * Im(zeta^e * w), s_w = w.den * 2^64, and the offset's
+    enclosure gives y_c within err_c of s_c * Im(c), so ``_sum_sign``
+    decides the sum.  Only a point on the line, or within about
+    (e_w*s_c + err_c*s_w) / (s_w*s_c) of it, takes the exact test.
     """
     o = offset[e]
     vec = w.vec
-    s = _imag_sum_sign(sum(map(mul, vec, w.ctx.sine_row(e))), sum(map(abs, vec)), w.den,
-                       o.t, o.err, o.c.den)
-    return sign_of_imag(w.mul_zeta(e) + o.c) if s is None else s
+    s = _sum_sign(sum(map(mul, vec, w.ctx.sine_row(e))), sum(map(abs, vec)), w.den << 64,
+                  o.y, o.err, o.s)
+    return sign_of_imag(w.mul_zeta(e) + o.w) if s is None else s
 
 
-def _sweep(offset: dict[int, _Offset]) -> list[CycloNum]:
-    """One half-plane sweep over the bounded system Im(zeta^e * w + offset[e].c)
+def _sweep(offset: dict[int, _Enclosed]) -> list[CycloNum]:
+    """One half-plane sweep over the bounded system Im(zeta^e * w + offset[e].w)
     > 0, in the counterclockwise order of the edge directions zeta^-e (de
     Berg et al., Computational Geometry, 4.2): the vertex ring of the edges
     it keeps, or [] when it keeps fewer than three."""
-    beta = {e: o.c.imag() for e, o in offset.items()}
+    beta = {e: o.w.imag() for e, o in offset.items()}
     corners: dict[tuple[int, int], CycloNum] = {}
 
     def corner(f: int, g: int) -> CycloNum:
@@ -328,29 +329,15 @@ def vertex_average(vertices: Sequence[CycloNum]) -> CycloNum:
     return sum(vertices[1:], vertices[0]) / len(vertices)
 
 
-class _Enclosed(NamedTuple):
-    """A point w with its ``FieldContext.enclosure``: |x - s*Re(w)| <= err
-    and |y - s*Im(w)| <= err, s = w.den * 2^64."""
-
-    w: CycloNum
-    x: int
-    y: int
-    err: int
-    s: int
-
-
-def _enclosed(w: CycloNum) -> _Enclosed:
-    return _Enclosed(w, *w.ctx.enclosure(w))
-
-
 def _cmp_points(p: _Enclosed, r: _Enclosed) -> int:
     """Order by real part, then imaginary part.
 
-    x_p*s_r - x_r*s_p is within err_p*s_r + err_r*s_p of s_p*s_r*(Re(p) -
-    Re(r)), and likewise for the imaginary parts; a difference the
+    Re(p) - Re(r) is the sum of two enclosed values, x_p within err_p of
+    s_p*Re(p) and -x_r within err_r of -s_r*Re(r), and ``_sum_sign``
+    decides it; likewise for the imaginary parts.  A difference the
     enclosures leave open takes the exact sign of the real element."""
     for u, v, part in ((p.x, r.x, CycloNum.real), (p.y, r.y, CycloNum.imag)):
-        s = _decide(u * r.s - v * p.s, p.err * r.s + r.err * p.s)
+        s = _sum_sign(u, p.err, p.s, -v, r.err, r.s)
         if s is None:
             s = sign_of_real(part(p.w) - part(r.w))
         if s != Sign.ZERO:
@@ -379,11 +366,6 @@ def _turn(o: _Enclosed, a: _Enclosed, b: _Enclosed) -> Sign:
     if s is None:
         return sign_of_imag((a.w - o.w).conj() * (b.w - o.w))
     return s
-
-
-def orientation(o: CycloNum, a: CycloNum, b: CycloNum) -> Sign:
-    """Sign of the cross product (a - o) x (b - o)."""
-    return _turn(_enclosed(o), _enclosed(a), _enclosed(b))
 
 
 def make_polygon(vertices: Sequence[CycloNum]) -> ConvexPolygon:
@@ -422,25 +404,29 @@ def polygon_contains(p: ConvexPolygon, z: CycloNum) -> Location:
 
 
 def polygon_is_regular(p: ConvexPolygon) -> bool:
-    """Equal squared side lengths and equal vertex angles, decided exactly.
+    """Whether n | m and v_(i+1) - c = zeta^(m/n) * (v_i - c) for every i,
+    c the vertex average: n ``mul_zeta`` permutations, no field product.
 
-    With all sides equal, the angle cosines compare through the raw edge dot
-    products, so no normalization is needed.
+    A regular counterclockwise n-gon is c + zeta_n^i * r, i < n, with
+    zeta_n = e^(2 pi i/n) and c its vertex average (the n-th roots of unity
+    sum to 0), so zeta_n = (v_1 - c)/(v_0 - c) lies in Q(zeta_m).  For even
+    m (m = lcm(4, q)) that field holds a primitive n-th root of unity only
+    when n | m: else it holds Q(zeta_L), L = lcm(m, n) > m, of degree
+    phi(L) <= phi(m), but each prime power p^a of L/m multiplies phi by
+    p^a >= 2 if p | m and by p^(a-1)*(p - 1) >= 2 if not, as 2 | m.  So
+    zeta_n = zeta^(m/n) and the test holds; conversely, it makes the
+    vertices c + zeta^(i*m/n) * (v_0 - c), a regular n-gon.
     """
     v = p.vertices
     n = len(v)
     if n < 3:
         raise ParameterError("regularity needs a genuine polygon")
-    edges = [v[(i + 1) % n] - v[i] for i in range(n)]
-    side2 = edges[0].squared_abs()
-    for e in edges[1:]:
-        if e.squared_abs() != side2:
-            return False
-    dot0 = (edges[0].conj() * edges[1]).real()
-    for i in range(1, n):
-        if (edges[i].conj() * edges[(i + 1) % n]).real() != dot0:
-            return False
-    return True
+    m = v[0].ctx.m
+    if m % n:
+        return False
+    c = vertex_average(v)
+    arms = [w - c for w in v]
+    return all(arms[i - 1].mul_zeta(m // n) == arms[i] for i in range(n))
 
 
 def apply_affine(p: ConvexPolygon, g) -> ConvexPolygon:
@@ -449,28 +435,18 @@ def apply_affine(p: ConvexPolygon, g) -> ConvexPolygon:
 
 
 def edge_direction_power(ctx: FieldContext, d: CycloNum) -> Optional[int]:
-    """t in [0, q) with d parallel to the rotated real axis lambda^t * R."""
+    """t in [0, q) with d parallel to the rotated real axis lambda^t * R:
+    d * lambda^-t, one ``mul_zeta`` permutation, equals its conjugate."""
     if d.is_zero():
         raise ParameterError("zero direction")
     for t in range(ctx.q):
-        if (d * ctx.lam_pow(t).conj()).imag().is_zero():
+        w = d.mul_zeta(-_lam_exponent(ctx, t))
+        if w == w.conj():
             return t
     return None
 
 
 # -- segments ----------------------------------------------------------------
-
-
-def point_on_segment(seg: ExactSegment, w: CycloNum) -> bool:
-    d = seg.b - seg.a
-    if d.is_zero():
-        return w == seg.a
-    if orientation(seg.a, seg.b, w) != Sign.ZERO:
-        return False
-    t_num = (d.conj() * (w - seg.a)).real()
-    if sign_of_real(t_num) == Sign.NEGATIVE:
-        return False
-    return sign_of_real(t_num - d.squared_abs()) != Sign.POSITIVE
 
 
 def clip_segment_to_box(seg: ExactSegment, box: Box) -> Optional[ExactSegment]:

@@ -16,11 +16,12 @@ views.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from . import _steppy
 from ._steppy import STATUS_OK
 from .cyclo import CycloNum, FieldContext
-from .dynamics import OrbitRecord
 from .errors import InternalInconsistencyError
 
 try:
@@ -40,6 +41,26 @@ def active_impl() -> str:
 
 def _compiled_enabled() -> bool:
     return HAVE_COMPILED and os.environ.get("PWROT_PURE") != "1"
+
+
+@dataclass(frozen=True)
+class OrbitRecord:
+    """One first-return walk: the period (None past the budget), the on-line
+    iterates, the sign of each iterate walked, and, when the walk
+    nominated, per class e the nominee (j, vec) of least s_j Im(z_j) of
+    ``_steppy.Kernel.walk`` (None for an empty class), with
+    z_j = vec / start.den."""
+
+    start: CycloNum
+    period: Optional[int]
+    iterates_on_line: tuple[tuple[int, CycloNum], ...]
+    signs: Sequence[int]
+    nominees: Optional[tuple]
+
+    @property
+    def budget_used(self) -> int:
+        """The steps walked: one sign per iterate."""
+        return len(self.signs)
 
 
 class _Plan:
@@ -134,7 +155,6 @@ def run_period(z: CycloNum, budget: int, nominate: bool = False) -> OrbitRecord:
         start=z,
         period=len(signs) if status == STATUS_OK else None,
         iterates_on_line=on_line,
-        budget_used=len(signs),
         signs=signs,
         nominees=nominees,
     )

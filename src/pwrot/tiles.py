@@ -32,7 +32,6 @@ from .cyclo import CycloNum, FieldContext
 from .dynamics import (
     AffineMap,
     Itinerary,
-    OrbitRecord,
     branch_offsets,
     itinerary_period,
     minimal_period,
@@ -56,6 +55,7 @@ from .geometry import (
     polygon_is_regular,
     vertex_average,
 )
+from .stepper import OrbitRecord
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ from pwrot.dynamics import inverse_step, minimal_period, orbit, step
 from pwrot.geometry import (
     Box,
     Location,
-    point_on_segment,
     polygon_contains,
     polygon_is_regular,
 )
@@ -57,6 +56,8 @@ from pwrot.tiles import (
     tile_from_seed,
     tile_images,
 )
+
+from segments import point_on_segment
 
 
 def conclude(num, ok, detail):

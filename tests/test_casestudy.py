@@ -15,7 +15,9 @@ from pwrot.casestudy import (
 from pwrot.cyclo import Sign, golden_coords, make_field, sign_of_imag, sign_of_real
 from pwrot.dynamics import minimal_period, step
 from pwrot.errors import WrongContextError
-from pwrot.geometry import Location, point_on_segment, polygon_contains
+from pwrot.geometry import Location, polygon_contains
+
+from segments import point_on_segment
 
 # Periods of the pentagon centers P_n = r^n(P0).  The published table reads
 # 1338 for P4, a digit typo: the first exact return of P4 is at 1388, both

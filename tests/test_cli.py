@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pwrot
-from pwrot import geometry
+from pwrot import _steppy, geometry, stepper
 from pwrot.cli import main
 
 GOLDEN_ITERATES_PHI = [
@@ -228,6 +228,49 @@ class TestPeriod:
         )
         assert code == 2
         assert "no exact return" in out
+
+
+class TestTouchCap:
+    """A touch list that reaches the kernels' cap is noted on stderr, and the
+    command still exits 0; below the cap nothing changes.  The cap is
+    shrunk in the pure kernel, whose TOUCH_CAP the compiled kernel mirrors."""
+
+    PERIOD = ("period", "--alpha", "4/5", "--point", "(-1,0)", "--budget", "100")
+    RETURNS = ("casestudy", "returns", "--n", "220")
+
+    @pytest.fixture
+    def cap(self, monkeypatch):
+        monkeypatch.setenv("PWROT_PURE", "1")
+        return lambda n: monkeypatch.setattr(_steppy, "TOUCH_CAP", n)
+
+    def test_period_touches_at_the_cap(self, capsys, cap):
+        # the orbit of (-1, 0) returns at 35 and touches the line at 0, 10,
+        # 21 and 31
+        _, full, _ = run(capsys, *self.PERIOD)
+        assert [r.split("\t")[0].strip() for r in full.splitlines()[2:]] == ["0", "10", "21", "31"]
+        for n in (3, 4):
+            cap(n)
+            code, out, err = run(capsys, *self.PERIOD)
+            assert code == 0
+            assert out.splitlines() == full.splitlines()[:2 + n]
+            assert err == f"note: touch cap {n} reached; later critical-line touches not listed\n"
+        cap(5)
+        assert run(capsys, *self.PERIOD) == (0, full, "")
+
+    def test_returns_at_the_cap(self, capsys, cap):
+        _, full, _ = run(capsys, *self.RETURNS)
+        assert len(full.splitlines()) == 12
+        cap(5)
+        code, out, err = run(capsys, *self.RETURNS)
+        assert code == 0
+        assert out.splitlines() == full.splitlines()[:6]
+        assert err == "note: touch cap 5 reached; later critical-line touches not listed\n"
+        cap(12)
+        assert run(capsys, *self.RETURNS) == (0, full, "")
+
+    def test_kernels_share_the_cap(self):
+        source = Path(stepper.__file__).with_name("_stepkernel.c").read_text()
+        assert f"TOUCH_CAP = {_steppy.TOUCH_CAP} " in source
 
 
 class TestTile:

@@ -16,8 +16,10 @@ from pwrot import critical, geometry
 from pwrot.cyclo import CycloNum, make_field
 from pwrot.dynamics import step
 from pwrot.errors import InternalInconsistencyError, ParameterError
-from pwrot.geometry import Box, ExactSegment, edge_direction_power, point_on_segment
+from pwrot.geometry import Box, ExactSegment, edge_direction_power
 from pwrot.tiles import tile_from_seed
+
+from segments import point_on_segment
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,15 @@ from fractions import Fraction
 import pytest
 
 from pwrot.critical import window
-from pwrot.cyclo import Sign, _fixed_nodes, make_field, sign_of_imag, sign_of_real
+from pwrot.cyclo import (
+    CycloNum,
+    FieldContext,
+    Sign,
+    _fixed_nodes,
+    make_field,
+    sign_of_imag,
+    sign_of_real,
+)
 from pwrot.dynamics import Address, AffineMap, address, step
 from pwrot.geometry import (
     EMPTY,
@@ -21,15 +29,15 @@ from pwrot.geometry import (
     grid_corner,
     intersect_halfplanes,
     make_polygon,
-    orientation,
-    point_on_segment,
     polygon_contains,
     polygon_is_regular,
 )
 from pwrot.errors import ParameterError
 from pwrot import geometry
+from pwrot.tiles import scan_region
 
 from affine import affine_along
+from segments import orientation, point_on_segment
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +265,7 @@ def swept_and_rechecked(constraints):
     m, half = ctx.m, ctx.m // 2
     offset = geometry._binding_offsets(constraints)
     for e, b in offset.items():
-        if e < half and e + half in offset and sign_of_imag(b.c + offset[e + half].c) != Sign.POSITIVE:
+        if e < half and e + half in offset and sign_of_imag(b.w + offset[e + half].w) != Sign.POSITIVE:
             return None, EMPTY
     exps = sorted(offset)
     if any(f - e >= half for e, f in zip(exps, exps[1:] + [exps[0] + m])):
@@ -342,7 +350,7 @@ class TestSweepCertificate:
 
         def keep_every_edge(offset):
             exps = sorted(offset, reverse=True)
-            beta = {e: o.c.imag() for e, o in offset.items()}
+            beta = {e: o.w.imag() for e, o in offset.items()}
             return [
                 geometry.grid_corner(f, beta[f], g, beta[g])
                 for f, g in zip(exps[-1:] + exps[:-1], exps)
@@ -399,6 +407,110 @@ class TestPolygon:
         img = apply_affine(square, g)
         assert {v.coeffs for v in img.vertices} == {g(v).coeffs for v in square.vertices}
         assert polygon_is_regular(img)
+
+
+def regular_by_sides_and_angles(p):
+    """The reference for ``polygon_is_regular``: equal squared side lengths
+    and equal dot products of consecutive edges, by 2n field products."""
+    v = p.vertices
+    n = len(v)
+    edges = [v[(i + 1) % n] - v[i] for i in range(n)]
+    side2 = edges[0].squared_abs()
+    dot0 = (edges[0].conj() * edges[1]).real()
+    return all(e.squared_abs() == side2 for e in edges) and all(
+        (edges[i].conj() * edges[(i + 1) % n]).real() == dot0 for i in range(n)
+    )
+
+
+def direction_by_product(ctx, d):
+    """The reference for ``edge_direction_power``: the least t with
+    Im(d * conj(lambda^t)) = 0, by a field product per t."""
+    return next((t for t in range(ctx.q) if (d * ctx.lam_pow(t).conj()).imag().is_zero()), None)
+
+
+# small scans whose tiles include regular q- and 2q-gons, irregular hexagons
+# and octagons at 11/12 (8 does not divide m = 12), irregular pentagons at
+# 3/7 and irregular 12-gons at 1/9 (12 divides m = 36)
+REGULARITY_SCANS = [
+    ((4, 5), Box(-3, -3, 3, 3), Fraction(1, 2)),
+    ((11, 12), Box(-1, -1, 3, 2), Fraction(1, 4)),
+    ((3, 7), Box(-2, -2, 2, 2), Fraction(1, 3)),
+    ((1, 8), Box(-2, -2, 2, 2), Fraction(1, 3)),
+    ((1, 9), Box(-2, -2, 2, 2), Fraction(1, 3)),
+]
+
+
+@pytest.fixture(scope="module")
+def scanned_polygons():
+    polygons = []
+    for (p, q), box, grid in REGULARITY_SCANS:
+        polygons += [t.polygon for t in scan_region(make_field(p, q), box, grid, 3000).tile_list]
+    return polygons
+
+
+def built_polygons(ctx12, ctx5):
+    """(polygon, regular) for polygons built by hand in Q(zeta_12) and
+    Q(zeta_20)."""
+    sqrt3 = ctx12.zeta_pow(1) + ctx12.zeta_pow(1).conj()
+    i = ctx12.i_unit
+    hexagon_edges = [ctx12.zeta_pow(2 * k) * (2 if k % 2 else 1) for k in range(6)]
+    equiangular = [ctx12.zero()]
+    for e in hexagon_edges[:-1]:
+        equiangular.append(equiangular[-1] + e)
+    return [
+        (intersect_halfplanes(square_constraints(ctx12)), True),
+        (make_polygon([ctx12.point(0, 0), ctx12.point(2, 0), ctx12.point(2, 1),
+                       ctx12.point(0, 1)]), False),
+        # side 2, angles of 60 and 120 degrees
+        (make_polygon([ctx12.zero(), ctx12.point(2, 0), 3 + i * sqrt3, 1 + i * sqrt3]), False),
+        # sides 1, 2, 1, 2, 1, 2 at 120 degrees each
+        (make_polygon(equiangular), False),
+        (make_polygon([ctx12.zeta_pow(2 * k) for k in range(6)]), True),
+        (make_polygon([ctx12.zero(), ctx12.one(), ctx12.zeta_pow(2)]), True),
+        (make_polygon([ctx12.zeta_pow(k) for k in (0, 3, 4, 6, 9)]), False),
+        (make_polygon([ctx12.zeta_pow(k) for k in (0, 2, 3, 4, 6, 8, 9, 10)]), False),
+        (pentagon(ctx5), True),
+        (make_polygon([ctx5.point(0, 0), ctx5.point(1, 0), ctx5.point(0, 1)]), False),
+    ]
+
+
+class TestRegularityByRotation:
+    """``polygon_is_regular`` tests one rotation about the vertex average
+    and ``edge_direction_power`` one rotation of the edge, by ``mul_zeta``
+    alone; both agree with the earlier formulas built on field products."""
+
+    def test_scanned_tiles_match_the_reference(self, scanned_polygons):
+        regular = [polygon_is_regular(p) for p in scanned_polygons]
+        assert regular == [regular_by_sides_and_angles(p) for p in scanned_polygons]
+        assert len(regular) >= 100 and 0 < regular.count(False) < regular.count(True)
+        for p in scanned_polygons:
+            ctx = p.vertices[0].ctx
+            for a, b in p.edges():
+                assert edge_direction_power(ctx, b - a) == direction_by_product(ctx, b - a)
+
+    def test_built_polygons(self, ctx12, ctx5):
+        for poly, regular in built_polygons(ctx12, ctx5):
+            assert polygon_is_regular(poly) == regular == regular_by_sides_and_angles(poly)
+
+    def test_no_field_product(self, ctx12, ctx5, scanned_polygons, monkeypatch):
+        products = []
+
+        def counted(fn):
+            def wrapper(*args):
+                products.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        polygons = [p for p, _ in built_polygons(ctx12, ctx5)] + scanned_polygons
+        for owner, name in ((CycloNum, "__mul__"), (CycloNum, "__rmul__"),
+                            (FieldContext, "_mul_vecs")):
+            monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+        for p in polygons:
+            polygon_is_regular(p)
+            for a, b in p.edges():
+                edge_direction_power(p.vertices[0].ctx, b - a)
+        assert products == []
+        assert ctx12.point(1, 1) * ctx12.i_unit == ctx12.point(-1, 1) and products
 
 
 @pytest.fixture
@@ -500,7 +612,7 @@ class TestPredicateCertificate:
         for extra in (HalfPlane(0, sqrt3, 1), HalfPlane(0, -sqrt3, 1)):
             for cons in (square_constraints(ctx12) + [extra], [extra] + square_constraints(ctx12)):
                 del exact_signs[:]
-                assert geometry._binding_offsets(cons)[0].c == cons[0].b
+                assert geometry._binding_offsets(cons)[0].w == cons[0].b
                 assert exact_signs == ["_binding_offsets"]
                 assert intersect_halfplanes(cons) == square
 
