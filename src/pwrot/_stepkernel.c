@@ -3,20 +3,34 @@
  * Same constructor, one entry point ``walk`` and return tuple as the pure
  * kernel: the signs of the iterates as an array('b'), the on-line iterates,
  * a stop at the first exact return when a target is given, and per class
- * the one nominee nearest the line when ``select`` is true.  A step is
- * v -> M v -+ D*L on int64 vectors; the branch sign comes from the same
- * certified float fast path, then the exact integer zero test (v fixed by the
- * conjugation matrix K), then the caller's exact ``hard_sign(tuple)`` for the
- * rare ambiguous nonzero sign, whose exceptions propagate.  The float sum
- * that decides a sign also bounds |Im(v)|, which only passes over iterates
- * that cannot be nearest: a class's nominee is replaced by the same three
- * sign tests on the difference of the two.
+ * the one nominee nearest the line when ``select`` is true.
+ *
+ * The walk is in the co-rotating frame of ``_steppy``: v_n = lambda^n W_n,
+ * and a step adds or subtracts D * lambda^-r, r = n mod q, to the few
+ * entries of W that it touches.  The branch sign is the d-term float sum of
+ * W against the sine row rotated by e = r*t0 mod m when it clears
+ * margin * sum|W_j|, the allowance derived in the ``_steppy`` docstring:
+ * with rows from the 64-bit integer nodes, the float sum errs by less than
+ * (d + 3) 2^-53 sum|W_j|, and margin = (8d + 128) 2^-53 is more than twice
+ * that, also against the float sum of the |W_j| it multiplies.  The
+ * float operations are those of the pure kernel, in the same order, so
+ * both kernels compute the same bounds.  Otherwise the exact
+ * v_n = zeta^e W_n is built and signed by the same float test on the
+ * unrotated row, the exact integer zero test (v_n fixed by conjugation),
+ * then the caller's exact ``hard_sign(tuple)`` for the rare ambiguous
+ * nonzero sign, whose exceptions propagate.  The float that decides a sign
+ * also bounds |Im(v_n)|, which only passes over iterates that cannot be
+ * nearest: a class's nominee is replaced by the same three sign tests on
+ * the difference of the two.  The walk stops at step n when W_(n+1) equals
+ * lambda^-(n+1) times the target, one of the q rotations of the target
+ * made at the start of the walk.
  *
  * The caller guarantees (via the threshold handed to the constructor) that
- * one more step, and the zero test, cannot overflow int64 while max|v_j|
- * stays at or below the threshold; when an iterate grows past it the walk
- * drops what it has found and returns None, and the caller walks the orbit
- * again in the pure kernel.
+ * one more step, v_n, the zero test and a nominee's difference cannot
+ * overflow int64 while max|W_j| stays at or below the threshold.  A step
+ * checks the entries it touched; when one grows past it, or the start or
+ * target is past it, the walk drops what it has found and returns None, and
+ * the caller walks the orbit again in the pure kernel.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -32,33 +46,29 @@ typedef long long i64;
 static PyObject *array_type;  /* array.array, which holds the signs */
 
 typedef struct {
-    i64 *val;        /* nonzero entries, by row */
-    i64 *col;        /* their columns */
-    i64 *end;        /* row i ends at val[end[i]] */
-} Sparse;
-
-typedef struct {
     PyObject_HEAD
     Py_ssize_t d;
-    i64 *block;      /* one allocation holds every table below */
-    Sparse mul;      /* M: multiplication by lambda */
-    Sparse conj;     /* K: complex conjugation */
-    i64 *off_plus;   /* -D*L, the + branch */
-    i64 *off_minus;  /* +D*L, the - branch */
-    double *sines;
-    double margin;
-    Py_ssize_t m;    /* direction classes */
+    Py_ssize_t m;    /* powers of zeta, and direction classes */
+    Py_ssize_t q;    /* residues: the order of lambda */
     Py_ssize_t t0;   /* lambda = zeta^t0 */
+    i64 *block;      /* one allocation holds every table below */
+    i64 *zeta;       /* m x d: the integer vector of each power of zeta */
+    i64 *move_val;   /* per residue r, the nonzero entries of D * lambda^-r, */
+    i64 *move_col;   /* their indices, */
+    i64 *move_at;    /* from move_at[r] to move_at[r + 1] */
+    double *rows;    /* q x d: the sine row rotated by r*t0 */
+    double margin;
     i64 threshold;
     PyObject *hard_sign;
 } Kernel;
 
 /* -- conversions ------------------------------------------------------------ */
 
-/* Read exactly n ints of a Python sequence into out. */
-static int read_ints(PyObject *seq, i64 *out, Py_ssize_t n)
+/* Read exactly n numbers of a Python sequence into ints, or into doubles
+ * when ints is NULL. */
+static int read_seq(PyObject *seq, Py_ssize_t n, i64 *ints, double *doubles)
 {
-    PyObject *fast = PySequence_Fast(seq, "expected a sequence of ints");
+    PyObject *fast = PySequence_Fast(seq, "expected a sequence of numbers");
     if (fast == NULL)
         return -1;
     if (PySequence_Fast_GET_SIZE(fast) != n) {
@@ -66,37 +76,16 @@ static int read_ints(PyObject *seq, i64 *out, Py_ssize_t n)
         Py_DECREF(fast);
         return -1;
     }
-    for (Py_ssize_t j = 0; j < n; j++) {
-        out[j] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(fast, j));
-        if (out[j] == -1 && PyErr_Occurred()) {
-            Py_DECREF(fast);
-            return -1;
-        }
+    int rc = 0;
+    for (Py_ssize_t j = 0; rc == 0 && j < n; j++) {
+        PyObject *x = PySequence_Fast_GET_ITEM(fast, j);
+        int failed = ints != NULL ? (ints[j] = PyLong_AsLongLong(x)) == -1
+                                  : (doubles[j] = PyFloat_AsDouble(x)) == -1.0;
+        if (failed && PyErr_Occurred())
+            rc = -1;
     }
     Py_DECREF(fast);
-    return 0;
-}
-
-/* Read a d x d matrix given as a sequence of d rows, keeping its nonzero
- * entries. */
-static int read_sparse(PyObject *rows, Sparse *a, Py_ssize_t d)
-{
-    i64 n = 0;
-    for (Py_ssize_t i = 0; i < d; i++) {
-        PyObject *row = PySequence_GetItem(rows, i);
-        int rc = row ? read_ints(row, a->val + n, d) : -1;
-        Py_XDECREF(row);
-        if (rc < 0)
-            return -1;
-        for (Py_ssize_t j = 0, start = n; j < d; j++) {
-            if (a->val[start + j] != 0) {
-                a->val[n] = a->val[start + j];
-                a->col[n++] = j;
-            }
-        }
-        a->end[i] = n;
-    }
-    return 0;
+    return rc;
 }
 
 /* v as a new tuple of ints. */
@@ -144,15 +133,31 @@ static int too_big(const Kernel *k, const i64 *v)
     return 0;
 }
 
-/* The sign of Im(v) when the certified float sum decides it (*mag > *err),
- * else 0; then |Im(v)| * D is within *err of *mag.  An infinite margin
- * decides nothing, not even for v = 0, where it makes *err NaN. */
-static int float_sign(const Kernel *k, const i64 *v, double *mag, double *err)
+/* out = sum(vec_j * zeta^(mult*j + e)): zeta^e * vec for mult = 1, the
+ * conjugate of vec for mult = -1 and e = 0. */
+static void rotate(const Kernel *k, const i64 *vec, Py_ssize_t mult, Py_ssize_t e, i64 *out)
+{
+    const Py_ssize_t d = k->d, m = k->m;
+    memset(out, 0, (size_t)d * sizeof(i64));
+    for (Py_ssize_t j = 0; j < d; j++) {
+        if (vec[j] == 0)
+            continue;
+        const i64 *z = k->zeta + ((mult * j + e) % m + m) % m * d;
+        for (Py_ssize_t i = 0; i < d; i++)
+            out[i] += vec[j] * z[i];
+    }
+}
+
+/* The sign of Im(v) when the certified float sum of v against row decides it
+ * (*mag > *err), else 0; then |Im(v)| * D is within *err of *mag.  An
+ * infinite margin decides nothing, not even for v = 0, where it makes *err
+ * NaN. */
+static int float_sign(const Kernel *k, const double *row, const i64 *v, double *mag, double *err)
 {
     double total = 0.0, absum = 0.0;
     for (Py_ssize_t j = 0; j < k->d; j++) {
         double x = (double)v[j];
-        total += x * k->sines[j];
+        total += x * row[j];
         absum += fabs(x);
     }
     *mag = fabs(total);
@@ -162,41 +167,26 @@ static int float_sign(const Kernel *k, const i64 *v, double *mag, double *err)
     return total > 0.0 ? 1 : -1;
 }
 
-/* w = A v. */
-static void sparse_apply(const Sparse *a, Py_ssize_t d, const i64 *v, i64 *w)
-{
-    i64 n = 0;
-    for (Py_ssize_t i = 0; i < d; i++) {
-        i64 acc = 0;
-        for (; n < a->end[i]; n++)
-            acc += a->val[n] * v[a->col[n]];
-        w[i] = acc;
-    }
-}
-
 /* Exact sign of Im(v) into *sign when the float sum did not decide it: the
  * exact zero test (v fixed by conjugation), else hard_sign.  tmp holds d
  * entries.  -1 with an exception set if hard_sign raised. */
 static int exact_sign(Kernel *k, const i64 *v, int *sign, i64 *tmp)
 {
-    const Py_ssize_t d = k->d;
-    sparse_apply(&k->conj, d, v, tmp);
-    for (Py_ssize_t i = 0; i < d; i++) {
-        if (tmp[i] != v[i]) {
-            PyObject *t = vec_new(v, d);
-            PyObject *r = t ? PyObject_CallOneArg(k->hard_sign, t) : NULL;
-            Py_XDECREF(t);
-            if (r == NULL)
-                return -1;
-            long s = PyLong_AsLong(r);
-            Py_DECREF(r);
-            if (s == -1 && PyErr_Occurred())
-                return -1;
-            *sign = (int)s;
-            return 0;
-        }
+    rotate(k, v, -1, 0, tmp);
+    if (same(tmp, v, k->d)) {
+        *sign = 0;
+        return 0;
     }
-    *sign = 0;
+    PyObject *t = vec_new(v, k->d);
+    PyObject *r = t ? PyObject_CallOneArg(k->hard_sign, t) : NULL;
+    Py_XDECREF(t);
+    if (r == NULL)
+        return -1;
+    long s = PyLong_AsLong(r);
+    Py_DECREF(r);
+    if (s == -1 && PyErr_Occurred())
+        return -1;
+    *sign = (int)s;
     return 0;
 }
 
@@ -209,13 +199,13 @@ typedef struct {
     i64 *vec;
 } Select;
 
-/* Make iterate `index` of sign s, class c, the class's best as
- * _steppy.Kernel.walk does: when the class has none, or when s Im(v) is below
- * the best's value, decided exactly on the difference of the two (an exact
- * tie keeps the earlier).  hi lowers the class's bound either way.  No entry
- * of the difference, or of K times it, overflows while max|v_j| is within
- * the threshold.  diff and tmp hold d entries each.  -1 with an exception
- * set if hard_sign raised. */
+/* Make iterate `index` of sign s, class c, with exact vector v, the class's
+ * best as _steppy.Kernel.walk does: when the class has none, or when s Im(v)
+ * is below the best's value, decided exactly on the difference of the two
+ * (an exact tie keeps the earlier).  hi lowers the class's bound either way.
+ * No entry of the difference, or of its conjugate, overflows while max|W_j|
+ * is within the threshold.  diff and tmp hold d entries each.  -1 with an
+ * exception set if hard_sign raised. */
 static int nominate(Kernel *k, Select *sel, Py_ssize_t c, int s, i64 index, const i64 *v,
                     double hi, i64 *diff, i64 *tmp)
 {
@@ -227,7 +217,8 @@ static int nominate(Kernel *k, Select *sel, Py_ssize_t c, int s, i64 index, cons
         int sb = k->t0 * (sel->j[c] % k->m) % k->m == c ? 1 : -1;
         for (Py_ssize_t i = 0; i < d; i++)
             diff[i] = s * v[i] - sb * best[i];
-        if ((below = float_sign(k, diff, &mag, &err)) == 0 && exact_sign(k, diff, &below, tmp) < 0)
+        if ((below = float_sign(k, k->rows, diff, &mag, &err)) == 0
+            && exact_sign(k, diff, &below, tmp) < 0)
             return -1;
     }
     if (below < 0) {
@@ -239,18 +230,28 @@ static int nominate(Kernel *k, Select *sel, Py_ssize_t c, int s, i64 index, cons
     return 0;
 }
 
-static void kernel_step(const Kernel *k, const i64 *v, i64 *w, int positive)
+enum { STEPPED = 0, LANDED = 1, OVERFLOWED = 2 };
+
+/* The step from W_n, at residue *r with lambda^n = zeta^*e, on the branch of
+ * sign `positive`: W -+= D lambda^-r on the entries that it touches, then the
+ * next residue.  OVERFLOWED when a touched entry passes the threshold,
+ * LANDED when W is the target of its new residue (if tgt is not NULL). */
+static inline int advance(const Kernel *k, i64 *w, Py_ssize_t *r, Py_ssize_t *e, int positive,
+                          const i64 *tgt)
 {
-    const Py_ssize_t d = k->d;
-    const i64 *off = positive ? k->off_plus : k->off_minus;
-    const i64 *val = k->mul.val, *col = k->mul.col, *end = k->mul.end;
-    i64 n = 0;
-    for (Py_ssize_t i = 0; i < d; i++) {
-        i64 acc = off[i];
-        for (; n < end[i]; n++)
-            acc += val[n] * v[col[n]];
-        w[i] = acc;
+    const i64 sgn = positive ? -1 : 1, limit = k->threshold;
+    int over = 0;
+    for (i64 n = k->move_at[*r]; n < k->move_at[*r + 1]; n++) {
+        i64 x = w[k->move_col[n]] += sgn * k->move_val[n];
+        over |= x > limit || x < -limit;
     }
+    if (++*r == k->q)
+        *r = 0;
+    *e += k->t0;
+    *e -= k->m & -(Py_ssize_t)(*e >= k->m);
+    if (over)
+        return OVERFLOWED;
+    return tgt != NULL && same(w, tgt + *r * k->d, k->d) ? LANDED : STEPPED;
 }
 
 /* -- the Python type -------------------------------------------------------- */
@@ -268,138 +269,196 @@ static void Kernel_dealloc(Kernel *k)
     Py_TYPE(k)->tp_free((PyObject *)k);
 }
 
+/* Read the table `seq` of n rows of d numbers into ints, or into doubles
+ * when ints is NULL. */
+static int read_table(PyObject *seq, Py_ssize_t n, Py_ssize_t d, i64 *ints, double *doubles)
+{
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *row = PySequence_GetItem(seq, i);
+        int rc = row == NULL ? -1
+                 : read_seq(row, d, ints ? ints + i * d : NULL, ints ? NULL : doubles + i * d);
+        Py_XDECREF(row);
+        if (rc < 0)
+            return -1;
+    }
+    return 0;
+}
+
 static int Kernel_init(Kernel *k, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"mat_m", "mat_k", "lvec", "denom", "sines", "margin",
-                             "hard_sign", "m", "t0", "threshold", NULL};
-    PyObject *mat_m, *mat_k, *lvec, *sines, *hard_sign;
+    static char *kwlist[] = {"zeta", "rows", "t0", "denom", "margin", "hard_sign", "threshold",
+                             NULL};
+    PyObject *zeta, *rows, *hard_sign, *first;
     i64 denom, threshold;
-    Py_ssize_t m, t0;
+    Py_ssize_t t0, m, q, d;
     double margin;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOLOdOnnL", kwlist, &mat_m, &mat_k, &lvec,
-                                     &denom, &sines, &margin, &hard_sign, &m, &t0, &threshold))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOnLdOL", kwlist, &zeta, &rows, &t0, &denom,
+                                     &margin, &hard_sign, &threshold))
         return -1;
     kernel_free(k);
-    if (m < 2 || m % 2 || t0 < 0 || t0 >= m) {
-        PyErr_SetString(PyExc_ValueError, "need an even m >= 2 and 0 <= t0 < m");
+    if ((m = PySequence_Size(zeta)) < 0 || (q = PySequence_Size(rows)) < 0)
+        return -1;
+    if (m < 2 || m % 2 || q < 1 || t0 < 0 || t0 >= m) {
+        PyErr_SetString(PyExc_ValueError, "need an even m >= 2, q >= 1 and 0 <= t0 < m");
         return -1;
     }
-    k->m = m;
-    k->t0 = t0;
-    if ((sines = PySequence_Fast(sines, "expected a sequence of floats")) == NULL)
+    if ((first = PySequence_GetItem(rows, 0)) == NULL)
         return -1;
-    const Py_ssize_t d = PySequence_Fast_GET_SIZE(sines);
-    /* M and K (values, columns, row ends), off_plus, off_minus, then the sines */
-    k->block = PyMem_Malloc((size_t)d * (size_t)(4 * d + 4) * sizeof(i64) + (size_t)d * sizeof(double));
+    d = PySequence_Size(first);
+    Py_DECREF(first);
+    if (d < 1) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "need rows of d >= 1 entries");
+        return -1;
+    }
+    /* zeta, then the moves (values, indices, bounds), then the rows */
+    k->block = PyMem_Malloc((size_t)(m * d + 2 * q * d + q + 1) * sizeof(i64)
+                            + (size_t)(q * d) * sizeof(double));
     if (k->block == NULL) {
         PyErr_NoMemory();
-        goto fail;
+        return -1;
     }
-    k->d = d;
-    k->mul = (Sparse){k->block, k->block + d * d, k->block + 2 * d * d};
-    k->conj = (Sparse){k->mul.end + d, k->mul.end + d + d * d, k->mul.end + d + 2 * d * d};
-    k->off_plus = k->conj.end + d;
-    k->off_minus = k->off_plus + d;
-    k->sines = (double *)(k->off_minus + d);
+    k->d = d, k->m = m, k->q = q, k->t0 = t0;
+    k->zeta = k->block;
+    k->move_val = k->zeta + m * d;
+    k->move_col = k->move_val + q * d;
+    k->move_at = k->move_col + q * d;
+    k->rows = (double *)(k->move_at + q + 1);
     k->margin = margin;
     k->threshold = threshold;
     Py_INCREF(hard_sign);
     k->hard_sign = hard_sign;
-    if (read_sparse(mat_m, &k->mul, d) < 0 || read_sparse(mat_k, &k->conj, d) < 0
-        || read_ints(lvec, k->off_minus, d) < 0)
+    if (read_table(zeta, m, d, k->zeta, NULL) < 0 || read_table(rows, q, d, NULL, k->rows) < 0)
         goto fail;
-    for (Py_ssize_t i = 0; i < d; i++) {
-        i64 c = k->off_minus[i], bound = c ? LLONG_MAX / (c < 0 ? -c : c) : LLONG_MAX;
-        if (denom > bound || denom < -bound) {
-            PyErr_SetString(PyExc_OverflowError, "denominator too large for int64 offsets");
-            goto fail;
+    i64 n = 0;
+    for (Py_ssize_t r = 0; r < q; r++) {
+        const i64 *step = k->zeta + (m - r * t0 % m) % m * d;  /* lambda^-r */
+        k->move_at[r] = n;
+        for (Py_ssize_t i = 0; i < d; i++) {
+            i64 c = step[i], bound = c ? LLONG_MAX / (c < 0 ? -c : c) : LLONG_MAX;
+            if (denom > bound || denom < -bound) {
+                PyErr_SetString(PyExc_OverflowError, "denominator too large for int64 steps");
+                goto fail;
+            }
+            if (c != 0) {
+                k->move_val[n] = denom * c;
+                k->move_col[n++] = i;
+            }
         }
-        k->off_minus[i] = denom * c;
-        k->off_plus[i] = -denom * c;
-        k->sines[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(sines, i));
-        if (k->sines[i] == -1.0 && PyErr_Occurred())
-            goto fail;
     }
-    Py_DECREF(sines);
+    k->move_at[q] = n;
     return 0;
 fail:
-    Py_DECREF(sines);
     kernel_free(k);  /* a kernel whose set-up failed refuses to walk */
     return -1;
 }
 
-/* Scratch for the iterate, the next one and a target (the iterate read in),
- * two more vectors, then per class a best iterate, its index and a bound. */
-static i64 *scratch(const Kernel *k, PyObject *v_start)
+/* Scratch for W, v and two more vectors, the q targets, then per class a
+ * best iterate, its index and a bound. */
+static i64 *scratch(const Kernel *k)
 {
     if (k->block == NULL) {
         PyErr_SetString(PyExc_RuntimeError, "kernel not initialised");
         return NULL;
     }
-    i64 *buf = PyMem_Malloc((size_t)((5 + k->m) * k->d + k->m) * sizeof(i64)
+    i64 *buf = PyMem_Malloc((size_t)((4 + k->q + k->m) * k->d + k->m) * sizeof(i64)
                             + (size_t)k->m * sizeof(double));
-    if (buf == NULL) {
+    if (buf == NULL)
         PyErr_NoMemory();
-        return NULL;
-    }
-    if (read_ints(v_start, buf, k->d) < 0) {
-        PyMem_Free(buf);
-        return NULL;
-    }
     return buf;
 }
 
 enum { CHUNK = 4096 };  /* signs pass through a chunk into the array */
 
-/* A walk in progress: the iterate v, room w for the next one, the number of
- * iterates signed, lambda^steps = zeta^e, and the signs not yet flushed. */
+/* A walk in progress: W, the number of iterates signed, their residue and
+ * lambda^steps = zeta^e, the float sum of the iterate that stopped the
+ * routine steps, and the signs not yet flushed. */
 typedef struct {
-    i64 *v, *w;
+    i64 *w;
     i64 steps;
-    Py_ssize_t e;
+    Py_ssize_t r, e;
+    double total, absum;
     char chunk[CHUNK];
 } Walk;
 
 /* Take the routine steps of a walk while fewer than `until` iterates are
- * signed: an iterate is routine when it is within the threshold, the float
- * decides its sign and, with bounds bnd, it nominates nothing (lo above its
- * class's bound).  chunk[0] holds the sign of iterate `first`.  Returns 1
- * when a step lands on tgt (if not NULL).  The loop makes no call and is
- * kept out of line so that its state stays in registers; inlined beside the
- * rest of the walk, whose Python calls need them, it went to the stack. */
+ * signed: an iterate is routine when the float decides its sign and, with
+ * bounds bnd, it nominates nothing (lo above its class's bound).  chunk[0]
+ * holds the sign of iterate `first`.  Returns what the last step returned;
+ * an iterate that is not routine leaves its float sum in st.  The loop
+ * makes no call and is kept out of line so that its state stays in
+ * registers; inlined beside the rest of the walk, whose Python calls need
+ * them, it went to the stack. */
 Py_NO_INLINE static int routine(const Kernel *k, Walk *st, i64 first, i64 until, const i64 *tgt,
                                 const double *bnd)
 {
-    const Py_ssize_t d = k->d, m = k->m, t0 = k->t0;
-    i64 *v = st->v, *w = st->w, *t, steps = st->steps;
-    Py_ssize_t e = st->e, c;
-    int hit = 0;
-    for (; steps < until && !too_big(k, v); steps++) {
+    const Py_ssize_t d = k->d, m = k->m;
+    const double margin = k->margin;
+    i64 *w = st->w, steps = st->steps;
+    Py_ssize_t r = st->r, e = st->e, c;
+    int out = STEPPED;
+    for (; steps < until; steps++) {
+        const double *row = k->rows + r * d;
         double total = 0.0, absum = 0.0;
         for (Py_ssize_t j = 0; j < d; j++) {
-            double x = (double)v[j];
-            total += x * k->sines[j];
+            double x = (double)w[j];
+            total += x * row[j];
             absum += fabs(x);
         }
-        double lo = fabs(total) - k->margin * absum;
+        double lo = fabs(total) - margin * absum;
         int positive = total > 0.0;
         c = e + ((m / 2) & -(Py_ssize_t)!positive);  /* its class, without a branch */
         c -= m & -(Py_ssize_t)(c >= m);
-        if (!(lo > 0.0) || (bnd != NULL && lo <= bnd[c]))
+        if (!(lo > 0.0) || (bnd != NULL && lo <= bnd[c])) {
+            st->total = total, st->absum = absum;
             break;
+        }
         st->chunk[steps - first] = positive ? 1 : -1;
-        kernel_step(k, v, w, positive);
-        t = v, v = w, w = t;
-        e += t0;
-        e -= m & -(Py_ssize_t)(e >= m);
-        if (tgt != NULL && same(v, tgt, d)) {
-            hit = 1;
+        if ((out = advance(k, w, &r, &e, positive, tgt)) != STEPPED) {
             steps++;
             break;
         }
     }
-    st->v = v, st->w = w, st->steps = steps, st->e = e;
-    return hit;
+    st->steps = steps, st->r = r, st->e = e;
+    return out;
+}
+
+/* Sign the iterate that stopped the routine steps, record it as a touch or
+ * in sel (if not NULL), and take its step: the loop's float sum signs it
+ * when it decided, else v_n = zeta^e W_n does, built into work, which
+ * holds 3d entries.  v_n is also built for a nominee.  Returns what the
+ * step returned, or -1 with an exception set if hard_sign or a touch
+ * failed. */
+static int slow_step(Kernel *k, Walk *st, i64 first, const i64 *tgt, PyObject *touches,
+                     Select *sel, i64 *work)
+{
+    const Py_ssize_t d = k->d, m = k->m;
+    i64 *v = work, *diff = work + d, *tmp = work + 2 * d;
+    double mag = fabs(st->total), err = k->margin * st->absum;
+    int s, built = 0;
+    if (mag > err) {
+        s = st->total > 0.0 ? 1 : -1;
+    } else {
+        rotate(k, st->w, 1, st->e, v);
+        built = 1;
+        if ((s = float_sign(k, k->rows, v, &mag, &err)) == 0) {
+            mag = 0.0, err = INFINITY;
+            if (exact_sign(k, v, &s, tmp) < 0
+                || (s == 0 && add_touch(touches, st->steps, v, d) < 0))
+                return -1;
+        }
+    }
+    if (s != 0 && sel != NULL) {
+        Py_ssize_t c = (st->e + (s < 0 ? m / 2 : 0)) % m;
+        if (mag - err <= sel->bnd[c]) {
+            if (!built)
+                rotate(k, st->w, 1, st->e, v);
+            if (nominate(k, sel, c, s, st->steps, v, mag + err, diff, tmp) < 0)
+                return -1;
+        }
+    }
+    st->chunk[st->steps++ - first] = (char)s;
+    return advance(k, st->w, &st->r, &st->e, s >= 0, tgt);
 }
 
 /* signs.frombytes(chunk[:n]). */
@@ -429,33 +488,41 @@ static PyObject *select_new(const Kernel *k, const Select *sel)
 static PyObject *Kernel_walk(Kernel *k, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"v_start", "budget", "target", "select", NULL};
-    PyObject *v_start, *target = Py_None, *signs, *touches, *out = NULL;
+    PyObject *v_start, *target = Py_None, *signs = NULL, *touches = NULL, *out = NULL;
     Select sel = {NULL, NULL, NULL};
     Walk st;
-    i64 budget, first = 0, until, *buf, *tgt = NULL, *t, *diff, *tmp;
-    double mag, err;
-    Py_ssize_t c;
-    int s, selecting = 0;
+    i64 budget, first = 0, until, *buf, *tgt = NULL, *v;
+    int selecting = 0, step;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "OL|Op", kwlist, &v_start, &budget, &target,
                                      &selecting))
         return NULL;
+    if ((buf = scratch(k)) == NULL)
+        return NULL;
     const Py_ssize_t d = k->d, m = k->m;
     int status = target != Py_None ? STATUS_BUDGET : STATUS_OK;
-    if ((buf = scratch(k, v_start)) == NULL)
-        return NULL;
-    st.v = buf, st.w = buf + d, st.steps = 0, st.e = 0;
-    diff = buf + 3 * d, tmp = buf + 4 * d;
-    if (target != Py_None)
-        tgt = buf + 2 * d;
+    st.w = buf, st.steps = 0, st.r = 0, st.e = 0;
+    v = buf + d;
+    if (read_seq(v_start, d, st.w, NULL) < 0
+        || (target != Py_None && read_seq(target, d, v, NULL) < 0))
+        goto done;
+    if (too_big(k, st.w) || (target != Py_None && too_big(k, v))) {
+        out = Py_NewRef(Py_None);
+        goto done;
+    }
+    if (target != Py_None) {  /* W_n = lambda^-r target when v_n = target */
+        tgt = buf + 4 * d;
+        for (Py_ssize_t r = 0; r < k->q; r++)
+            rotate(k, v, 1, (m - r * k->t0 % m) % m, tgt + r * d);
+    }
     signs = PyObject_CallFunction(array_type, "s", "b");
     touches = PyList_New(0);
-    if (signs == NULL || touches == NULL || (tgt != NULL && read_ints(target, tgt, d) < 0))
+    if (signs == NULL || touches == NULL)
         goto done;
     if (selecting) {
-        sel.vec = buf + 5 * d;
+        sel.vec = buf + (4 + k->q) * d;
         sel.j = sel.vec + m * d;
         sel.bnd = (double *)(sel.j + m);
-        for (c = 0; c < m; c++)
+        for (Py_ssize_t c = 0; c < m; c++)
             sel.j[c] = -1, sel.bnd[c] = INFINITY;
     }
     for (;;) {  /* the chunk holds the signs of iterates first .. steps - 1 */
@@ -467,34 +534,15 @@ static PyObject *Kernel_walk(Kernel *k, PyObject *args, PyObject *kwds)
         if (st.steps >= budget)
             break;
         until = budget < first + CHUNK ? budget : first + CHUNK;
-        if (routine(k, &st, first, until, tgt, sel.bnd)) {
-            status = STATUS_OK;
-            break;
-        }
-        if (st.steps == until)
-            continue;
-        /* one iterate that is not routine */
-        if (too_big(k, st.v)) {
+        step = routine(k, &st, first, until, tgt, sel.bnd);
+        if (step == STEPPED && st.steps < until
+            && (step = slow_step(k, &st, first, tgt, touches, sel.bnd ? &sel : NULL, v)) < 0)
+            goto done;
+        if (step == OVERFLOWED) {
             out = Py_NewRef(Py_None);
             goto done;
         }
-        if ((s = float_sign(k, st.v, &mag, &err)) == 0) {
-            mag = 0.0, err = INFINITY;
-            if (exact_sign(k, st.v, &s, diff) < 0
-                || (s == 0 && add_touch(touches, st.steps, st.v, d) < 0))
-                goto done;
-        }
-        if (s != 0 && selecting) {
-            c = (st.e + (s < 0 ? m / 2 : 0)) % m;
-            if (mag - err <= sel.bnd[c]
-                && nominate(k, &sel, c, s, st.steps, st.v, mag + err, diff, tmp) < 0)
-                goto done;
-        }
-        st.chunk[st.steps++ - first] = (char)s;
-        kernel_step(k, st.v, st.w, s >= 0);
-        t = st.v, st.v = st.w, st.w = t;
-        st.e = (st.e + k->t0) % m;
-        if (tgt != NULL && same(st.v, tgt, d)) {
+        if (step == LANDED) {
             status = STATUS_OK;
             break;
         }
@@ -514,7 +562,7 @@ done:
 
 static PyMethodDef Kernel_methods[] = {
     {"walk", (PyCFunction)(void (*)(void))Kernel_walk, METH_VARARGS | METH_KEYWORDS,
-     "As _steppy.Kernel.walk, or None once an iterate passes the threshold."},
+     "As _steppy.Kernel.walk, or None once W passes the threshold."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -524,7 +572,7 @@ static PyTypeObject KernelType = {
     .tp_basicsize = sizeof(Kernel),
     .tp_dealloc = (destructor)Kernel_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Kernel(mat_m, mat_k, lvec, denom, sines, margin, hard_sign, m, t0, threshold)",
+    .tp_doc = "Kernel(zeta, rows, t0, denom, margin, hard_sign, threshold)",
     .tp_methods = Kernel_methods,
     .tp_init = (initproc)Kernel_init,
     .tp_new = PyType_GenericNew,

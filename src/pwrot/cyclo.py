@@ -326,7 +326,8 @@ class FieldContext:
         T = sum(vec_j * row_j) is within E = sum|vec_j| of den * 2^64 *
         Im(zeta^e * a), since Im(zeta^e * zeta^j) = sin(2 pi (j + e)/m) and
         each node is within 1 of 2^64 times it.  Row e + m/4 gives Re(zeta^e
-        * a) the same way.  The m rows of d integers are built on first use.
+        * a) the same way.  The m rows of d integers are built on first use;
+        the orbit kernels' float sine rows are these over 2^64.
         """
         rows = self._sine_rows
         if rows is None:
@@ -381,9 +382,6 @@ class CycloNum:
 
     def is_zero(self) -> bool:
         return not any(self.vec)
-
-    def is_rational(self) -> bool:
-        return not any(self.vec[1:])
 
     # -- ring operations ------------------------------------------------------
 
@@ -486,9 +484,6 @@ class CycloNum:
     def imag(self) -> "CycloNum":
         # a - conj(a) = 2i*Im(a), and zeta^(3m/4) = -i
         return (self - self.conj()).mul_zeta(3 * self.ctx.m // 4) / 2
-
-    def squared_abs(self) -> "CycloNum":
-        return self * self.conj()
 
     # -- comparisons -------------------------------------------------------------
 

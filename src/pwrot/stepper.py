@@ -1,16 +1,17 @@
 """Kernel selection and the orbit-plan builder.
 
 A ``CycloNum`` is stored as ``vec / den``, and the orbit of F from it lives
-on the lattice (1/den) * Z^d: multiplying by lambda is an integer matrix,
-conjugation is an integer matrix, and the branch translation is an integer
-vector, so exact period detection over millions of steps is pure integer
-work on ``vec``, with no conversion in or out.  This module builds those
-tables once per field context and hands them to the fastest available
-kernel: the compiled extension when importable and the start fits its int64
-guard, else the pure-Python twin.  Every orbit computation is one walk
-through ``_walk``, which reruns a compiled walk that outgrows int64 in the
-pure kernel from its start; ``run_period`` and ``run_signs`` are its two
-views.
+on the lattice (1/den) * Z^d.  The kernels walk it in the co-rotating frame
+v_n = lambda^n W_n, where a step adds or subtracts den * lambda^-n, one of q
+lattice vectors, to W: exact period detection over millions of steps is
+pure integer work, with no conversion in or out.  This module builds the
+tables of that walk once per field context (the integer vectors of the
+powers of zeta, and the sine rows rotated by each power of lambda) and
+hands them to the fastest available kernel: the compiled extension when
+importable and the start fits its int64 guard, else the pure-Python twin.
+Every orbit computation is one walk through ``_walk``, which reruns a
+compiled walk that outgrows int64 in the pure kernel from its start;
+``run_period`` and ``run_signs`` are its two views.
 """
 
 from __future__ import annotations
@@ -64,30 +65,32 @@ class OrbitRecord:
 
 
 class _Plan:
-    """Integer step tables for one field context."""
+    """The tables of the co-rotating walk for one field context: the
+    integer vectors of the m powers of zeta, from which the kernels take
+    the q step vectors lambda^-r, rotate the targets and build the exact
+    iterates v_n = zeta^e W_n, and the q float sine rows rotated by
+    e = r*t0, from the 64-bit nodes of ``FieldContext.sine_row``."""
 
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
         d, m = ctx.d, ctx.m
         self.t0 = t0 = m * ctx.p // ctx.q
-        vecs = ctx._zeta_vecs
-        self.mat_m = [[vecs[(t0 + j) % m][i] for j in range(d)] for i in range(d)]
-        self.mat_k = [[vecs[(m - j) % m][i] for j in range(d)] for i in range(d)]
-        self.lvec = list(vecs[t0])
-        self.sines = list(ctx._sin)
-        # the kernels' float sign of sum(v_j * sines_j) stands only when it
-        # clears margin * sum|v_j|; otherwise they call hard_sign.  The margin
-        # is several times the sum's worst error, about (d + 4) 2^-53 sum|v_j|,
-        # so |sum| -+ margin * sum|v_j| also brackets |Im(v)| * D, with room
-        # for the roundings of those bounds: the walks pass over an iterate
-        # that cannot be its class's nominee by it
-        self.margin = (4 * d + 64) * 2.0 ** -52
-        self.rowsum = max(
-            max(sum(abs(c) for c in row) for row in self.mat_m),
-            max(sum(abs(c) for c in row) for row in self.mat_k),
-            1,
+        self.zeta = zeta = ctx._zeta_vecs
+        self.rows = tuple(
+            tuple(s / 2 ** 64 for s in ctx.sine_row(r * t0)) for r in range(ctx.q)
         )
-        self.max_l = max(abs(c) for c in self.lvec)
+        # the allowance of a float sum of d terms; see _steppy for the bound
+        self.margin = (4 * d + 64) * 2.0 ** -52
+
+        def spread(k: int, e: int) -> int:
+            """The largest row sum of |entries| of vec -> sum(vec_j zeta^(k*j + e))."""
+            return max(sum(abs(zeta[(k * j + e) % m][i]) for j in range(d)) for i in range(d))
+
+        # an iterate v_n = zeta^(r*t0) W_n, a target's rotation, and the
+        # conjugate of an iterate in the zero test are at most this many
+        # times max|W_j|
+        self.rowsum = max(spread(1, r * t0) for r in range(ctx.q)) * spread(-1, 0)
+        self.max_l = max(abs(c) for vec in zeta for c in vec)
 
     def hard_sign(self, v) -> int:
         """Exact +-1 for the rare float-ambiguous, nonzero imaginary parts."""
@@ -97,22 +100,21 @@ class _Plan:
         return s
 
     def int64_threshold(self, denom: int) -> int:
-        """Largest safe |v_j| for one compiled step at this denominator."""
+        """Largest safe |W_j| for a compiled walk at this denominator: one
+        more step adds at most denom * max_l, and v_n = zeta^e W_n, the
+        conjugate of v_n, and that of a difference of two iterates stay
+        within 2 * rowsum * threshold, so every int64 sum fits."""
         room = _INT64_GUARD - denom * self.max_l
         if room <= 0:
             return 0
         return room // self.rowsum
 
     def pure_kernel(self, denom: int):
-        return _steppy.Kernel(
-            self.mat_m, self.mat_k, self.lvec, denom,
-            self.sines, self.margin, self.hard_sign, self.ctx.m, self.t0,
-        )
+        return _steppy.Kernel(self.zeta, self.rows, self.t0, denom, self.margin, self.hard_sign)
 
     def compiled_kernel(self, denom: int):
         return _stepkernel.Kernel(
-            self.mat_m, self.mat_k, self.lvec, denom,
-            self.sines, self.margin, self.hard_sign, self.ctx.m, self.t0,
+            self.zeta, self.rows, self.t0, denom, self.margin, self.hard_sign,
             self.int64_threshold(denom),
         )
 
@@ -131,7 +133,8 @@ def _walk(z: CycloNum, budget: int, target=None, select=False):
     compiled kernel walks when z fits its int64 bound; a compiled walk that
     outgrows the bound returns None, and the pure kernel walks the orbit
     again from z.  Each Galois embedding of an iterate moves by at most 1 per
-    step, so coefficients grow at most linearly, and only a walk that starts
+    step, and W_n = lambda^-n v_n has embeddings of the same size, so the
+    coefficients of W grow at most linearly, and only a walk that starts
     near the bound (a huge denominator or coefficient) outgrows it."""
     ctx = z.ctx
     plan = _plan(ctx)

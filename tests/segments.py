@@ -5,6 +5,8 @@ segments, clipped segments and polygon edges."""
 from pwrot import geometry
 from pwrot.cyclo import Sign, sign_of_real
 
+from fieldops import squared_abs
+
 
 def orientation(o, a, b) -> Sign:
     """Sign of the cross product (a - o) x (b - o)."""
@@ -21,4 +23,4 @@ def point_on_segment(seg, w) -> bool:
     t_num = (d.conj() * (w - seg.a)).real()
     if sign_of_real(t_num) == Sign.NEGATIVE:
         return False
-    return sign_of_real(t_num - d.squared_abs()) != Sign.POSITIVE
+    return sign_of_real(t_num - squared_abs(d)) != Sign.POSITIVE

@@ -57,6 +57,7 @@ from pwrot.tiles import (
     tile_images,
 )
 
+from fieldops import squared_abs
 from segments import point_on_segment
 
 
@@ -422,7 +423,7 @@ def test_criterion_09_field_round_trips():
         y = rng.randint(1, 40) * rng.choice([1, -1])
         z2 = ctx.point(Fraction(rng.randint(-40, 40), den), Fraction(y, den))
         z3 = ctx.point(Fraction(rng.randint(-40, 40), den), Fraction(y + (1 if y > 0 else -1), den))
-        if (step(z2) - step(z3)).squared_abs() != (z2 - z3).squared_abs():
+        if squared_abs(step(z2) - step(z3)) != squared_abs(z2 - z3):
             problems.append("branch isometry failed")
             break
         a = ctx.num([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(ctx.d)])
@@ -448,8 +449,8 @@ def test_criterion_10_renormalization_geometry(gc):
     for _ in range(200):
         z1 = gc.ctx.point(Fraction(rng.randint(-30, 30), 7), Fraction(rng.randint(-30, 30), 7))
         z2 = gc.ctx.point(Fraction(rng.randint(-30, 30), 7), Fraction(rng.randint(-30, 30), 7))
-        lhs = (golden_rescale(gc, z1) - golden_rescale(gc, z2)).squared_abs()
-        if lhs != ratio2 * (z1 - z2).squared_abs():
+        lhs = squared_abs(golden_rescale(gc, z1) - golden_rescale(gc, z2))
+        if lhs != ratio2 * squared_abs(z1 - z2):
             problems.append("contraction ratio violated")
             break
 

@@ -17,6 +17,7 @@ from pwrot.dynamics import minimal_period, step
 from pwrot.errors import WrongContextError
 from pwrot.geometry import Location, polygon_contains
 
+from fieldops import squared_abs
 from segments import point_on_segment
 
 # Periods of the pentagon centers P_n = r^n(P0).  The published table reads
@@ -87,8 +88,8 @@ class TestGoldenContext:
         for _ in range(10):
             z1 = gc.ctx.point(Fraction(rng.randint(-20, 20), 7), Fraction(rng.randint(-20, 20), 7))
             z2 = gc.ctx.point(Fraction(rng.randint(-20, 20), 7), Fraction(rng.randint(-20, 20), 7))
-            lhs = (golden_rescale(gc, z1) - golden_rescale(gc, z2)).squared_abs()
-            rhs = ratio2 * (z1 - z2).squared_abs()
+            lhs = squared_abs(golden_rescale(gc, z1) - golden_rescale(gc, z2))
+            rhs = ratio2 * squared_abs(z1 - z2)
             assert lhs == rhs
 
 
@@ -115,7 +116,7 @@ class TestPentagonCenters:
         pts = pentagon_centers(gc, 8)
         d_prev = None
         for p in pts:
-            d = (p - gc.Q).squared_abs()
+            d = squared_abs(p - gc.Q)
             if d_prev is not None:
                 assert sign_of_real(d_prev - d) == Sign.POSITIVE
             d_prev = d
@@ -132,6 +133,16 @@ class TestPentagonCenters:
     def test_long_period_table(self, gc):
         rows = pentagon_center_periods(gc, 9, 11_000_000)
         assert [p for _, _, p in rows] == VERIFIED_PERIODS + VERIFIED_PERIODS_LONG
+
+    @pytest.mark.long
+    def test_p10_period_fits_the_recurrence(self, gc):
+        # P10's period is this engine's own value, checked against
+        # period(P_(n+1)) = 6*period(P_n) + 4*(-1)^n from P9
+        p9, p10 = pentagon_centers(gc, 10)[9:]
+        period9 = minimal_period(p9, 11_000_000).period
+        assert period9 == VERIFIED_PERIODS_LONG[-1]
+        period10 = minimal_period(p10, 65_000_000).period
+        assert period10 == 64_785_188 == 6 * period9 + 4 * (-1) ** 9
 
 
 class TestQReturns:

@@ -37,6 +37,7 @@ from pwrot import geometry
 from pwrot.tiles import scan_region
 
 from affine import affine_along
+from fieldops import squared_abs
 from segments import orientation, point_on_segment
 
 
@@ -415,9 +416,9 @@ def regular_by_sides_and_angles(p):
     v = p.vertices
     n = len(v)
     edges = [v[(i + 1) % n] - v[i] for i in range(n)]
-    side2 = edges[0].squared_abs()
+    side2 = squared_abs(edges[0])
     dot0 = (edges[0].conj() * edges[1]).real()
-    return all(e.squared_abs() == side2 for e in edges) and all(
+    return all(squared_abs(e) == side2 for e in edges) and all(
         (edges[i].conj() * edges[(i + 1) % n]).real() == dot0 for i in range(n)
     )
 

@@ -31,16 +31,19 @@ def test_decompose_round_trip(ctx):
 
 
 def test_pure_kernel_matches_field_arithmetic(ctx):
-    # the integer-lattice step must equal the CycloNum step, value for value
+    # the co-rotating walk must land on the CycloNum orbit, value for value:
+    # a walk given iterate n as its target first lands on it at step n
     plan = stepper._plan(ctx)
-    z = ctx.point(Fraction(1, 3), Fraction(2, 7))
+    z = ctx.point(Fraction(3, 10), Fraction(-7, 6))
     v, denom = z.vec, z.den
     kern = plan.pure_kernel(denom)
     values = orbit(z, 25)
-    cur = list(v)
-    for val in values[1:]:
-        cur = kern._step(cur, kern._sign(cur)[0] >= 0)
-        assert ctx.num([Fraction(x, denom) for x in cur]) == val
+    assert len(set(values)) == len(values)
+    for n, val in enumerate(values[1:], 1):
+        assert denom % val.den == 0
+        target = [x * (denom // val.den) for x in val.vec]
+        status, signs, _, _ = kern.walk(v, 30, target)
+        assert (status, len(signs)) == (stepper.STATUS_OK, n)
 
 
 def tile_seeds():
@@ -193,19 +196,31 @@ def rerun_log(starts):
     return [(kind, tuple(z.vec), kind == "compiled") for z in starts for kind in ("compiled", "pure")]
 
 
+def f_p1(ctx):
+    """F(P1), on the 7-cycle of P1 (denominator 5): every |v_j| on its orbit
+    is at most 7, but W_1 = lambda^-1 v_1 has an entry 9."""
+    phi, s, _ = golden_elements(ctx)
+    p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
+    return step((2 * phi - 3) * p0 + (2 - 2 * phi))
+
+
 @pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
 def test_compiled_walk_past_its_threshold_returns_none(ctx, monkeypatch):
-    # every |v_j| on the orbit of Q (denominator 1) is at most 15 and starts
+    # every |W_j| on the orbit of Q (denominator 1) is at most 13 and starts
     # at 1: a threshold of 0 has the walk start past it, one of 2 has it
-    # cross mid-walk; either way the walk returns None, found or not
+    # cross mid-walk; either way the walk returns None, found or not.  The
+    # guard is on W: at a threshold of 8, the walk of F(P1) gives up,
+    # though none of its iterates v_n has an entry past 7
     plan = stepper._plan(ctx)
-    q0 = -golden_elements(ctx)[0]
-    for thresh in (0, 2):
+    q0, w1 = -golden_elements(ctx)[0], f_p1(ctx)
+    for z, thresh in ((q0, 0), (q0, 2), (w1, 8)):
         monkeypatch.setattr(plan, "int64_threshold", lambda denom: thresh)
-        kern = plan.compiled_kernel(q0.den)
-        for target in (None, q0.vec):
+        kern = plan.compiled_kernel(z.den)
+        for target in (None, z.vec):
             for select in (False, True):
-                assert kern.walk(q0.vec, 240, target, select) is None
+                assert kern.walk(z.vec, 240, target, select) is None
+    monkeypatch.setattr(plan, "int64_threshold", lambda denom: 9)
+    assert plan.compiled_kernel(w1.den).walk(w1.vec, 240, w1.vec, True) is not None
     monkeypatch.undo()
     assert plan.compiled_kernel(q0.den).walk(q0.vec, 240, q0.vec, True) is not None
 
@@ -214,14 +229,11 @@ def test_compiled_walk_past_its_threshold_returns_none(ctx, monkeypatch):
 def test_overflow_hands_off_to_pure(ctx, monkeypatch):
     # shrink the guard so each compiled walk overflows mid-orbit, then check
     # that the pure rerun, with and without a target, matches an all-pure
-    # walk: period, signs, touch indices and touch values.  Every |v_j| on
-    # the orbit of Q (denominator 1) is at most 15 and starts at 1; F(P1)
-    # (denominator 5) starts at 6 and reaches 7 on its 7-cycle.
+    # walk: period, signs, touch indices and touch values.  Every |W_j| on
+    # the orbit of Q (denominator 1) is at most 13 and starts at 1; on the
+    # 7-cycle of F(P1) (denominator 5) W passes 8 while v stays within 7.
     monkeypatch.delenv("PWROT_PURE", raising=False)
-    phi, s, _ = golden_elements(ctx)
-    p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
-    w1 = step((2 * phi - 3) * p0 + (2 - 2 * phi))
-    q0 = -phi
+    w1, q0 = f_p1(ctx), -golden_elements(ctx)[0]
 
     def walks():
         return [run_period(q0, 240, True), run_period(w1, 100, True), run_signs(q0, 241)]
@@ -229,7 +241,7 @@ def test_overflow_hands_off_to_pure(ctx, monkeypatch):
     plan = stepper._plan(ctx)
     log = []
     with monkeypatch.context() as m:
-        m.setattr(plan, "int64_threshold", lambda denom: 2 if denom == 1 else 6)
+        m.setattr(plan, "int64_threshold", lambda denom: 2 if denom == 1 else 8)
         log_walks(m, plan, log)
         mixed = walks()
     # each walk started compiled, gave up, and ran once more, pure, from its start
@@ -331,13 +343,73 @@ def test_forced_near_ties_are_settled_exactly(monkeypatch, compiled):
 @pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
 def test_origin_with_infinite_margin(ctx, monkeypatch):
     # an infinite margin times sum|v_j| = 0 is NaN at the origin: the float
-    # must decide nothing there, so the zero test signs it 0, a touch
+    # must decide nothing there, so the zero test signs it 0, a touch; with
+    # the shipped margin the float sum 0 does not clear the allowance 0
     plan = stepper._plan(ctx)
-    monkeypatch.setattr(plan, "margin", float("inf"))
     z = ctx.zero()
-    pure = plan.pure_kernel(z.den).walk(z.vec, 3, None, True)
-    assert plan.compiled_kernel(z.den).walk(z.vec, 3, None, True) == pure
-    assert list(pure[1]) == [0, 1, 1] and pure[2] == [(0, tuple(z.vec))]
+    for margin in (plan.margin, float("inf")):
+        monkeypatch.setattr(plan, "margin", margin)
+        pure = plan.pure_kernel(z.den).walk(z.vec, 3, None, True)
+        assert plan.compiled_kernel(z.den).walk(z.vec, 3, None, True) == pure
+        assert list(pure[1]) == [0, 1, 1] and pure[2] == [(0, tuple(z.vec))]
+
+
+@pytest.mark.parametrize("compiled", [False, True])
+def test_q_exact_zeros_are_touches(ctx, monkeypatch, compiled):
+    # iterates 8,115 and 16,125 of Q lie on the line where sum|W_j| is 359
+    # and 919, so a sine row off by more than its bound moves the float sum
+    # of W past the allowance: rows from math.sin of unreduced angles sign
+    # both +1, and math.sin rows with no allowance -1, instead of sending
+    # them to the exact zero test
+    if compiled and not stepper.HAVE_COMPILED:
+        pytest.skip("compiled kernel not built")
+    monkeypatch.delenv("PWROT_PURE", raising=False)
+    monkeypatch.setattr(stepper, "_compiled_enabled", lambda: compiled)
+    signs, touches = run_signs(-golden_elements(ctx)[0], 16_126)
+    on_line = dict(touches)
+    for i in (8115, 16125):
+        assert signs[i] == 0 and sign_of_imag(on_line[i]) == Sign.ZERO
+
+
+def fallback_seeds():
+    """P0..P6, and two points each of 11/12 and 3/7, with budgets past their
+    periods."""
+    centers = [(z, 60_000) for z in pentagon_centers(golden_context(), 6)]
+    others = [
+        (make_field(p, q).point(x, y), 1000)
+        for p, q in ((11, 12), (3, 7))
+        for x, y in ((Fraction(1, 3), Fraction(1, 5)), (Fraction(3, 4), Fraction(-1, 4)))
+    ]
+    return centers + others
+
+
+@pytest.mark.parametrize("compiled", [False, True])
+def test_fallback_at_every_step_changes_nothing(ctx, monkeypatch, compiled):
+    # with a margin no float sum can clear, every iterate takes the fallback:
+    # v_n = zeta^e W_n is built and signed by the exact zero test or
+    # hard_sign.  Signs, touches, periods and nominees must not change on
+    # Q's walk past its touch at 16,125 and on the walks of fallback_seeds
+    if compiled and not stepper.HAVE_COMPILED:
+        pytest.skip("compiled kernel not built")
+    monkeypatch.delenv("PWROT_PURE", raising=False)
+    monkeypatch.setattr(stepper, "_compiled_enabled", lambda: compiled)
+    q0, seeds = -golden_elements(ctx)[0], fallback_seeds()
+
+    def walks():
+        return run_signs(q0, 16_126), [run_period(z, budget, True) for z, budget in seeds]
+
+    before = walks()
+    hard_sign = stepper._Plan.hard_sign
+    calls = []
+    monkeypatch.setattr(stepper._Plan, "hard_sign",
+                        lambda plan, v: calls.append(v) or hard_sign(plan, v))
+    for c in {z.ctx for z, _ in seeds}:
+        monkeypatch.setattr(stepper._plan(c), "margin", float("inf"))
+    q_signs = run_signs(q0, 16_126)
+    # each nonzero sign of Q's walk went to the oracle, each zero to the zero test
+    assert len(calls) == sum(1 for x in q_signs[0] if x)
+    assert (q_signs, [run_period(z, budget, True) for z, budget in seeds]) == before
+    assert [r.period for r in before[1]] == [1, 7, 38, 232, 1388, 8332, 49988, 12, 60, 14, 581]
 
 
 def test_kernel_compiles_without_warnings(tmp_path):
@@ -367,6 +439,24 @@ def test_huge_denominator_uses_pure_path(ctx, monkeypatch):
     rec = minimal_period(z, 50)
     monkeypatch.setenv("PWROT_PURE", "1")
     assert rec == minimal_period(z, 50)
+
+
+@pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
+def test_coefficients_at_the_guard_stay_exact():
+    # a start 1,000 below the threshold stays within it for 200 steps (each
+    # adds at most 1 to an entry), while the nominees' v_n = zeta^e W_n,
+    # their differences and the conjugates of the zero test reach up to
+    # rowsum (36 at 2/15) times that: the compiled walk must not wrap, so it
+    # equals the pure walk.  With rowsum 1 this start wraps.
+    c = make_field(2, 15)
+    plan = stepper._plan(c)
+    big = plan.int64_threshold(1) - 1000
+    assert big > 2 ** 56
+    pattern = (-1, 1, -1, 0, -1, 0, 0, 0, 1, 0, -1, -1, 0, -1, 0, 0)
+    start = [x * big for x in pattern]
+    pure = plan.pure_kernel(1).walk(start, 200, start, True)
+    assert plan.compiled_kernel(1).walk(start, 200, start, True) == pure
+    assert any(pure[3][1])
 
 
 def test_env_override_forces_pure(ctx, monkeypatch):
