@@ -186,6 +186,42 @@ def cmd_tile(args) -> int:
     return EXIT_OK
 
 
+# One segment of `critical --format json`: the text json.dumps(indent=1)
+# writes for {"a": [...], "b": [...], "a_shadow": [x, y], "b_shadow": [x, y]}
+# nested, as a segment is, four levels deep.
+_SEGMENT_JSON = (
+    '    {\n     "a": [\n      %s\n     ],\n     "b": [\n      %s\n     ],\n'
+    '     "a_shadow": [\n      %r,\n      %r\n     ],\n'
+    '     "b_shadow": [\n      %r,\n      %r\n     ]\n    }'
+)
+
+
+def _critical_json(bundle) -> str:
+    """The bytes of ``json.dumps(data, indent=1) + "\\n"`` for the bundle's
+    {"truncated": ..., "layers": [{"depth", "direction", "segments"}, ...]},
+    each segment {"a", "b": its coefficient strings, "a_shadow", "b_shadow":
+    its float shadows}, written from one template per segment: strings by
+    the encoder's own ``encode_basestring_ascii``, and the shadows, which are
+    finite, by ``float.__repr__`` as the encoder writes them.  The standard
+    library runs its pure-Python encoder whenever an indent is given."""
+    quote = json.encoder.encode_basestring_ascii
+    sep = ",\n      "
+    layers = []
+    for layer in bundle.layers:
+        segs = [
+            _SEGMENT_JSON % (sep.join(map(quote, _coeff_strs(seg.a))),
+                             sep.join(map(quote, _coeff_strs(seg.b))),
+                             *_shadow(seg.a), *_shadow(seg.b))
+            for seg in layer.segments
+        ]
+        body = "[\n" + ",\n".join(segs) + "\n   ]" if segs else "[]"
+        layers.append(f'  {{\n   "depth": {layer.depth},\n   "direction": '
+                      f'{quote(layer.direction)},\n   "segments": {body}\n  }}')
+    truncated = "true" if bundle.truncated else "false"
+    # a bundle always holds its depth-0 layers, so "layers" is never empty
+    return f'{{\n "truncated": {truncated},\n "layers": [\n' + ",\n".join(layers) + "\n ]\n}\n"
+
+
 def cmd_critical(args) -> int:
     ctx = _field(args)
     box = parse_box(args.box)
@@ -201,23 +237,7 @@ def cmd_critical(args) -> int:
             segments = merge_collinear(ctx, segments)
         _emit(segment_scene(segments).to_svg(), args.out)
     elif args.format == "json":
-        data = [
-            {
-                "depth": layer.depth,
-                "direction": layer.direction,
-                "segments": [
-                    {
-                        "a": _coeff_strs(seg.a),
-                        "b": _coeff_strs(seg.b),
-                        "a_shadow": _shadow(seg.a),
-                        "b_shadow": _shadow(seg.b),
-                    }
-                    for seg in layer.segments
-                ],
-            }
-            for layer in bundle.layers
-        ]
-        _emit(json.dumps({"truncated": bundle.truncated, "layers": data}, indent=1) + "\n", args.out)
+        _emit(_critical_json(bundle), args.out)
     else:
         lines = []
         for layer in bundle.layers:

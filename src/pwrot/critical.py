@@ -3,21 +3,39 @@ the discontinuity line (direction "pullback") and forward images F^{j}(R)
 (direction "forward"), clipped to a window.
 
 Every piece lies on a grid line along lambda^t, and each segment carries its
-power t.  Each pullback level splits a segment where the inverse branch
+power t and the certified enclosures of its two endpoints
+(``ExactSegment.enclosed``): one ``FieldContext.enclosure`` per endpoint,
+made when the endpoint is.  A layer is one pass over the segments of the
+last.  Each pullback level splits a segment where the inverse branch
 switches (the line through 0 with direction lambda), applies the matching
 exact inverse branch, and clips to the window of its layer; a forward level
-splits at the line itself and applies F.  Splits and clips are grid corners
+splits at the line itself and applies F.  The endpoint's record decides its
+split sign (its integer vector against ``FieldContext.sine_row``, within
+the record's error), the window clip and the final box clip
+(``geometry.clip_segment_to_box`` reads the records); only a sign a record
+leaves open takes the exact test.  Splits and clips are grid corners
 (``geometry.grid_corner``), so no field inverse runs.  Points exactly on a
 splitting line follow the + branch, matching H on the line; the other
 branch's image of such a point is not emitted (it only ever appears as a
 sub-segment endpoint).
+
+A branch image zeta^t w + c is made on the lattice pair with no gcd.  For w
+= vec/den reduced (gcd(den, vec...) = 1, den > 0), zeta^t w = P(vec)/den,
+where P, multiplication by zeta^t, is an integer matrix with an integer
+inverse on Z[zeta]: a common divisor of den and P(vec) divides den and
+P^-1(P(vec)) = vec, so gcd(den, P(vec)...) = 1.  The shift c is an integer
+vector u (+-1 at index 0 for F^-1, -+lambda for F), and adding multiples of
+den changes no gcd with den: gcd(den, (P(vec) + den*u)...) = gcd(den,
+P(vec)...) = 1.  So (P(vec) + den*u, den) is already the reduced pair.
 
 The windows are sound.  F(z) = lambda*(z - H(z)) with H(z) = +-1, so |F(z)|
 and |F^-1(z)| differ from |z| by at most 1.  With rho the least integer at
 least the largest modulus of a box corner, a point of the box that reaches
 the line in ``depth`` steps has its image of layer j within rho + depth - j
 of 0, so layer j is clipped to the square of that half-width about 0 and
-loses nothing of the box.  Every layer is re-clipped to the box at the end.
+loses nothing of the box.  ``window`` is the one place these squares are
+built, and rho is cached per box, so a bundle computes it once; every layer
+is re-clipped to the box at the end.
 """
 
 from __future__ import annotations
@@ -25,10 +43,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import mul
 
-from .cyclo import FieldContext, Sign, sign_of_imag, sign_of_real
+from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag, sign_of_real
 from .errors import InternalInconsistencyError, ParameterError
-from .geometry import Box, ExactSegment, clip_segment_to_box, grid_corner
+from .geometry import Box, ExactSegment, _Enclosed, _enclosed, clip_segment_to_box, grid_corner
 
 PULLBACK = "pullback"
 FORWARD = "forward"
@@ -54,43 +73,76 @@ def base_layer(ctx: FieldContext, box: Box, direction: str = PULLBACK) -> Critic
     """Depth 0: the discontinuity line clipped to a window (see ``window``)."""
     if box.y0 > 0 or box.y1 < 0:
         return CriticalLayer(0, (), direction)
-    seg = ExactSegment(ctx.point(box.x0, 0), ctx.point(box.x1, 0), 0, depth=0)
+    # every critical segment carries the records of its own endpoints: the
+    # splits and clips read them in place of a and b
+    a, b = ctx.point(box.x0, 0), ctx.point(box.x1, 0)
+    seg = ExactSegment(a, b, 0, 0, (_enclosed(a), _enclosed(b)))
     return CriticalLayer(0, (seg,), direction)
+
+
+@functools.lru_cache(maxsize=64)
+def _rho(box: Box) -> int:
+    """The least integer >= the largest modulus of a corner of ``box``;
+    cached, since every layer of a bundle asks for the same box's."""
+    r2 = max(x * x + y * y for x in (box.x0, box.x1) for y in (box.y0, box.y1))
+    return math.isqrt(math.ceil(r2) - 1) + 1
 
 
 def window(box: Box, steps: int) -> Box:
     """The square about 0 of half-width rho + steps, with rho the least
     integer >= the largest modulus of a corner of ``box``: it holds every
     point that ``steps`` applications of F or of F^-1 carry into the box."""
-    r2 = max(x * x + y * y for x in (box.x0, box.x1) for y in (box.y0, box.y1))
-    h = math.isqrt(math.ceil(r2) - 1) + 1 + steps
+    h = _rho(box) + steps
     return Box(-h, -h, h, h)
 
 
-def _split_at(seg: ExactSegment, e: int):
+def _split_sign(p: _Enclosed, e: int, row) -> Sign:
+    """Sign of Im(zeta^e * w) for the enclosed endpoint w = vec/den: the sum
+    T = sum(vec_j * row_j) over ``row = sine_row(e)`` is within the record's
+    error E = sum|vec_j| of den * 2^64 * Im(zeta^e * w), so |T| > E gives
+    the sign; otherwise the exact test."""
+    t = sum(map(mul, p.w.vec, row))
+    if t > p.err:
+        return Sign.POSITIVE
+    if t < -p.err:
+        return Sign.NEGATIVE
+    return sign_of_imag(p.w.mul_zeta(e))
+
+
+def _split_at(seg: ExactSegment, e: int, row):
     """Split a segment by the sign of Im(zeta^e * w), the grid line through 0.
 
-    Returns a list of (piece, side) with side 1 for the closed nonnegative
-    side (which follows the + branch) and side -1 for the strictly negative
-    side.  A crossing is the grid corner of the segment's line with the
-    splitting line.
+    Returns a list of (a, b, side), the pieces' endpoints, with side 1 for
+    the closed nonnegative side (which follows the + branch) and side -1 for
+    the strictly negative side.  The signs come from the records in
+    ``seg.enclosed``; a crossing is the grid corner of the segment's line
+    with the splitting line, and is not enclosed: only its branch image is.
     """
-    sa = sign_of_imag(seg.a.mul_zeta(e))
-    sb = sign_of_imag(seg.b.mul_zeta(e))
+    pa, pb = seg.enclosed
+    sa, sb = _split_sign(pa, e, row), _split_sign(pb, e, row)
     if sa != Sign.NEGATIVE and sb != Sign.NEGATIVE:
-        return [(seg, 1)]
+        return [(seg.a, seg.b, 1)]
     if sa != Sign.POSITIVE and sb != Sign.POSITIVE:
         # wholly on the closed negative side; the zero locus is boundary only
         if sa == Sign.ZERO and sb == Sign.ZERO:
-            return [(seg, 1)]
-        return [(seg, -1)]
+            return [(seg.a, seg.b, 1)]
+        return [(seg.a, seg.b, -1)]
     f, beta = seg.grid_line()
     w = grid_corner(f, beta, e, seg.a.ctx.zero())
     first_side = 1 if sa == Sign.POSITIVE else -1
-    return [
-        (ExactSegment(seg.a, w, seg.power, seg.depth), first_side),
-        (ExactSegment(w, seg.b, seg.power, seg.depth), -first_side),
-    ]
+    return [(seg.a, w, first_side), (w, seg.b, -first_side)]
+
+
+def _branch_image(w: CycloNum, t: int, shift) -> _Enclosed:
+    """zeta^t * w + u for w = vec/den and the integer vector u whose nonzero
+    entries are the (index, value) pairs ``shift``: one permutation of vec
+    plus den * u, already reduced (see the module docstring), and enclosed
+    once."""
+    ctx, den = w.ctx, w.den
+    vec = ctx._permute(w.vec, 1, t)
+    for i, u in shift:
+        vec[i] += den * u
+    return _enclosed(CycloNum(ctx, tuple(vec), den))
 
 
 def _next_layer(prev: CriticalLayer, box: Box, total_depth: int, direction: str) -> CriticalLayer:
@@ -110,20 +162,20 @@ def _next_layer(prev: CriticalLayer, box: Box, total_depth: int, direction: str)
     if direction == PULLBACK:
         # F^-1(w) = w/lambda + H(w/lambda): split where Im(w/lambda) changes sign
         e = t = -t0 % ctx.m
-        dpower, shift = -1, {1: ctx.one(), -1: -ctx.one()}
+        dpower, c = -1, ctx.one()
     else:
         # F(w) = lambda*w - lambda*H(w): split at the line itself
         e, t = 0, t0
-        dpower, shift = 1, {1: -ctx.lambda_, -1: ctx.lambda_}
+        dpower, c = 1, -ctx.lambda_
+    shift = {side: [(i, side * u) for i, u in enumerate(c.vec) if u] for side in (1, -1)}
+    row = ctx.sine_row(e)
     clip = window(box, total_depth - (j + 1))
     out = []
     for seg in prev.segments:
-        for piece, side in _split_at(seg, e):
-            c = shift[side]
-            img = ExactSegment(
-                piece.a.mul_zeta(t) + c, piece.b.mul_zeta(t) + c, piece.power + dpower, j + 1
-            )
-            clipped = clip_segment_to_box(img, clip)
+        power = seg.power + dpower
+        for pa, pb, side in _split_at(seg, e, row):
+            ia, ib = _branch_image(pa, t, shift[side]), _branch_image(pb, t, shift[side])
+            clipped = clip_segment_to_box(ExactSegment(ia.w, ib.w, power, j + 1, (ia, ib)), clip)
             if clipped is not None:
                 out.append(clipped)
     return CriticalLayer(j + 1, tuple(out), direction)

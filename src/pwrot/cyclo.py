@@ -482,8 +482,13 @@ class CycloNum:
         return (self + self.conj()) / 2
 
     def imag(self) -> "CycloNum":
-        # a - conj(a) = 2i*Im(a), and zeta^(3m/4) = -i
-        return (self - self.conj()).mul_zeta(3 * self.ctx.m // 4) / 2
+        # a - conj(a) = 2i*Im(a) and zeta^(3m/4) = -i, so Im(a) is
+        # zeta^(3m/4) * (a - conj(a)) / 2: two permutations over 2*den, one gcd
+        ctx, vec = self.ctx, self.vec
+        e = 3 * ctx.m // 4
+        return ctx.from_lattice(
+            [x - y for x, y in zip(ctx._permute(vec, 1, e), ctx._permute(vec, -1, e))], 2 * self.den
+        )
 
     # -- comparisons -------------------------------------------------------------
 

@@ -1,18 +1,34 @@
 """Build the compiled orbit kernel in place before the suite imports pwrot.
 
-``setup.py build_ext --inplace`` puts the extension next to the sources, so
-the suite runs the compiled kernel and its parity tests.  The extension is
-optional: without a working C compiler the build exits 0 with no extension,
-the suite runs on the pure kernel and those tests skip, so the suite warns
-whenever ``pwrot.stepper`` finds no compiled kernel after the build.
+The extension is built next to the sources, so the suite runs the compiled
+kernel and its parity tests.  Whether to build is decided by content, not
+by modification time: the SHA-256 of ``setup.py`` and ``_stepkernel.c`` is
+kept beside the extension (``<extension>.sha256``), and the build runs only
+when it differs or the extension is missing.  So a source restored with an
+older modification time (by ``mv``, ``cp -p`` or an archive), which
+setuptools' own up-to-date check would skip, cannot leave a stale extension,
+and an unchanged source costs no build.  The build goes to a scratch folder
+under ``build/`` and is moved into place with ``os.replace``: a suite that
+has the old extension loaded, such as a second session in the same tree,
+keeps its file, which is never overwritten in place.  The extension is
+optional: without a working C compiler the build exits 0 with no
+extension, the suite runs on the pure kernel and those tests skip, so the
+suite warns whenever ``pwrot.stepper`` finds no compiled kernel after the
+build.
+
+The ``exact_enclosures`` fixture widens the error of every
+``FieldContext.enclosure``, so that no enclosure decides a sign.
 
 Tests marked ``long`` (multi-minute exact-orbit runs) skip unless the
 environment sets PWROT_LONG.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
+import sysconfig
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -21,18 +37,61 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _build_kernel():
+    """Build the extension unless the digest beside it matches its sources.
+
+    Returns None, or what a failed build wrote to stderr; a failed build
+    removes the old extension, which no longer matches its sources."""
+    target = ROOT / "src" / "pwrot" / ("_stepkernel" + sysconfig.get_config_var("EXT_SUFFIX"))
+    stamp = target.with_name(target.name + ".sha256")
+    digest = hashlib.sha256(
+        b"".join((ROOT / f).read_bytes() for f in ("setup.py", "src/pwrot/_stepkernel.c"))
+    ).hexdigest()
+    if target.exists() and stamp.exists() and stamp.read_text() == digest:
+        return None
+    (ROOT / "build").mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=ROOT / "build") as tmp:
+        proc = subprocess.run(
+            [sys.executable, "setup.py", "-q", "build_ext", "--force",
+             "--build-lib", tmp, "--build-temp", os.path.join(tmp, "temp")],
+            cwd=ROOT, capture_output=True, text=True,
+        )
+        built = Path(tmp) / "pwrot" / target.name
+        if proc.returncode != 0 or not built.exists():
+            target.unlink(missing_ok=True)
+            return proc.stderr
+        os.replace(built, target)
+    stamp.write_text(digest)
+    return None
+
+
 def pytest_configure(config):
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "-q", "build_ext", "--inplace"],
-        cwd=ROOT, capture_output=True, text=True,
-    )
+    stderr = _build_kernel()
     from pwrot import stepper
 
-    if proc.returncode != 0 or not stepper.HAVE_COMPILED:
+    if stderr is not None or not stepper.HAVE_COMPILED:
         warnings.warn(
             "compiled kernel not built: the suite runs on the pure kernel and "
-            f"skips the compiled parity tests\n{proc.stderr}"
+            f"skips the compiled parity tests\n{stderr or ''}"
         )
+
+
+@pytest.fixture
+def exact_enclosures(monkeypatch):
+    """Every ``FieldContext.enclosure`` returns an error past any value its
+    sums can bound.  That is still a sound enclosure, only a useless one: no
+    sign is decided from it, so every split, window face and box face of a
+    critical layer takes its exact test, as do the tile build's predicates
+    that read an enclosure."""
+    from pwrot.cyclo import FieldContext
+
+    enclosure = FieldContext.enclosure
+
+    def widened(self, a):
+        x, y, err, s = enclosure(self, a)
+        return x, y, (err + abs(x) + abs(y) + s) << 64, s
+
+    monkeypatch.setattr(FieldContext, "enclosure", widened)
 
 
 def pytest_collection_modifyitems(config, items):

@@ -10,7 +10,10 @@ import pytest
 
 import pwrot
 from pwrot import _steppy, geometry, stepper
-from pwrot.cli import main
+from pwrot.cli import build_parser, main
+from pwrot.critical import critical_bundle
+from pwrot.cyclo import make_field
+from pwrot.pointexpr import parse_alpha, parse_box
 
 GOLDEN_ITERATES_PHI = [
     "-phi",
@@ -351,6 +354,50 @@ class TestCritical:
         code, _, _ = run(capsys, "critical", *args, "--out", str(target))
         assert code == 0
         assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args, digest", CRITICAL_DIGESTS)
+    def test_golden_digests_exact_enclosures(self, capsys, tmp_path, exact_enclosures, args,
+                                             digest):
+        # the same bytes when no enclosure decides a sign: every split, window
+        # face and box face takes its exact test
+        self.test_golden_digests(capsys, tmp_path, args, digest)
+
+    # The JSON writer against the standard library's encoder on the dict the
+    # writer stands for.
+    @pytest.mark.parametrize("case, argv", [
+        ("empty depth 0", ("--alpha", "4/5", "--depth", "3", "--box=-2,1/2,2,3")),
+        ("truncated", ("--alpha", "4/5", "--depth", "10", "--box=-4,-4,4,4", "--cap", "10")),
+        ("both", ("--alpha", "11/12", "--depth", "4", "--box=-1,-2,6,3", "--direction", "both")),
+    ])
+    def test_json_matches_the_standard_encoder(self, capsys, case, argv):
+        code, out, _ = run(capsys, "critical", *argv, "--format", "json")
+        assert code == 0
+        args = build_parser().parse_args(["critical", *argv])
+        bundle = critical_bundle(make_field(*parse_alpha(args.alpha)), args.depth,
+                                 parse_box(args.box), direction=args.direction, cap=args.cap)
+        data = [
+            {
+                "depth": layer.depth,
+                "direction": layer.direction,
+                "segments": [
+                    {
+                        "a": [str(c) for c in seg.a.coeffs],
+                        "b": [str(c) for c in seg.b.coeffs],
+                        "a_shadow": (seg.a.to_complex().real, seg.a.to_complex().imag),
+                        "b_shadow": (seg.b.to_complex().real, seg.b.to_complex().imag),
+                    }
+                    for seg in layer.segments
+                ],
+            }
+            for layer in bundle.layers
+        ]
+        assert out == json.dumps({"truncated": bundle.truncated, "layers": data}, indent=1) + "\n"
+        covers = {
+            "empty depth 0": bundle.layers[0].segments == () and bundle.all_segments() != [],
+            "truncated": bundle.truncated,
+            "both": {layer.direction for layer in bundle.layers} == {"pullback", "forward"},
+        }
+        assert covers[case]
 
 
 class TestScan:

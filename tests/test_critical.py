@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from pwrot.casestudy import hexagon_context
 from pwrot.critical import (
     FORWARD,
+    PULLBACK,
     base_layer,
     critical_bundle,
     forward_layer,
@@ -13,10 +15,10 @@ from pwrot.critical import (
     pullback_layer,
 )
 from pwrot import critical, geometry
-from pwrot.cyclo import CycloNum, make_field
+from pwrot.cyclo import CycloNum, make_field, sign_of_imag
 from pwrot.dynamics import step
 from pwrot.errors import InternalInconsistencyError, ParameterError
-from pwrot.geometry import Box, ExactSegment, edge_direction_power
+from pwrot.geometry import Box, ExactSegment, clip_segment_to_box, edge_direction_power
 from pwrot.tiles import tile_from_seed
 
 from segments import point_on_segment
@@ -196,6 +198,61 @@ class TestBundle:
         for a, b in tile.polygon.edges():
             mid = (a + b) / 2
             assert any(point_on_segment(s, mid) for s in segs)
+
+
+def chain(ctx, depth, box, direction):
+    """Layers 0..depth of one direction, each clipped to its window only."""
+    advance = pullback_layer if direction == PULLBACK else forward_layer
+    layers = [base_layer(ctx, critical.window(box, depth), direction)]
+    for _ in range(depth):
+        layers.append(advance(layers[-1], box, depth))
+    return layers
+
+
+class TestEnclosedEndpoints:
+    @pytest.mark.parametrize("p, q, box", [
+        (4, 5, Box(-4, -4, 4, 4)), (11, 12, Box(-1, -2, 6, 3)), (3, 7, Box(-2, -2, 2, 2)),
+    ])
+    @pytest.mark.parametrize("direction", [PULLBACK, FORWARD])
+    def test_branch_images_stay_reduced(self, p, q, box, direction):
+        # the branch map builds zeta^t w + c on the lattice pair with no gcd;
+        # every endpoint, in the windowed layers and in the bundle, is still
+        # the reduced pair, and carries its own enclosure
+        ctx = make_field(p, q)
+        layers = chain(ctx, 10, box, direction)
+        layers += critical_bundle(ctx, 10, box, direction).layers
+        ends = 0
+        for layer in layers:
+            for seg in layer.segments:
+                assert [r.w for r in seg.enclosed] == [seg.a, seg.b]
+                for w, record in zip((seg.a, seg.b), seg.enclosed):
+                    assert w.den > 0 and math.gcd(w.den, *w.vec) == 1
+                    assert w == ctx.from_lattice(w.vec, w.den)
+                    assert record[1:] == ctx.enclosure(w)
+                    ends += 1
+        assert ends > 40
+
+    @pytest.mark.parametrize("direction", [PULLBACK, FORWARD])
+    def test_widened_enclosures_leave_every_sign_exact(self, ctx5, request, monkeypatch,
+                                                       direction):
+        # with every enclosure widened, every split endpoint and every first
+        # face of a clip takes the exact test, and the layers do not change
+        plain = chain(ctx5, 4, BOX, direction)
+        request.getfixturevalue("exact_enclosures")
+        splits, faces = [], []
+        monkeypatch.setattr(critical, "sign_of_imag", lambda a: splits.append(a) or sign_of_imag(a))
+        monkeypatch.setattr(geometry, "sign_of_imag", lambda a: faces.append(a) or sign_of_imag(a))
+        layers = chain(ctx5, 4, BOX, direction)
+        assert [layer.segments for layer in layers] == [layer.segments for layer in plain]
+        advance = pullback_layer if direction == PULLBACK else forward_layer
+        for layer in layers[:-1]:
+            before = len(splits)
+            advance(layer, BOX, 4)
+            assert len(splits) - before == 2 * len(layer.segments)
+        for seg in layers[-1].segments:
+            before = len(faces)
+            clip_segment_to_box(seg, BOX)
+            assert len(faces) - before >= 2
 
 
 class TestMergeCollinear:
