@@ -284,6 +284,9 @@ def _scan_sidecar(report) -> dict:
 def cmd_scan(args) -> int:
     ctx = _field(args)
     box = parse_box(args.box)
+    if args.format == "csv" and args.out and Path(args.out).suffix == ".json":
+        raise ParameterError(f"--out {args.out}: the CSV and its JSON sidecar would both be "
+                             "written there; give the CSV another suffix")
     report = scan_region(
         ctx, box, parse_rational(args.grid), args.budget, max_tile_period=args.max_tile_period
     )

@@ -3,21 +3,19 @@ the discontinuity line (direction "pullback") and forward images F^{j}(R)
 (direction "forward"), clipped to a window.
 
 Every piece lies on a grid line along lambda^t, and each segment carries its
-power t and the certified enclosures of its two endpoints
-(``ExactSegment.enclosed``): one ``FieldContext.enclosure`` per endpoint,
-made when the endpoint is.  A layer is one pass over the segments of the
-last.  Each pullback level splits a segment where the inverse branch
-switches (the line through 0 with direction lambda), applies the matching
-exact inverse branch, and clips to the window of its layer; a forward level
-splits at the line itself and applies F.  The endpoint's record decides its
-split sign (its integer vector against ``FieldContext.sine_row``, within
-the record's error), the window clip and the final box clip
-(``geometry.clip_segment_to_box`` reads the records); only a sign a record
-leaves open takes the exact test.  Splits and clips are grid corners
-(``geometry.grid_corner``), so no field inverse runs.  Points exactly on a
-splitting line follow the + branch, matching H on the line; the other
-branch's image of such a point is not emitted (it only ever appears as a
-sub-segment endpoint).
+power t.  A layer is one pass over the segments of the last.  Each pullback
+level splits a segment where the inverse branch switches (the line through
+0 with direction lambda), applies the matching exact inverse branch, and
+clips to the window of its layer; a forward level splits at the line itself
+and applies F.  An endpoint's certified enclosure (``CycloNum.enclosure``),
+computed once and kept on the endpoint, decides its window clip, its split
+sign in the next layer (its integer vector against
+``FieldContext.sine_row``, within the enclosure's error) and the final box
+clip; only a sign the enclosure leaves open takes the exact test.  Splits
+and clips are grid corners (``geometry.grid_corner``), so no field inverse
+runs.  Points exactly on a splitting line follow the + branch, matching H
+on the line; the other branch's image of such a point is not emitted (it
+only ever appears as a sub-segment endpoint).
 
 A branch image zeta^t w + c is made on the lattice pair with no gcd.  For w
 = vec/den reduced (gcd(den, vec...) = 1, den > 0), zeta^t w = P(vec)/den,
@@ -47,7 +45,7 @@ from operator import mul
 
 from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag, sign_of_real
 from .errors import InternalInconsistencyError, ParameterError
-from .geometry import Box, ExactSegment, _Enclosed, _enclosed, clip_segment_to_box, grid_corner
+from .geometry import Box, ExactSegment, clip_segment_to_box, grid_corner
 
 PULLBACK = "pullback"
 FORWARD = "forward"
@@ -73,11 +71,8 @@ def base_layer(ctx: FieldContext, box: Box, direction: str = PULLBACK) -> Critic
     """Depth 0: the discontinuity line clipped to a window (see ``window``)."""
     if box.y0 > 0 or box.y1 < 0:
         return CriticalLayer(0, (), direction)
-    # every critical segment carries the records of its own endpoints: the
-    # splits and clips read them in place of a and b
-    a, b = ctx.point(box.x0, 0), ctx.point(box.x1, 0)
-    seg = ExactSegment(a, b, 0, 0, (_enclosed(a), _enclosed(b)))
-    return CriticalLayer(0, (seg,), direction)
+    return CriticalLayer(0, (ExactSegment(ctx.point(box.x0, 0), ctx.point(box.x1, 0), 0),),
+                         direction)
 
 
 @functools.lru_cache(maxsize=64)
@@ -96,17 +91,18 @@ def window(box: Box, steps: int) -> Box:
     return Box(-h, -h, h, h)
 
 
-def _split_sign(p: _Enclosed, e: int, row) -> Sign:
-    """Sign of Im(zeta^e * w) for the enclosed endpoint w = vec/den: the sum
-    T = sum(vec_j * row_j) over ``row = sine_row(e)`` is within the record's
-    error E = sum|vec_j| of den * 2^64 * Im(zeta^e * w), so |T| > E gives
-    the sign; otherwise the exact test."""
-    t = sum(map(mul, p.w.vec, row))
-    if t > p.err:
+def _split_sign(w: CycloNum, e: int, row) -> Sign:
+    """Sign of Im(zeta^e * w) for the endpoint w = vec/den: the sum T =
+    sum(vec_j * row_j) over ``row = sine_row(e)`` is within the error E =
+    sum|vec_j| of w's enclosure of den * 2^64 * Im(zeta^e * w), so |T| > E
+    gives the sign; otherwise the exact test."""
+    t = sum(map(mul, w.vec, row))
+    err = w.enclosure()[2]
+    if t > err:
         return Sign.POSITIVE
-    if t < -p.err:
+    if t < -err:
         return Sign.NEGATIVE
-    return sign_of_imag(p.w.mul_zeta(e))
+    return sign_of_imag(w.mul_zeta(e))
 
 
 def _split_at(seg: ExactSegment, e: int, row):
@@ -114,12 +110,11 @@ def _split_at(seg: ExactSegment, e: int, row):
 
     Returns a list of (a, b, side), the pieces' endpoints, with side 1 for
     the closed nonnegative side (which follows the + branch) and side -1 for
-    the strictly negative side.  The signs come from the records in
-    ``seg.enclosed``; a crossing is the grid corner of the segment's line
-    with the splitting line, and is not enclosed: only its branch image is.
+    the strictly negative side.  The signs come from the endpoints'
+    enclosures; a crossing is the grid corner of the segment's line with the
+    splitting line, and is not enclosed: only its branch image is.
     """
-    pa, pb = seg.enclosed
-    sa, sb = _split_sign(pa, e, row), _split_sign(pb, e, row)
+    sa, sb = _split_sign(seg.a, e, row), _split_sign(seg.b, e, row)
     if sa != Sign.NEGATIVE and sb != Sign.NEGATIVE:
         return [(seg.a, seg.b, 1)]
     if sa != Sign.POSITIVE and sb != Sign.POSITIVE:
@@ -133,16 +128,15 @@ def _split_at(seg: ExactSegment, e: int, row):
     return [(seg.a, w, first_side), (w, seg.b, -first_side)]
 
 
-def _branch_image(w: CycloNum, t: int, shift) -> _Enclosed:
+def _branch_image(w: CycloNum, t: int, shift) -> CycloNum:
     """zeta^t * w + u for w = vec/den and the integer vector u whose nonzero
     entries are the (index, value) pairs ``shift``: one permutation of vec
-    plus den * u, already reduced (see the module docstring), and enclosed
-    once."""
+    plus den * u, already reduced (see the module docstring)."""
     ctx, den = w.ctx, w.den
     vec = ctx._permute(w.vec, 1, t)
     for i, u in shift:
         vec[i] += den * u
-    return _enclosed(CycloNum(ctx, tuple(vec), den))
+    return CycloNum(ctx, tuple(vec), den)
 
 
 def _next_layer(prev: CriticalLayer, box: Box, total_depth: int, direction: str) -> CriticalLayer:
@@ -173,9 +167,9 @@ def _next_layer(prev: CriticalLayer, box: Box, total_depth: int, direction: str)
     out = []
     for seg in prev.segments:
         power = seg.power + dpower
-        for pa, pb, side in _split_at(seg, e, row):
-            ia, ib = _branch_image(pa, t, shift[side]), _branch_image(pb, t, shift[side])
-            clipped = clip_segment_to_box(ExactSegment(ia.w, ib.w, power, j + 1, (ia, ib)), clip)
+        for a, b, side in _split_at(seg, e, row):
+            ia, ib = _branch_image(a, t, shift[side]), _branch_image(b, t, shift[side])
+            clipped = clip_segment_to_box(ExactSegment(ia, ib, power, j + 1), clip)
             if clipped is not None:
                 out.append(clipped)
     return CriticalLayer(j + 1, tuple(out), direction)

@@ -15,8 +15,9 @@ norm.  The sign of a real element is decided by integer fixed-point
 enclosures of the embedding at doubling precision, with an exact zero test
 when the first fails, so no decision in the package ever rests on floating
 point alone.  The first of those enclosures, for both parts of an element
-at once, also decides the geometry predicates by integer compares (box
-faces, turns, point order), and its nodes rotated by any of the m exponents
+at once, is kept on the element (``CycloNum.enclosure``) and decides the
+geometry predicates by integer compares (box faces, turns, point order,
+the critical splits), and its nodes rotated by any of the m exponents
 enclose Im(zeta^e * a) for the side of a grid line.
 """
 
@@ -306,20 +307,6 @@ class FieldContext:
                 return Sign.ZERO
             p *= 2
 
-    def enclosure(self, a: "CycloNum") -> tuple[int, int, int, int]:
-        """Integers (X, Y, E, s) with s = den * 2^64 and |X - s*Re(a)| <= E,
-        |Y - s*Im(a)| <= E, with equality only for a = 0, where X = Y = E =
-        0: the p = 64 sums of ``_sign`` for both parts at once, with E =
-        sum|vec_j|.  For a rational n/b with b > 0, b*X - n*s has the sign
-        of Re(a) - n/b whenever its absolute value exceeds b*E (likewise Y
-        for Im(a)); a smaller value decides nothing.  Box clipping compares
-        it with box faces, and ``geometry`` combines the enclosures of
-        polygon vertices into bounds on their cross products and coordinate
-        differences."""
-        cos, sin = _fixed_nodes(self.m, self.d, 64)
-        vec = a.vec
-        return sum(map(mul, vec, cos)), sum(map(mul, vec, sin)), sum(map(abs, vec)), a.den << 64
-
     def sine_row(self, e: int) -> tuple[int, ...]:
         """The 64-bit sine nodes rotated by e: S_((j + e) mod m) for j < d,
         from ``_fixed_nodes(m, m, 64)``, so that for a = vec / den the sum
@@ -345,15 +332,18 @@ class CycloNum:
 
     Values are immutable.  Every constructor keeps the pair reduced
     (gcd(vec..., den) = 1), so the representation is canonical and ``==`` on
-    pairs is field equality.
+    pairs is field equality.  A value also keeps its certified enclosure
+    once something reads it (:meth:`enclosure`), which takes no part in
+    equality.
     """
 
-    __slots__ = ("ctx", "vec", "den")
+    __slots__ = ("ctx", "vec", "den", "_enclosure")
 
     def __init__(self, ctx: FieldContext, vec: tuple[int, ...], den: int):
         self.ctx = ctx
         self.vec = vec
         self.den = den
+        self._enclosure = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -489,6 +479,29 @@ class CycloNum:
         return ctx.from_lattice(
             [x - y for x, y in zip(ctx._permute(vec, 1, e), ctx._permute(vec, -1, e))], 2 * self.den
         )
+
+    def enclosure(self) -> tuple[int, int, int, int]:
+        """Integers (X, Y, E, s) with s = den * 2^64 and |X - s*Re(self)| <=
+        E, |Y - s*Im(self)| <= E, with equality only for 0, where X = Y = E =
+        0: the p = 64 sums of ``FieldContext._sign`` for both parts at once,
+        with E = sum|vec_j|.  For a rational n/b with b > 0, b*X - n*s has
+        the sign of Re(self) - n/b whenever its absolute value exceeds b*E
+        (likewise Y for Im(self)); a smaller value decides nothing.
+
+        Computed on first use and kept on the value, which never changes, so
+        a point is enclosed at most once however many predicates read it:
+        box clipping compares it with box faces, the critical layers' splits
+        take E, and ``geometry`` combines the enclosures of vertices, points
+        and offsets into bounds on their sums, cross products and coordinate
+        differences."""
+        enc = self._enclosure
+        if enc is None:
+            ctx, vec = self.ctx, self.vec
+            cos, sin = _fixed_nodes(ctx.m, ctx.d, 64)
+            enc = self._enclosure = (
+                sum(map(mul, vec, cos)), sum(map(mul, vec, sin)), sum(map(abs, vec)), self.den << 64
+            )
+        return enc
 
     # -- comparisons -------------------------------------------------------------
 

@@ -14,10 +14,11 @@ clipping moves an endpoint that lies outside a box face to the corner of
 the segment's line with that face.
 
 Predicates (side of a line, the binding pass and the antiparallel strip,
-turns and point location, the canonical start, box faces) are decided by
-integer compares on certified 64-bit enclosures, the fixed-point sums of
-the sign oracle (``FieldContext.enclosure`` and ``sine_row``), kept once
-per point or offset in one record, ``_Enclosed``.  ``_sum_sign`` decides a
+turns and point location, the canonical start, box faces) take plain
+``CycloNum`` values and are decided by integer compares on certified 64-bit
+enclosures, the fixed-point sums of the sign oracle: ``CycloNum.enclosure``,
+which each value computes once and keeps, so no predicate passes an
+enclosure around, and ``FieldContext.sine_row``.  ``_sum_sign`` decides a
 sum of two enclosed values and ``_turn`` a cross product, both through
 ``_decide`` (box clipping makes the same compare inline), and a sign left
 open, for a point on or within about 2^-64 of a line or a tie, takes the
@@ -30,10 +31,10 @@ from __future__ import annotations
 import enum
 import functools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag, sign_of_real
 from .errors import ParameterError
@@ -95,13 +96,12 @@ class HalfPlane:
 class ConvexPolygon:
     """Strictly convex vertex cycle, counterclockwise, canonical start.
 
-    ``enclosed`` holds each vertex with its certified enclosure, in vertex
-    order, so that point location encloses only the point; it takes no part
-    in equality.  Build polygons with :func:`make_polygon`.
+    The vertices keep the enclosures that :func:`make_polygon` read, so
+    point location encloses only the point.  Build polygons with
+    :func:`make_polygon`.
     """
 
     vertices: tuple[CycloNum, ...]
-    enclosed: tuple["_Enclosed", ...] = field(compare=False, repr=False)
 
     def __len__(self):
         return len(self.vertices)
@@ -118,19 +118,16 @@ class ConvexPolygon:
 class ExactSegment:
     """The closed segment from a to b, parallel to lambda^power.
 
-    ``enclosed``, when given, holds the two endpoints' certified enclosures
-    in the order (a, b), made once with the endpoints, so that clipping and
-    the critical layers' splits enclose nothing again; it takes no part in
-    equality.  It is trusted, not checked: whoever sets it passes
-    ``(_enclosed(a), _enclosed(b))`` or records read from those.  Every
-    critical segment carries it, from ``critical.base_layer`` on.
+    An endpoint keeps its certified enclosure once clipping or a critical
+    split reads it, so a critical segment's endpoints, clipped to the window
+    of their layer, split in the next and clipped to the box at the end,
+    are each enclosed once.
     """
 
     a: CycloNum
     b: CycloNum
     power: int
     depth: int = 0
-    enclosed: tuple["_Enclosed", ...] = field(default=(), compare=False, repr=False)
 
     def grid_line(self) -> tuple[int, CycloNum]:
         """(e, beta) with the segment on the grid line Im(zeta^e * w) = -beta."""
@@ -196,41 +193,26 @@ def _sum_sign(t1: int, e1: int, s1: int, t2: int, e2: int, s2: int) -> Optional[
     return _decide(t1 * s2 + t2 * s1, e1 * s2 + e2 * s1)
 
 
-class _Enclosed(NamedTuple):
-    """A point w with its ``FieldContext.enclosure``: |x - s*Re(w)| <= err
-    and |y - s*Im(w)| <= err, s = w.den * 2^64."""
-
-    w: CycloNum
-    x: int
-    y: int
-    err: int
-    s: int
-
-
-def _enclosed(w: CycloNum) -> _Enclosed:
-    return _Enclosed(w, *w.ctx.enclosure(w))
-
-
-def _binding_offsets(constraints: Iterable[HalfPlane]) -> dict[int, _Enclosed]:
+def _binding_offsets(constraints: Iterable[HalfPlane]) -> dict[int, CycloNum]:
     """The constraints that can bind, at most one per direction, in grid
     form: written as Im(zeta^e * w + c) > 0, those of one exponent e are
-    nested, and the first with the least Im(c) is kept, enclosed.  Takes
-    any iterable and holds at most m.  A later c' replaces c when
+    nested, and the first with the least Im(c) is kept, as the offset c.
+    Takes any iterable and holds at most m.  A later c' replaces c when
     Im(c' - c) < 0, decided by ``_sum_sign`` on the enclosures of Im(c')
     and -Im(c), with the exact sign of Im(c' - c) only when they leave it
     open."""
-    best: dict[int, _Enclosed] = {}
+    best: dict[int, CycloNum] = {}
     for h in constraints:
         e, c = _grid_form(h)
-        new = _enclosed(c)
         old = best.get(e)
         if old is not None:
-            s = _sum_sign(new.y, new.err, new.s, -old.y, old.err, old.s)
-            if s is None:
-                s = sign_of_imag(c - old.w)
-            if s != Sign.NEGATIVE:
+            _, y, err, s = old.enclosure()
+            sign = _sum_sign(*c.enclosure()[1:], -y, err, s)
+            if sign is None:
+                sign = sign_of_imag(c - old)
+            if sign != Sign.NEGATIVE:
                 continue
-        best[e] = new
+        best[e] = c
     return best
 
 
@@ -260,15 +242,16 @@ def intersect_halfplanes(constraints: Iterable[HalfPlane]):
     offset = _binding_offsets(constraints)
     if not offset:
         raise ParameterError("at least one constraint is required")
-    m = next(iter(offset.values())).w.ctx.m
+    m = next(iter(offset.values())).ctx.m
     half = m // 2
 
     for e, a in offset.items():
         b = offset.get(e + half)  # exponents lie in [0, m): only e < m/2 has one
         if b is not None:
-            s = _sum_sign(a.y, a.err, a.s, b.y, b.err, b.s)
+            # (Y, E, s) of each enclosure: Im(a) + Im(b)
+            s = _sum_sign(*a.enclosure()[1:], *b.enclosure()[1:])
             if s is None:
-                s = sign_of_imag(a.w + b.w)
+                s = sign_of_imag(a + b)
             if s != Sign.POSITIVE:
                 return EMPTY
     exps = sorted(offset)
@@ -284,8 +267,8 @@ def intersect_halfplanes(constraints: Iterable[HalfPlane]):
     return make_polygon(vertices)
 
 
-def _side(offset: dict[int, _Enclosed], e: int, w: CycloNum) -> Sign:
-    """Sign of Im(zeta^e * w + c) with c = offset[e].w.
+def _side(offset: dict[int, CycloNum], e: int, w: CycloNum) -> Sign:
+    """Sign of Im(zeta^e * w + c) with c = offset[e].
 
     The row ``sine_row(e)`` gives t_w = sum(w_j * row_j) within e_w =
     sum|w_j| of s_w * Im(zeta^e * w), s_w = w.den * 2^64, and the offset's
@@ -293,19 +276,19 @@ def _side(offset: dict[int, _Enclosed], e: int, w: CycloNum) -> Sign:
     decides the sum.  Only a point on the line, or within about
     (e_w*s_c + err_c*s_w) / (s_w*s_c) of it, takes the exact test.
     """
-    o = offset[e]
+    c = offset[e]
     vec = w.vec
     s = _sum_sign(sum(map(mul, vec, w.ctx.sine_row(e))), sum(map(abs, vec)), w.den << 64,
-                  o.y, o.err, o.s)
-    return sign_of_imag(w.mul_zeta(e) + o.w) if s is None else s
+                  *c.enclosure()[1:])
+    return sign_of_imag(w.mul_zeta(e) + c) if s is None else s
 
 
-def _sweep(offset: dict[int, _Enclosed]) -> list[CycloNum]:
-    """One half-plane sweep over the bounded system Im(zeta^e * w + offset[e].w)
+def _sweep(offset: dict[int, CycloNum]) -> list[CycloNum]:
+    """One half-plane sweep over the bounded system Im(zeta^e * w + offset[e])
     > 0, in the counterclockwise order of the edge directions zeta^-e (de
     Berg et al., Computational Geometry, 4.2): the vertex ring of the edges
     it keeps, or [] when it keeps fewer than three."""
-    beta = {e: o.w.imag() for e, o in offset.items()}
+    beta = {e: c.imag() for e, c in offset.items()}
     corners: dict[tuple[int, int], CycloNum] = {}
 
     def corner(f: int, g: int) -> CycloNum:
@@ -338,23 +321,25 @@ def vertex_average(vertices: Sequence[CycloNum]) -> CycloNum:
     return sum(vertices[1:], vertices[0]) / len(vertices)
 
 
-def _cmp_points(p: _Enclosed, r: _Enclosed) -> int:
+def _cmp_points(p: CycloNum, r: CycloNum) -> int:
     """Order by real part, then imaginary part.
 
     Re(p) - Re(r) is the sum of two enclosed values, x_p within err_p of
     s_p*Re(p) and -x_r within err_r of -s_r*Re(r), and ``_sum_sign``
     decides it; likewise for the imaginary parts.  A difference the
     enclosures leave open takes the exact sign of the real element."""
-    for u, v, part in ((p.x, r.x, CycloNum.real), (p.y, r.y, CycloNum.imag)):
-        s = _sum_sign(u, p.err, p.s, -v, r.err, r.s)
+    xp, yp, ep, sp = p.enclosure()
+    xr, yr, er, sr = r.enclosure()
+    for u, v, part in ((xp, xr, CycloNum.real), (yp, yr, CycloNum.imag)):
+        s = _sum_sign(u, ep, sp, -v, er, sr)
         if s is None:
-            s = sign_of_real(part(p.w) - part(r.w))
+            s = sign_of_real(part(p) - part(r))
         if s != Sign.ZERO:
             return int(s)
     return 0
 
 
-def _turn(o: _Enclosed, a: _Enclosed, b: _Enclosed) -> Sign:
+def _turn(o: CycloNum, a: CycloNum, b: CycloNum) -> Sign:
     """Sign of the cross product (a - o) x (b - o), from the enclosures.
 
     A_x = x_a*s_o - x_o*s_a and A_y (likewise) are within F_a = err_a*s_o +
@@ -366,14 +351,14 @@ def _turn(o: _Enclosed, a: _Enclosed, b: _Enclosed) -> Sign:
     the cross product, and |T| > E gives its sign.  Only collinear points,
     or points within about that bound of a line, take the exact test.
     """
-    _, xo, yo, eo, so = o
-    _, xa, ya, ea, sa = a
-    _, xb, yb, eb, sb = b
+    xo, yo, eo, so = o.enclosure()
+    xa, ya, ea, sa = a.enclosure()
+    xb, yb, eb, sb = b.enclosure()
     ax, ay, fa = xa * so - xo * sa, ya * so - yo * sa, ea * so + eo * sa
     bx, by, fb = xb * so - xo * sb, yb * so - yo * sb, eb * so + eo * sb
     s = _decide(ax * by - ay * bx, fa * (abs(bx) + abs(by) + 2 * fb) + fb * (abs(ax) + abs(ay)))
     if s is None:
-        return sign_of_imag((a.w - o.w).conj() * (b.w - o.w))
+        return sign_of_imag((a - o).conj() * (b - o))
     return s
 
 
@@ -386,25 +371,23 @@ def make_polygon(vertices: Sequence[CycloNum]) -> ConvexPolygon:
     n = len(verts)
     if n < 3:
         raise ParameterError("a polygon needs at least three vertices")
-    pts = [_enclosed(v) for v in verts]
     for i in range(n):
         if verts[i] == verts[(i + 1) % n]:
             raise ParameterError("consecutive vertices coincide")
-        if _turn(pts[i], pts[(i + 1) % n], pts[(i + 2) % n]) != Sign.POSITIVE:
+        if _turn(verts[i], verts[(i + 1) % n], verts[(i + 2) % n]) != Sign.POSITIVE:
             raise ParameterError("vertex cycle is not strictly convex counterclockwise")
-    start = min(range(n), key=lambda i: functools.cmp_to_key(_cmp_points)(pts[i]))
-    return ConvexPolygon(tuple(verts[start:] + verts[:start]), tuple(pts[start:] + pts[:start]))
+    start = verts.index(min(verts, key=functools.cmp_to_key(_cmp_points)))
+    return ConvexPolygon(tuple(verts[start:] + verts[:start]))
 
 
 def polygon_contains(p: ConvexPolygon, z: CycloNum) -> Location:
-    """Where z lies: the turn of z against each edge, from the polygon's
-    vertex enclosures and one enclosure of z, exactly only where they leave
+    """Where z lies: the turn of z against each edge, from the enclosures
+    the vertices keep and one enclosure of z, exactly only where they leave
     the sign open."""
-    pts = p.enclosed
-    pz = _enclosed(z)
-    n, saw_zero = len(pts), False
+    v = p.vertices
+    n, saw_zero = len(v), False
     for i in range(n):
-        s = _turn(pts[i], pts[(i + 1) % n], pz)
+        s = _turn(v[i], v[(i + 1) % n], z)
         if s == Sign.NEGATIVE:
             return Location.EXTERIOR
         if s == Sign.ZERO:
@@ -465,44 +448,42 @@ def clip_segment_to_box(seg: ExactSegment, box: Box) -> Optional[ExactSegment]:
     Im(zeta^f * w) + beta_f >= 0 with f = 0, m/4, m/2, 3m/4.  Face by face,
     a segment with both endpoints outside is dropped, and an endpoint outside
     moves to the grid corner of the segment's line with the face.  Each
-    endpoint's certified enclosure (``FieldContext.enclosure``) decides a
-    face by integer compares; only a face it leaves open, with the endpoint
-    on it or within sum|vec_j| / (den * 2^64) of it, takes the exact test.
-    This is the only clipping code.  It reads the enclosures from
-    ``seg.enclosed`` and makes them only for a segment that carries none; a
-    moved endpoint is enclosed once, when it is made, and the result carries
-    the records of both its endpoints.  So a critical segment, clipped to
-    the window of its layer and later to the box, is never enclosed twice,
-    and one that carries its records and that no face moves is returned as
+    endpoint's certified enclosure (``CycloNum.enclosure``) decides a face
+    by integer compares; only a face it leaves open, with the endpoint on it
+    or within sum|vec_j| / (den * 2^64) of it, takes the exact test.  This
+    is the only clipping code.  An endpoint keeps its enclosure, so a
+    critical segment, clipped to the window of its layer and later to the
+    box, is enclosed once, and a segment that no face moves is returned as
     it is.
     """
     ctx = seg.a.ctx
     m = ctx.m
-    ends = list(seg.enclosed) or [_enclosed(seg.a), _enclosed(seg.b)]
+    ends = [seg.a, seg.b]
     line = None
     # face f is s * (coordinate - v) >= 0, that is Im(zeta^f * w) - s*v >= 0,
-    # for the coordinate Im(w) (record field c = 2) or Re(w) (c = 1)
-    for f, c, s, v in ((0, 2, 1, box.y0), (m // 4, 1, 1, box.x0),
-                       (m // 2, 2, -1, box.y1), (3 * m // 4, 1, -1, box.x1)):
+    # for the coordinate Im(w) (enclosure entry c = 1) or Re(w) (c = 0)
+    for f, c, s, v in ((0, 1, 1, box.y0), (m // 4, 0, 1, box.x0),
+                       (m // 2, 1, -1, box.y1), (3 * m // 4, 0, -1, box.x1)):
         num, den = v.numerator, v.denominator
         out = []
-        for p in ends:
+        for w in ends:
+            enc = w.enclosure()
             # den * scale * s * (coordinate - v), within den * err; the
             # compare is inline, not ``_decide``, whose call per endpoint and
             # face measured 6 % slower on a critical-set round
-            gap = s * (den * p[c] - num * p.s)
-            if abs(gap) > den * p.err:
+            gap = s * (den * enc[c] - num * enc[3])
+            if abs(gap) > den * enc[2]:
                 out.append(gap < 0)
             else:
-                out.append(sign_of_imag(p.w.mul_zeta(f) - ctx.point(0, s * v)) == Sign.NEGATIVE)
+                out.append(sign_of_imag(w.mul_zeta(f) - ctx.point(0, s * v)) == Sign.NEGATIVE)
         if out[0] and out[1]:
             return None
         if out[0] or out[1]:
             line = line or seg.grid_line()
-            ends[0 if out[0] else 1] = _enclosed(grid_corner(*line, f, ctx.from_rational(-s * v)))
+            ends[0 if out[0] else 1] = grid_corner(*line, f, ctx.from_rational(-s * v))
     a, b = ends
-    if a.w == b.w:
+    if a == b:
         return None
-    if line is None and seg.enclosed:
+    if line is None:
         return seg
-    return ExactSegment(a.w, b.w, seg.power, seg.depth, (a, b))
+    return ExactSegment(a, b, seg.power, seg.depth)

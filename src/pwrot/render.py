@@ -30,9 +30,9 @@ def color_for_period(period: int) -> str:
 
 @dataclass
 class Scene:
-    """World-coordinate drawing list with an optional fixed viewport."""
+    """World-coordinate drawing list, drawn to the padded bounds of what it
+    holds."""
 
-    viewport: tuple | None = None       # (x0, y0, x1, y1) in world floats
     segments: list = field(default_factory=list)
     polygons: list = field(default_factory=list)
     points: list = field(default_factory=list)
@@ -47,8 +47,6 @@ class Scene:
         self.points.append((float(x), float(y), color, radius))
 
     def _bounds(self):
-        if self.viewport is not None:
-            return self.viewport
         xs, ys = [], []
         for x1, y1, x2, y2, _, _ in self.segments:
             xs += [x1, x2]
@@ -123,21 +121,20 @@ def polygon_scene(polygons, fill, stroke="#333333", opacity=1.0, scene=None) -> 
     return scene
 
 
-def tiles_scene(tiles, viewport=None) -> Scene:
-    scene = Scene(viewport=viewport)
+def tiles_scene(tiles) -> Scene:
+    """Each tile's polygon in the color of its period, with its center."""
+    scene = Scene()
     for tile in tiles:
-        pts = [(v.to_complex().real, v.to_complex().imag) for v in tile.polygon.vertices]
-        scene.add_polygon(
-            pts, fill=color_for_period(tile.period), stroke="#333333", opacity=0.55
-        )
+        polygon_scene([tile.polygon.vertices], color_for_period(tile.period), opacity=0.55,
+                      scene=scene)
         c = tile.center.to_complex()
         scene.add_point(c.real, c.imag, color="#000000", radius=1.6)
     return scene
 
 
-def orbit_scene(points, viewport=None, color="#1f6fc4") -> Scene:
-    scene = Scene(viewport=viewport)
+def orbit_scene(points) -> Scene:
+    scene = Scene()
     for z in points:
         c = z.to_complex()
-        scene.add_point(c.real, c.imag, color=color, radius=2.0)
+        scene.add_point(c.real, c.imag, color="#1f6fc4", radius=2.0)
     return scene

@@ -17,7 +17,8 @@ suite warns whenever ``pwrot.stepper`` finds no compiled kernel after the
 build.
 
 The ``exact_enclosures`` fixture widens the error of every
-``FieldContext.enclosure``, so that no enclosure decides a sign.
+``CycloNum.enclosure``, so that no enclosure decides a sign, and
+``enclosures_computed`` lists the values whose enclosure is computed.
 
 Tests marked ``long`` (multi-minute exact-orbit runs) skip unless the
 environment sets PWROT_LONG.
@@ -78,20 +79,39 @@ def pytest_configure(config):
 
 @pytest.fixture
 def exact_enclosures(monkeypatch):
-    """Every ``FieldContext.enclosure`` returns an error past any value its
-    sums can bound.  That is still a sound enclosure, only a useless one: no
+    """Every ``CycloNum.enclosure`` returns an error past any value its sums
+    can bound.  That is still a sound enclosure, only a useless one: no
     sign is decided from it, so every split, window face and box face of a
     critical layer takes its exact test, as do the tile build's predicates
-    that read an enclosure."""
-    from pwrot.cyclo import FieldContext
+    that read an enclosure.  The sums are taken afresh from a copy of the
+    value, so an enclosure a long-lived value kept before the fixture is
+    widened too, and none is kept under it."""
+    from pwrot.cyclo import CycloNum
 
-    enclosure = FieldContext.enclosure
+    enclosure = CycloNum.enclosure
 
-    def widened(self, a):
-        x, y, err, s = enclosure(self, a)
+    def widened(self):
+        x, y, err, s = enclosure(CycloNum(self.ctx, self.vec, self.den))
         return x, y, (err + abs(x) + abs(y) + s) << 64, s
 
-    monkeypatch.setattr(FieldContext, "enclosure", widened)
+    monkeypatch.setattr(CycloNum, "enclosure", widened)
+
+
+@pytest.fixture
+def enclosures_computed(monkeypatch):
+    """The values whose ``CycloNum.enclosure`` is computed, not read from
+    what the value kept, while the test runs."""
+    from pwrot.cyclo import CycloNum
+
+    enclosure, computed = CycloNum.enclosure, []
+
+    def counted(self):
+        if self._enclosure is None:
+            computed.append(self)
+        return enclosure(self)
+
+    monkeypatch.setattr(CycloNum, "enclosure", counted)
+    return computed
 
 
 def pytest_collection_modifyitems(config, items):

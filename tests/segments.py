@@ -10,7 +10,7 @@ from fieldops import squared_abs
 
 def orientation(o, a, b) -> Sign:
     """Sign of the cross product (a - o) x (b - o)."""
-    return geometry._turn(geometry._enclosed(o), geometry._enclosed(a), geometry._enclosed(b))
+    return geometry._turn(o, a, b)
 
 
 def point_on_segment(seg, w) -> bool:

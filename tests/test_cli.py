@@ -158,6 +158,18 @@ class TestIterate:
             "0c7a82d3b27c0bbdb29aaf497b2b6ac4e52abc654a454f3fe7688cc3cc122e39"
         )
 
+    def test_svg_digest(self, capsys, tmp_path):
+        # taken before the orbit scene lost its viewport and color knobs
+        target = tmp_path / "orbit.svg"
+        code, _, _ = run(
+            capsys, "iterate", "--alpha", "4/5", "--point", "Q", "--n", "30",
+            "--format", "svg", "--out", str(target),
+        )
+        assert code == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "369fd0a4818a5ae8aa5c594dcc366f452a3a7e9bfd315aac266563308dbe7e65"
+        )
+
     def test_origin_one_step(self, capsys):
         code, out, _ = run(
             capsys, "iterate", "--alpha", "4/5", "--point", "(0,0)", "--n", "1",
@@ -415,6 +427,38 @@ class TestScan:
         assert sidecar["outcomes"]["period"] > 0
         assert sidecar["tiles"]
 
+    def test_csv_out_named_like_its_sidecar_is_bad_input(self, capsys, tmp_path):
+        # the sidecar goes to --out with the suffix .json, which would be the
+        # CSV's own path: refuse before writing either
+        target = tmp_path / "scan.json"
+        code, out, err = run(
+            capsys, "scan", "--alpha", "4/5", "--box=-1,-1,1,1", "--grid", "1/2",
+            "--budget", "2000", "--out", str(target),
+        )
+        assert code == 4
+        assert out == "" and str(target) in err and "sidecar" in err
+        assert list(tmp_path.iterdir()) == []
+        # the same name is fine for the JSON format, which has no sidecar
+        code, _, _ = run(
+            capsys, "scan", "--alpha", "4/5", "--box=-1,-1,1,1", "--grid", "1/2",
+            "--budget", "2000", "--format", "json", "--out", str(target),
+        )
+        assert code == 0
+        assert json.loads(target.read_text())["tiles"]
+
+    def test_svg_digest(self, capsys, tmp_path):
+        # taken before the tiles scene was built through the polygon scene
+        target = tmp_path / "scan.svg"
+        code, _, _ = run(
+            capsys, "scan", "--alpha", "4/5", "--box=-3,-3,3,3", "--grid", "1",
+            "--budget", "3000", "--format", "svg", "--out", str(target),
+        )
+        assert code == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "ced5f148b7efedf0ca18a75137f2ce46c33c124b89efcd2bc7acd7a13680b0bd"
+        )
+        assert list(tmp_path.iterdir()) == [target]
+
     @pytest.mark.parametrize("grid", ["0", "abc"])
     def test_bad_grid_is_bad_input(self, capsys, grid):
         code, out, err = run(
@@ -453,6 +497,14 @@ class TestScan:
                                         budget, csv_digest, json_digest):
         # the same bytes when every walk runs on the pure kernel
         monkeypatch.setenv("PWROT_PURE", "1")
+        self.test_golden_digests(capsys, tmp_path, alpha, box, grid, budget, csv_digest,
+                                 json_digest)
+
+    @pytest.mark.parametrize("alpha, box, grid, budget, csv_digest, json_digest", SCAN_DIGESTS)
+    def test_golden_digests_exact_enclosures(self, capsys, tmp_path, exact_enclosures, alpha,
+                                             box, grid, budget, csv_digest, json_digest):
+        # the same bytes when no enclosure decides a sign: every offset,
+        # vertex and point the tile build encloses takes its exact test
         self.test_golden_digests(capsys, tmp_path, alpha, box, grid, budget, csv_digest,
                                  json_digest)
 

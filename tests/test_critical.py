@@ -217,20 +217,26 @@ class TestEnclosedEndpoints:
     def test_branch_images_stay_reduced(self, p, q, box, direction):
         # the branch map builds zeta^t w + c on the lattice pair with no gcd;
         # every endpoint, in the windowed layers and in the bundle, is still
-        # the reduced pair, and carries its own enclosure
+        # the reduced pair, and the enclosure it keeps is its own
         ctx = make_field(p, q)
         layers = chain(ctx, 10, box, direction)
         layers += critical_bundle(ctx, 10, box, direction).layers
         ends = 0
         for layer in layers:
             for seg in layer.segments:
-                assert [r.w for r in seg.enclosed] == [seg.a, seg.b]
-                for w, record in zip((seg.a, seg.b), seg.enclosed):
+                for w in (seg.a, seg.b):
                     assert w.den > 0 and math.gcd(w.den, *w.vec) == 1
                     assert w == ctx.from_lattice(w.vec, w.den)
-                    assert record[1:] == ctx.enclosure(w)
+                    assert w.enclosure() == CycloNum(ctx, w.vec, w.den).enclosure()
                     ends += 1
         assert ends > 40
+
+    def test_enclosures_computed(self, ctx5, enclosures_computed):
+        # an endpoint is enclosed once, when a clip or split first reads it:
+        # no more than the 206 enclosures of this bundle when each endpoint
+        # was enclosed as it was made, read or not
+        critical_bundle(ctx5, 8, Box(-3, -3, 3, 3), "both")
+        assert 0 < len(enclosures_computed) <= 206
 
     @pytest.mark.parametrize("direction", [PULLBACK, FORWARD])
     def test_widened_enclosures_leave_every_sign_exact(self, ctx5, request, monkeypatch,

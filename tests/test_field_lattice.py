@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from pwrot import cyclo
+from pwrot.casestudy import golden_context
 from pwrot.cyclo import (
     CycloNum,
     Sign,
@@ -193,6 +194,34 @@ def test_sine_rows_enclose_rotated_imaginary_parts(p, q):
             t = sum(x * y for x, y in zip(a.vec, ctx.sine_row(e)))
             ref = sum(x * sines[(j + e) % ctx.m] for j, x in enumerate(a.vec))
             assert abs(t - ref) <= sum(map(abs, a.vec))
+
+
+@pytest.mark.parametrize("p,q", FIELDS)
+def test_enclosure_bounds_both_parts_and_is_kept(p, q):
+    # |X - den * 2^64 * Re(a)| <= E and likewise Y, E = sum|vec_j|, s = den *
+    # 2^64; computed once per value, and an equal value encloses the same
+    ctx = make_field(p, q)
+    rng = random.Random(11 * q)
+    nodes = [scaled_cos_sin(k, ctx.m) for k in range(ctx.d)]
+    for _ in range(20):
+        a = random_element(ctx, rng, span=1000)
+        x, y, err, s = enc = a.enclosure()
+        assert err == sum(map(abs, a.vec)) and s == a.den << 64
+        assert abs(x - sum(v * c for v, (c, _) in zip(a.vec, nodes))) <= err
+        assert abs(y - sum(v * n for v, (_, n) in zip(a.vec, nodes))) <= err
+        assert a.enclosure() is enc
+        assert CycloNum(ctx, a.vec, a.den).enclosure() == enc
+    assert ctx.zero().enclosure() == (0, 0, 0, 1 << 64)
+
+
+def test_widened_enclosures_reach_values_enclosed_before(request):
+    # the exact_enclosures fixture must not read an enclosure a long-lived
+    # value kept before it was active, or that value would still decide signs
+    q = golden_context().Q
+    x, y, err, s = q.enclosure()
+    request.getfixturevalue("exact_enclosures")
+    assert q.enclosure() == (x, y, (err + abs(x) + abs(y) + s) << 64, s)
+    assert CycloNum(q.ctx, q.vec, q.den).enclosure()[2] > abs(x) << 64
 
 
 def test_sign_beyond_the_double_range():

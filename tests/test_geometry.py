@@ -266,7 +266,7 @@ def swept_and_rechecked(constraints):
     m, half = ctx.m, ctx.m // 2
     offset = geometry._binding_offsets(constraints)
     for e, b in offset.items():
-        if e < half and e + half in offset and sign_of_imag(b.w + offset[e + half].w) != Sign.POSITIVE:
+        if e < half and e + half in offset and sign_of_imag(b + offset[e + half]) != Sign.POSITIVE:
             return None, EMPTY
     exps = sorted(offset)
     if any(f - e >= half for e, f in zip(exps, exps[1:] + [exps[0] + m])):
@@ -351,7 +351,7 @@ class TestSweepCertificate:
 
         def keep_every_edge(offset):
             exps = sorted(offset, reverse=True)
-            beta = {e: o.w.imag() for e, o in offset.items()}
+            beta = {e: c.imag() for e, c in offset.items()}
             return [
                 geometry.grid_corner(f, beta[f], g, beta[g])
                 for f, g in zip(exps[-1:] + exps[:-1], exps)
@@ -613,7 +613,7 @@ class TestPredicateCertificate:
         for extra in (HalfPlane(0, sqrt3, 1), HalfPlane(0, -sqrt3, 1)):
             for cons in (square_constraints(ctx12) + [extra], [extra] + square_constraints(ctx12)):
                 del exact_signs[:]
-                assert geometry._binding_offsets(cons)[0].w == cons[0].b
+                assert geometry._binding_offsets(cons)[0] == cons[0].b
                 assert exact_signs == ["_binding_offsets"]
                 assert intersect_halfplanes(cons) == square
 

@@ -224,6 +224,13 @@ class TestScan:
         ]
         assert irregular_hexes, "expected an irregular hexagon in the inventory"
 
+    def test_enclosures_computed(self, gc, enclosures_computed):
+        # the first tile-scan grid of the benchmark: a value is enclosed at
+        # most once, when a predicate first reads it, so no more than the 244
+        # enclosures this scan made before values kept their own
+        scan_region(gc.ctx, Box(-3, -3, 3, 3), Fraction(1), 3000)
+        assert 0 < len(enclosures_computed) <= 244
+
 
 class TestStreamedConstraints:
     """A tile's polygon equals the intersection of all k*ell pulled-back
