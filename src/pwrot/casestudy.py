@@ -11,10 +11,9 @@ Dodecagon case (rotation by 11*pi/6): the irregular hexagon tile with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cyclo import (
     CycloNum,
@@ -30,8 +29,7 @@ from .stepper import run_signs
 from .tiles import CheckReport, tile_from_seed, tile_images
 
 
-@dataclass(frozen=True)
-class GoldenContext:
+class GoldenContext(NamedTuple):
     """Named exact data of the golden-ratio case."""
 
     ctx: FieldContext
@@ -112,8 +110,7 @@ def q_orbit_returns(gc: GoldenContext, nsteps: int) -> tuple[tuple[int, CycloNum
 # -- dodecagon case ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HexagonContext:
+class HexagonContext(NamedTuple):
     ctx: FieldContext
     sqrt3: CycloNum
     center: CycloNum

@@ -203,17 +203,25 @@ def _critical_json(bundle) -> str:
     its float shadows}, written from one template per segment: strings by
     the encoder's own ``encode_basestring_ascii``, and the shadows, which are
     finite, by ``float.__repr__`` as the encoder writes them.  The standard
-    library runs its pure-Python encoder whenever an indent is given."""
+    library runs its pure-Python encoder whenever an indent is given.
+    Segments share endpoints, so each distinct endpoint is written once."""
     quote = json.encoder.encode_basestring_ascii
     sep = ",\n      "
+    # (vec, den) of an endpoint, in the bundle's one field -> (coefficient strings, shadow)
+    written = {}
+
+    def point(z):
+        got = written.get((z.vec, z.den))
+        if got is None:
+            got = written[z.vec, z.den] = sep.join(map(quote, _coeff_strs(z))), _shadow(z)
+        return got
+
     layers = []
     for layer in bundle.layers:
-        segs = [
-            _SEGMENT_JSON % (sep.join(map(quote, _coeff_strs(seg.a))),
-                             sep.join(map(quote, _coeff_strs(seg.b))),
-                             *_shadow(seg.a), *_shadow(seg.b))
-            for seg in layer.segments
-        ]
+        segs = []
+        for seg in layer.segments:
+            (a, a_shadow), (b, b_shadow) = point(seg.a), point(seg.b)
+            segs.append(_SEGMENT_JSON % (a, b, *a_shadow, *b_shadow))
         body = "[\n" + ",\n".join(segs) + "\n   ]" if segs else "[]"
         layers.append(f'  {{\n   "depth": {layer.depth},\n   "direction": '
                       f'{quote(layer.direction)},\n   "segments": {body}\n  }}')

@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag, sign_of_real
 from .errors import InternalInconsistencyError, ParameterError
@@ -51,15 +51,13 @@ PULLBACK = "pullback"
 FORWARD = "forward"
 
 
-@dataclass(frozen=True)
-class CriticalLayer:
+class CriticalLayer(NamedTuple):
     depth: int
     segments: tuple[ExactSegment, ...]
     direction: str
 
 
-@dataclass(frozen=True)
-class BundleResult:
+class BundleResult(NamedTuple):
     layers: tuple[CriticalLayer, ...]
     truncated: bool
 

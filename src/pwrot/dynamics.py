@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag
 from .errors import CriticalLineError, ParameterError
@@ -29,8 +28,7 @@ class Address(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Itinerary:
+class Itinerary(NamedTuple):
     """A finite word of open-half-plane symbols (+1/-1 per letter)."""
 
     word: tuple[int, ...]
@@ -42,8 +40,7 @@ class Itinerary:
         return len(self.word)
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(NamedTuple):
     """w -> lambda^power * w + offset, the restriction of F^n to a cell."""
 
     power: int

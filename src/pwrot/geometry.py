@@ -31,10 +31,9 @@ from __future__ import annotations
 import enum
 import functools
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag, sign_of_real
 from .errors import ParameterError
@@ -58,28 +57,42 @@ EMPTY = _Region("Empty")
 UNBOUNDED = _Region("Unbounded")
 
 
-@dataclass(frozen=True)
 class Box:
-    """Axis-aligned rectangle with rational corners."""
+    """Axis-aligned rectangle with rational corners; immutable, and equal
+    and hashed by its corners."""
 
-    x0: Fraction
-    y0: Fraction
-    x1: Fraction
-    y1: Fraction
+    __slots__ = ("x0", "y0", "x1", "y1")
 
-    def __post_init__(self):
-        for name in ("x0", "y0", "x1", "y1"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.x0 >= self.x1 or self.y0 >= self.y1:
+    def __init__(self, x0, y0, x1, y1):
+        corners = Fraction(x0), Fraction(y0), Fraction(x1), Fraction(y1)
+        if corners[0] >= corners[2] or corners[1] >= corners[3]:
             raise ParameterError("box must have positive width and height")
+        for name, value in zip(self.__slots__, corners):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Box is immutable: cannot set {name}")
+
+    def _corners(self):
+        return self.x0, self.y0, self.x1, self.y1
+
+    def __eq__(self, other):
+        if other.__class__ is not Box:
+            return NotImplemented
+        return self._corners() == other._corners()
+
+    def __hash__(self):
+        return hash(self._corners())
+
+    def __repr__(self):
+        return "Box(x0={!r}, y0={!r}, x1={!r}, y1={!r})".format(*self._corners())
 
     def inflate(self, r) -> "Box":
         r = Fraction(r)
         return Box(self.x0 - r, self.y0 - r, self.x1 + r, self.y1 + r)
 
 
-@dataclass(frozen=True)
-class HalfPlane:
+class HalfPlane(NamedTuple):
     """Open half-plane {w : side * Im(lambda^power * w + b) > 0}.
 
     Every constraint the engine intersects is bounded by a line parallel to
@@ -92,8 +105,7 @@ class HalfPlane:
     side: int
 
 
-@dataclass(frozen=True)
-class ConvexPolygon:
+class ConvexPolygon(NamedTuple):
     """Strictly convex vertex cycle, counterclockwise, canonical start.
 
     The vertices keep the enclosures that :func:`make_polygon` read, so
@@ -114,8 +126,7 @@ class ConvexPolygon:
         return self.vertices
 
 
-@dataclass(frozen=True)
-class ExactSegment:
+class ExactSegment(NamedTuple):
     """The closed segment from a to b, parallel to lambda^power.
 
     An endpoint keeps its certified enclosure once clipping or a critical

@@ -7,8 +7,6 @@ bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 DEPTH_PALETTE = [
     "#4477aa", "#66ccee", "#228833", "#ccbb44", "#ee6677",
     "#aa3377", "#bbbbbb", "#222255", "#225555", "#553322",
@@ -28,14 +26,14 @@ def color_for_period(period: int) -> str:
     return PERIOD_PALETTE[period % len(PERIOD_PALETTE)]
 
 
-@dataclass
 class Scene:
     """World-coordinate drawing list, drawn to the padded bounds of what it
     holds."""
 
-    segments: list = field(default_factory=list)
-    polygons: list = field(default_factory=list)
-    points: list = field(default_factory=list)
+    def __init__(self):
+        self.segments: list = []
+        self.polygons: list = []
+        self.points: list = []
 
     def add_segment(self, x1, y1, x2, y2, color="#444444", width=1.0):
         self.segments.append((float(x1), float(y1), float(x2), float(y2), color, width))

@@ -17,8 +17,7 @@ compiled walk that outgrows int64 in the pure kernel from its start;
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import _steppy
 from ._steppy import STATUS_OK
@@ -44,8 +43,7 @@ def _compiled_enabled() -> bool:
     return HAVE_COMPILED and os.environ.get("PWROT_PURE") != "1"
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     """One first-return walk: the period (None past the budget), the on-line
     iterates, the sign of each iterate walked, and, when the walk
     nominated, per class e the nominee (j, vec) of least s_j Im(z_j) of

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cyclo import CycloNum, FieldContext
 from .dynamics import (
@@ -58,8 +57,7 @@ from .geometry import (
 from .stepper import OrbitRecord
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     """One connected component of the regular set, keyed by its minimal
     itinerary block ``word``.  ``center`` is the fixed point of the block map
     when k > 1; a k = 1 tile (q divides ell) reports the first seed it was
@@ -83,10 +81,6 @@ class Tile:
         return rotation_order(self.ctx, self.ell)
 
     @property
-    def rotational(self) -> bool:
-        return self.k > 1
-
-    @property
     def period(self) -> int:
         """The minimal period k*ell of the tile's interior points."""
         return self.k * self.ell
@@ -99,12 +93,12 @@ class Tile:
         return self.word.word
 
 
-@dataclass
 class CheckReport:
     """Outcome of a verification run; ``passed`` is the conjunction."""
 
-    name: str
-    checks: list = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name = name
+        self.checks: list = []
 
     def record(self, label: str, ok: bool, detail: str = ""):
         self.checks.append((label, bool(ok), detail))
@@ -307,8 +301,7 @@ def verify_polygon_bounds(t: Tile) -> CheckReport:
     return report
 
 
-@dataclass(frozen=True)
-class ScanOutcome:
+class ScanOutcome(NamedTuple):
     x: Fraction
     y: Fraction
     kind: str                      # "period" | "budget" | "critical"
@@ -316,14 +309,15 @@ class ScanOutcome:
     touch_index: Optional[int] = None
 
 
-@dataclass
 class ScanReport:
-    box: Box
-    step: Fraction
-    budget: int
-    outcomes: list
-    tiles: dict                    # tile key (its block) -> (Tile, multiplicity)
-    histogram: dict                # period -> sample count
+    def __init__(self, box: Box, step: Fraction, budget: int, outcomes: list,
+                 tiles: dict, histogram: dict):
+        self.box = box
+        self.step = step
+        self.budget = budget
+        self.outcomes = outcomes
+        self.tiles = tiles            # tile key (its block) -> (Tile, multiplicity)
+        self.histogram = histogram    # period -> sample count
 
     @property
     def tile_list(self):

@@ -259,7 +259,7 @@ def test_criterion_06_permutation_rotation_structure(discovered):
         q = ctx.q
         for tile, _ in data["selected"]:
             ell, k = tile.ell, tile.k
-            if k != q // math.gcd(ell, q) and tile.rotational:
+            if k != q // math.gcd(ell, q) and k > 1:
                 problems.append(f"{label}: k mismatch for ell={ell}")
                 continue
             # multiplicative order of the block rotation

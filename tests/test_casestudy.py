@@ -50,6 +50,12 @@ def gc():
 
 
 class TestGoldenContext:
+    def test_cases_are_frozen(self, gc):
+        with pytest.raises(AttributeError):
+            gc.phi = gc.Q
+        with pytest.raises(AttributeError):
+            hexagon_context().center = gc.Q
+
     def test_scale_is_inverse_phi_cubed(self, gc):
         assert gc.r_scale * gc.phi ** 3 == 1
 

@@ -113,21 +113,34 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _fresh_python(code: str) -> list[str]:
+    """The words that ``code`` prints, run by a fresh interpreter that
+    imports pwrot from this tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pwrot.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return proc.stdout.split()
+
+
 def test_import_needs_only_the_standard_library():
-    code = (
+    loaded = _fresh_python(
         "import sys\n"
         "before = set(sys.modules)\n"
         "import pwrot.cli\n"
         "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(pwrot.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    loaded = proc.stdout.split()
     assert "pwrot.cli" in loaded
     foreign = [name for name in loaded if name.split(".")[0] not in sys.stdlib_module_names
                and name.split(".")[0] != "pwrot"]
     assert foreign == []
+
+
+def test_import_loads_no_introspection_modules():
+    # the records are NamedTuples and plain classes: no dataclasses module,
+    # nor the inspect, ast and dis that it imports, at every command's start
+    loaded = _fresh_python("import sys, pwrot.cli\nprint('\\n'.join(sys.modules))\n")
+    assert "pwrot.cli" in loaded
+    assert [name for name in ("dataclasses", "inspect", "ast", "dis") if name in loaded] == []
 
 
 class TestIterate:

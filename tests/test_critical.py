@@ -175,6 +175,20 @@ class TestBundle:
         assert critical.window(Box(0, 0, 3, 4), 2) == Box(-7, -7, 7, 7)  # exactly 5
         assert critical.window(Box(0, 0, Fraction(1, 2), Fraction(1, 3)), 0) == Box(-1, -1, 1, 1)
 
+    def test_equal_boxes_share_one_rho(self):
+        critical._rho.cache_clear()
+        a, b = Box(-1, -2, 6, 3), Box("-1", Fraction(-4, 2), 6, 3)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert critical._rho(a) == critical._rho(b) == 7
+        assert critical._rho.cache_info().hits == 1
+
+    def test_layers_are_frozen(self, ctx5):
+        bundle = critical_bundle(ctx5, 1, BOX)
+        with pytest.raises(AttributeError):
+            bundle.truncated = True
+        with pytest.raises(AttributeError):
+            bundle.layers[0].depth = 2
+
     def test_cap_truncates_with_flag(self, ctx5):
         bundle = critical_bundle(ctx5, 10, BOX, cap=10)
         assert bundle.truncated

@@ -212,6 +212,12 @@ class TestMinimalPeriod:
         with pytest.raises(ParameterError):
             minimal_period(ctx.zero(), 0)
 
+    def test_record_is_frozen(self, golden):
+        ctx, phi, s = golden
+        rec = minimal_period(fixed_pentagon_center(ctx, phi, s), 10)
+        with pytest.raises(AttributeError):
+            rec.period = 2
+
 
 class TestItinerary:
     def test_fixed_point_word(self, golden):
@@ -241,6 +247,13 @@ class TestItinerary:
         word = itinerary(p1, 7)
         ell = itinerary_period(word)
         assert 7 % ell == 0
+
+    def test_word_is_a_frozen_value_of_its_length(self, golden):
+        ctx, phi, s = golden
+        word = itinerary(fixed_pentagon_center(ctx, phi, s), 5)
+        assert len(word) == 5 and word == Itinerary((1,) * 5)
+        with pytest.raises(AttributeError):
+            word.word = ()
 
 
 class TestItineraryPeriod:

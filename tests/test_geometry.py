@@ -410,6 +410,37 @@ class TestPolygon:
         assert polygon_is_regular(img)
 
 
+class TestRecords:
+    """The geometry's values are immutable and equal by value; a box keeps
+    its corners as fractions."""
+
+    def test_box_corners_are_fractions(self):
+        box = Box(0, 0, 1, "1/2")
+        assert [type(c) for c in (box.x0, box.y0, box.x1, box.y1)] == [Fraction] * 4
+        assert box == Box(Fraction(0), 0, 1, Fraction(1, 2)) != Box(0, 0, 1, 1)
+        assert hash(box) == hash(Box(Fraction(0), 0, 1, Fraction(1, 2)))
+        assert repr(box) == ("Box(x0=Fraction(0, 1), y0=Fraction(0, 1),"
+                             " x1=Fraction(1, 1), y1=Fraction(1, 2))")
+
+    @pytest.mark.parametrize("corners", [(0, 0, 0, 1), (0, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0)])
+    def test_empty_box_is_rejected(self, corners):
+        with pytest.raises(ParameterError):
+            Box(*corners)
+
+    def test_records_are_frozen(self, ctx12):
+        z = ctx12.point(1, 1)
+        square = intersect_halfplanes(square_constraints(ctx12))
+        records = [(Box(0, 0, 1, 1), "x0"), (HalfPlane(0, z, 1), "side"), (square, "vertices"),
+                   (ExactSegment(z, 2 * z, 0), "depth"), (AffineMap(1, z), "offset")]
+        for record, name in records:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+    def test_polygon_length_is_its_vertex_count(self, ctx12):
+        square = intersect_halfplanes(square_constraints(ctx12))
+        assert len(square) == len(square.vertices) == 4
+
+
 def regular_by_sides_and_angles(p):
     """The reference for ``polygon_is_regular``: equal squared side lengths
     and equal dot products of consecutive edges, by 2n field products."""

@@ -61,9 +61,11 @@ class TestTileFromSeed:
     def test_fixed_pentagon(self, p0_tile, gc):
         t = p0_tile
         assert (t.ell, t.k, t.sides) == (1, 5, 5)
-        assert t.rotational
+        assert t.k > 1
         assert polygon_is_regular(t.polygon)
         assert t.center == gc.P0
+        with pytest.raises(AttributeError):
+            t.center = gc.Q
         assert polygon_contains(t.polygon, gc.P0) == Location.INTERIOR
 
     def test_seven_cycle_pentagon(self, p1_tile, gc):
@@ -187,6 +189,11 @@ class TestScan:
         for tile, mult in report.tiles.values():
             assert mult >= 1
             assert verify_polygon_bounds(tile).passed
+
+    def test_outcomes_are_frozen(self, gc):
+        report = scan_region(gc.ctx, Box(0, 1, 1, 2), Fraction(1), 200)
+        with pytest.raises(AttributeError):
+            report.outcomes[0].kind = "budget"
 
     def test_scan_histogram_counts_periodic_samples(self, gc):
         report = scan_region(gc.ctx, Box(-1, -1, 1, 1), Fraction(1, 2), 2000)
