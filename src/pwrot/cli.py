@@ -196,6 +196,22 @@ _SEGMENT_JSON = (
 )
 
 
+def _per_endpoint(write):
+    """``write`` called once per distinct endpoint: segments share endpoints,
+    and a bundle has one field, so an endpoint's (vec, den) keys its text (a
+    tuple hashes in C, where a ``CycloNum`` key costs a Python ``__hash__``
+    and ``__eq__`` per lookup)."""
+    written = {}
+
+    def point(z):
+        got = written.get((z.vec, z.den))
+        if got is None:
+            got = written[z.vec, z.den] = write(z)
+        return got
+
+    return point
+
+
 def _critical_json(bundle) -> str:
     """The bytes of ``json.dumps(data, indent=1) + "\\n"`` for the bundle's
     {"truncated": ..., "layers": [{"depth", "direction", "segments"}, ...]},
@@ -204,18 +220,10 @@ def _critical_json(bundle) -> str:
     the encoder's own ``encode_basestring_ascii``, and the shadows, which are
     finite, by ``float.__repr__`` as the encoder writes them.  The standard
     library runs its pure-Python encoder whenever an indent is given.
-    Segments share endpoints, so each distinct endpoint is written once."""
+    Each distinct endpoint is written once (``_per_endpoint``)."""
     quote = json.encoder.encode_basestring_ascii
     sep = ",\n      "
-    # (vec, den) of an endpoint, in the bundle's one field -> (coefficient strings, shadow)
-    written = {}
-
-    def point(z):
-        got = written.get((z.vec, z.den))
-        if got is None:
-            got = written[z.vec, z.den] = sep.join(map(quote, _coeff_strs(z))), _shadow(z)
-        return got
-
+    point = _per_endpoint(lambda z: (sep.join(map(quote, _coeff_strs(z))), _shadow(z)))
     layers = []
     for layer in bundle.layers:
         segs = []
@@ -247,17 +255,15 @@ def cmd_critical(args) -> int:
     elif args.format == "json":
         _emit(_critical_json(bundle), args.out)
     else:
+        point = _per_endpoint(lambda z: (f"[{', '.join(_coeff_strs(z))}]",
+                                         "({:.12g},{:.12g})".format(*_shadow(z))))
         lines = []
         for layer in bundle.layers:
             for seg in layer.segments:
-                ar, ai = _shadow(seg.a)
-                br, bi = _shadow(seg.b)
-                lines.append(
-                    f"{layer.depth}\t[{', '.join(_coeff_strs(seg.a))}]\t"
-                    f"[{', '.join(_coeff_strs(seg.b))}]\t"
-                    f"({ar:.12g},{ai:.12g})-({br:.12g},{bi:.12g})"
-                )
-        _emit("\n".join(lines) + "\n", args.out)
+                (a, a_shadow), (b, b_shadow) = point(seg.a), point(seg.b)
+                lines.append(f"{layer.depth}\t{a}\t{b}\t{a_shadow}-{b_shadow}\n")
+        # a bundle with no segment writes nothing
+        _emit("".join(lines), args.out)
     return EXIT_OK
 
 
@@ -404,10 +410,12 @@ def _parse_args(parser, argv):
     args = parser.parse_args(argv)
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise ParameterError(f"config file {path} does not exist")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
+            raise ParameterError(f"config file {path} cannot be read: {err}") from None
         flags = []
-        for line in path.read_text(encoding="utf-8").splitlines():
+        for line in text.splitlines():
             key, eq, value = line.partition("=")
             key, value = key.strip().replace("-", "_"), value.strip()
             if not eq or key in ("command", "which", "func", "config") or not hasattr(args, key):
@@ -525,7 +533,8 @@ def main(argv=None) -> int:
     except FalsifiedInvariantError as err:
         print(f"falsified invariant: {err}", file=sys.stderr)
         return EXIT_FALSIFIED
-    except PwrotError as err:
+    except (PwrotError, OSError) as err:
+        # an OSError comes from a path given by --out or --svg, or a scan sidecar's
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

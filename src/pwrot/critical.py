@@ -43,9 +43,9 @@ import math
 from operator import mul
 from typing import NamedTuple
 
-from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag, sign_of_real
+from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag
 from .errors import InternalInconsistencyError, ParameterError
-from .geometry import Box, ExactSegment, clip_segment_to_box, grid_corner
+from .geometry import Box, ExactSegment, _cmp_points, clip_segment_to_box, grid_corner
 
 PULLBACK = "pullback"
 FORWARD = "forward"
@@ -150,14 +150,13 @@ def _next_layer(prev: CriticalLayer, box: Box, total_depth: int, direction: str)
     if not prev.segments:
         return CriticalLayer(j + 1, (), direction)
     ctx = prev.segments[0].a.ctx
-    t0 = ctx.m * ctx.p // ctx.q
     if direction == PULLBACK:
         # F^-1(w) = w/lambda + H(w/lambda): split where Im(w/lambda) changes sign
-        e = t = -t0 % ctx.m
+        e = t = -ctx.t0 % ctx.m
         dpower, c = -1, ctx.one()
     else:
         # F(w) = lambda*w - lambda*H(w): split at the line itself
-        e, t = 0, t0
+        e, t = 0, ctx.t0
         dpower, c = 1, -ctx.lambda_
     shift = {side: [(i, side * u) for i, u in enumerate(c.vec) if u] for side in (1, -1)}
     row = ctx.sine_row(e)
@@ -229,48 +228,41 @@ def critical_bundle(
 def merge_collinear(ctx: FieldContext, segments) -> list[ExactSegment]:
     """Merge overlapping collinear segments; for rendering only.
 
-    Critical segments all have directions on the rotation grid, so the
-    supporting line is keyed by (direction class, exact offset); overlapping
-    parametric intervals along the line are unioned.  The class of a segment
-    of power t is the least t' in [0, q) with lambda^t' * R = lambda^t * R,
-    that is t mod q for odd q and t mod q/2 for even q (lambda^(q/2) = -1).
+    A segment of power t lies on a grid line of its class, the least t' in
+    [0, q) with lambda^t' * R = lambda^t * R: t mod q for odd q and t mod
+    q/2 for even q (lambda^(q/2) = -1).  Segments are grouped by class and
+    by the grid line Im(zeta^e * w) = -beta of ``ExactSegment.grid_line``
+    at that class, ordered along it by Re(zeta^e * w), and overlapping spans
+    are unioned.  zeta^e * w is one ``mul_zeta`` permutation and the order
+    is decided on its enclosure, so no field product runs, and a merged
+    segment runs between the input endpoints that bound its span.  Both
+    endpoints of a segment must lie on the one grid line.
     """
     classes = ctx.q if ctx.q % 2 else ctx.q // 2
+    # (zeta^e * w, w, ...) tuples, in the order of Re(zeta^e * w) on one line
+    along = functools.cmp_to_key(lambda u, v: _cmp_points(u[0], v[0]))
     groups: dict = {}
     for seg in segments:
-        d = seg.b - seg.a
-        if d.is_zero():
+        if seg.a == seg.b:
             continue
         t = seg.power % classes
-        u = ctx.lam_pow(t).conj()
-        if not (d * u).imag().is_zero():
+        e, beta = ExactSegment(seg.a, seg.b, t).grid_line()
+        wa, wb = seg.a.mul_zeta(e), seg.b.mul_zeta(e)
+        if wb.imag() != -beta:
             raise InternalInconsistencyError("critical segment off the slope grid")
-        offset = (u * seg.a).imag()
-        key = (t, offset)
-        s_a = (u * seg.a).real()
-        s_b = (u * seg.b).real()
-        lo, hi = (s_a, s_b) if sign_of_real(s_b - s_a) == Sign.POSITIVE else (s_b, s_a)
-        groups.setdefault(key, []).append((lo, hi, seg))
+        ends = sorted([(wa, seg.a), (wb, seg.b)], key=along)
+        groups.setdefault((t, beta), []).append((*ends[0], *ends[1], seg.depth))
     out: list[ExactSegment] = []
     for (t, _), items in groups.items():
-        items.sort(key=functools.cmp_to_key(lambda p, r: int(sign_of_real(p[0] - r[0]))))
-        cur_lo, cur_hi, rep = items[0]
-        depth = rep.depth
-        for lo, hi, seg in items[1:]:
-            if sign_of_real(lo - cur_hi) == Sign.POSITIVE:
-                out.append(_axis_segment(ctx, t, rep, cur_lo, cur_hi, depth))
-                cur_lo, cur_hi, rep, depth = lo, hi, seg, seg.depth
+        items.sort(key=along)
+        _, lo, reach, hi, depth = items[0]
+        for start, a, end, b, d in items[1:]:
+            if _cmp_points(start, reach) > 0:
+                out.append(ExactSegment(lo, hi, t, depth))
+                lo, reach, hi, depth = a, end, b, d
             else:
-                if sign_of_real(hi - cur_hi) == Sign.POSITIVE:
-                    cur_hi = hi
-                depth = min(depth, seg.depth)
-        out.append(_axis_segment(ctx, t, rep, cur_lo, cur_hi, depth))
+                if _cmp_points(end, reach) > 0:
+                    reach, hi = end, b
+                depth = min(depth, d)
+        out.append(ExactSegment(lo, hi, t, depth))
     return out
-
-
-def _axis_segment(ctx: FieldContext, t: int, rep: ExactSegment, lo, hi, depth) -> ExactSegment:
-    # reconstruct endpoints from line data: z = axis*s + i*offset*axis-normal;
-    # using the representative's supporting point keeps it exact
-    axis = ctx.lam_pow(t)
-    base = rep.a - axis * (axis.conj() * rep.a).real()
-    return ExactSegment(base + axis * lo, base + axis * hi, t, depth)

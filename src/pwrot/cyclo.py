@@ -4,7 +4,9 @@ Every coordinate in the package is a ``CycloNum``: an integer vector over
 the power basis ``1, zeta, ..., zeta^(d-1)`` reduced modulo the m-th
 cyclotomic polynomial, over one positive common denominator, where
 ``m = lcm(4, q)`` so that ``i`` and every rational planar point ``x + i*y``
-live in the same field as the rotation ``lambda = zeta^(m*p/q)``.  This
+live in the same field as the rotation ``lambda = zeta^t0``, t0 = m*p/q.
+So lambda^t is zeta^(t0*t), and a rotation by it is one permutation of the
+integer vector (``CycloNum.mul_zeta``), with no field product.  This
 (vector, denominator) pair is the lattice form the orbit kernels walk, so
 the field and the kernels share one representation.
 
@@ -148,14 +150,16 @@ def _fixed_nodes(m: int, d: int, p: int) -> tuple[tuple[int, ...], tuple[int, ..
 class FieldContext:
     """Immutable arithmetic context for Q(zeta_m) with m = lcm(4, q).
 
-    Carries the rotation ``lambda_ = zeta^(m*p/q)``, the imaginary unit
-    ``i_unit = zeta^(m/4)``, and the integer reduction tables all arithmetic
-    runs on.  Construct through :func:`make_field`.
+    Carries the exponent ``t0 = m*p/q`` of the rotation ``lambda_ =
+    zeta^t0``, the imaginary unit ``i_unit = zeta^(m/4)``, and the integer
+    reduction tables all arithmetic runs on.  t0 is derived here and nowhere
+    else: every module rotates by lambda^t as ``mul_zeta(t0 * t)``.
+    Construct through :func:`make_field`.
     """
 
     __slots__ = (
-        "p", "q", "m", "d", "phi_m", "lambda_", "i_unit",
-        "_zeta_vecs", "_zeta_rows", "_units", "_cos", "_sin", "_lam_pows", "_sine_rows",
+        "p", "q", "m", "d", "phi_m", "t0", "lambda_", "i_unit",
+        "_zeta_vecs", "_zeta_rows", "_units", "_cos", "_sin", "_sine_rows",
         "_extras",
     )
 
@@ -180,11 +184,9 @@ class FieldContext:
         self._units = tuple(k for k in range(1, self.m) if math.gcd(k, self.m) == 1)
         self._cos = tuple(math.cos(2.0 * math.pi * j / self.m) for j in range(self.d))
         self._sin = tuple(math.sin(2.0 * math.pi * j / self.m) for j in range(self.d))
-        self.lambda_ = self.zeta_pow(self.m * p // q)
+        self.t0 = self.m * p // q
+        self.lambda_ = self.zeta_pow(self.t0)
         self.i_unit = self.zeta_pow(self.m // 4)
-        self._lam_pows = tuple(
-            self.zeta_pow((self.m * p // q) * t % self.m) for t in range(q)
-        )
         self._sine_rows = None
         self._extras: dict = {}
 
@@ -238,8 +240,8 @@ class FieldContext:
         return CycloNum(self, self._zeta_vecs[e % self.m], 1)
 
     def lam_pow(self, t: int) -> "CycloNum":
-        """lambda^t, cached for t modulo q."""
-        return self._lam_pows[t % self.q]
+        """lambda^t = zeta^(t0*t)."""
+        return self.zeta_pow(self.t0 * t)
 
     def point(self, x, y) -> "CycloNum":
         """Embed the rational planar point (x, y) as x + i*y."""

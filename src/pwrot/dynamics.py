@@ -51,22 +51,18 @@ class AffineMap(NamedTuple):
         return self.offset.ctx
 
     def __call__(self, w: CycloNum) -> CycloNum:
-        ctx = self.ctx
-        t = (ctx.m * ctx.p // ctx.q) * (self.power % ctx.q)
-        return w.mul_zeta(t) + self.offset
+        return w.mul_zeta(self.ctx.t0 * self.power) + self.offset
 
 
 def step(z: CycloNum) -> CycloNum:
-    """One application of F; the critical line takes the + branch."""
-    lam = z.ctx.lambda_
-    if sign_of_imag(z) >= Sign.ZERO:
-        return lam * (z - 1)
-    return lam * (z + 1)
+    """One application of F, one ``mul_zeta`` permutation; the critical line
+    takes the + branch."""
+    return (z - 1 if sign_of_imag(z) >= Sign.ZERO else z + 1).mul_zeta(z.ctx.t0)
 
 
 def inverse_step(z: CycloNum) -> CycloNum:
     """One application of F^{-1}(z) = z/lambda + H(z/lambda)."""
-    w = z.mul_zeta(-(z.ctx.m * z.ctx.p // z.ctx.q) % z.ctx.m)
+    w = z.mul_zeta(-z.ctx.t0)
     if sign_of_imag(w) >= Sign.ZERO:
         return w + 1
     return w - 1
@@ -155,11 +151,10 @@ def branch_offsets(ctx: FieldContext, word: Itinerary | Sequence[int], n: int):
     points whose itinerary starts s_0 ... s_(j-1), b_0 = 0 and
     b_(j+1) = lambda * (b_j - s_j), so every b_j lies in Z[zeta]."""
     w = tuple(word.word if isinstance(word, Itinerary) else word)
-    t = ctx.m * ctx.p // ctx.q
     b = ctx.zero()
     yield b
     for j in range(n):
-        b = (b - w[j % len(w)]).mul_zeta(t)
+        b = (b - w[j % len(w)]).mul_zeta(ctx.t0)
         yield b
 
 

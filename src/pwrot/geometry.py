@@ -3,7 +3,7 @@
 Every line the engine meets lies on the direction grid of the map: a grid
 line is {w : Im(zeta^e * w) = -beta} for an integer exponent e mod m and a
 real field element beta.  Half-plane boundaries, critical segments (along
-lambda^t = zeta^(t*m*p/q)) and box faces (exponents 0, m/4, m/2, 3m/4) are
+lambda^t = zeta^(t0*t)) and box faces (exponents 0, m/4, m/2, 3m/4) are
 all grid lines, so parallel and antiparallel directions, angular order and
 boundedness are decided by comparing exponents, and every crossing is the
 grid corner of two lines: a closed form whose only reciprocal, 1/Im(zeta^k),
@@ -143,16 +143,11 @@ class ExactSegment(NamedTuple):
     def grid_line(self) -> tuple[int, CycloNum]:
         """(e, beta) with the segment on the grid line Im(zeta^e * w) = -beta."""
         ctx = self.a.ctx
-        e = -_lam_exponent(ctx, self.power) % ctx.m
+        e = -ctx.t0 * self.power % ctx.m
         return e, -self.a.mul_zeta(e).imag()
 
 
 # -- grid corners and half-plane intersection ---------------------------------
-
-
-def _lam_exponent(ctx: FieldContext, power: int) -> int:
-    """e in [0, m) with lambda^power = zeta^e."""
-    return ctx.m * ctx.p // ctx.q * power % ctx.m
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,8 +169,8 @@ def _grid_form(h: HalfPlane) -> tuple[int, CycloNum]:
     """(e, c) with h = {w : Im(zeta^e * w + c) > 0}, e in [0, m)."""
     ctx = h.b.ctx
     if h.side > 0:
-        return _lam_exponent(ctx, h.power), h.b
-    return (_lam_exponent(ctx, h.power) + ctx.m // 2) % ctx.m, -h.b
+        return ctx.t0 * h.power % ctx.m, h.b
+    return (ctx.t0 * h.power + ctx.m // 2) % ctx.m, -h.b
 
 
 # -- certified integer enclosures ----------------------------------------------
@@ -443,7 +438,7 @@ def edge_direction_power(ctx: FieldContext, d: CycloNum) -> Optional[int]:
     if d.is_zero():
         raise ParameterError("zero direction")
     for t in range(ctx.q):
-        w = d.mul_zeta(-_lam_exponent(ctx, t))
+        w = d.mul_zeta(-ctx.t0 * t)
         if w == w.conj():
             return t
     return None

@@ -72,7 +72,7 @@ class _Plan:
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
         d, m = ctx.d, ctx.m
-        self.t0 = t0 = m * ctx.p // ctx.q
+        self.t0 = t0 = ctx.t0
         self.zeta = zeta = ctx._zeta_vecs
         self.rows = tuple(
             tuple(s / 2 ** 64 for s in ctx.sine_row(r * t0)) for r in range(ctx.q)

@@ -142,7 +142,7 @@ def _nominee_halfplanes(rec: OrbitRecord, period: int) -> list[HalfPlane]:
     """
     z = rec.start
     ctx = z.ctx
-    m, t0, walked = ctx.m, ctx.m * ctx.p // ctx.q, rec.period
+    m, t0, walked = ctx.m, ctx.t0, rec.period
     nominees = sorted((j + i, vec) for j, vec in filter(None, rec.nominees)
                       for i in range(0, period, walked))
     return [

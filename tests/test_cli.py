@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pwrot
-from pwrot import _steppy, geometry, stepper
+from pwrot import _steppy, cli, geometry, stepper
 from pwrot.cli import build_parser, main
 from pwrot.critical import critical_bundle
 from pwrot.cyclo import make_field
@@ -50,8 +50,9 @@ SCAN_DIGESTS = [
 
 
 # `pwrot critical` outputs with their SHA-256: the two depth-20 bundles of
-# the benchmark, a text dump, and an SVG with and without --merge; see
-# TestCritical.test_golden_digests.
+# the benchmark, a text dump, an SVG with and without --merge, and a merged
+# SVG at 11/12, whose even q merges powers t mod q/2, taken before
+# merge_collinear read grid lines; see TestCritical.test_golden_digests.
 CRITICAL_DIGESTS = [
     (("--alpha", "4/5", "--depth", "20", "--box=-4,-4,4,4", "--direction", "both",
       "--format", "json"),
@@ -67,6 +68,9 @@ CRITICAL_DIGESTS = [
     (("--alpha", "4/5", "--depth", "8", "--box=-3,-3,3,3", "--direction", "both",
       "--format", "svg", "--merge"),
      "99bdc1013ae46150db0b7578068d4bd46075e7e52868e2ea1e4ecace8ddad6d8"),
+    (("--alpha", "11/12", "--depth", "20", "--box=-1,-2,6,3", "--direction", "both",
+      "--format", "svg", "--merge"),
+     "0fea391a55c671ab927f64fc7638cf9854c60fa149baed9e1e7b09a7edc5836b"),
 ]
 
 
@@ -363,6 +367,25 @@ class TestCritical:
         assert root.tag.endswith("svg")
         assert len(list(root)) > 3
 
+    def test_empty_bundle_writes_nothing(self, capsys):
+        code, out, _ = run(capsys, "critical", "--alpha", "4/5", "--depth", "0",
+                           "--box=1,1,2,2")
+        assert code == 0 and out == ""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_each_distinct_endpoint_is_formatted_once(self, capsys, monkeypatch, fmt):
+        argv = ("--alpha", "4/5", "--depth", "8", "--box=-3,-3,3,3", "--direction", "both")
+        args = build_parser().parse_args(["critical", *argv])
+        bundle = critical_bundle(make_field(*parse_alpha(args.alpha)), args.depth,
+                                 parse_box(args.box), direction=args.direction)
+        ends = [(w.vec, w.den) for s in bundle.all_segments() for w in (s.a, s.b)]
+        formatted = []
+        coeff_strs = cli._coeff_strs
+        monkeypatch.setattr(cli, "_coeff_strs", lambda z: formatted.append(z) or coeff_strs(z))
+        code, _, _ = run(capsys, "critical", *argv, "--format", fmt)
+        assert code == 0
+        assert len(formatted) == len(set(ends)) < len(ends)
+
     def test_determinism(self, capsys):
         args = ("critical", "--alpha", "4/5", "--depth", "5", "--box=-2,-2,2,2",
                 "--format", "json")
@@ -630,6 +653,43 @@ class TestVerify:
         )
         assert code == 4
         assert out == "" and "samples" in err
+
+
+class TestBadPaths:
+    """A path that cannot be written or read is bad input: exit 4 and one
+    ``error:`` line, not a traceback."""
+
+    def test_out_in_a_missing_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "period", "--alpha", "4/5", "--point", "P0",
+                             "--out", str(tmp_path / "absent" / "x.txt"))
+        assert code == 4
+        assert out == "" and err.startswith("error: ") and "absent" in err
+
+    def test_unwritable_scan_sidecar(self, capsys, tmp_path):
+        (tmp_path / "scan.json").mkdir()
+        code, _, err = run(capsys, "scan", "--alpha", "4/5", "--box=-1,-1,1,1", "--grid", "1/2",
+                           "--budget", "2000", "--out", str(tmp_path / "scan.csv"))
+        assert code == 4
+        assert err.startswith("error: ") and "scan.json" in err
+
+    def test_svg_in_a_missing_directory(self, capsys, tmp_path):
+        code, _, err = run(capsys, "casestudy", "hexagon", "--svg",
+                           str(tmp_path / "absent" / "hex.svg"))
+        assert code == 4
+        assert err.startswith("error: ") and "hex.svg" in err
+
+    def test_config_that_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "iterate", "--alpha", "4/5", "--point", "P0",
+                             "--config", str(tmp_path))
+        assert code == 4
+        assert out == "" and err.startswith("error: config file")
+
+    def test_config_that_is_not_utf8(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_bytes(b"alpha = 4/5\nn = \xff\n")
+        code, out, err = run(capsys, "iterate", "--point", "P0", "--config", str(cfg))
+        assert code == 4
+        assert out == "" and err.startswith("error: config file")
 
 
 class TestConfig:

@@ -15,7 +15,7 @@ from pwrot.critical import (
     pullback_layer,
 )
 from pwrot import critical, geometry
-from pwrot.cyclo import CycloNum, make_field, sign_of_imag
+from pwrot.cyclo import CycloNum, FieldContext, make_field, sign_of_imag
 from pwrot.dynamics import step
 from pwrot.errors import InternalInconsistencyError, ParameterError
 from pwrot.geometry import Box, ExactSegment, clip_segment_to_box, edge_direction_power
@@ -306,6 +306,30 @@ class TestMergeCollinear:
             t = Fraction(rng.randint(0, 10), 10)
             w = seg.a + t * (seg.b - seg.a)
             assert any(point_on_segment(m, w) for m in merged)
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
+    def test_merged_endpoints_are_input_endpoints(self, p, q):
+        ctx = make_field(p, q)
+        segs = critical_bundle(ctx, 8, BOX, "both").all_segments()
+        merged = merge_collinear(ctx, segs)
+        assert len(merged) < len(segs)
+        ends = {w for s in segs for w in (s.a, s.b)}
+        assert all(m.a in ends and m.b in ends for m in merged)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_merge_makes_no_field_product(self, ctx5, monkeypatch, request, exact):
+        # grid lines, mul_zeta permutations and point order only, also when
+        # every order is decided by the exact test
+        segs = critical_bundle(ctx5, 8, BOX, "both").all_segments()
+        want = merge_collinear(ctx5, segs)
+        if exact:
+            request.getfixturevalue("exact_enclosures")
+
+        def no_product(*_):
+            raise AssertionError("field product")
+
+        monkeypatch.setattr(FieldContext, "_mul_vecs", no_product)
+        assert merge_collinear(ctx5, segs) == want
 
     def test_off_grid_segment_raises(self, ctx5):
         # a diagonal is no rotated copy of the real axis for q = 5, and a

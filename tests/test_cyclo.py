@@ -1,10 +1,13 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pwrot
 from pwrot.cyclo import (
     Sign,
     cyclotomic_polynomial,
@@ -92,6 +95,13 @@ class TestMakeField:
         ctx = make_field(11, 12)
         assert (ctx.m, ctx.d) == (12, 4)
         assert ctx.lambda_ == ctx.zeta_pow(11)
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
+    def test_lambda_is_zeta_to_t0(self, p, q):
+        ctx = make_field(p, q)
+        assert ctx.zeta_pow(ctx.t0) == ctx.lambda_
+        for t in range(-q, 2 * q + 1):
+            assert ctx.lam_pow(t) == ctx.lambda_ ** t
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
@@ -402,3 +412,15 @@ class TestTextForm:
         a = ctx.num([Fraction(1, 3), 0, Fraction(-2), 0, 0, 0, 0, Fraction(7, 2)])
         assert str(a) == "1/3 - 2*z^2 + 7/2*z^7"
         assert str(ctx.zero()) == "0"
+
+
+def test_only_cyclo_derives_lambdas_exponent():
+    # lambda's exponent t0 = m*p/q, derived from p and q, as in
+    # "(z.ctx.m * z.ctx.p // z.ctx.q)"; every other module reads FieldContext.t0
+    derivation = re.compile(r"\bm\s*\*.*\bp\s*//.*\bq\b")
+    derive = {
+        path.name
+        for path in Path(pwrot.__file__).parent.glob("*.py")
+        if any(map(derivation.search, path.read_text(encoding="utf-8").splitlines()))
+    }
+    assert derive == {"cyclo.py"}

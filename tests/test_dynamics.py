@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pwrot.cyclo import golden_elements, make_field
+from pwrot.cyclo import FieldContext, Sign, golden_elements, make_field, sign_of_imag
 from pwrot.dynamics import (
     Address,
     Itinerary,
@@ -167,6 +167,22 @@ class TestOrbit:
         ctx, _, _ = golden
         with pytest.raises(ParameterError):
             orbit(ctx.zero(), -1)
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
+    def test_steps_make_no_field_product(self, monkeypatch, p, q):
+        # lambda = zeta^t0, so a step is one mul_zeta permutation; the
+        # reference multiplies by lambda
+        ctx = make_field(p, q)
+        want = [ctx.point(Fraction(1, 3), Fraction(1, 7))]
+        for _ in range(200):
+            z = want[-1]
+            want.append(ctx.lambda_ * (z - 1 if sign_of_imag(z) >= Sign.ZERO else z + 1))
+
+        def no_product(*_):
+            raise AssertionError("field product")
+
+        monkeypatch.setattr(FieldContext, "_mul_vecs", no_product)
+        assert orbit(want[0], 200) == want
 
 
 class TestMinimalPeriod:
