@@ -319,9 +319,13 @@ def cmd_scan(args) -> int:
 
 
 def cmd_casestudy(args) -> int:
+    # the figure is written before the table or report, so a path that
+    # cannot be written exits 4 with nothing on stdout
     if args.which == "golden":
         gc = golden_context()
         rows = pentagon_center_periods(gc, args.max_n, args.budget)
+        if args.svg:
+            _golden_svg(gc, args.svg)
         lines = ["n\tperiod\tcenter"]
         exhausted = False
         for n, p, period in rows:
@@ -329,8 +333,6 @@ def cmd_casestudy(args) -> int:
             exhausted = exhausted or period is None
             lines.append(f"{n}\t{shown}\t{format_golden(p)}")
         _emit("\n".join(lines) + "\n", args.out)
-        if args.svg:
-            _golden_svg(gc, args.svg)
         return EXIT_BUDGET if exhausted else EXIT_OK
     if args.which == "returns":
         returns = q_orbit_returns(golden_context(), args.n)
@@ -340,9 +342,9 @@ def cmd_casestudy(args) -> int:
         return EXIT_OK
     # hexagon
     report = hexagon_case(budget=args.budget)
-    _emit(_report_text(report), args.out)
     if args.svg:
         _hexagon_svg(args.svg)
+    _emit(_report_text(report), args.out)
     return EXIT_OK if report.passed else EXIT_FALSIFIED
 
 

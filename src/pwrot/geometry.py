@@ -10,8 +10,9 @@ grid corner of two lines: a closed form whose only reciprocal, 1/Im(zeta^k),
 is cached per exponent difference.  Half-plane intersection finds its
 vertices with one half-plane sweep, certifies by one interior point that
 the open intersection is nonempty, and returns its closure; segment
-clipping moves an endpoint that lies outside a box face to the corner of
-the segment's line with that face.
+clipping keeps or drops a segment whole when its endpoints' outcodes settle
+it, and otherwise moves an endpoint that lies outside a box face to the
+corner of the segment's line with that face.
 
 Predicates (side of a line, the binding pass and the antiparallel strip,
 turns and point location, the canonical start, box faces) take plain
@@ -59,9 +60,14 @@ UNBOUNDED = _Region("Unbounded")
 
 class Box:
     """Axis-aligned rectangle with rational corners; immutable, and equal
-    and hashed by its corners."""
+    and hashed by its corners.
 
-    __slots__ = ("x0", "y0", "x1", "y1")
+    ``_faces`` holds the (numerator, denominator) pairs of y0, x0, y1 and
+    x1, the bounds of the faces y >= y0, x >= x0, y <= y1 and x <= x1 in
+    the order :func:`clip_segment_to_box` walks them, read once here, so
+    that a clip's outcodes (``_outcode``) compare integers only."""
+
+    __slots__ = ("x0", "y0", "x1", "y1", "_faces")
 
     def __init__(self, x0, y0, x1, y1):
         corners = Fraction(x0), Fraction(y0), Fraction(x1), Fraction(y1)
@@ -69,6 +75,11 @@ class Box:
             raise ParameterError("box must have positive width and height")
         for name, value in zip(self.__slots__, corners):
             object.__setattr__(self, name, value)
+        x0, y0, x1, y1 = corners
+        object.__setattr__(self, "_faces", (
+            (y0.numerator, y0.denominator), (x0.numerator, x0.denominator),
+            (y1.numerator, y1.denominator), (x1.numerator, x1.denominator),
+        ))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Box is immutable: cannot set {name}")
@@ -447,14 +458,50 @@ def edge_direction_power(ctx: FieldContext, d: CycloNum) -> Optional[int]:
 # -- segments ----------------------------------------------------------------
 
 
+# a Cohen-Sutherland outcode: bit k for an endpoint certified strictly
+# outside face k (y0, x0, y1, x1, the order of ``Box._faces``), and _OPEN
+# for one on or near some face, whose enclosure leaves that face open
+_OPEN = 16
+
+
+def _outcode(x: int, y: int, err: int, s: int, faces) -> int:
+    """The outcode of a point w against the box faces, from its enclosure
+    (X, Y, E, s): with the face bound v = num/den, den*(X - E) > num*s
+    certifies Re(w) > v and den*(X + E) < num*s certifies Re(w) < v,
+    likewise Y for Im(w), the bounds the face loop of
+    :func:`clip_segment_to_box` decides by.  0 means certified strictly
+    inside all four faces."""
+    (ny0, dy0), (nx0, dx0), (ny1, dy1), (nx1, dx1) = faces
+    code = 0
+    k = ny0 * s
+    if dy0 * (y - err) <= k:
+        code |= 1 if dy0 * (y + err) < k else _OPEN
+    k = nx0 * s
+    if dx0 * (x - err) <= k:
+        code |= 2 if dx0 * (x + err) < k else _OPEN
+    k = ny1 * s
+    if dy1 * (y + err) >= k:
+        code |= 4 if dy1 * (y - err) > k else _OPEN
+    k = nx1 * s
+    if dx1 * (x + err) >= k:
+        code |= 8 if dx1 * (x - err) > k else _OPEN
+    return code
+
+
 def clip_segment_to_box(seg: ExactSegment, box: Box) -> Optional[ExactSegment]:
     """Exact intersection with the closed box; degenerate results are None.
 
     The faces y >= y0, x >= x0, y <= y1 and x <= x1 are the grid half-planes
-    Im(zeta^f * w) + beta_f >= 0 with f = 0, m/4, m/2, 3m/4.  Face by face,
-    a segment with both endpoints outside is dropped, and an endpoint outside
-    moves to the grid corner of the segment's line with the face.  Each
-    endpoint's certified enclosure (``CycloNum.enclosure``) decides a face
+    Im(zeta^f * w) + beta_f >= 0 with f = 0, m/4, m/2, 3m/4.  First the
+    endpoints' outcodes (``_outcode``, from the certified enclosures that
+    ``CycloNum.enclosure`` keeps on them) settle the whole segment when they
+    can: both certified strictly inside every face returns ``seg`` itself,
+    and both certified strictly outside one face returns None, since the
+    segment is convex and so lies wholly outside that face, as does any
+    corner an earlier face would have built.  Every other segment takes the
+    face loop.  Face by face, a segment with both endpoints outside is
+    dropped, and an endpoint outside moves to the grid corner of the
+    segment's line with the face.  Each endpoint's enclosure decides a face
     by integer compares; only a face it leaves open, with the endpoint on it
     or within sum|vec_j| / (den * 2^64) of it, takes the exact test.  This
     is the only clipping code.  An endpoint keeps its enclosure, so a
@@ -462,6 +509,14 @@ def clip_segment_to_box(seg: ExactSegment, box: Box) -> Optional[ExactSegment]:
     box, is enclosed once, and a segment that no face moves is returned as
     it is.
     """
+    faces = box._faces
+    enc_a, enc_b = seg.a.enclosure(), seg.b.enclosure()
+    code_a, code_b = _outcode(*enc_a, faces), _outcode(*enc_b, faces)
+    if not code_a | code_b:
+        # equal points have equal enclosures, so unequal ones need no field compare
+        return seg if enc_a != enc_b or seg.a != seg.b else None
+    if code_a & code_b & ~_OPEN:
+        return None
     ctx = seg.a.ctx
     m = ctx.m
     ends = [seg.a, seg.b]

@@ -126,6 +126,16 @@ def _fresh_python(code: str) -> list[str]:
     return proc.stdout.split()
 
 
+def test_python_dash_m_runs_the_command_line():
+    env = dict(os.environ, PYTHONPATH=str(Path(pwrot.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pwrot", "period", "--alpha", "4/5", "--point", "P0"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.split() == ["period", "1"]
+
+
 def test_import_needs_only_the_standard_library():
     loaded = _fresh_python(
         "import sys\n"
@@ -609,6 +619,24 @@ class TestCasestudy:
         assert hashlib.sha256(target.read_bytes()).hexdigest() == (
             "9205f0fec3d28610175ec8f557d3c9fed8e252f94076639c96aecc3e164c96b6"
         )
+
+    @pytest.mark.parametrize("args", [
+        ("golden", "--max-n", "3", "--budget", "100"),
+        ("hexagon",),
+    ])
+    def test_unwritable_svg_prints_nothing(self, capsys, tmp_path, args):
+        code, out, err = run(capsys, "casestudy", *args, "--svg", str(tmp_path / "no" / "x.svg"))
+        assert code == 4
+        assert out == "" and err.startswith("error: ")
+
+    def test_svg_keeps_the_budget_verdict(self, capsys, tmp_path):
+        target = tmp_path / "fig.svg"
+        code, out, _ = run(capsys, "casestudy", "golden", "--max-n", "3", "--budget", "100",
+                           "--svg", str(target))
+        assert code == 2 and target.exists()
+        rows = out.strip().splitlines()
+        assert rows[0] == "n\tperiod\tcenter"
+        assert [r.split("\t")[1] for r in rows[1:]] == ["1", "7", "38", "> 100"]
 
     def test_golden_svg_pure_kernel(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("PWROT_PURE", "1")

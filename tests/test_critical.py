@@ -252,6 +252,20 @@ class TestEnclosedEndpoints:
         critical_bundle(ctx5, 8, Box(-3, -3, 3, 3), "both")
         assert 0 < len(enclosures_computed) <= 206
 
+    @pytest.mark.parametrize("alpha, box, most", [
+        ((4, 5), Box(-4, -4, 4, 4), 159),
+        ((11, 12), Box(-1, -2, 6, 3), 122),
+    ])
+    def test_grid_corners_built(self, monkeypatch, alpha, box, most):
+        # the depth-20 bundles of the benchmark: a clip builds no corner for
+        # a segment that both endpoints put outside one face, which a clip
+        # face by face did (178 and 153 corners)
+        built, corner = [], geometry.grid_corner
+        for owner in (critical, geometry):
+            monkeypatch.setattr(owner, "grid_corner", lambda *a: built.append(a) or corner(*a))
+        critical_bundle(make_field(*alpha), 20, box, "both")
+        assert 0 < len(built) <= most
+
     @pytest.mark.parametrize("direction", [PULLBACK, FORWARD])
     def test_widened_enclosures_leave_every_sign_exact(self, ctx5, request, monkeypatch,
                                                        direction):

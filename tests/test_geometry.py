@@ -919,6 +919,145 @@ class TestClipCertificate:
         assert faces_hit >= 60
 
 
+# a box with no integer face, for the outcode tests
+FRACTION_BOX = Box(Fraction(-5, 3), Fraction(-7, 4), Fraction(9, 4), Fraction(5, 2))
+
+
+def exact_outside(w, box):
+    """The faces (0 y0, 1 x0, 2 y1, 3 x1) that w lies strictly outside,
+    decided exactly."""
+    x, y = w.real(), w.imag()
+    gaps = (y - box.y0, x - box.x0, box.y1 - y, box.x1 - x)
+    return {k for k, g in enumerate(gaps) if sign_of_real(g) == Sign.NEGATIVE}
+
+
+class TestClipOutcodes:
+    """The endpoints' outcodes settle a segment certified inside every face
+    or outside one face, and every other segment takes the face loop; each
+    case along every lambda^t, against ``reference_clip``, with and without
+    the enclosures deciding."""
+
+    @pytest.fixture(params=[False, True], ids=["enclosed", "exact"])
+    def exact(self, request):
+        if request.param:
+            request.getfixturevalue("exact_enclosures")
+        return request.param
+
+    @staticmethod
+    def directions(ctx):
+        return [(t, ctx.lam_pow(t)) for t in range(ctx.q)]
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
+    def test_wholly_inside_is_the_segment_itself(self, exact, p, q):
+        ctx = make_field(p, q)
+        a = ctx.point(Fraction(1, 3), Fraction(1, 5))
+        for t, u in self.directions(ctx):
+            seg = ExactSegment(a - u, a + u / 2, t, depth=3)
+            assert clip_segment_to_box(seg, FRACTION_BOX) is seg
+            assert reference_clip(seg, FRACTION_BOX) == seg
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
+    def test_outside_one_face(self, exact, p, q):
+        ctx = make_field(p, q)
+        box = FRACTION_BOX
+        # the middle of each face, moved 3/2 out; a piece of length 1 stays out
+        mx, my, off = (box.x0 + box.x1) / 2, (box.y0 + box.y1) / 2, Fraction(3, 2)
+        outside = [ctx.point(mx, box.y0 - off), ctx.point(box.x0 - off, my),
+                   ctx.point(mx, box.y1 + off), ctx.point(box.x1 + off, my)]
+        for face, w in enumerate(outside):
+            for t, u in self.directions(ctx):
+                seg = ExactSegment(w - u / 2, w + u / 2, t)
+                assert exact_outside(seg.a, box) == exact_outside(seg.b, box) == {face}
+                assert clip_segment_to_box(seg, box) is None
+                assert reference_clip(seg, box) is None
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
+    def test_outside_two_faces_near_a_corner(self, exact, monkeypatch, p, q):
+        # lines that pass the corner (x1, y1) on the outside, with the two
+        # endpoints outside different faces: no one face holds both, so the
+        # face loop builds a corner before a later face drops the segment
+        ctx = make_field(p, q)
+        box = FRACTION_BOX
+        corners = []
+        monkeypatch.setattr(geometry, "grid_corner",
+                            lambda *a: corners.append(a) or grid_corner(*a))
+        near = ctx.point(box.x1 + Fraction(1, 8), box.y1 + Fraction(1, 8))
+        seen = 0
+        for t, u in self.directions(ctx):
+            seg = ExactSegment(near - u, near + u, t)
+            out_a, out_b = exact_outside(seg.a, box), exact_outside(seg.b, box)
+            if not (out_a and out_b) or out_a & out_b:
+                continue
+            assert reference_clip(seg, box) is None
+            before = len(corners)
+            assert clip_segment_to_box(seg, box) is None
+            assert len(corners) > before
+            seen += 1
+        assert seen >= 1
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
+    def test_crossing(self, exact, p, q):
+        ctx = make_field(p, q)
+        a = ctx.point(Fraction(1, 3), Fraction(1, 5))
+        for t, u in self.directions(ctx):
+            for seg in (ExactSegment(a, a + 5 * u, t), ExactSegment(a - 5 * u, a + 5 * u, t)):
+                out = clip_segment_to_box(seg, FRACTION_BOX)
+                assert out == reference_clip(seg, FRACTION_BOX)
+                assert out is not None and out != seg
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
+    def test_endpoint_on_a_face(self, exact, p, q):
+        ctx = make_field(p, q)
+        box = FRACTION_BOX
+        ends = [ctx.point(Fraction(1, 3), box.y0), ctx.point(box.x0, Fraction(1, 5)),
+                ctx.point(Fraction(1, 3), box.y1), ctx.point(box.x1, Fraction(1, 5))]
+        for w in ends:
+            for t, u in self.directions(ctx):
+                for seg in (ExactSegment(w, w + u, t), ExactSegment(w - u, w, t)):
+                    assert clip_segment_to_box(seg, box) == reference_clip(seg, box)
+
+
+class TestClipWaste:
+    """A clip that the outcodes settle builds no grid corner and takes no
+    exact test."""
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
+    def test_segment_a_later_face_drops_builds_no_corner(self, monkeypatch, p, q):
+        # both endpoints lie beyond x1, the last face, and the line crosses
+        # y0, the first: a face-by-face clip would move an endpoint to y = y0
+        # before x1 drops the segment
+        ctx = make_field(p, q)
+        box = FRACTION_BOX
+        corners = []
+        monkeypatch.setattr(geometry, "grid_corner",
+                            lambda *a: corners.append(a) or grid_corner(*a))
+        tested = 0
+        for t in range(ctx.q):
+            u = ctx.lam_pow(t)
+            if sign_of_imag(u) != Sign.POSITIVE:
+                continue
+            w = ctx.point(box.x1 + 2, box.y0)
+            seg = ExactSegment(w - u / 2, w + u / 2, t)
+            assert exact_outside(seg.a, box) == {0, 3} and exact_outside(seg.b, box) == {3}
+            assert reference_clip(seg, box) is None
+            assert clip_segment_to_box(seg, box) is None
+            tested += 1
+        assert tested >= 1 and corners == []
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
+    def test_settled_segments_take_no_exact_test(self, exact_faces, p, q):
+        ctx = make_field(p, q)
+        box = FRACTION_BOX
+        inside = ctx.point(Fraction(1, 3), Fraction(1, 5))
+        beyond = ctx.point(box.x1 + 2, Fraction(1, 5))
+        for t in range(ctx.q):
+            u = ctx.lam_pow(t)
+            seg = ExactSegment(inside - u, inside + u, t)
+            assert clip_segment_to_box(seg, box) is seg
+            assert clip_segment_to_box(ExactSegment(beyond - u, beyond + u, t), box) is None
+        assert exact_faces == []
+
+
 class TestSegments:
     # ctx5 is the field of lambda = exp(2 pi i 4/5); for odd q no power of
     # lambda is -1, and lambda^k is neither horizontal nor vertical for k != 0
