@@ -49,8 +49,6 @@ from __future__ import annotations
 
 from array import array
 
-IMPL = "pure"
-
 STATUS_OK = 0          # target reached, or every step walked without one
 STATUS_BUDGET = 1      # target not reached within the budget
 

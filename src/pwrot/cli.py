@@ -483,7 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--depth", type=int, default=10)
     cr.add_argument("--box", default="-3,-3,3,3", help="x0,y0,x1,y1")
     cr.add_argument("--direction", choices=["pullback", "forward", "both"], default="pullback")
-    cr.add_argument("--cap", type=int, default=1000000)
+    cr.add_argument("--cap", type=int, default=1000000,
+                    help="segments per direction, counted on the windowed layers "
+                         "before the box re-clip; the layer past it and deeper ones are dropped")
     cr.add_argument("--merge", action="store_true", help="merge collinear overlaps (svg)")
     cr.add_argument("--format", choices=["text", "json", "svg"], default="text")
     cr.set_defaults(func=cmd_critical)

@@ -32,13 +32,15 @@ least the largest modulus of a box corner, a point of the box that reaches
 the line in ``depth`` steps has its image of layer j within rho + depth - j
 of 0, so layer j is clipped to the square of that half-width about 0 and
 loses nothing of the box.  ``window`` is the one place these squares are
-built, and rho is cached per box, so a bundle computes it once.
+built, and it is cached per box and width, so a bundle builds each square
+once.
 
-Every layer is re-clipped to the box at the end.  Most segments of that
-final pass are settled whole by their endpoints' outcodes (see
-``clip_segment_to_box``): those the window kept and the box holds come back
-as they are, and those wholly outside one face of the box, about half of
-the pass at depth 20, are dropped with no grid corner built.
+Every layer is re-clipped to the box at the end, by the one Cohen-Sutherland
+loop of ``clip_segment_to_box``.  Most segments of that final pass are
+settled by their endpoints' outcodes alone: those the window kept and the
+box holds come back as they are, and those wholly outside one face of the
+box, about half of the pass at depth 20, are dropped with no grid corner
+built.
 """
 
 from __future__ import annotations
@@ -78,19 +80,14 @@ def base_layer(ctx: FieldContext, box: Box, direction: str = PULLBACK) -> Critic
                          direction)
 
 
-@functools.lru_cache(maxsize=64)
-def _rho(box: Box) -> int:
-    """The least integer >= the largest modulus of a corner of ``box``;
-    cached, since every layer of a bundle asks for the same box's."""
-    r2 = max(x * x + y * y for x in (box.x0, box.x1) for y in (box.y0, box.y1))
-    return math.isqrt(math.ceil(r2) - 1) + 1
-
-
+@functools.lru_cache(maxsize=256)
 def window(box: Box, steps: int) -> Box:
     """The square about 0 of half-width rho + steps, with rho the least
     integer >= the largest modulus of a corner of ``box``: it holds every
-    point that ``steps`` applications of F or of F^-1 carry into the box."""
-    h = _rho(box) + steps
+    point that ``steps`` applications of F or of F^-1 carry into the box.
+    Cached, since both directions of a bundle ask for the same squares."""
+    r2 = max(x * x + y * y for x in (box.x0, box.x1) for y in (box.y0, box.y1))
+    h = math.isqrt(math.ceil(r2) - 1) + 1 + steps
     return Box(-h, -h, h, h)
 
 
@@ -197,7 +194,11 @@ def critical_bundle(
     """All layers 0..total_depth, re-clipped to the user box at the end.
 
     ``direction`` is "pullback", "forward", or "both".  The segment cap
-    truncates breadth-first by depth, reported through ``truncated``.
+    truncates breadth-first by depth, reported through ``truncated``.  It
+    counts each direction on its own, on the windowed layers before the box
+    re-clip: the first layer that takes the count past ``cap`` and every
+    deeper one are left out.  So at 4/5, depth 10, box -3..3 and cap 40,
+    pullback keeps 25 segments and forward 26, and "both" keeps 51.
     """
     if total_depth < 0:
         raise ParameterError("depth must be >= 0")

@@ -10,9 +10,9 @@ grid corner of two lines: a closed form whose only reciprocal, 1/Im(zeta^k),
 is cached per exponent difference.  Half-plane intersection finds its
 vertices with one half-plane sweep, certifies by one interior point that
 the open intersection is nonempty, and returns its closure; segment
-clipping keeps or drops a segment whole when its endpoints' outcodes settle
-it, and otherwise moves an endpoint that lies outside a box face to the
-corner of the segment's line with that face.
+clipping is one Cohen-Sutherland loop over the endpoints' outcodes, which
+drops a segment wholly outside one box face and moves an endpoint outside a
+face to the corner of the segment's line with that face.
 
 Predicates (side of a line, the binding pass and the antiparallel strip,
 turns and point location, the canonical start, box faces) take plain
@@ -21,10 +21,10 @@ enclosures, the fixed-point sums of the sign oracle: ``CycloNum.enclosure``,
 which each value computes once and keeps, so no predicate passes an
 enclosure around, and ``FieldContext.sine_row``.  ``_sum_sign`` decides a
 sum of two enclosed values and ``_turn`` a cross product, both through
-``_decide`` (box clipping makes the same compare inline), and a sign left
-open, for a point on or within about 2^-64 of a line or a tie, takes the
-exact sign oracle.  Equality is exact, and regularity and edge slopes are
-exact rotations by ``mul_zeta``, with no field product.
+``_decide``, box faces are read by ``_outcode``'s inline compares, and a
+sign left open, for a point on or within about 2^-64 of a line or a tie,
+takes the exact sign oracle.  Equality is exact, and regularity and edge
+slopes are exact rotations by ``mul_zeta``, with no field product.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class Box:
 
     ``_faces`` holds the (numerator, denominator) pairs of y0, x0, y1 and
     x1, the bounds of the faces y >= y0, x >= x0, y <= y1 and x <= x1 in
-    the order :func:`clip_segment_to_box` walks them, read once here, so
+    the order :func:`clip_segment_to_box` settles them, read once here, so
     that a clip's outcodes (``_outcode``) compare integers only."""
 
     __slots__ = ("x0", "y0", "x1", "y1", "_faces")
@@ -458,33 +458,34 @@ def edge_direction_power(ctx: FieldContext, d: CycloNum) -> Optional[int]:
 # -- segments ----------------------------------------------------------------
 
 
-# a Cohen-Sutherland outcode: bit k for an endpoint certified strictly
-# outside face k (y0, x0, y1, x1, the order of ``Box._faces``), and _OPEN
-# for one on or near some face, whose enclosure leaves that face open
-_OPEN = 16
+# a Cohen-Sutherland outcode holds two bits per face k (y0, x0, y1, x1, the
+# order of ``Box._faces``): bit 2k for an endpoint on or near face k, which
+# its enclosure leaves open, and bit 2k+1 for one certified strictly outside.
+# The open bit is the lower, so the clip tests an endpoint that a face leaves
+# open before it moves the other endpoint to that face.
+_OUTSIDE = 0b10101010
 
 
 def _outcode(x: int, y: int, err: int, s: int, faces) -> int:
     """The outcode of a point w against the box faces, from its enclosure
     (X, Y, E, s): with the face bound v = num/den, den*(X - E) > num*s
     certifies Re(w) > v and den*(X + E) < num*s certifies Re(w) < v,
-    likewise Y for Im(w), the bounds the face loop of
-    :func:`clip_segment_to_box` decides by.  0 means certified strictly
-    inside all four faces."""
+    likewise Y for Im(w).  This is the only code that compares a point with
+    a box face.  0 means certified strictly inside all four faces."""
     (ny0, dy0), (nx0, dx0), (ny1, dy1), (nx1, dx1) = faces
     code = 0
     k = ny0 * s
     if dy0 * (y - err) <= k:
-        code |= 1 if dy0 * (y + err) < k else _OPEN
+        code |= 2 if dy0 * (y + err) < k else 1
     k = nx0 * s
     if dx0 * (x - err) <= k:
-        code |= 2 if dx0 * (x + err) < k else _OPEN
+        code |= 8 if dx0 * (x + err) < k else 4
     k = ny1 * s
     if dy1 * (y + err) >= k:
-        code |= 4 if dy1 * (y - err) > k else _OPEN
+        code |= 32 if dy1 * (y - err) > k else 16
     k = nx1 * s
     if dx1 * (x + err) >= k:
-        code |= 8 if dx1 * (x - err) > k else _OPEN
+        code |= 128 if dx1 * (x - err) > k else 64
     return code
 
 
@@ -492,58 +493,52 @@ def clip_segment_to_box(seg: ExactSegment, box: Box) -> Optional[ExactSegment]:
     """Exact intersection with the closed box; degenerate results are None.
 
     The faces y >= y0, x >= x0, y <= y1 and x <= x1 are the grid half-planes
-    Im(zeta^f * w) + beta_f >= 0 with f = 0, m/4, m/2, 3m/4.  First the
-    endpoints' outcodes (``_outcode``, from the certified enclosures that
-    ``CycloNum.enclosure`` keeps on them) settle the whole segment when they
-    can: both certified strictly inside every face returns ``seg`` itself,
-    and both certified strictly outside one face returns None, since the
-    segment is convex and so lies wholly outside that face, as does any
-    corner an earlier face would have built.  Every other segment takes the
-    face loop.  Face by face, a segment with both endpoints outside is
-    dropped, and an endpoint outside moves to the grid corner of the
-    segment's line with the face.  Each endpoint's enclosure decides a face
-    by integer compares; only a face it leaves open, with the endpoint on it
-    or within sum|vec_j| / (den * 2^64) of it, takes the exact test.  This
-    is the only clipping code.  An endpoint keeps its enclosure, so a
-    critical segment, clipped to the window of its layer and later to the
-    box, is enclosed once, and a segment that no face moves is returned as
-    it is.
+    Im(zeta^f * w) + c_f >= 0 with f = 0, m/4, m/2, 3m/4.  One
+    Cohen-Sutherland loop reads the endpoints' outcodes (``_outcode``, from
+    the certified enclosures that ``CycloNum.enclosure`` keeps on them) and
+    nothing else.
+    Both certified strictly outside one face returns None, since the segment
+    is convex and so lies wholly outside that face.  Otherwise the loop
+    settles the first face that either outcode names.  A face an endpoint's
+    enclosure leaves open, with the endpoint on it or within sum|vec_j| /
+    (den * 2^64) of it, takes one exact test, which marks the endpoint
+    outside or clears the face.  An endpoint outside moves to the grid
+    corner of the segment's line with the face; the corner lies on that face
+    and, by convexity, inside every earlier one, so its fresh outcode keeps
+    only the later faces.  This is the only clipping code.  An endpoint
+    keeps its enclosure, so a critical segment, clipped to the window of its
+    layer and later to the box, is enclosed once, and a segment that no face
+    moves is returned as it is.
     """
     faces = box._faces
-    enc_a, enc_b = seg.a.enclosure(), seg.b.enclosure()
-    code_a, code_b = _outcode(*enc_a, faces), _outcode(*enc_b, faces)
-    if not code_a | code_b:
-        # equal points have equal enclosures, so unequal ones need no field compare
-        return seg if enc_a != enc_b or seg.a != seg.b else None
-    if code_a & code_b & ~_OPEN:
-        return None
-    ctx = seg.a.ctx
-    m = ctx.m
-    ends = [seg.a, seg.b]
+    a, b = seg.a, seg.b
+    code_a, code_b = _outcode(*a.enclosure(), faces), _outcode(*b.enclosure(), faces)
     line = None
-    # face f is s * (coordinate - v) >= 0, that is Im(zeta^f * w) - s*v >= 0,
-    # for the coordinate Im(w) (enclosure entry c = 1) or Re(w) (c = 0)
-    for f, c, s, v in ((0, 1, 1, box.y0), (m // 4, 0, 1, box.x0),
-                       (m // 2, 1, -1, box.y1), (3 * m // 4, 0, -1, box.x1)):
-        num, den = v.numerator, v.denominator
-        out = []
-        for w in ends:
-            enc = w.enclosure()
-            # den * scale * s * (coordinate - v), within den * err; the
-            # compare is inline, not ``_decide``, whose call per endpoint and
-            # face measured 6 % slower on a critical-set round
-            gap = s * (den * enc[c] - num * enc[3])
-            if abs(gap) > den * enc[2]:
-                out.append(gap < 0)
-            else:
-                out.append(sign_of_imag(w.mul_zeta(f) - ctx.point(0, s * v)) == Sign.NEGATIVE)
-        if out[0] and out[1]:
+    while code_a | code_b:
+        if code_a & code_b & _OUTSIDE:
             return None
-        if out[0] or out[1]:
+        either = code_a | code_b
+        bit = either & -either
+        on_a = code_a & bit
+        w, code = (a, code_a) if on_a else (b, code_b)
+        k = bit.bit_length() - 1 >> 1
+        ctx = w.ctx
+        f, c = k * ctx.m // 4, (-box.y0, -box.x0, box.y1, box.x1)[k]
+        if bit & _OUTSIDE:
             line = line or seg.grid_line()
-            ends[0 if out[0] else 1] = grid_corner(*line, f, ctx.from_rational(-s * v))
-    a, b = ends
-    if a == b:
+            w = grid_corner(*line, f, ctx.from_rational(c))
+            # -2 * bit keeps the bits of the faces after k
+            code = _outcode(*w.enclosure(), faces) & -2 * bit
+        elif sign_of_imag(w.mul_zeta(f) + ctx.point(0, c)) == Sign.NEGATIVE:
+            code ^= 3 * bit  # open -> outside
+        else:
+            code ^= bit  # inside or on the face
+        if on_a:
+            a, code_a = w, code
+        else:
+            b, code_b = w, code
+    # a == b for two points of one field, without the method call
+    if a.den == b.den and a.vec == b.vec:
         return None
     if line is None:
         return seg

@@ -60,10 +60,11 @@ class Scene:
         pad = 0.05 * max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
         return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
 
-    def to_svg(self, size: int = 800) -> str:
+    def to_svg(self) -> str:
+        """The scene as SVG, 800 units along its longer side."""
         x0, y0, x1, y1 = self._bounds()
         span = max(x1 - x0, y1 - y0)
-        scale = size / span if span else 1.0
+        scale = 800 / span if span else 1.0
         width = (x1 - x0) * scale
         height = (y1 - y0) * scale
 

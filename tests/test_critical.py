@@ -176,11 +176,11 @@ class TestBundle:
         assert critical.window(Box(0, 0, Fraction(1, 2), Fraction(1, 3)), 0) == Box(-1, -1, 1, 1)
 
     def test_equal_boxes_share_one_rho(self):
-        critical._rho.cache_clear()
+        critical.window.cache_clear()
         a, b = Box(-1, -2, 6, 3), Box("-1", Fraction(-4, 2), 6, 3)
         assert a is not b and a == b and hash(a) == hash(b)
-        assert critical._rho(a) == critical._rho(b) == 7
-        assert critical._rho.cache_info().hits == 1
+        assert critical.window(a, 2) is critical.window(b, 2) == Box(-9, -9, 9, 9)
+        assert critical.window.cache_info().hits == 1
 
     def test_layers_are_frozen(self, ctx5):
         bundle = critical_bundle(ctx5, 1, BOX)
@@ -265,6 +265,15 @@ class TestEnclosedEndpoints:
             monkeypatch.setattr(owner, "grid_corner", lambda *a: built.append(a) or corner(*a))
         critical_bundle(make_field(*alpha), 20, box, "both")
         assert 0 < len(built) <= most
+
+    def test_exact_face_tests(self, monkeypatch):
+        # the two depth-20 bundles of the benchmark: an endpoint's enclosure
+        # leaves a window or box face open, for the exact test, 9 times in all
+        faces = []
+        monkeypatch.setattr(geometry, "sign_of_imag", lambda a: faces.append(a) or sign_of_imag(a))
+        for alpha, box in (((4, 5), Box(-4, -4, 4, 4)), ((11, 12), Box(-1, -2, 6, 3))):
+            critical_bundle(make_field(*alpha), 20, box, "both")
+        assert 0 < len(faces) <= 9
 
     @pytest.mark.parametrize("direction", [PULLBACK, FORWARD])
     def test_widened_enclosures_leave_every_sign_exact(self, ctx5, request, monkeypatch,

@@ -972,38 +972,54 @@ class TestClipOutcodes:
                 assert reference_clip(seg, box) is None
 
     @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
-    def test_outside_two_faces_near_a_corner(self, exact, monkeypatch, p, q):
-        # lines that pass the corner (x1, y1) on the outside, with the two
-        # endpoints outside different faces: no one face holds both, so the
-        # face loop builds a corner before a later face drops the segment
+    def test_outside_two_faces_near_a_corner(self, exact, exact_faces, monkeypatch, p, q):
+        # lines that pass the corner (x1, y1) on the outside, or exactly
+        # through it, with the two endpoints outside different faces: no one
+        # face holds both, so the clip builds a corner before a later face
+        # drops the segment.  A corner built on a line through (x1, y1) is
+        # (x1, y1) itself, exactly on the later face, which takes the exact
+        # test, and the two endpoints meet there.
         ctx = make_field(p, q)
         box = FRACTION_BOX
         corners = []
         monkeypatch.setattr(geometry, "grid_corner",
                             lambda *a: corners.append(a) or grid_corner(*a))
-        near = ctx.point(box.x1 + Fraction(1, 8), box.y1 + Fraction(1, 8))
         seen = 0
-        for t, u in self.directions(ctx):
-            seg = ExactSegment(near - u, near + u, t)
-            out_a, out_b = exact_outside(seg.a, box), exact_outside(seg.b, box)
-            if not (out_a and out_b) or out_a & out_b:
-                continue
-            assert reference_clip(seg, box) is None
-            before = len(corners)
-            assert clip_segment_to_box(seg, box) is None
-            assert len(corners) > before
-            seen += 1
-        assert seen >= 1
+        for off in (Fraction(1, 8), 0):
+            near = ctx.point(box.x1 + off, box.y1 + off)
+            for t, u in self.directions(ctx):
+                seg = ExactSegment(near - u, near + u, t)
+                out_a, out_b = exact_outside(seg.a, box), exact_outside(seg.b, box)
+                if not (out_a and out_b) or out_a & out_b:
+                    continue
+                assert reference_clip(seg, box) is None
+                before = len(corners), len(exact_faces)
+                assert clip_segment_to_box(seg, box) is None
+                assert len(corners) > before[0]
+                assert off or len(exact_faces) > before[1]
+                seen += 1
+        assert seen >= 2
 
     @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
     def test_crossing(self, exact, p, q):
+        # through an interior point, and through the corner (x1, y1) into
+        # the interior from outside both of its faces
         ctx = make_field(p, q)
         a = ctx.point(Fraction(1, 3), Fraction(1, 5))
+        corner = ctx.point(FRACTION_BOX.x1, FRACTION_BOX.y1)
+        through_corner = 0
         for t, u in self.directions(ctx):
             for seg in (ExactSegment(a, a + 5 * u, t), ExactSegment(a - 5 * u, a + 5 * u, t)):
                 out = clip_segment_to_box(seg, FRACTION_BOX)
                 assert out == reference_clip(seg, FRACTION_BOX)
                 assert out is not None and out != seg
+            if sign_of_real(u.real()) == sign_of_imag(u) != Sign.ZERO:
+                seg = ExactSegment(corner - u, corner + u, t)
+                out = clip_segment_to_box(seg, FRACTION_BOX)
+                assert out == reference_clip(seg, FRACTION_BOX)
+                assert out is not None and corner in (out.a, out.b)
+                through_corner += 1
+        assert through_corner >= 1
 
     @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
     def test_endpoint_on_a_face(self, exact, p, q):
