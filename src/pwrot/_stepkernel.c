@@ -9,13 +9,13 @@
  * and a step adds or subtracts D * lambda^-r, r = n mod q, to the few
  * entries of W that it touches.  The branch sign is the d-term float sum of
  * W against the sine row rotated by e = r*t0 mod m when it clears
- * margin * sum|W_j|, the allowance derived in the ``_steppy`` docstring:
- * with rows from the 64-bit integer nodes, the float sum errs by less than
- * (d + 3) 2^-53 sum|W_j|, and margin = (8d + 128) 2^-53 is more than twice
- * that, also against the float sum of the |W_j| it multiplies.  The
- * float operations are those of the pure kernel, in the same order, so
- * both kernels compute the same bounds.  Otherwise the exact
- * v_n = zeta^e W_n is built and signed by the same float test on the
+ * margin * sum|W_j|, the allowance derived in the ``stepper._Plan``
+ * docstring: with rows from the 64-bit integer nodes, the float sum errs by
+ * less than (d + 3) 2^-53 sum|W_j|, and margin = (8d + 128) 2^-53 is more
+ * than twice that, also against the float sum of the |W_j| it multiplies.
+ * The pure kernel signs with those integer nodes and no float, so its
+ * bounds are its own and its signs check this allowance.  Otherwise the
+ * exact v_n = zeta^e W_n is built and signed by the same float test on the
  * unrotated row, the exact integer zero test (v_n fixed by conjugation),
  * then the caller's exact ``hard_sign(tuple)`` for the rare ambiguous
  * nonzero sign, whose exceptions propagate.  The float that decides a sign

@@ -42,9 +42,6 @@ class GoldenContext(NamedTuple):
     R: CycloNum
     S: CycloNum
 
-    def triangle(self) -> ConvexPolygon:
-        return make_polygon([self.Q, self.S, self.R])
-
 
 @lru_cache(maxsize=1)
 def golden_context() -> GoldenContext:

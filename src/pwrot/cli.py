@@ -27,12 +27,7 @@ from .casestudy import (
 from .critical import critical_bundle, merge_collinear
 from .cyclo import CycloNum, format_golden, fraction_str, make_field
 from .dynamics import address, minimal_period, orbit
-from .errors import (
-    BudgetExceededError,
-    FalsifiedInvariantError,
-    ParameterError,
-    PwrotError,
-)
+from .errors import BudgetExceededError, ParameterError, PwrotError
 from .geometry import Box, polygon_is_regular
 from .pointexpr import parse_alpha, parse_box, parse_point, parse_rational
 from .render import orbit_scene, polygon_scene, segment_scene, tiles_scene
@@ -534,9 +529,6 @@ def main(argv=None) -> int:
     except BudgetExceededError as err:
         print(f"budget exhausted: {err}", file=sys.stderr)
         return EXIT_BUDGET
-    except FalsifiedInvariantError as err:
-        print(f"falsified invariant: {err}", file=sys.stderr)
-        return EXIT_FALSIFIED
     except (PwrotError, OSError) as err:
         # an OSError comes from a path given by --out or --svg, or a scan sidecar's
         print(f"error: {err}", file=sys.stderr)

@@ -160,7 +160,6 @@ class FieldContext:
     __slots__ = (
         "p", "q", "m", "d", "phi_m", "t0", "lambda_", "i_unit",
         "_zeta_vecs", "_zeta_rows", "_units", "_cos", "_sin", "_sine_rows",
-        "_extras",
     )
 
     def __init__(self, p: int, q: int):
@@ -188,7 +187,6 @@ class FieldContext:
         self.lambda_ = self.zeta_pow(self.t0)
         self.i_unit = self.zeta_pow(self.m // 4)
         self._sine_rows = None
-        self._extras: dict = {}
 
     def _build_zeta_table(self) -> tuple[tuple[int, ...], ...]:
         d, phi = self.d, self.phi_m
@@ -611,6 +609,7 @@ class SubfieldBasis:
         return None if lat is None else tuple(Fraction(x, lat[1]) for x in lat[0])
 
 
+@lru_cache(maxsize=None)
 def golden_elements(ctx: FieldContext):
     """(phi, sqrt(2+phi), basis over {1, phi, i*sqrt(2+phi), i*phi*sqrt(2+phi)}).
 
@@ -618,18 +617,13 @@ def golden_elements(ctx: FieldContext):
     """
     if ctx.m != 20:
         raise WrongContextError("golden-ratio formatting needs conductor 20")
-    cached = ctx._extras.get("golden")
-    if cached is None:
-        z5 = ctx.zeta_pow(4)
-        phi = ctx.one() + z5 + z5.conj()
-        i_sqrt = z5 - z5.conj()          # i * sqrt(2 + phi)
-        sqrt2phi = i_sqrt / ctx.i_unit
-        assert sqrt2phi * sqrt2phi == phi + 2
-        assert phi * phi == phi + 1
-        basis = SubfieldBasis([ctx.one(), phi, i_sqrt, i_sqrt * phi])
-        cached = (phi, sqrt2phi, basis)
-        ctx._extras["golden"] = cached
-    return cached
+    z5 = ctx.zeta_pow(4)
+    phi = ctx.one() + z5 + z5.conj()
+    i_sqrt = z5 - z5.conj()          # i * sqrt(2 + phi)
+    sqrt2phi = i_sqrt / ctx.i_unit
+    assert sqrt2phi * sqrt2phi == phi + 2
+    assert phi * phi == phi + 1
+    return phi, sqrt2phi, SubfieldBasis([ctx.one(), phi, i_sqrt, i_sqrt * phi])
 
 
 def golden_coords(a: CycloNum):

@@ -37,9 +37,5 @@ class BudgetExceededError(PwrotError):
         super().__init__(message or f"no exact return within budget {budget}")
 
 
-class FalsifiedInvariantError(PwrotError):
-    """A verification run contradicted an invariant it was asked to certify."""
-
-
 class InternalInconsistencyError(PwrotError):
     """A condition that is mathematically impossible for valid inputs occurred."""

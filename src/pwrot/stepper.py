@@ -6,9 +6,11 @@ v_n = lambda^n W_n, where a step adds or subtracts den * lambda^-n, one of q
 lattice vectors, to W: exact period detection over millions of steps is
 pure integer work, with no conversion in or out.  This module builds the
 tables of that walk once per field context (the integer vectors of the
-powers of zeta, and the sine rows rotated by each power of lambda) and
-hands them to the fastest available kernel: the compiled extension when
-importable and the start fits its int64 guard, else the pure-Python twin.
+powers of zeta, and the integer sine rows rotated by each power of lambda,
+with the float rows and allowance of the compiled kernel derived from
+them) and hands them to the fastest available kernel: the compiled
+extension when importable and the start fits its int64 guard, else the
+pure-Python twin, which signs with the integer rows as the field does.
 Every orbit computation is one walk through ``_walk``, which reruns a
 compiled walk that outgrows int64 in the pure kernel from its start;
 ``run_period`` and ``run_signs`` are its two views.
@@ -17,6 +19,7 @@ compiled walk that outgrows int64 in the pure kernel from its start;
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from . import _steppy
@@ -64,20 +67,35 @@ class OrbitRecord(NamedTuple):
 
 class _Plan:
     """The tables of the co-rotating walk for one field context: the
-    integer vectors of the m powers of zeta, from which the kernels take
-    the q step vectors lambda^-r, rotate the targets and build the exact
-    iterates v_n = zeta^e W_n, and the q float sine rows rotated by
-    e = r*t0, from the 64-bit nodes of ``FieldContext.sine_row``."""
+    integer vectors of the m powers of zeta, from which the compiled kernel
+    takes the q step vectors lambda^-r, rotates the targets and builds the
+    exact iterates v_n = zeta^e W_n, and the q integer sine rows rotated by
+    e = r*t0 (``FieldContext.sine_row``), which the pure kernel signs with.
+
+    The compiled kernel signs with the float rows y_j = fl(S)/2^64 of the
+    same nodes S, and a float sum counts only when it clears an allowance.
+    Let u = 2^-53 and A = sum|W_j|.  S is within 1 of
+    2^64 sin(2 pi (j + e)/m), so |y_j - sin| < 2^-64 + u(1 + 2^-64) < 1.01u,
+    and |y_j| <= 1.  Converting W_j, the d products and the d - 1 additions
+    of the recursive sum each round once, so the computed sum T differs from
+    Im(zeta^e W) by at most A (1.01u + (1 + 1.01u)((1 + u)^(d+1) - 1)),
+    below (d + 3)u A for any d < 2^20.  The allowance is margin * a with
+    margin = (8d + 128)u, where a, the float sum of the |fl(W_j)|, is at
+    least (1 - (d + 1)u) A, and its product rounds once, so the allowance is
+    more than twice that error: |T| above it has the sign of Im(z_n).  Then
+    |T| -+ allowance also brackets |Im(z_n)| * D: their own roundings are at
+    most 2uA (|T| <= A(1 + du)), and the allowance exceeds the error by
+    more.  The walks pass over an iterate that cannot be its class's
+    nominee by these bounds.  The same bound, with e = 0, holds for the test
+    on v_n and on the differences the nomination compares."""
 
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
         d, m = ctx.d, ctx.m
         self.t0 = t0 = ctx.t0
         self.zeta = zeta = ctx._zeta_vecs
-        self.rows = tuple(
-            tuple(s / 2 ** 64 for s in ctx.sine_row(r * t0)) for r in range(ctx.q)
-        )
-        # the allowance of a float sum of d terms; see _steppy for the bound
+        self.rows = tuple(ctx.sine_row(r * t0) for r in range(ctx.q))
+        self.float_rows = tuple(tuple(s / 2 ** 64 for s in row) for row in self.rows)
         self.margin = (4 * d + 64) * 2.0 ** -52
 
         def spread(k: int, e: int) -> int:
@@ -108,21 +126,18 @@ class _Plan:
         return room // self.rowsum
 
     def pure_kernel(self, denom: int):
-        return _steppy.Kernel(self.zeta, self.rows, self.t0, denom, self.margin, self.hard_sign)
+        return _steppy.Kernel(self.ctx, self.rows, denom, self.hard_sign)
 
     def compiled_kernel(self, denom: int):
         return _stepkernel.Kernel(
-            self.zeta, self.rows, self.t0, denom, self.margin, self.hard_sign,
+            self.zeta, self.float_rows, self.t0, denom, self.margin, self.hard_sign,
             self.int64_threshold(denom),
         )
 
 
+@lru_cache(maxsize=None)
 def _plan(ctx: FieldContext) -> _Plan:
-    plan = ctx._extras.get("step_plan")
-    if plan is None:
-        plan = _Plan(ctx)
-        ctx._extras["step_plan"] = plan
-    return plan
+    return _Plan(ctx)
 
 
 def _walk(z: CycloNum, budget: int, target=None, select=False):

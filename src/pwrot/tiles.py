@@ -107,9 +107,6 @@ class CheckReport:
     def passed(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
 
-    def failures(self):
-        return [(label, detail) for label, ok, detail in self.checks if not ok]
-
 
 def _minimal_block(rec: OrbitRecord) -> tuple[int, ...]:
     """The minimal itinerary block of a periodic seed, read off the signs of

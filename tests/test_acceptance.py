@@ -57,6 +57,7 @@ from pwrot.tiles import (
     tile_images,
 )
 
+from checks import failures, golden_triangle
 from fieldops import squared_abs
 from segments import point_on_segment
 
@@ -247,7 +248,7 @@ def test_criterion_05_hexagon_case():
         ok,
         f"20-periodic center, exact six-vertex match, irregular, 20 distinct "
         f"images closing up, none meeting the line ({elapsed:.2f}s < 5s); "
-        f"failures: {report.failures()}",
+        f"failures: {failures(report)}",
     )
 
 
@@ -454,7 +455,7 @@ def test_criterion_10_renormalization_geometry(gc):
             problems.append("contraction ratio violated")
             break
 
-    tri = gc.triangle()
+    tri = golden_triangle(gc)
     src = critical_bundle(gc.ctx, 12, Box(-2, Fraction(-1, 2), 3, 7))
     inside = [
         s

@@ -17,6 +17,7 @@ from pwrot.dynamics import minimal_period, step
 from pwrot.errors import WrongContextError
 from pwrot.geometry import Location, polygon_contains
 
+from checks import failures, golden_triangle
 from fieldops import squared_abs
 from segments import point_on_segment
 
@@ -83,7 +84,7 @@ class TestGoldenContext:
         assert sign_of_real(gc.S.real() - s1.real()) == Sign.POSITIVE
 
     def test_triangle_maps_into_itself(self, gc):
-        tri = gc.triangle()
+        tri = golden_triangle(gc)
         for v in (gc.Q, gc.R, gc.S):
             img = golden_rescale(gc, v)
             assert polygon_contains(tri, img) != Location.EXTERIOR
@@ -173,7 +174,7 @@ class TestQReturns:
 class TestHexagonCase:
     def test_all_checks_pass(self):
         report = hexagon_case()
-        assert report.passed, report.failures()
+        assert report.passed, failures(report)
         labels = [label for label, _, _ in report.checks]
         assert "center is 20-periodic" in labels
         assert "no open image meets the line" in labels
@@ -200,7 +201,7 @@ class TestRenormalizationIncidence:
         from pwrot.geometry import Box
         from pwrot.stepper import run_signs
 
-        tri = gc.triangle()
+        tri = golden_triangle(gc)
         src = critical_bundle(gc.ctx, 10, Box(-2, Fraction(-1, 2), 3, 7))
         inside = [
             s
@@ -240,7 +241,7 @@ class TestRenormalizationIncidence:
         from pwrot.geometry import Box
 
         src = critical_bundle(gc.ctx, 8, Box(-2, Fraction(-1, 2), 3, 7))
-        tri = gc.triangle()
+        tri = golden_triangle(gc)
         found = None
         for seg in src.all_segments():
             for endpoint in (seg.a, seg.b):

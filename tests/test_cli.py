@@ -682,6 +682,22 @@ class TestVerify:
         assert code == 4
         assert out == "" and "samples" in err
 
+    def test_failed_check_exits_three(self, capsys, monkeypatch):
+        # exit code 3 is the verdict of the reports, which the command prints
+        verify_polygon_bounds = cli.verify_polygon_bounds
+
+        def failing(tile):
+            report = verify_polygon_bounds(tile)
+            report.record("forced failure", False, "recorded by the test")
+            return report
+
+        monkeypatch.setattr(cli, "verify_polygon_bounds", failing)
+        code, out, _ = run(
+            capsys, "verify", "--alpha", "4/5", "--seed", "P1", "--budget", "100",
+        )
+        assert code == 3
+        assert "[FAIL] forced failure" in out and "result: FALSIFIED" in out
+
 
 class TestBadPaths:
     """A path that cannot be written or read is bad input: exit 4 and one

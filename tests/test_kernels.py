@@ -102,18 +102,36 @@ def streamed_polygon(tile):
     )
 
 
+def unbounded(out):
+    """A walk's (status, signs, touches, nominees): the per-class bounds
+    dropped, since each kernel bounds on its own scale (2^64 D in the pure
+    kernel, D in the compiled one), and the nominees kept, which are exact."""
+    status, signs, touches, sel = out
+    return status, signs, touches, sel and sel[1]
+
+
+def force_exact(m, ctx):
+    """Within the monkeypatch context m, leave every sign of ctx's walks to
+    the exact zero test or hard_sign, whichever kernel walks: no float sum
+    clears an infinite margin, and no certificate on zero integer rows
+    clears its error sum|W_j|."""
+    plan = stepper._plan(ctx)
+    m.setattr(plan, "margin", float("inf"))
+    m.setattr(plan, "rows", tuple((0,) * ctx.d for _ in plan.rows))
+
+
 @pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
 class TestCompiledAgreesWithPure:
     """Every output of a walk agrees: status, signs, touches, and the
-    per-class bounds and nominees when it selects them."""
+    per-class nominees when it selects them."""
 
     def _compare(self, ctx, z, budget):
         plan = stepper._plan(ctx)
         v, denom = z.vec, z.den
         pure = plan.pure_kernel(denom)
         comp = plan.compiled_kernel(denom)
-        rp = pure.walk(list(v), budget, list(v), True)
-        rc = comp.walk(list(v), budget, list(v), True)
+        rp = unbounded(pure.walk(list(v), budget, list(v), True))
+        rc = unbounded(comp.walk(list(v), budget, list(v), True))
         assert rp == rc
         # a walk that does not select is the same walk, with no nominees
         unselected = rp[:3] + (None,)
@@ -164,9 +182,10 @@ class TestCompiledAgreesWithPure:
         for z, budget in tile_seeds():
             plan = stepper._plan(z.ctx)
             pure = plan.pure_kernel(z.den).walk(z.vec, budget, z.vec, True)
-            assert pure == plan.compiled_kernel(z.den).walk(z.vec, budget, z.vec, True)
-            bounds, nominees = pure[3]
-            assert any(nominees) and len(bounds) == len(nominees) == z.ctx.m
+            comp = plan.compiled_kernel(z.den).walk(z.vec, budget, z.vec, True)
+            assert unbounded(pure) == unbounded(comp)
+            for bounds, nominees in (pure[3], comp[3]):
+                assert any(nominees) and len(bounds) == len(nominees) == z.ctx.m
 
 
 class _Logged:
@@ -319,11 +338,11 @@ def test_nominees_are_the_least_of_each_class(monkeypatch, contract, kernel):
 
 @pytest.mark.parametrize("compiled", [False, True])
 def test_forced_near_ties_are_settled_exactly(monkeypatch, compiled):
-    # with a margin no float sum can clear, no float bounds an iterate: every
-    # iterate off the line is compared with its class's nominee by exact
-    # signs alone, and the nominees and tiles must not change.  At even q a
-    # class holds iterates of both signs, and exact ties leave a zero
-    # difference, which the exact zero test settles.
+    # with every sign left to the exact tests (force_exact), nothing bounds
+    # an iterate: every iterate off the line is compared with its class's
+    # nominee by exact signs alone, and the nominees and tiles must not
+    # change.  At even q a class holds iterates of both signs, and exact ties
+    # leave a zero difference, which the exact zero test settles.
     if compiled and not stepper.HAVE_COMPILED:
         pytest.skip("compiled kernel not built")
     monkeypatch.delenv("PWROT_PURE", raising=False)
@@ -331,8 +350,8 @@ def test_forced_near_ties_are_settled_exactly(monkeypatch, compiled):
     tiles = [tile_from_seed(z, budget) for z, budget in seeds]
     floated = [run_period(z, budget, True).nominees for z, budget in seeds]
     monkeypatch.setattr(stepper, "_compiled_enabled", lambda: compiled)
-    for z, _ in seeds:
-        monkeypatch.setattr(stepper._plan(z.ctx), "margin", float("inf"))
+    for c in {z.ctx for z, _ in seeds}:
+        force_exact(monkeypatch, c)
     for (z, budget), tile, before in zip(seeds, tiles, floated):
         assert run_period(z, budget, True).nominees == before
         forced = tile_from_seed(z, budget)
@@ -344,13 +363,16 @@ def test_forced_near_ties_are_settled_exactly(monkeypatch, compiled):
 def test_origin_with_infinite_margin(ctx, monkeypatch):
     # an infinite margin times sum|v_j| = 0 is NaN at the origin: the float
     # must decide nothing there, so the zero test signs it 0, a touch; with
-    # the shipped margin the float sum 0 does not clear the allowance 0
+    # the shipped margin the float sum 0 does not clear the allowance 0, nor
+    # the certificate's sum 0 its error 0, forced or not
     plan = stepper._plan(ctx)
     z = ctx.zero()
-    for margin in (plan.margin, float("inf")):
-        monkeypatch.setattr(plan, "margin", margin)
-        pure = plan.pure_kernel(z.den).walk(z.vec, 3, None, True)
-        assert plan.compiled_kernel(z.den).walk(z.vec, 3, None, True) == pure
+    for forced in (False, True):
+        with monkeypatch.context() as m:
+            if forced:
+                force_exact(m, ctx)
+            pure = plan.pure_kernel(z.den).walk(z.vec, 3, None, True)
+            assert unbounded(plan.compiled_kernel(z.den).walk(z.vec, 3, None, True)) == unbounded(pure)
         assert list(pure[1]) == [0, 1, 1] and pure[2] == [(0, tuple(z.vec))]
 
 
@@ -385,10 +407,11 @@ def fallback_seeds():
 
 @pytest.mark.parametrize("compiled", [False, True])
 def test_fallback_at_every_step_changes_nothing(ctx, monkeypatch, compiled):
-    # with a margin no float sum can clear, every iterate takes the fallback:
-    # v_n = zeta^e W_n is built and signed by the exact zero test or
-    # hard_sign.  Signs, touches, periods and nominees must not change on
-    # Q's walk past its touch at 16,125 and on the walks of fallback_seeds
+    # with every sign left to the exact tests (force_exact), every iterate
+    # takes the fallback: v_n = zeta^e W_n is built and signed by the exact
+    # zero test or hard_sign.  Signs, touches, periods and nominees must not
+    # change on Q's walk past its touch at 16,125 and on the walks of
+    # fallback_seeds
     if compiled and not stepper.HAVE_COMPILED:
         pytest.skip("compiled kernel not built")
     monkeypatch.delenv("PWROT_PURE", raising=False)
@@ -404,7 +427,7 @@ def test_fallback_at_every_step_changes_nothing(ctx, monkeypatch, compiled):
     monkeypatch.setattr(stepper._Plan, "hard_sign",
                         lambda plan, v: calls.append(v) or hard_sign(plan, v))
     for c in {z.ctx for z, _ in seeds}:
-        monkeypatch.setattr(stepper._plan(c), "margin", float("inf"))
+        force_exact(monkeypatch, c)
     q_signs = run_signs(q0, 16_126)
     # each nonzero sign of Q's walk went to the oracle, each zero to the zero test
     assert len(calls) == sum(1 for x in q_signs[0] if x)
@@ -455,7 +478,7 @@ def test_coefficients_at_the_guard_stay_exact():
     pattern = (-1, 1, -1, 0, -1, 0, 0, 0, 1, 0, -1, -1, 0, -1, 0, 0)
     start = [x * big for x in pattern]
     pure = plan.pure_kernel(1).walk(start, 200, start, True)
-    assert plan.compiled_kernel(1).walk(start, 200, start, True) == pure
+    assert unbounded(plan.compiled_kernel(1).walk(start, 200, start, True)) == unbounded(pure)
     assert any(pure[3][1])
 
 
@@ -468,8 +491,9 @@ def test_env_override_forces_pure(ctx, monkeypatch):
 
 
 def test_forced_hard_sign_matches_fast_path(ctx, monkeypatch):
-    # a margin no float sum can clear sends every nonzero branch sign to the
-    # exact oracle in _Plan.hard_sign; the walks must not change
+    # zero integer rows, on which no certificate clears its error, send every
+    # nonzero branch sign of the pure kernel to the exact oracle in
+    # _Plan.hard_sign; the walks must not change
     phi, s, _ = golden_elements(ctx)
     p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
     p1 = (2 * phi - 3) * p0 + (2 - 2 * phi)
@@ -484,7 +508,7 @@ def test_forced_hard_sign_matches_fast_path(ctx, monkeypatch):
         calls.append(v)
         return hard_sign(plan, v)
 
-    monkeypatch.setattr(stepper._plan(ctx), "margin", float("inf"))
+    force_exact(monkeypatch, ctx)
     monkeypatch.setattr(stepper._Plan, "hard_sign", counted)
     monkeypatch.setattr(stepper, "_compiled_enabled", lambda: False)
     assert run_period(p1, 100) == rec
@@ -495,10 +519,11 @@ def test_forced_hard_sign_matches_fast_path(ctx, monkeypatch):
 
 @pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
 def test_compiled_forced_hard_sign_matches_pure(ctx, monkeypatch):
-    # the compiled twin of test_forced_hard_sign_matches_fast_path: every
-    # nonzero branch sign crosses from C into _Plan.hard_sign, with the same
-    # oracle calls and results as the pure kernel, and oracle errors propagate;
-    # PWROT_PURE=1 in the environment would switch the compiled walk off
+    # the compiled twin of test_forced_hard_sign_matches_fast_path: with an
+    # infinite margin every nonzero branch sign crosses from C into
+    # _Plan.hard_sign, with the same oracle calls and results as the pure
+    # kernel on zero rows, and oracle errors propagate; PWROT_PURE=1 in the
+    # environment would switch the compiled walk off
     monkeypatch.delenv("PWROT_PURE", raising=False)
     phi, s, _ = golden_elements(ctx)
     p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
@@ -518,7 +543,7 @@ def test_compiled_forced_hard_sign_matches_pure(ctx, monkeypatch):
         calls.clear()
         return run_period(p1, 100), run_signs(-phi, 241), list(calls)
 
-    monkeypatch.setattr(plan, "margin", float("inf"))
+    force_exact(monkeypatch, ctx)
     monkeypatch.setattr(stepper._Plan, "hard_sign", counted)
     with monkeypatch.context() as m:
         m.setattr(stepper, "_compiled_enabled", lambda: False)
@@ -538,3 +563,49 @@ def test_compiled_forced_hard_sign_matches_pure(ctx, monkeypatch):
         run_period(p1, 100)
     with pytest.raises(RuntimeError, match="oracle failed"):
         run_signs(-phi, 240)
+
+
+@pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
+def test_near_line_walks_check_the_float_allowance(ctx, monkeypatch):
+    # Q + i/2^45 at 4/5 and 2 + i/2^45 at 3/7 start 2^-45 off the line and
+    # come as near it again, where a float sum of W cannot clear the compiled
+    # kernel's allowance and hard_sign decides (2,150 and 288 times), while
+    # the pure kernel's 64-bit certificate decides every sign itself: the two
+    # walks check the allowance against a certificate that shares none of it
+    hard_sign = stepper._Plan.hard_sign
+    calls = []
+    monkeypatch.setattr(stepper._Plan, "hard_sign",
+                        lambda plan, v: calls.append(v) or hard_sign(plan, v))
+    eps = Fraction(1, 2 ** 45)
+    for z in (-golden_elements(ctx)[0] + ctx.i_unit * eps, make_field(3, 7).point(2, eps)):
+        plan = stepper._plan(z.ctx)
+        pure = plan.pure_kernel(z.den).walk(z.vec, 16_126, None, True)
+        assert calls == []
+        compiled = plan.compiled_kernel(z.den).walk(z.vec, 16_126, None, True)
+        assert len(calls) > 0, "the compiled walk must need hard_sign"
+        assert unbounded(compiled) == unbounded(pure)
+        calls.clear()
+
+
+@pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
+def test_forced_kernels_call_the_oracle_alike(monkeypatch):
+    # forced (force_exact), each kernel sends the same branch signs and
+    # nominee differences to hard_sign, in the same order, and its
+    # nominating walks of the tile seeds are those of the unforced walks
+    monkeypatch.delenv("PWROT_PURE", raising=False)
+    seeds = tile_seeds()
+    before = [run_period(z, budget, True) for z, budget in seeds]
+    hard_sign = stepper._Plan.hard_sign
+    calls = []
+    monkeypatch.setattr(stepper._Plan, "hard_sign",
+                        lambda plan, v: calls.append(v) or hard_sign(plan, v))
+    for c in {z.ctx for z, _ in seeds}:
+        force_exact(monkeypatch, c)
+    logs = []
+    for compiled in (False, True):
+        monkeypatch.setattr(stepper, "_compiled_enabled", lambda compiled=compiled: compiled)
+        calls.clear()
+        assert [run_period(z, budget, True) for z, budget in seeds] == before
+        logs.append(list(calls))
+    assert logs[0] == logs[1]
+    assert len(logs[0]) > sum(rec.period for rec in before)

@@ -34,6 +34,7 @@ from pwrot.tiles import (
 )
 
 from affine import affine_along, compose, rotation_center
+from checks import failures
 
 
 @pytest.fixture(scope="module")
@@ -153,12 +154,12 @@ class TestVerification:
     def test_rotation_structure_on_known_tiles(self, p0_tile, p1_tile, hexagon_tile):
         for tile in (p0_tile, p1_tile, hexagon_tile):
             report = verify_rotation_structure(tile, samples=3, seed=1)
-            assert report.passed, report.failures()
+            assert report.passed, failures(report)
 
     def test_polygon_bounds_on_known_tiles(self, p0_tile, p1_tile, hexagon_tile):
         for tile in (p0_tile, p1_tile, hexagon_tile):
             report = verify_polygon_bounds(tile)
-            assert report.passed, report.failures()
+            assert report.passed, failures(report)
 
     def test_hexagon_numbers(self, hexagon_tile):
         report = verify_rotation_structure(hexagon_tile, samples=2, seed=2)
