@@ -469,20 +469,18 @@ static int flush_signs(PyObject *signs, const char *chunk, Py_ssize_t n)
     return r == NULL ? -1 : 0;
 }
 
-/* (bounds, best) as _steppy.Kernel.walk returns them; NULL on failure. */
+/* The nominees as _steppy.Kernel.walk returns them; NULL on failure. */
 static PyObject *select_new(const Kernel *k, const Select *sel)
 {
-    PyObject *bounds = PyList_New(k->m), *best = PyList_New(k->m);
-    for (Py_ssize_t c = 0; bounds != NULL && best != NULL && c < k->m; c++) {
-        PyObject *x = PyFloat_FromDouble(sel->bnd[c]);
+    PyObject *best = PyList_New(k->m);
+    for (Py_ssize_t c = 0; best != NULL && c < k->m; c++) {
         PyObject *b = sel->j[c] < 0 ? Py_NewRef(Py_None)
                       : Py_BuildValue("(LN)", sel->j[c], vec_new(sel->vec + c * k->d, k->d));
-        PyList_SET_ITEM(bounds, c, x);
         PyList_SET_ITEM(best, c, b);
-        if (x == NULL || b == NULL)
-            Py_CLEAR(bounds);
+        if (b == NULL)
+            Py_CLEAR(best);
     }
-    return Py_BuildValue("(NN)", bounds, best);  /* steals both, also on failure */
+    return best;
 }
 
 static PyObject *Kernel_walk(Kernel *k, PyObject *args, PyObject *kwds)
@@ -600,9 +598,7 @@ PyMODINIT_FUNC PyInit__stepkernel(void)
         return NULL;
     }
     Py_INCREF(&KernelType);
-    if (PyModule_AddObject(m, "Kernel", (PyObject *)&KernelType) < 0
-        || PyModule_AddStringConstant(m, "IMPL", "compiled") < 0
-        || PyModule_AddIntMacro(m, STATUS_OK) < 0 || PyModule_AddIntMacro(m, STATUS_BUDGET) < 0) {
+    if (PyModule_AddObject(m, "Kernel", (PyObject *)&KernelType) < 0) {
         Py_DECREF(m);
         return NULL;
     }

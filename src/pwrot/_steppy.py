@@ -10,7 +10,7 @@ lambda^-n = zeta^(-n*t0 mod m) depends only on the residue r = n mod q, so a
 step adds or subtracts D times one of q fixed lattice vectors, and touches
 only their nonzero entries (1 or 4 of 8 at 4/5).  The branch is the sign of
 Im(z_n) = Im(zeta^e W_n) / D with e = r*t0 mod m, and it is decided as the
-field decides every sign (``FieldContext._sign``).  With row the 64-bit sine
+field decides every sign (``FieldContext.sign``).  With row the 64-bit sine
 nodes rotated by e (``FieldContext.sine_row``), T = sum(W_j * row_j) is
 within E = sum|W_j| of 2^64 * D * Im(z_n), so |T| > E decides the sign, and
 then |T| - E and |T| + E bound 2^64 * D * |Im(z_n)|.  Otherwise the exact
@@ -82,7 +82,7 @@ class Kernel:
     def walk(self, v_start, budget, target=None, select=False):
         """Sign the iterates of v_start until ``budget`` iterates are signed.
 
-        Returns (status, signs, touches, select): one signed byte per
+        Returns (status, signs, touches, nominees): one signed byte per
         iterate signed, and the index and coefficient tuple of each on-line
         iterate (the first TOUCH_CAP).  With a target the walk stops at the
         first step that lands on it (STATUS_OK, and len(signs) is the return
@@ -92,21 +92,20 @@ class Kernel:
         then adds -+D lambda^-n to the entries of W that it touches, and
         compares W with lambda^-(n+1) target.
 
-        With ``select`` true, select = (bounds, best) nominates, per class
-        e = (t0*j + (m/2 if s_j < 0)) mod m, the iterate of least
-        s_j Im(v_j), the earliest on an exact tie; else it is None.  best[e]
-        is its (j, tuple(v_j)), or None for a class no iterate is in.  A
-        certificate that decided a sign bounds 2^64 s_j Im(v_j) within
-        [lo, hi] = [|T| - E, |T| + E]; bounds[e] is the least hi of the
-        class (inf while it has none), and an iterate with lo above it is
-        passed over.  Any other is compared with best[e] by the exact sign
-        of the difference of the two values.
+        With ``select`` true, nominees[e] is, per class
+        e = (t0*j + (m/2 if s_j < 0)) mod m, the (j, tuple(v_j)) of the
+        iterate of least s_j Im(v_j), the earliest on an exact tie, or None
+        for a class no iterate is in; else nominees is None.  A certificate
+        that decided a sign bounds 2^64 s_j Im(v_j) within [lo, hi] =
+        [|T| - E, |T| + E]; the walk keeps per class the least hi (inf while
+        it has none) and passes over an iterate with lo above it.  Any other
+        is compared with the class's nominee by the exact sign of the
+        difference of the two values.
         """
         ctx, rows, moves = self.ctx, self.rows, self.moves
         m, t0, q, half, permute = ctx.m, ctx.t0, len(rows), ctx.m // 2, ctx._permute
         signs, touches = array("b"), []
-        sel = ([_INF] * m, [None] * m) if select else None
-        bounds, best = sel or ((), ())
+        bounds, best = ([_INF] * m, [None] * m) if select else ((), None)
         w = list(v_start)
         # targets[r] = lambda^-r target, which W_n equals when v_n = target
         targets = None if target is None else [permute(target, 1, -r * t0) for r in range(q)]
@@ -125,7 +124,7 @@ class Kernel:
             if s == 0:
                 if len(touches) < TOUCH_CAP:
                     touches.append((i, tuple(v)))
-            elif sel:
+            elif best is not None:
                 c = e if s > 0 else (e + half) % m
                 # a certified sign is passed over when its lower bound is
                 # above the class's bound; an exact one (v built) has none
@@ -140,6 +139,6 @@ class Kernel:
             r = r + 1 if r + 1 < q else 0
             e = (e + t0) % m
             if targets is not None and w == targets[r]:
-                return STATUS_OK, signs, touches, sel
+                return STATUS_OK, signs, touches, best
         status = STATUS_OK if target is None else STATUS_BUDGET
-        return status, signs, touches, sel
+        return status, signs, touches, best

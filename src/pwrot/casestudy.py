@@ -15,13 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .cyclo import (
-    CycloNum,
-    FieldContext,
-    golden_elements,
-    make_field,
-    sign_of_real,
-)
+from .cyclo import CycloNum, FieldContext, golden_elements, make_field, sign_of_imag
 from .dynamics import minimal_period
 from .errors import BudgetExceededError, ParameterError, WrongContextError
 from .geometry import ConvexPolygon, apply_affine, make_polygon, polygon_is_regular
@@ -180,7 +174,7 @@ def hexagon_case(budget: int = 100) -> CheckReport:
 
     crossings = []
     for n, img in enumerate(images):
-        signs = {int(sign_of_real(v.imag())) for v in img.vertices}
+        signs = {int(sign_of_imag(v)) for v in img.vertices}
         if 1 in signs and -1 in signs:
             crossings.append(n)
     report.record(

@@ -7,15 +7,15 @@ power t.  A layer is one pass over the segments of the last.  Each pullback
 level splits a segment where the inverse branch switches (the line through
 0 with direction lambda), applies the matching exact inverse branch, and
 clips to the window of its layer; a forward level splits at the line itself
-and applies F.  An endpoint's certified enclosure (``CycloNum.enclosure``),
-computed once and kept on the endpoint, decides its window clip, its split
-sign in the next layer (its integer vector against
-``FieldContext.sine_row``, within the enclosure's error) and the final box
-clip; only a sign the enclosure leaves open takes the exact test.  Splits
-and clips are grid corners (``geometry.grid_corner``), so no field inverse
-runs.  Points exactly on a splitting line follow the + branch, matching H
-on the line; the other branch's image of such a point is not emitted (it
-only ever appears as a sub-segment endpoint).
+and applies F.  An endpoint's split sign in the next layer is one call of
+the field's sign oracle, ``FieldContext.sign``, on its integer vector, and
+its certified enclosure (``CycloNum.enclosure``), computed once and kept on
+the endpoint, decides its window clip and the final box clip; only a face
+the enclosure leaves open takes the exact test.  Splits and clips are grid
+corners (``geometry.grid_corner``), so no field inverse runs.  Points
+exactly on a splitting line follow the + branch, matching H on the line;
+the other branch's image of such a point is not emitted (it only ever
+appears as a sub-segment endpoint).
 
 A branch image zeta^t w + c is made on the lattice pair with no gcd.  For w
 = vec/den reduced (gcd(den, vec...) = 1, den > 0), zeta^t w = P(vec)/den,
@@ -47,10 +47,9 @@ from __future__ import annotations
 
 import functools
 import math
-from operator import mul
 from typing import NamedTuple
 
-from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag
+from .cyclo import CycloNum, FieldContext, Sign
 from .errors import InternalInconsistencyError, ParameterError
 from .geometry import Box, ExactSegment, _cmp_points, clip_segment_to_box, grid_corner
 
@@ -91,30 +90,17 @@ def window(box: Box, steps: int) -> Box:
     return Box(-h, -h, h, h)
 
 
-def _split_sign(w: CycloNum, e: int, row) -> Sign:
-    """Sign of Im(zeta^e * w) for the endpoint w = vec/den: the sum T =
-    sum(vec_j * row_j) over ``row = sine_row(e)`` is within the error E =
-    sum|vec_j| of w's enclosure of den * 2^64 * Im(zeta^e * w), so |T| > E
-    gives the sign; otherwise the exact test."""
-    t = sum(map(mul, w.vec, row))
-    err = w.enclosure()[2]
-    if t > err:
-        return Sign.POSITIVE
-    if t < -err:
-        return Sign.NEGATIVE
-    return sign_of_imag(w.mul_zeta(e))
-
-
-def _split_at(seg: ExactSegment, e: int, row):
+def _split_at(seg: ExactSegment, e: int):
     """Split a segment by the sign of Im(zeta^e * w), the grid line through 0.
 
     Returns a list of (a, b, side), the pieces' endpoints, with side 1 for
     the closed nonnegative side (which follows the + branch) and side -1 for
-    the strictly negative side.  The signs come from the endpoints'
-    enclosures; a crossing is the grid corner of the segment's line with the
-    splitting line, and is not enclosed: only its branch image is.
+    the strictly negative side.  The endpoints' signs are
+    ``FieldContext.sign`` on their integer vectors; a crossing is the grid
+    corner of the segment's line with the splitting line.
     """
-    sa, sb = _split_sign(seg.a, e, row), _split_sign(seg.b, e, row)
+    ctx = seg.a.ctx
+    sa, sb = ctx.sign(seg.a.vec, e), ctx.sign(seg.b.vec, e)
     if sa != Sign.NEGATIVE and sb != Sign.NEGATIVE:
         return [(seg.a, seg.b, 1)]
     if sa != Sign.POSITIVE and sb != Sign.POSITIVE:
@@ -123,7 +109,7 @@ def _split_at(seg: ExactSegment, e: int, row):
             return [(seg.a, seg.b, 1)]
         return [(seg.a, seg.b, -1)]
     f, beta = seg.grid_line()
-    w = grid_corner(f, beta, e, seg.a.ctx.zero())
+    w = grid_corner(f, beta, e, ctx.zero())
     first_side = 1 if sa == Sign.POSITIVE else -1
     return [(seg.a, w, first_side), (w, seg.b, -first_side)]
 
@@ -161,12 +147,11 @@ def _next_layer(prev: CriticalLayer, box: Box, total_depth: int, direction: str)
         e, t = 0, ctx.t0
         dpower, c = 1, -ctx.lambda_
     shift = {side: [(i, side * u) for i, u in enumerate(c.vec) if u] for side in (1, -1)}
-    row = ctx.sine_row(e)
     clip = window(box, total_depth - (j + 1))
     out = []
     for seg in prev.segments:
         power = seg.power + dpower
-        for a, b, side in _split_at(seg, e, row):
+        for a, b, side in _split_at(seg, e):
             ia, ib = _branch_image(a, t, shift[side]), _branch_image(b, t, shift[side])
             clipped = clip_segment_to_box(ExactSegment(ia, ib, power, j + 1), clip)
             if clipped is not None:

@@ -99,12 +99,12 @@ def _euler_phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _fixed_nodes(m: int, d: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Integers (C_j), (S_j), j < d, with |C_j - 2^p cos(2 pi j/m)| < 1 and
+def _fixed_nodes(m: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Integers (C_j), (S_j), j < m, with |C_j - 2^p cos(2 pi j/m)| < 1 and
     |S_j - 2^p sin(2 pi j/m)| < 1 (Brent & Zimmermann, Modern Computer
-    Arithmetic, 4.4).  The bound holds for every j < m, so d = m gives the
-    nodes of all m exponents: the sign certificate reads j < d, the rotated
-    rows of ``FieldContext.sine_row`` all m.
+    Arithmetic, 4.4): the one table per precision, of which the enclosures
+    read j < d, the rotated rows of ``FieldContext.sine_row`` all m at
+    p = 64, and the escalation of ``FieldContext.sign`` the sines j < d.
 
     The work is in fixed point at w = p + g bits, errors in units of 2^-w.
     pi = 16 atan(1/5) - 4 atan(1/239), each atan(1/x) an alternating series
@@ -132,7 +132,7 @@ def _fixed_nodes(m: int, d: int, p: int) -> tuple[tuple[int, ...], tuple[int, ..
 
     pi = 16 * atan_inv(5) - 4 * atan_inv(239)
     cos, sin = [], []
-    for j in range(d):
+    for j in range(m):
         k = j if 2 * j <= m else j - m
         theta = 2 * abs(k) * pi // m
         parts = [0, 0]
@@ -285,31 +285,37 @@ class FieldContext:
 
     # -- sign machinery ---------------------------------------------------------
 
-    def _sign(self, vec: Sequence[int], imag: bool) -> "Sign":
-        """Exact sign of the real (or imaginary) part of sum(vec_j * zeta^j).
+    def sign(self, vec: Sequence[int], e: int = 0) -> "Sign":
+        """Exact sign of Im(zeta^e * a) for a = vec / den, den > 0: the one
+        sign oracle of the package.
 
-        At p = 64, 128, ... bits the nodes N_j of :func:`_fixed_nodes` are
-        within 1 of 2^p cos(2 pi j/m) (or sin), so T = sum(vec_j * N_j) is
-        within E = sum|vec_j| of 2^p times the value, and |T| > E proves
-        that the value has the sign of T.  Only when the 64-bit certificate
-        fails is the value tested for zero, exactly: the imaginary part
-        vanishes when conjugation fixes the vector, the real part when it
-        negates it.  A nonzero value makes |T| grow with 2^p while E stays
-        fixed, so the loop ends.
+        The rotated row of :meth:`sine_row` gives T = sum(vec_j * row_j)
+        within E = sum|vec_j| of den * 2^64 * Im(zeta^e * a), so |T| > E
+        proves the sign of T.  Otherwise v = zeta^e * vec is built with one
+        permutation, and Im(v) is zero exactly when conjugation fixes v.  A
+        nonzero Im(v) is signed against the sine nodes of
+        :func:`_fixed_nodes` at p = 128, 256, ...: the sum is within
+        sum|v_j| of den * 2^p * Im(v / den), so it grows with 2^p while the
+        bound stays fixed, and the loop ends.
         """
-        bound = sum(map(abs, vec))
-        p = 64
+        t, bound = sum(map(mul, vec, self.sine_row(e))), sum(map(abs, vec))
+        if t > bound:
+            return Sign.POSITIVE
+        if -t > bound:
+            return Sign.NEGATIVE
+        v = self._permute(vec, 1, e)
+        if self._permute(v, -1, 0) == v:
+            return Sign.ZERO
+        bound, p = sum(map(abs, v)), 128
         while True:
-            total = sum(map(mul, vec, _fixed_nodes(self.m, self.d, p)[1 if imag else 0]))
-            if abs(total) > bound:
-                return _NONZERO_SIGNS[total > 0]
-            if p == 64 and self._permute(vec, -1, 0) == [x if imag else -x for x in vec]:
-                return Sign.ZERO
+            t = sum(map(mul, v, _fixed_nodes(self.m, p)[1]))
+            if abs(t) > bound:
+                return _NONZERO_SIGNS[t > 0]
             p *= 2
 
     def sine_row(self, e: int) -> tuple[int, ...]:
         """The 64-bit sine nodes rotated by e: S_((j + e) mod m) for j < d,
-        from ``_fixed_nodes(m, m, 64)``, so that for a = vec / den the sum
+        from ``_fixed_nodes(m, 64)``, so that for a = vec / den the sum
         T = sum(vec_j * row_j) is within E = sum|vec_j| of den * 2^64 *
         Im(zeta^e * a), since Im(zeta^e * zeta^j) = sin(2 pi (j + e)/m) and
         each node is within 1 of 2^64 times it.  Row e + m/4 gives Re(zeta^e
@@ -319,7 +325,7 @@ class FieldContext:
         rows = self._sine_rows
         if rows is None:
             m, d = self.m, self.d
-            sin = _fixed_nodes(m, m, 64)[1]
+            sin = _fixed_nodes(m, 64)[1]
             rows = self._sine_rows = tuple(
                 tuple(sin[(j + f) % m] for j in range(d)) for f in range(m)
             )
@@ -483,21 +489,21 @@ class CycloNum:
     def enclosure(self) -> tuple[int, int, int, int]:
         """Integers (X, Y, E, s) with s = den * 2^64 and |X - s*Re(self)| <=
         E, |Y - s*Im(self)| <= E, with equality only for 0, where X = Y = E =
-        0: the p = 64 sums of ``FieldContext._sign`` for both parts at once,
-        with E = sum|vec_j|.  For a rational n/b with b > 0, b*X - n*s has
-        the sign of Re(self) - n/b whenever its absolute value exceeds b*E
-        (likewise Y for Im(self)); a smaller value decides nothing.
+        0: the sums of the 64-bit nodes of ``_fixed_nodes`` for both parts at
+        once, with E = sum|vec_j| as in ``FieldContext.sign``.  For a
+        rational n/b with b > 0, b*X - n*s has the sign of Re(self) - n/b
+        whenever its absolute value exceeds b*E (likewise Y for Im(self)); a
+        smaller value decides nothing.
 
         Computed on first use and kept on the value, which never changes, so
         a point is enclosed at most once however many predicates read it:
-        box clipping compares it with box faces, the critical layers' splits
-        take E, and ``geometry`` combines the enclosures of vertices, points
-        and offsets into bounds on their sums, cross products and coordinate
-        differences."""
+        box clipping compares it with box faces, and ``geometry`` combines
+        the enclosures of vertices, points and offsets into bounds on their
+        sums, cross products and coordinate differences."""
         enc = self._enclosure
         if enc is None:
             ctx, vec = self.ctx, self.vec
-            cos, sin = _fixed_nodes(ctx.m, ctx.d, 64)
+            cos, sin = _fixed_nodes(ctx.m, 64)
             enc = self._enclosure = (
                 sum(map(mul, vec, cos)), sum(map(mul, vec, sin)), sum(map(abs, vec)), self.den << 64
             )
@@ -540,19 +546,16 @@ def make_field(p: int, q: int) -> FieldContext:
 
 
 def sign_of_real(a: CycloNum) -> Sign:
-    """Exact sign of a real field element, by ``FieldContext._sign``: integer
-    fixed-point enclosures at doubling precision, and the exact zero test
-    when the first one fails.  The denominator is positive, so the sign is
-    that of the vector.  Raises ``DomainError`` on non-real input.
-    """
+    """Exact sign of a real field element: Re(a) = Im(zeta^(m/4) * a), by
+    ``FieldContext.sign``.  Raises ``DomainError`` on non-real input."""
     if a != a.conj():
         raise DomainError("sign_of_real requires a conjugation-fixed element")
-    return a.ctx._sign(a.vec, imag=False)
+    return a.ctx.sign(a.vec, a.ctx.m // 4)
 
 
 def sign_of_imag(a: CycloNum) -> Sign:
     """Exact sign of Im(a); the predicate behind the branch choice."""
-    return a.ctx._sign(a.vec, imag=True)
+    return a.ctx.sign(a.vec)
 
 
 # -- golden-ratio subfield formatting (fields with m == 20) --------------------------

@@ -110,7 +110,7 @@ class _Plan:
 
     def hard_sign(self, v) -> int:
         """Exact +-1 for the rare float-ambiguous, nonzero imaginary parts."""
-        s = int(self.ctx._sign(v, imag=True))
+        s = int(self.ctx.sign(v))
         if s == 0:
             raise InternalInconsistencyError("hard_sign called on an exact zero")
         return s
@@ -159,9 +159,9 @@ def _walk(z: CycloNum, budget: int, target=None, select=False):
             out = plan.compiled_kernel(denom).walk(z.vec, budget, target, select)
     if out is None:
         out = plan.pure_kernel(denom).walk(z.vec, budget, target, select)
-    status, signs, touches, sel = out
+    status, signs, touches, best = out
     on_line = tuple((i, ctx.from_lattice(vec, denom)) for i, vec in touches)
-    return status, signs, on_line, None if sel is None else tuple(sel[1])
+    return status, signs, on_line, None if best is None else tuple(best)
 
 
 def run_period(z: CycloNum, budget: int, nominate: bool = False) -> OrbitRecord:

@@ -81,9 +81,10 @@ def pytest_configure(config):
 def exact_enclosures(monkeypatch):
     """Every ``CycloNum.enclosure`` returns an error past any value its sums
     can bound.  That is still a sound enclosure, only a useless one: no
-    sign is decided from it, so every split, window face and box face of a
+    sign is decided from it, so every window face and box face of a
     critical layer takes its exact test, as do the tile build's predicates
-    that read an enclosure.  The sums are taken afresh from a copy of the
+    that read an enclosure.  A critical layer's splits read no enclosure:
+    ``FieldContext.sign`` certifies them on the integer sine rows.  The sums are taken afresh from a copy of the
     value, so an enclosure a long-lived value kept before the fixture is
     widened too, and none is kept under it."""
     from pwrot.cyclo import CycloNum

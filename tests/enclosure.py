@@ -39,7 +39,7 @@ def approx(a, bits=64) -> ComplexBox:
     bound = sum(map(abs, a.vec))
     p = bits + 16
     while True:
-        cos, sin = _fixed_nodes(ctx.m, ctx.d, p)
+        cos, sin = _fixed_nodes(ctx.m, p)
         re = sum(map(mul, a.vec, cos))
         im = sum(map(mul, a.vec, sin))
         scale = a.den << p

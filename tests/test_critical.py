@@ -278,20 +278,31 @@ class TestEnclosedEndpoints:
     @pytest.mark.parametrize("direction", [PULLBACK, FORWARD])
     def test_widened_enclosures_leave_every_sign_exact(self, ctx5, request, monkeypatch,
                                                        direction):
-        # with every enclosure widened, every split endpoint and every first
-        # face of a clip takes the exact test, and the layers do not change
+        # with zero sine rows no certificate decides a split, so both
+        # endpoints of every split reach the exact zero test of
+        # FieldContext.sign; with every enclosure widened, every first face
+        # of a clip takes the exact test; and the layers do not change
         plain = chain(ctx5, 4, BOX, direction)
         request.getfixturevalue("exact_enclosures")
-        splits, faces = [], []
-        monkeypatch.setattr(critical, "sign_of_imag", lambda a: splits.append(a) or sign_of_imag(a))
+        monkeypatch.setattr(FieldContext, "sine_row", lambda self, e: (0,) * self.d)
+        conjugated, faces, permute = [], [], FieldContext._permute
+
+        def counted(self, vec, k, e):
+            if k == -1:
+                conjugated.append(tuple(vec))
+            return permute(self, vec, k, e)
+
+        monkeypatch.setattr(FieldContext, "_permute", counted)
         monkeypatch.setattr(geometry, "sign_of_imag", lambda a: faces.append(a) or sign_of_imag(a))
         layers = chain(ctx5, 4, BOX, direction)
         assert [layer.segments for layer in layers] == [layer.segments for layer in plain]
-        advance = pullback_layer if direction == PULLBACK else forward_layer
+        e = -ctx5.t0 % ctx5.m if direction == PULLBACK else 0
         for layer in layers[:-1]:
-            before = len(splits)
-            advance(layer, BOX, 4)
-            assert len(splits) - before == 2 * len(layer.segments)
+            assert layer.segments
+            for seg in layer.segments:
+                before = len(conjugated)
+                critical._split_at(seg, e)
+                assert conjugated[before:before + 2] == [seg.a.mul_zeta(e).vec, seg.b.mul_zeta(e).vec]
         for seg in layers[-1].segments:
             before = len(faces)
             clip_segment_to_box(seg, BOX)

@@ -111,9 +111,9 @@ def test_sign_of_imag_interval_escalation(monkeypatch):
     precisions = []
     fixed_nodes = cyclo._fixed_nodes
 
-    def counted(m, d, p):
+    def counted(m, p):
         precisions.append(p)
-        return fixed_nodes(m, d, p)
+        return fixed_nodes(m, p)
 
     monkeypatch.setattr(cyclo, "_fixed_nodes", counted)
     s = sign_of_imag(ctx.i_unit * x)
@@ -124,6 +124,69 @@ def test_sign_of_imag_interval_escalation(monkeypatch):
     assert s == (Sign.POSITIVE if box.re_lo > 0 else Sign.NEGATIVE)
     assert s == sign_of_real(x)
     assert sign_of_imag(ctx.i_unit * -x) == -s
+
+
+def reference_sign(b):
+    """The sign of Im(b) read from a 256-bit enclosure, or ZERO where
+    conjugation fixes b."""
+    if b == b.conj():
+        return Sign.ZERO
+    box = approx(b, 256)
+    assert box.im_lo > 0 or box.im_hi < 0
+    return Sign.POSITIVE if box.im_lo > 0 else Sign.NEGATIVE
+
+
+@pytest.mark.parametrize("p,q", FIELDS)
+def test_sign_of_every_rotation_matches_the_enclosure(p, q, monkeypatch):
+    # ctx.sign(a.vec, e) is the sign of Im(zeta^e * a) for every e < m.
+    # Random values and i/2^70, off the line, are decided by the rotated
+    # certificate alone; values on the line Im(zeta^e * w) = 0 are ZERO by
+    # the exact zero test; and values whose Im(zeta^e * w) is about 2^-215
+    # while their integer vectors reach 2^330 over a denominator near 2^270
+    # leave the certificate open and take the escalation past 64 bits
+    ctx = make_field(p, q)
+    rng = random.Random(17 * q)
+    v = 1 + ctx.zeta_pow(1) + ctx.zeta_pow(1).conj()  # 1 + 2 cos(2 pi/m)
+    w = v ** 40
+    box = approx(w, 256)
+    tiny = w - (box.re_lo + box.re_hi) / 2  # real, tiny, huge coefficients
+    assert tiny != 0 and max(map(abs, tiny.vec)) > tiny.den
+    rotated = [random_element(ctx, rng, span=1000) for _ in range(4)] + [ctx.i_unit / 2 ** 70]
+    on_line = [random_element(ctx, rng).real(), ctx.from_rational(Fraction(-7, 3)), ctx.zero()]
+    near = [ctx.i_unit * tiny, -ctx.i_unit * tiny, ctx.i_unit * tiny + 5]
+    precisions, conjugations = [], []
+    fixed_nodes, permute = cyclo._fixed_nodes, cyclo.FieldContext._permute
+
+    def counted_nodes(m, bits):
+        precisions.append(bits)
+        return fixed_nodes(m, bits)
+
+    def counted_permute(self, vec, k, e):
+        if k == -1:
+            conjugations.append(tuple(vec))
+        return permute(self, vec, k, e)
+
+    ctx.sine_row(0)  # build the rows before counting
+    for e in range(ctx.m):
+        expected = {}
+        for kind, values in (("rotated", rotated), ("on_line", on_line), ("near", near)):
+            for b in values:
+                a = b if kind == "rotated" else b.mul_zeta(-e)
+                expected[kind, a] = reference_sign(a.mul_zeta(e))
+        with monkeypatch.context() as mp:
+            mp.setattr(cyclo, "_fixed_nodes", counted_nodes)
+            mp.setattr(cyclo.FieldContext, "_permute", counted_permute)
+            for (kind, a), want in expected.items():
+                precisions.clear()
+                conjugations.clear()
+                assert ctx.sign(a.vec, e) == want, (kind, e)
+                if kind == "rotated":
+                    # zeta^e * i/2^70 is real at e = m/4 and 3m/4
+                    assert len(conjugations) == (want == Sign.ZERO) and precisions == []
+                elif kind == "on_line":
+                    assert want == Sign.ZERO and conjugations == [a.mul_zeta(e).vec]
+                else:
+                    assert want != Sign.ZERO and len(conjugations) == 1 and max(precisions) > 64
 
 
 def test_certified_sign_runs_no_zero_test(monkeypatch):
@@ -152,8 +215,9 @@ def test_fixed_nodes_enclose_cos_and_sin(p, q):
     ctx = make_field(p, q)
     m, d = ctx.m, ctx.d
     for bits in (64, 128, 256):
-        cos, sin = cyclo._fixed_nodes(m, d, bits)
-        cos2, sin2 = cyclo._fixed_nodes(m, d, 2 * bits)
+        cos, sin = cyclo._fixed_nodes(m, bits)
+        cos2, sin2 = cyclo._fixed_nodes(m, 2 * bits)
+        assert len(cos) == len(sin) == m
         for j in range(d):
             angle = 2 * math.pi * j / m
             assert abs(cos[j] / 2 ** bits - math.cos(angle)) <= 2.0 ** -bits + 1e-15
@@ -171,7 +235,7 @@ def test_nodes_of_all_m_exponents_are_within_one(p, q):
     ctx = cyclo.FieldContext(p, q)
     m, d = ctx.m, ctx.d
     assert m in (12, 20, 28)
-    cos, sin = cyclo._fixed_nodes(m, m, 64)
+    cos, sin = cyclo._fixed_nodes(m, 64)
     assert len(cos) == len(sin) == m
     for k in range(m):
         ref_cos, ref_sin = scaled_cos_sin(k, m)

@@ -847,7 +847,7 @@ class TestClipCertificate:
         # and its node's N_j / 2^64 puts the gap within E of zero but on the
         # wrong side of it, so only the full bound E sends a to the exact test.
         ctx = make_field(p, q)
-        nodes64, nodes128 = _fixed_nodes(ctx.m, ctx.d, 64), _fixed_nodes(ctx.m, ctx.d, 128)
+        nodes64, nodes128 = _fixed_nodes(ctx.m, 64), _fixed_nodes(ctx.m, 128)
         tested = 0
         up = next(t for t in range(ctx.q) if sign_of_imag(ctx.lam_pow(t)) == Sign.POSITIVE)
         for part in (0, 1):

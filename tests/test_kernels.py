@@ -102,14 +102,6 @@ def streamed_polygon(tile):
     )
 
 
-def unbounded(out):
-    """A walk's (status, signs, touches, nominees): the per-class bounds
-    dropped, since each kernel bounds on its own scale (2^64 D in the pure
-    kernel, D in the compiled one), and the nominees kept, which are exact."""
-    status, signs, touches, sel = out
-    return status, signs, touches, sel and sel[1]
-
-
 def force_exact(m, ctx):
     """Within the monkeypatch context m, leave every sign of ctx's walks to
     the exact zero test or hard_sign, whichever kernel walks: no float sum
@@ -130,8 +122,8 @@ class TestCompiledAgreesWithPure:
         v, denom = z.vec, z.den
         pure = plan.pure_kernel(denom)
         comp = plan.compiled_kernel(denom)
-        rp = unbounded(pure.walk(list(v), budget, list(v), True))
-        rc = unbounded(comp.walk(list(v), budget, list(v), True))
+        rp = pure.walk(list(v), budget, list(v), True)
+        rc = comp.walk(list(v), budget, list(v), True)
         assert rp == rc
         # a walk that does not select is the same walk, with no nominees
         unselected = rp[:3] + (None,)
@@ -183,9 +175,8 @@ class TestCompiledAgreesWithPure:
             plan = stepper._plan(z.ctx)
             pure = plan.pure_kernel(z.den).walk(z.vec, budget, z.vec, True)
             comp = plan.compiled_kernel(z.den).walk(z.vec, budget, z.vec, True)
-            assert unbounded(pure) == unbounded(comp)
-            for bounds, nominees in (pure[3], comp[3]):
-                assert any(nominees) and len(bounds) == len(nominees) == z.ctx.m
+            assert pure == comp
+            assert any(pure[3]) and len(pure[3]) == z.ctx.m
 
 
 class _Logged:
@@ -372,7 +363,7 @@ def test_origin_with_infinite_margin(ctx, monkeypatch):
             if forced:
                 force_exact(m, ctx)
             pure = plan.pure_kernel(z.den).walk(z.vec, 3, None, True)
-            assert unbounded(plan.compiled_kernel(z.den).walk(z.vec, 3, None, True)) == unbounded(pure)
+            assert plan.compiled_kernel(z.den).walk(z.vec, 3, None, True) == pure
         assert list(pure[1]) == [0, 1, 1] and pure[2] == [(0, tuple(z.vec))]
 
 
@@ -478,8 +469,8 @@ def test_coefficients_at_the_guard_stay_exact():
     pattern = (-1, 1, -1, 0, -1, 0, 0, 0, 1, 0, -1, -1, 0, -1, 0, 0)
     start = [x * big for x in pattern]
     pure = plan.pure_kernel(1).walk(start, 200, start, True)
-    assert unbounded(plan.compiled_kernel(1).walk(start, 200, start, True)) == unbounded(pure)
-    assert any(pure[3][1])
+    assert plan.compiled_kernel(1).walk(start, 200, start, True) == pure
+    assert any(pure[3])
 
 
 def test_env_override_forces_pure(ctx, monkeypatch):
@@ -583,7 +574,7 @@ def test_near_line_walks_check_the_float_allowance(ctx, monkeypatch):
         assert calls == []
         compiled = plan.compiled_kernel(z.den).walk(z.vec, 16_126, None, True)
         assert len(calls) > 0, "the compiled walk must need hard_sign"
-        assert unbounded(compiled) == unbounded(pure)
+        assert compiled == pure
         calls.clear()
 
 
