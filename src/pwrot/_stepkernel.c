@@ -381,6 +381,10 @@ typedef struct {
     char chunk[CHUNK];
 } Walk;
 
+#ifndef Py_NO_INLINE  /* defined so from Python 3.11 on (GCC and Clang) */
+#define Py_NO_INLINE __attribute__((noinline))
+#endif
+
 /* Take the routine steps of a walk while fewer than `until` iterates are
  * signed: an iterate is routine when the float decides its sign and, with
  * bounds bnd, it nominates nothing (lo above its class's bound).  chunk[0]

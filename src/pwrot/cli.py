@@ -64,6 +64,14 @@ def _coeff_strs(z: CycloNum) -> list[str]:
     return [fraction_str(x, z.den) for x in z.vec]
 
 
+_quote = json.encoder.encode_basestring_ascii  # the encoder's own string writer
+
+
+def _coeff_json(z: CycloNum, sep: str) -> str:
+    """z's coefficient strings as the items of a JSON list, ``sep`` apart."""
+    return sep.join(map(_quote, _coeff_strs(z)))
+
+
 def _shadow(z: CycloNum):
     c = z.to_complex()
     return c.real, c.imag
@@ -74,6 +82,33 @@ def _note_touch_cap(touches):
     if len(touches) >= _steppy.TOUCH_CAP:
         print(f"note: touch cap {_steppy.TOUCH_CAP} reached; later critical-line touches"
               " not listed", file=sys.stderr)
+
+
+# The JSON outputs are the text the standard encoder's dumps(data, indent=1)
+# + "\n" writes for their dicts (it runs in pure Python whenever an indent is
+# given), written from these templates: strings by ``_quote``, ints by %d and
+# the float shadows, which are finite, by ``float.__repr__`` (%r), as the
+# encoder writes them.  An orbit point, at the depth of "orbit"'s items:
+_POINT_JSON = ('  {\n   "index": %d,\n   "coeffs": [\n    %s\n   ],\n   "re": %r,\n'
+               '   "im": %r,\n   "address": %s\n  }')
+# a tile, at the top level (a scan sidecar nests it two levels deeper):
+_TILE_JSON = (
+    '{\n "ell": %d,\n "k": %d,\n "interior_period": %d,\n "sides": %d,\n "regular": %s,\n'
+    ' "word": %s,\n "center": [\n  %s\n ],\n "center_shadow": [\n  %r,\n  %r\n ],\n'
+    ' "vertices": [\n  %s\n ],\n "vertex_shadows": [\n  %s\n ]\n}'
+)
+# a scan sidecar:
+_SCAN_JSON = (
+    '{\n "grid": {\n  "box": [\n   %s,\n   %s,\n   %s,\n   %s\n  ],\n  "step": %s,\n'
+    '  "budget": %d\n },\n "outcomes": {\n  "period": %d,\n  "critical": %d,\n'
+    '  "budget": %d\n },\n "histogram": %s,\n "tiles": %s\n}\n'
+)
+# a critical segment, four levels deep:
+_SEGMENT_JSON = (
+    '    {\n     "a": [\n      %s\n     ],\n     "b": [\n      %s\n     ],\n'
+    '     "a_shadow": [\n      %r,\n      %r\n     ],\n'
+    '     "b_shadow": [\n      %r,\n      %r\n     ]\n    }'
+)
 
 
 # -- commands -----------------------------------------------------------------
@@ -91,26 +126,14 @@ def cmd_iterate(args) -> int:
             lines.append(f"{i},{re!r},{im!r}")
         _emit("\n".join(lines) + "\n", args.out)
     elif fmt == "json":
-        data = []
-        for i, w in enumerate(points):
-            re, im = _shadow(w)
-            data.append(
-                {
-                    "index": i,
-                    "coeffs": _coeff_strs(w),
-                    "re": re,
-                    "im": im,
-                    "address": address(w).char,
-                }
-            )
-        _emit(json.dumps({"alpha": args.alpha, "orbit": data}, indent=1) + "\n", args.out)
+        # an orbit holds at least its first point, so "orbit" is never empty
+        body = ",\n".join(_POINT_JSON % (i, _coeff_json(w, ",\n    "), *_shadow(w),
+                                          _quote(address(w).char)) for i, w in enumerate(points))
+        _emit(f'{{\n "alpha": {_quote(args.alpha)},\n "orbit": [\n{body}\n ]\n}}\n', args.out)
     elif fmt == "svg":
         _emit(orbit_scene(points).to_svg(), args.out)
     else:
-        lines = [
-            f"{i}\t{_fmt_value(w, fmt)}\t{address(w).char}"
-            for i, w in enumerate(points)
-        ]
+        lines = [f"{i}\t{_fmt_value(w, fmt)}\t{address(w).char}" for i, w in enumerate(points)]
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -133,37 +156,34 @@ def cmd_period(args) -> int:
     return EXIT_OK if rec.period is not None else EXIT_BUDGET
 
 
+def _tile_values(tile):
+    """(ell, k, sides, regular, center shadow): what a tile's text, its JSON
+    and a scan's CSV row write, each computed once per tile."""
+    ell, k = tile.ell, tile.k
+    return ell, k, len(tile.polygon), polygon_is_regular(tile.polygon), _shadow(tile.center)
+
+
 def _tile_text(tile) -> str:
-    cr, ci = _shadow(tile.center)
-    lines = [
-        f"ell {tile.ell}",
-        f"k {tile.k}",
-        f"interior period {tile.period}",
-        f"sides {tile.sides}",
-        f"regular {polygon_is_regular(tile.polygon)}",
-        f"word {tile.word}",
-        f"center {_fmt_value(tile.center, 'pretty')}  ~({cr:.12g}, {ci:.12g})",
-        "vertices:",
-    ]
+    ell, k, sides, regular, (cr, ci) = _tile_values(tile)
+    lines = [f"ell {ell}", f"k {k}", f"interior period {k * ell}", f"sides {sides}",
+             f"regular {regular}", f"word {tile.word}",
+             f"center {_fmt_value(tile.center, 'pretty')}  ~({cr:.12g}, {ci:.12g})", "vertices:"]
     for v in tile.polygon.vertices:
         re, im = _shadow(v)
         lines.append(f"  {_fmt_value(v, 'pretty')}  ~({re:.12g}, {im:.12g})")
     return "\n".join(lines) + "\n"
 
 
-def _tile_json(tile) -> dict:
-    return {
-        "ell": tile.ell,
-        "k": tile.k,
-        "interior_period": tile.period,
-        "sides": tile.sides,
-        "regular": polygon_is_regular(tile.polygon),
-        "word": str(tile.word),
-        "center": _coeff_strs(tile.center),
-        "center_shadow": _shadow(tile.center),
-        "vertices": [_coeff_strs(v) for v in tile.polygon.vertices],
-        "vertex_shadows": [_shadow(v) for v in tile.polygon.vertices],
-    }
+def _json_tile(tile, values) -> str:
+    """The tile's JSON at the top level, written from ``_TILE_JSON`` with its
+    ``_tile_values``; a polygon has at least three vertices."""
+    ell, k, sides, regular, (cr, ci) = values
+    verts = tile.polygon.vertices
+    coeffs = ",\n  ".join("[\n   %s\n  ]" % _coeff_json(v, ",\n   ") for v in verts)
+    shadows = ",\n  ".join("[\n   %r,\n   %r\n  ]" % _shadow(v) for v in verts)
+    return _TILE_JSON % (ell, k, k * ell, sides, "true" if regular else "false",
+                         _quote(str(tile.word)), _coeff_json(tile.center, ",\n  "), cr, ci,
+                         coeffs, shadows)
 
 
 def cmd_tile(args) -> int:
@@ -171,7 +191,7 @@ def cmd_tile(args) -> int:
     seed = parse_point(args.seed, ctx)
     tile = tile_from_seed(seed, args.budget)
     if args.format == "json":
-        _emit(json.dumps(_tile_json(tile), indent=1) + "\n", args.out)
+        _emit(_json_tile(tile, _tile_values(tile)) + "\n", args.out)
     elif args.format == "svg":
         images, _ = tile_images(tile)
         _emit(polygon_scene((img.vertices for img in images), "#88bbdd", opacity=0.55).to_svg(),
@@ -179,16 +199,6 @@ def cmd_tile(args) -> int:
     else:
         _emit(_tile_text(tile), args.out)
     return EXIT_OK
-
-
-# One segment of `critical --format json`: the text json.dumps(indent=1)
-# writes for {"a": [...], "b": [...], "a_shadow": [x, y], "b_shadow": [x, y]}
-# nested, as a segment is, four levels deep.
-_SEGMENT_JSON = (
-    '    {\n     "a": [\n      %s\n     ],\n     "b": [\n      %s\n     ],\n'
-    '     "a_shadow": [\n      %r,\n      %r\n     ],\n'
-    '     "b_shadow": [\n      %r,\n      %r\n     ]\n    }'
-)
 
 
 def _per_endpoint(write):
@@ -208,17 +218,12 @@ def _per_endpoint(write):
 
 
 def _critical_json(bundle) -> str:
-    """The bytes of ``json.dumps(data, indent=1) + "\\n"`` for the bundle's
-    {"truncated": ..., "layers": [{"depth", "direction", "segments"}, ...]},
-    each segment {"a", "b": its coefficient strings, "a_shadow", "b_shadow":
-    its float shadows}, written from one template per segment: strings by
-    the encoder's own ``encode_basestring_ascii``, and the shadows, which are
-    finite, by ``float.__repr__`` as the encoder writes them.  The standard
-    library runs its pure-Python encoder whenever an indent is given.
-    Each distinct endpoint is written once (``_per_endpoint``)."""
-    quote = json.encoder.encode_basestring_ascii
-    sep = ",\n      "
-    point = _per_endpoint(lambda z: (sep.join(map(quote, _coeff_strs(z))), _shadow(z)))
+    """The bundle's JSON, {"truncated": ..., "layers": [{"depth",
+    "direction", "segments"}, ...]}, each segment {"a", "b": its coefficient
+    strings, "a_shadow", "b_shadow": its float shadows} written from
+    ``_SEGMENT_JSON``.  Each distinct endpoint is written once
+    (``_per_endpoint``)."""
+    point = _per_endpoint(lambda z: (_coeff_json(z, ",\n      "), _shadow(z)))
     layers = []
     for layer in bundle.layers:
         segs = []
@@ -227,7 +232,7 @@ def _critical_json(bundle) -> str:
             segs.append(_SEGMENT_JSON % (a, b, *a_shadow, *b_shadow))
         body = "[\n" + ",\n".join(segs) + "\n   ]" if segs else "[]"
         layers.append(f'  {{\n   "depth": {layer.depth},\n   "direction": '
-                      f'{quote(layer.direction)},\n   "segments": {body}\n  }}')
+                      f'{_quote(layer.direction)},\n   "segments": {body}\n  }}')
     truncated = "true" if bundle.truncated else "false"
     # a bundle always holds its depth-0 layers, so "layers" is never empty
     return f'{{\n "truncated": {truncated},\n "layers": [\n' + ",\n".join(layers) + "\n ]\n}\n"
@@ -238,10 +243,7 @@ def cmd_critical(args) -> int:
     box = parse_box(args.box)
     bundle = critical_bundle(ctx, args.depth, box, direction=args.direction, cap=args.cap)
     if bundle.truncated:
-        print(
-            f"note: segment cap {args.cap} reached; deeper layers truncated",
-            file=sys.stderr,
-        )
+        print(f"note: segment cap {args.cap} reached; deeper layers truncated", file=sys.stderr)
     if args.format == "svg":
         segments = bundle.all_segments()
         if args.merge:
@@ -262,32 +264,19 @@ def cmd_critical(args) -> int:
     return EXIT_OK
 
 
-def _scan_csv(report, tiles) -> str:
-    """The tile-inventory CSV, its rows taken from the sidecar's tile dicts."""
-    lines = ["tile,ell,k,sides,regular,center_re,center_im,period,multiplicity"]
-    for idx, (t, (_, mult)) in enumerate(zip(tiles, report.tiles.values())):
-        cr, ci = t["center_shadow"]
-        lines.append(
-            f"{idx},{t['ell']},{t['k']},{t['sides']},"
-            f"{t['regular']},{cr!r},{ci!r},{t['interior_period']},{mult}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _scan_sidecar(report) -> dict:
+def _scan_json(report, tiles) -> str:
+    """The scan sidecar, written from ``_SCAN_JSON``; ``tiles`` holds each
+    listed tile with its ``_tile_values`` and multiplicity."""
     outcomes = {"period": 0, "critical": 0, "budget": 0}
     for o in report.outcomes:
         outcomes[o.kind] += 1
-    return {
-        "grid": {
-            "box": [str(report.box.x0), str(report.box.y0), str(report.box.x1), str(report.box.y1)],
-            "step": str(report.step),
-            "budget": report.budget,
-        },
-        "outcomes": outcomes,
-        "histogram": {str(k): v for k, v in sorted(report.histogram.items())},
-        "tiles": [_tile_json(t) for t, _ in report.tiles.values()],
-    }
+    hist = ",\n".join(f'  "{p}": {n}' for p, n in sorted(report.histogram.items()))
+    body = ",\n".join("  " + _json_tile(t, values).replace("\n", "\n  ") for t, values, _ in tiles)
+    hist = "{\n" + hist + "\n }" if hist else "{}"
+    body = "[\n" + body + "\n ]" if body else "[]"
+    b = report.box
+    return _SCAN_JSON % (*(_quote(str(x)) for x in (b.x0, b.y0, b.x1, b.y1, report.step)),
+                         report.budget, *outcomes.values(), hist, body)
 
 
 def cmd_scan(args) -> int:
@@ -299,17 +288,21 @@ def cmd_scan(args) -> int:
     report = scan_region(
         ctx, box, parse_rational(args.grid), args.budget, max_tile_period=args.max_tile_period
     )
-    if args.format == "json":
-        _emit(json.dumps(_scan_sidecar(report), indent=1) + "\n", args.out)
-    elif args.format == "svg":
+    if args.format == "svg":
         _emit(tiles_scene(report.tile_list).to_svg(), args.out)
-    else:
-        sidecar = _scan_sidecar(report)
-        _emit(_scan_csv(report, sidecar["tiles"]), args.out)
-        if args.out:
-            Path(args.out).with_suffix(".json").write_text(
-                json.dumps(sidecar, indent=1) + "\n", encoding="utf-8"
-            )
+        return EXIT_OK
+    tiles = [(t, _tile_values(t), mult) for t, mult in report.tiles.values()]
+    if args.format == "json":
+        _emit(_scan_json(report, tiles), args.out)
+        return EXIT_OK
+    lines = ["tile,ell,k,sides,regular,center_re,center_im,period,multiplicity"]
+    for idx, (_, (ell, k, sides, regular, (cr, ci)), mult) in enumerate(tiles):
+        lines.append(f"{idx},{ell},{k},{sides},{regular},{cr!r},{ci!r},{k * ell},{mult}")
+    _emit("\n".join(lines) + "\n", args.out)
+    if args.out:
+        # the sidecar is written only beside a CSV file, not after one on stdout
+        Path(args.out).with_suffix(".json").write_text(_scan_json(report, tiles),
+                                                       encoding="utf-8")
     return EXIT_OK
 
 

@@ -531,11 +531,16 @@ class CycloNum:
         return f"<CycloNum {self} (m={self.ctx.m})>"
 
     def to_complex(self) -> complex:
-        """53-bit numeric shadow; for display and plotting only."""
+        """53-bit numeric shadow; for display and plotting only.  The terms
+        are added left to right from 0.0, so the bits do not depend on the
+        Python version (``sum`` of floats compensates from 3.12 on)."""
         # x / den is the correctly rounded quotient, as float(Fraction(x, den))
-        den = self.den
-        re = sum((x / den) * self.ctx._cos[j] for j, x in enumerate(self.vec) if x)
-        im = sum((x / den) * self.ctx._sin[j] for j, x in enumerate(self.vec) if x)
+        den, re, im = self.den, 0.0, 0.0
+        for x, c, s in zip(self.vec, self.ctx._cos, self.ctx._sin):
+            if x:
+                t = x / den
+                re += t * c
+                im += t * s
         return complex(re, im)
 
 

@@ -413,18 +413,19 @@ def polygon_contains(p: ConvexPolygon, z: CycloNum) -> Location:
 
 
 def polygon_is_regular(p: ConvexPolygon) -> bool:
-    """Whether n | m and v_(i+1) - c = zeta^(m/n) * (v_i - c) for every i,
-    c the vertex average: n ``mul_zeta`` permutations, no field product.
+    """Whether n | m and e_i = zeta^(m/n) * e_(i-1) for every edge
+    e_i = v_i - v_(i-1), indices mod n: n subtractions and n ``mul_zeta``
+    permutations, no field division or product.
 
-    A regular counterclockwise n-gon is c + zeta_n^i * r, i < n, with
-    zeta_n = e^(2 pi i/n) and c its vertex average (the n-th roots of unity
-    sum to 0), so zeta_n = (v_1 - c)/(v_0 - c) lies in Q(zeta_m).  For even
-    m (m = lcm(4, q)) that field holds a primitive n-th root of unity only
-    when n | m: else it holds Q(zeta_L), L = lcm(m, n) > m, of degree
-    phi(L) <= phi(m), but each prime power p^a of L/m multiplies phi by
-    p^a >= 2 if p | m and by p^(a-1)*(p - 1) >= 2 if not, as 2 | m.  So
-    zeta_n = zeta^(m/n) and the test holds; conversely, it makes the
-    vertices c + zeta^(i*m/n) * (v_0 - c), a regular n-gon.
+    Walking a counterclockwise n-gon, each edge is the one before turned by
+    the exterior angle; the n angles sum to 2 pi, so the polygon is regular,
+    equal sides and equal angles, exactly when e_i = zeta_n * e_(i-1) for
+    every i, zeta_n = e^(2 pi i/n).  Then zeta_n = e_1/e_0 lies in Q(zeta_m).
+    For even m (m = lcm(4, q)) that field holds a primitive n-th root of
+    unity only when n | m: else it holds Q(zeta_L), L = lcm(m, n) > m, of
+    degree phi(L) <= phi(m), but each prime power p^a of L/m multiplies phi
+    by p^a >= 2 if p | m and by p^(a-1)*(p - 1) >= 2 if not, as 2 | m.  So
+    zeta_n = zeta^(m/n), and the test holds exactly for regular polygons.
     """
     v = p.vertices
     n = len(v)
@@ -433,9 +434,8 @@ def polygon_is_regular(p: ConvexPolygon) -> bool:
     m = v[0].ctx.m
     if m % n:
         return False
-    c = vertex_average(v)
-    arms = [w - c for w in v]
-    return all(arms[i - 1].mul_zeta(m // n) == arms[i] for i in range(n))
+    edges = [v[i] - v[i - 1] for i in range(n)]
+    return all(edges[i - 1].mul_zeta(m // n) == edges[i] for i in range(n))
 
 
 def apply_affine(p: ConvexPolygon, g) -> ConvexPolygon:

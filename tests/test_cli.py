@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,12 @@ from pwrot import _steppy, cli, geometry, stepper
 from pwrot.cli import build_parser, main
 from pwrot.critical import critical_bundle
 from pwrot.cyclo import make_field
-from pwrot.pointexpr import parse_alpha, parse_box
+from pwrot.dynamics import orbit
+from pwrot.pointexpr import parse_alpha, parse_box, parse_point
+from pwrot.tiles import scan_region, tile_from_seed
+
+from jsonref import orbit_dict, scan_csv, scan_sidecar, tile_dict
+from test_acceptance import SCANS
 
 GOLDEN_ITERATES_PHI = [
     "-phi",
@@ -562,6 +568,70 @@ class TestScan:
         # its exact test
         self.test_golden_digests(capsys, tmp_path, alpha, box, grid, budget, csv_digest,
                                  json_digest)
+
+
+# Scans for the writers: every acceptance grid, one with an empty histogram
+# and no tile, and one whose --max-tile-period drops the period-85 tiles.
+# (case, alpha, box, grid, budget, max tile period)
+WRITER_SCANS = [
+    (f"acceptance {label}", f"{p}/{q}", f"{box.x0},{box.y0},{box.x1},{box.y1}", str(grid),
+     budget, None)
+    for label, ((p, q), box, grid, budget) in SCANS.items()
+] + [
+    ("empty", "4/5", "-1,-1,1,1", "1", 3, None),
+    ("filtered", "4/5", "-3,-3,3,3", "1", 3000, 30),
+]
+
+
+class TestJsonWriters:
+    """Each JSON writer against ``json.dumps(data, indent=1) + "\\n"`` on the
+    dict it stands for (tests/jsonref.py), byte for byte, and a scan's CSV
+    against the CSV read from those dicts."""
+
+    @pytest.mark.parametrize("case, alpha, box, grid, budget, cap", WRITER_SCANS)
+    def test_scan(self, capsys, tmp_path, case, alpha, box, grid, budget, cap):
+        argv = ["scan", "--alpha", alpha, f"--box={box}", "--grid", grid, "--budget", str(budget)]
+        if cap is not None:
+            argv += ["--max-tile-period", str(cap)]
+        target = tmp_path / "scan.csv"
+        assert run(capsys, *argv, "--out", str(target))[0] == 0
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        report = scan_region(make_field(*parse_alpha(alpha)), parse_box(box), Fraction(grid),
+                             budget, max_tile_period=cap)
+        sidecar = scan_sidecar(report)
+        assert out == (tmp_path / "scan.json").read_text() == json.dumps(sidecar, indent=1) + "\n"
+        assert target.read_text() == scan_csv(report)
+        periods = [t["interior_period"] for t in sidecar["tiles"]]
+        if case == "empty":
+            assert sidecar["histogram"] == {} and periods == []
+        elif case == "filtered":
+            assert periods and max(periods) <= cap < max(map(int, sidecar["histogram"]))
+        else:
+            assert len(periods) >= 5
+
+    def test_scan_csv_on_stdout_writes_no_json(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_scan_json", None)
+        code, out, _ = run(capsys, "scan", "--alpha", "11/12", "--box=-1,-1,3,2", "--grid", "1",
+                           "--budget", "1000")
+        assert code == 0
+        report = scan_region(make_field(11, 12), parse_box("-1,-1,3,2"), 1, 1000)
+        assert out == scan_csv(report) and report.tiles
+
+    @pytest.mark.parametrize("alpha, seed", [("4/5", "P1"), ("11/12", "C")])
+    def test_tile(self, capsys, alpha, seed):
+        code, out, _ = run(capsys, "tile", "--alpha", alpha, "--seed", seed, "--format", "json")
+        assert code == 0
+        tile = tile_from_seed(parse_point(seed, make_field(*parse_alpha(alpha))), 100000)
+        assert out == json.dumps(tile_dict(tile), indent=1) + "\n"
+
+    @pytest.mark.parametrize("n", [0, 10])
+    def test_iterate(self, capsys, n):
+        code, out, _ = run(capsys, "iterate", "--alpha", "4/5", "--point", "(1/3,1/7)", "--n",
+                           str(n), "--format", "json")
+        assert code == 0
+        points = orbit(parse_point("(1/3,1/7)", make_field(4, 5)), n)
+        assert out == json.dumps(orbit_dict("4/5", points), indent=1) + "\n"
 
 
 class TestCasestudy:

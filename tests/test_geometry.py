@@ -31,6 +31,7 @@ from pwrot.geometry import (
     make_polygon,
     polygon_contains,
     polygon_is_regular,
+    vertex_average,
 )
 from pwrot.errors import ParameterError
 from pwrot import geometry
@@ -39,6 +40,7 @@ from pwrot.tiles import scan_region
 from affine import affine_along
 from fieldops import squared_abs
 from segments import orientation, point_on_segment
+from test_acceptance import SCANS
 
 
 @pytest.fixture(scope="module")
@@ -507,8 +509,8 @@ def built_polygons(ctx12, ctx5):
 
 
 class TestRegularityByRotation:
-    """``polygon_is_regular`` tests one rotation about the vertex average
-    and ``edge_direction_power`` one rotation of the edge, by ``mul_zeta``
+    """``polygon_is_regular`` tests one rotation per edge and
+    ``edge_direction_power`` one rotation of the edge, by ``mul_zeta``
     alone; both agree with the earlier formulas built on field products."""
 
     def test_scanned_tiles_match_the_reference(self, scanned_polygons):
@@ -543,6 +545,76 @@ class TestRegularityByRotation:
                 edge_direction_power(p.vertices[0].ctx, b - a)
         assert products == []
         assert ctx12.point(1, 1) * ctx12.i_unit == ctx12.point(-1, 1) and products
+
+
+def regular_by_vertex_average(p):
+    """The reference for ``polygon_is_regular`` before it tested edges:
+    n | m and v_i - c = zeta^(m/n) * (v_(i-1) - c) for every i, with c the
+    vertex average."""
+    v = p.vertices
+    n, m = len(v), v[0].ctx.m
+    if m % n:
+        return False
+    arms = [w - vertex_average(v) for w in v]
+    return all(arms[i - 1].mul_zeta(m // n) == arms[i] for i in range(n))
+
+
+@pytest.fixture(scope="module")
+def acceptance_polygons():
+    """The tiles of the acceptance scans, as tests/test_acceptance.py lists them."""
+    return [t.polygon for (p, q), box, grid, budget in SCANS.values()
+            for t in scan_region(make_field(p, q), box, grid, budget, max_tile_period=2000).tile_list]
+
+
+class TestRegularityByEdges:
+    """The edge rule, e_i = zeta^(m/n) * e_(i-1) for every edge, decides as
+    the vertex-average rule and the side-and-angle rule do."""
+
+    def test_acceptance_tiles(self, acceptance_polygons):
+        regular = [polygon_is_regular(p) for p in acceptance_polygons]
+        assert regular == [regular_by_vertex_average(p) for p in acceptance_polygons]
+        assert regular == [regular_by_sides_and_angles(p) for p in acceptance_polygons]
+        assert True in regular and False in regular
+
+    @pytest.mark.parametrize("pq", [(11, 12), (4, 5), (3, 7)])
+    def test_constructed_ngons(self, pq):
+        # for each n from 3 to 11 (n < m): if n | m, the regular n-gon
+        # zeta^(i*m/n) moved by an affine map, and an unevenly spaced n-gon
+        # of m-th roots of unity; if not, two n-gons of m-th roots of unity
+        ctx = make_field(*pq)
+        m = ctx.m
+        rng = random.Random(m)
+        scale, shift = ctx.point(Fraction(3, 2), Fraction(-1, 3)), ctx.point(2, Fraction(1, 5))
+        seen = set()
+        for n in range(3, 12):
+            polygons = []
+            if m % n == 0:
+                polygons.append((make_polygon([shift + scale * ctx.zeta_pow(i * m // n)
+                                               for i in range(n)]), True))
+            while len(polygons) < 2:
+                exps = sorted(rng.sample(range(m), n))
+                if m % n or any(b - a != m // n for a, b in zip(exps, exps[1:])):
+                    polygons.append((make_polygon([ctx.zeta_pow(e) for e in exps]), False))
+            for poly, regular in polygons:
+                assert polygon_is_regular(poly) == regular_by_vertex_average(poly) == regular
+                assert regular_by_sides_and_angles(poly) == regular
+                seen.add((m % n == 0, regular))
+        assert seen == {(True, True), (True, False), (False, False)}
+
+    def test_near_misses_at_m20(self, ctx5):
+        # an equilateral rhombus with angles of 72 and 108 degrees, and an
+        # equiangular 2 x 1 rectangle: 4 | 20, and neither is regular
+        w = ctx5.zeta_pow(4)
+        rhombus = make_polygon([ctx5.zero(), ctx5.one(), 1 + w, w])
+        rectangle = make_polygon([ctx5.point(0, 0), ctx5.point(2, 0), ctx5.point(2, 1),
+                                  ctx5.point(0, 1)])
+        assert ctx5.m == 20
+        assert len({squared_abs(b - a) for a, b in rhombus.edges()}) == 1
+        assert len({squared_abs(b - a) for a, b in rectangle.edges()}) == 2
+        for poly in (rhombus, rectangle):
+            assert not polygon_is_regular(poly)
+            assert not regular_by_vertex_average(poly)
+            assert not regular_by_sides_and_angles(poly)
 
 
 @pytest.fixture
