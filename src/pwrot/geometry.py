@@ -6,37 +6,41 @@ real field element beta.  Half-plane boundaries, critical segments (along
 lambda^t = zeta^(t0*t)) and box faces (exponents 0, m/4, m/2, 3m/4) are
 all grid lines, so parallel and antiparallel directions, angular order and
 boundedness are decided by comparing exponents, and every crossing is the
-grid corner of two lines: a closed form whose only reciprocal, 1/Im(zeta^k),
-is cached per exponent difference.  Half-plane intersection finds its
-vertices with one half-plane sweep, certifies by one interior point that
+grid corner of two lines: a closed form, computed in one lattice pass,
+whose only reciprocal, 1/Im(zeta^k), is cached per exponent difference.
+Half-plane intersection finds its vertices with one half-plane sweep, which
+builds only the corners of its ring, certifies by one interior point that
 the open intersection is nonempty, and returns its closure; segment
 clipping is one Cohen-Sutherland loop over the endpoints' outcodes, which
 drops a segment wholly outside one box face and moves an endpoint outside a
 face to the corner of the segment's line with that face.
 
 Predicates (side of a line, the binding pass and the antiparallel strip,
-turns and point location, the canonical start, box faces) take plain
-``CycloNum`` values and are decided by integer compares on certified 64-bit
-enclosures, the fixed-point sums of the sign oracle: ``CycloNum.enclosure``,
-which each value computes once and keeps, so no predicate passes an
-enclosure around, and ``FieldContext.sine_row``.  ``_sum_sign`` decides a
-sum of two enclosed values and ``_turn`` a cross product, both through
-``_decide``, box faces are read by ``_outcode``'s inline compares, and a
-sign left open, for a point on or within about 2^-64 of a line or a tie,
-takes the exact sign oracle.  Equality is exact, and regularity and edge
-slopes are exact rotations by ``mul_zeta``, with no field product.
+the sweep's test of a corner against a line, turns and point location, the
+canonical start, box faces) take plain ``CycloNum`` values and are decided
+by integer compares on certified 64-bit enclosures, the fixed-point sums of
+the sign oracle: ``CycloNum.enclosure``, which each value computes once and
+keeps, so no predicate passes an enclosure around, and
+``FieldContext.sine_row``.  ``_sum_sign`` decides a sum of two enclosed
+values, ``_sweep`` a sum of three enclosed offsets times sine nodes and
+``_turn`` a cross product, all through ``_decide``, box faces are read by
+``_outcode``'s inline compares, and a sign left open, for a point on or
+within about 2^-64 of a line or a tie, takes the exact sign oracle.
+Equality is exact, and regularity and edge slopes are exact rotations by
+``mul_zeta``, with no field product.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from collections import deque
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag, sign_of_real
+from .cyclo import CycloNum, FieldContext, Sign, _fixed_nodes, sign_of_imag, sign_of_real
 from .errors import ParameterError
 
 
@@ -152,10 +156,15 @@ class ExactSegment(NamedTuple):
     depth: int = 0
 
     def grid_line(self) -> tuple[int, CycloNum]:
-        """(e, beta) with the segment on the grid line Im(zeta^e * w) = -beta."""
-        ctx = self.a.ctx
-        e = -ctx.t0 * self.power % ctx.m
-        return e, -self.a.mul_zeta(e).imag()
+        """(e, beta) with the segment on the grid line Im(zeta^e * w) = -beta.
+
+        As in ``CycloNum.imag``, -Im(zeta^e * a) = [zeta^(3m/4 - e) * conj(a)
+        - zeta^(e + 3m/4) * a] / 2: two permutations and one reduction."""
+        a = self.a
+        ctx, m = a.ctx, a.ctx.m
+        e, r = -ctx.t0 * self.power % m, 3 * m // 4
+        vec = [x - y for x, y in zip(ctx._permute(a.vec, -1, r - e), ctx._permute(a.vec, 1, e + r))]
+        return e, ctx.from_lattice(vec, 2 * a.den)
 
 
 # -- grid corners and half-plane intersection ---------------------------------
@@ -171,9 +180,20 @@ def _inverse_sine(ctx: FieldContext, k: int) -> CycloNum:
 def grid_corner(e: int, beta_e: CycloNum, f: int, beta_f: CycloNum) -> CycloNum:
     """The point where the grid lines Im(zeta^e * w) = -beta_e and
     Im(zeta^f * w) = -beta_f meet, for real beta_e, beta_f and e != f mod m/2:
-    w = (beta_e * zeta^-f - beta_f * zeta^-e) / Im(zeta^(f - e))."""
+    w = (beta_e * zeta^-f - beta_f * zeta^-e) / Im(zeta^(f - e)).
+
+    One lattice pass: with beta_e = a/da and beta_f = b/db over n =
+    lcm(da, db), the numerator is the one integer vector zeta^-f * a*(n/da)
+    - zeta^-e * b*(n/db), two permutations, which one product with the
+    cached 1 / Im(zeta^(f - e)) and one reduction turn into w."""
     ctx = beta_e.ctx
-    return (beta_e.mul_zeta(-f) - beta_f.mul_zeta(-e)) * _inverse_sine(ctx, (f - e) % ctx.m)
+    da, db = beta_e.den, beta_f.den
+    g = math.gcd(da, db)
+    fa, fb = db // g, da // g
+    vec = [x * fa - y * fb for x, y in zip(ctx._permute(beta_e.vec, 1, -f),
+                                           ctx._permute(beta_f.vec, 1, -e))]
+    inv = _inverse_sine(ctx, (f - e) % ctx.m)
+    return ctx.from_lattice(ctx._mul_vecs(vec, inv.vec), da * fa * inv.den)
 
 
 def _grid_form(h: HalfPlane) -> tuple[int, CycloNum]:
@@ -245,11 +265,13 @@ def intersect_halfplanes(constraints: Iterable[HalfPlane]):
     Im(c) sum to a positive number, decided from the offsets' enclosures by
     ``_sum_sign`` (exactly only when they leave it open, as for a strip of
     zero width); and the intersection is unbounded exactly when some cyclic
-    gap between the sorted exponents is at least m/2.  A bounded system goes through one half-plane sweep.  When the open
-    intersection is nonempty the sweep's vertex ring is its closure (de Berg
-    et al., 4.2), whose vertex average lies strictly inside every
-    constraint; when it is empty no point does.  So one strict test of that
-    average against each binding constraint tells the two apart and gives
+    gap between the sorted exponents is at least m/2.  A bounded system
+    goes through one half-plane sweep, which decides its tests on the
+    offsets' enclosures and builds only the corners of its ring (``_sweep``).
+    When the open intersection is nonempty the sweep's vertex ring is its
+    closure (de Berg et al., 4.2), whose vertex average lies strictly inside
+    every constraint; when it is empty no point does.  So one strict test of
+    that average against each binding constraint tells the two apart and gives
     EMPTY for empty and point-shaped intersections; a segment-shaped one is
     a strip of width zero, rejected before the sweep.  The test certifies
     nonemptiness only: that the ring is the intersection rests on the
@@ -304,17 +326,50 @@ def _sweep(offset: dict[int, CycloNum]) -> list[CycloNum]:
     """One half-plane sweep over the bounded system Im(zeta^e * w + offset[e])
     > 0, in the counterclockwise order of the edge directions zeta^-e (de
     Berg et al., Computational Geometry, 4.2): the vertex ring of the edges
-    it keeps, or [] when it keeps fewer than three."""
-    beta = {e: c.imag() for e, c in offset.items()}
-    corners: dict[tuple[int, int], CycloNum] = {}
+    it keeps, or [] when it keeps fewer than three.
 
+    Each test asks whether the corner of lines f and g lies strictly inside
+    constraint e.  With beta = Im(offset) and S(k) = sin(2 pi k/m), that
+    corner (``grid_corner``) has Im(zeta^e w) + beta_e = D / S(g - f), D =
+    beta_e S(g - f) + beta_f S(e - g) + beta_g S(f - e), so the test is
+    sign(S(g - f)) * D > 0, where S(g - f) > 0 exactly when (g - f) mod m <
+    m/2.  D is decided on the offsets' kept enclosures, with no corner
+    built.  An enclosure gives Y within E of s*beta, so |s*beta| <= |Y| + E,
+    and the node N_k of ``_fixed_nodes(m, 64)`` is within 1 of 2^64 S(k),
+    so Y*N - s*2^64*beta*S = (Y - s*beta)*N + s*beta*(N - 2^64 S) is within
+    E*|N| + |Y| + E.  Each product and its bound, times the other two
+    scales, enclose s_e*s_f*s_g*2^64 times its term of D, so ``_decide``
+    signs D from the sum T of the three scaled products and the sum of
+    their scaled bounds.  Only a test it leaves open, for a corner on or
+    near line e, or a zero node N_(g - f), where f and g are parallel,
+    builds the corner and takes ``_side``.  So betas and corners are built
+    only for those tests and for the ring.
+    """
+    m = next(iter(offset.values())).ctx.m
+    half, nodes = m // 2, _fixed_nodes(m, 64)[1]
+    enc = {e: c.enclosure()[1:] for e, c in offset.items()}
+
+    @functools.cache
+    def beta(e: int) -> CycloNum:
+        return offset[e].imag()
+
+    @functools.cache
     def corner(f: int, g: int) -> CycloNum:
-        if (f, g) not in corners:
-            corners[f, g] = grid_corner(f, beta[f], g, beta[g])
-        return corners[f, g]
+        return grid_corner(f, beta(f), g, beta(g))
 
     def inside(e: int, f: int, g: int) -> bool:
         """The corner of f and g lies strictly inside constraint e."""
+        k = (g - f) % m
+        n = nodes[k]
+        if n:
+            (ye, ee, se), (yf, ef, sf), (yg, eg, sg) = enc[e], enc[f], enc[g]
+            nf, ng = nodes[(e - g) % m], nodes[(f - e) % m]
+            sfg, seg, sef = sf * sg, se * sg, se * sf
+            s = _decide(ye * n * sfg + yf * nf * seg + yg * ng * sef,
+                        (ee * (abs(n) + 1) + abs(ye)) * sfg + (ef * (abs(nf) + 1) + abs(yf)) * seg
+                        + (eg * (abs(ng) + 1) + abs(yg)) * sef)
+            if s is not None:
+                return (s > 0) == (k < half)
         return _side(offset, e, corner(f, g)) == Sign.POSITIVE
 
     edges: deque[int] = deque()

@@ -136,6 +136,10 @@ def _nominee_halfplanes(rec: OrbitRecord, period: int) -> list[HalfPlane]:
     in class e + i*ell*t0, so each nominee stands for k indices, and the
     copies that share a class are nested.  ``intersect_halfplanes`` makes
     the one binding pass, which keeps the first least one per class.
+
+    A nominee z_j = vec / z.den shares the seed's denominator, so
+    b_j = (vec - zeta^(t0*j) * z.vec) / z.den is one permutation and one
+    reduction.
     """
     z = rec.start
     ctx = z.ctx
@@ -143,7 +147,9 @@ def _nominee_halfplanes(rec: OrbitRecord, period: int) -> list[HalfPlane]:
     nominees = sorted((j + i, vec) for j, vec in filter(None, rec.nominees)
                       for i in range(0, period, walked))
     return [
-        HalfPlane(j % ctx.q, ctx.from_lattice(vec, z.den) - z.mul_zeta(t0 * j % m),
+        HalfPlane(j % ctx.q,
+                  ctx.from_lattice([x - y for x, y in zip(vec, ctx._permute(z.vec, 1, t0 * j % m))],
+                                   z.den),
                   rec.signs[j % walked])
         for j, vec in nominees
     ]

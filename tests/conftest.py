@@ -17,8 +17,10 @@ suite warns whenever ``pwrot.stepper`` finds no compiled kernel after the
 build.
 
 The ``exact_enclosures`` fixture widens the error of every
-``CycloNum.enclosure``, so that no enclosure decides a sign, and
-``enclosures_computed`` lists the values whose enclosure is computed.
+``CycloNum.enclosure``, so that no enclosure decides a sign,
+``exact_predicates`` makes ``geometry._decide`` decide nothing, so that
+every enclosed predicate takes its exact test, and ``enclosures_computed``
+lists the values whose enclosure is computed.
 
 Tests marked ``long`` (multi-minute exact-orbit runs) skip unless the
 environment sets PWROT_LONG.
@@ -96,6 +98,16 @@ def exact_enclosures(monkeypatch):
         return x, y, (err + abs(x) + abs(y) + s) << 64, s
 
     monkeypatch.setattr(CycloNum, "enclosure", widened)
+
+
+@pytest.fixture
+def exact_predicates(monkeypatch):
+    """``geometry._decide`` leaves every sign open, so no integer enclosure
+    decides a predicate of the tile build, the half-plane sweep's tests
+    included, and each takes its exact test."""
+    from pwrot import geometry
+
+    monkeypatch.setattr(geometry, "_decide", lambda t, err: None)
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pwrot
-from pwrot import _steppy, cli, geometry, stepper
+from pwrot import _steppy, cli, stepper
 from pwrot.cli import build_parser, main
 from pwrot.critical import critical_bundle
 from pwrot.cyclo import make_field
@@ -108,13 +108,6 @@ FORMAT_DIGESTS = [
     (("tile", "--alpha", "11/12", "--seed", "C"),
      "c8b48e9001662fc77a397f9672e501cc00bc1896bd05bb0cb89a3484c66d12a1", True),
 ]
-
-
-@pytest.fixture
-def exact_predicates(monkeypatch):
-    """No integer enclosure decides a predicate of the tile build, so each
-    takes its exact test."""
-    monkeypatch.setattr(geometry, "_decide", lambda t, err: None)
 
 
 def run(capsys, *argv):

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -60,6 +61,18 @@ def upper(ctx):
 
 def lower(ctx):
     return HalfPlane(0, ctx.zero(), -1)
+
+
+# the predicates of the tile build: decided on enclosures, on no enclosure
+# (every test exact), or on enclosures too wide to decide anything
+SWEEP_MODES = ["enclosed", "exact_predicates", "exact_enclosures"]
+
+
+def use_mode(request, mode):
+    """Switch the predicates to ``mode``, one of ``SWEEP_MODES``, for the
+    rest of the test."""
+    if mode != "enclosed":
+        request.getfixturevalue(mode)
 
 
 def side_of(h, w):
@@ -200,16 +213,18 @@ class TestIntersectHalfplanes:
         ]
         assert intersect_halfplanes(cons) is UNBOUNDED
 
-    def test_random_grid_constraints_around_interior_point(self, ctx5, ctx12):
+    @pytest.mark.parametrize("mode", SWEEP_MODES)
+    def test_random_grid_constraints_around_interior_point(self, ctx5, ctx12, request, mode):
         # lines of random grid directions through a few shared quarter-grid
         # points, so that several often meet in one vertex, each oriented to
-        # hold the point c strictly inside
+        # hold the point c strictly inside; every mode gives the results of
+        # the enclosed predicates
         rng = random.Random(11)
 
         def quarter_point(ctx):
             return ctx.point(Fraction(rng.randint(-6, 6), 4), Fraction(rng.randint(-6, 6), 4))
 
-        polygons = 0
+        systems = []
         for ctx in (ctx5, ctx12):
             for _ in range(60):
                 c = quarter_point(ctx)
@@ -221,22 +236,29 @@ class TestIntersectHalfplanes:
                     s = sign_of_imag(ctx.lam_pow(t) * c + b)
                     if s != Sign.ZERO:
                         cons.append(HalfPlane(t, b, int(s)))
-                poly = intersect_halfplanes(cons)
-                assert poly is not EMPTY
-                assert len(geometry._binding_offsets(cons)) <= ctx.m
-                assert intersect_halfplanes(h for h in cons) == poly
-                if poly is UNBOUNDED:
-                    continue
-                polygons += 1
-                assert polygon_contains(poly, c) == Location.INTERIOR
-                for v in poly.vertices:
-                    assert all(side_of(h, v) * h.side >= 0 for h in cons)
-                for a, b in poly.edges():
-                    assert orientation(a, b, c) == Sign.POSITIVE
-                    assert any(
-                        side_of(h, a) == Sign.ZERO and side_of(h, b) == Sign.ZERO and holds(h, c)
-                        for h in cons
-                    )
+                systems.append((ctx, c, cons))
+        enclosed = [intersect_halfplanes(cons) for _, _, cons in systems]
+        use_mode(request, mode)
+
+        polygons = 0
+        for (ctx, c, cons), expected in zip(systems, enclosed):
+            poly = intersect_halfplanes(cons)
+            assert poly == expected
+            assert poly is not EMPTY
+            assert len(geometry._binding_offsets(cons)) <= ctx.m
+            assert intersect_halfplanes(h for h in cons) == poly
+            if poly is UNBOUNDED:
+                continue
+            polygons += 1
+            assert polygon_contains(poly, c) == Location.INTERIOR
+            for v in poly.vertices:
+                assert all(side_of(h, v) * h.side >= 0 for h in cons)
+            for a, b in poly.edges():
+                assert orientation(a, b, c) == Sign.POSITIVE
+                assert any(
+                    side_of(h, a) == Sign.ZERO and side_of(h, b) == Sign.ZERO and holds(h, c)
+                    for h in cons
+                )
         assert polygons >= 30
 
     def test_vertices_respect_all_constraints(self, ctx12):
@@ -319,24 +341,32 @@ class TestSweepCertificate:
     """The one-point certificate of intersect_halfplanes decides as the
     earlier check of every vertex against every constraint did."""
 
-    def test_certificate_matches_vertex_recheck(self):
+    @pytest.mark.parametrize("mode", SWEEP_MODES)
+    def test_certificate_matches_vertex_recheck(self, request, mode):
+        # every mode gives the results of the enclosed predicates
         rng = random.Random(5)
+        systems = [
+            (kind, random_grid_system(make_field(p, q), rng, kind))
+            for p, q in [(4, 5), (11, 12), (3, 7), (1, 4), (1, 3)]
+            for kind in ["random"] * 30 + ["point"] * 5 + ["segment"] * 5
+        ]
+        enclosed = [intersect_halfplanes(cons) for _, cons in systems]
+        use_mode(request, mode)
+
         seen = {"empty": 0, "unbounded": 0, "polygon": 0}
-        for p, q in [(4, 5), (11, 12), (3, 7), (1, 4), (1, 3)]:
-            ctx = make_field(p, q)
-            for kind in ["random"] * 30 + ["point"] * 5 + ["segment"] * 5:
-                cons = random_grid_system(ctx, rng, kind)
-                ring, expected = swept_and_rechecked(cons)
-                assert not (ring and expected is EMPTY)
-                result = intersect_halfplanes(cons)
-                if expected is EMPTY or expected is UNBOUNDED:
-                    assert result is expected
-                    seen["empty" if expected is EMPTY else "unbounded"] += 1
-                else:
-                    assert result == expected
-                    seen["polygon"] += 1
-                if kind != "random":
-                    assert result is EMPTY
+        for (kind, cons), plain in zip(systems, enclosed):
+            ring, expected = swept_and_rechecked(cons)
+            assert not (ring and expected is EMPTY)
+            result = intersect_halfplanes(cons)
+            assert result == plain
+            if expected is EMPTY or expected is UNBOUNDED:
+                assert result is expected
+                seen["empty" if expected is EMPTY else "unbounded"] += 1
+            else:
+                assert result == expected
+                seen["polygon"] += 1
+            if kind != "random":
+                assert result is EMPTY
         assert min(seen.values()) >= 20, seen
 
     def test_ring_of_an_empty_system_is_rejected(self, ctx12, monkeypatch):
@@ -799,6 +829,59 @@ class TestEdgeDirections:
     def test_q5_off_grid(self, ctx5):
         assert edge_direction_power(ctx5, ctx5.point(1, 1)) is None
         assert edge_direction_power(ctx5, ctx5.lambda_ * 2) == 1
+
+
+def grid_corner_by_field_ops(e, beta_e, f, beta_f):
+    """The grid corner as two rotations, a difference and a field product:
+    the reference for the one lattice pass of ``grid_corner``."""
+    ctx = beta_e.ctx
+    return (beta_e.mul_zeta(-f) - beta_f.mul_zeta(-e)) * geometry._inverse_sine(ctx, (f - e) % ctx.m)
+
+
+class TestGridCorner:
+    # real offsets over these denominators: 1, equal, coprime and sharing
+    # a factor without dividing each other (4 and 6, 6 and 10, 9 and 12)
+    DENS = (1, 1, 2, 3, 4, 6, 9, 10, 12, 35)
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7), (1, 4)])
+    def test_matches_field_ops(self, p, q):
+        ctx = make_field(p, q)
+        m, rng = ctx.m, random.Random(p * 100 + q)
+
+        def real():
+            # 2 Re(a) for integral a, plus a rational of denominator exactly den
+            den = rng.choice(self.DENS)
+            a = ctx.num([rng.randint(-40, 40) for _ in range(ctx.d)])
+            return a + a.conj() + Fraction(rng.randint(-40, 40) * den + 1, den)
+
+        kinds = set()
+        for _ in range(200):
+            e = rng.randrange(m)
+            f = (e + rng.choice([k for k in range(1, m) if k != m // 2])) % m
+            beta_e, beta_f = real(), real()
+            w = grid_corner(e, beta_e, f, beta_f)
+            assert w == grid_corner_by_field_ops(e, beta_e, f, beta_f)
+            assert w.mul_zeta(e).imag() == -beta_e and w.mul_zeta(f).imag() == -beta_f
+            g = math.gcd(beta_e.den, beta_f.den)
+            kinds.add("one" if beta_e.den == beta_f.den == 1 else
+                      "equal" if beta_e.den == beta_f.den else
+                      "coprime" if g == 1 else
+                      "divides" if g in (beta_e.den, beta_f.den) else "shared")
+        assert kinds == {"one", "equal", "coprime", "divides", "shared"}
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7), (1, 4)])
+    def test_grid_line_matches_field_ops(self, p, q):
+        ctx = make_field(p, q)
+        rng = random.Random(q)
+        for _ in range(50):
+            den = rng.choice(self.DENS)
+            a = ctx.num([Fraction(rng.randint(-40, 40), den) for _ in range(ctx.d)])
+            power = rng.randrange(ctx.q)
+            seg = ExactSegment(a, a + ctx.lam_pow(power), power)
+            e, beta = seg.grid_line()
+            assert e == -ctx.t0 * power % ctx.m
+            assert beta == -a.mul_zeta(e).imag()
+            assert seg.b.mul_zeta(e).imag() == -beta
 
 
 def in_box(w, box):

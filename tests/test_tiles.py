@@ -240,6 +240,52 @@ class TestScan:
         assert 0 < len(enclosures_computed) <= 244
 
 
+# the three tile-scan grids of the benchmark (``SCAN_GRIDS["full"]`` in
+# perfbench/workloads.py): (alpha, box, step, budget)
+BENCHMARK_SCANS = [
+    ((4, 5), Box(-3, -3, 3, 3), Fraction(1), 3000),
+    ((11, 12), Box(-1, -1, 3, 2), Fraction(1, 2), 1000),
+    ((3, 7), Box(-2, -2, 2, 2), Fraction(4, 3), 3000),
+]
+
+
+@pytest.mark.parametrize("mode, corners, exact_tests", [
+    ("enclosed", 254, 0),
+    ("exact_predicates", 334, 668),
+])
+def test_sweep_builds_only_the_ring_corners(request, monkeypatch, mode, corners, exact_tests):
+    # the sweep decides its tests on the offsets' enclosures, so it builds
+    # only the corners of the rings, the 254 sides of the 30 tiles, and
+    # makes no exact side test; with every enclosed decision left open, each
+    # test builds its corner for the exact test, as every test did before
+    # the enclosures decided them (334 corners)
+    if mode != "enclosed":
+        request.getfixturevalue(mode)
+    built, tested, sweeping = [], [], []
+    corner, side, sweep = geometry.grid_corner, geometry._side, geometry._sweep
+
+    def counted_side(*args):
+        if sweeping:
+            tested.append(args)
+        return side(*args)
+
+    def flagged_sweep(offset):
+        sweeping.append(offset)
+        try:
+            return sweep(offset)
+        finally:
+            sweeping.pop()
+
+    monkeypatch.setattr(geometry, "grid_corner", lambda *a: built.append(a) or corner(*a))
+    monkeypatch.setattr(geometry, "_side", counted_side)
+    monkeypatch.setattr(geometry, "_sweep", flagged_sweep)
+    tiles = [t for alpha, box, step, budget in BENCHMARK_SCANS
+             for t in scan_region(make_field(*alpha), box, step, budget).tile_list]
+    assert len(tiles) == 30 and sum(t.sides for t in tiles) == 254
+    assert len(built) == corners
+    assert len(tested) == exact_tests
+
+
 class TestStreamedConstraints:
     """A tile's polygon equals the intersection of all k*ell pulled-back
     constraints, streamed from the walk of branch offsets as a reference,
