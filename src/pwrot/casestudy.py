@@ -15,12 +15,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .cyclo import CycloNum, FieldContext, golden_elements, make_field, sign_of_imag
+from .cyclo import CycloNum, FieldContext, golden_elements, make_field
 from .dynamics import minimal_period
-from .errors import BudgetExceededError, ParameterError, WrongContextError
-from .geometry import ConvexPolygon, apply_affine, make_polygon, polygon_is_regular
+from .errors import ParameterError, WrongContextError
+from .geometry import ConvexPolygon, make_polygon, polygon_is_regular
 from .stepper import run_signs
-from .tiles import CheckReport, tile_from_seed, tile_images
+from .tiles import CheckReport, tile_from_seed, verify_rotation_structure
 
 
 class GoldenContext(NamedTuple):
@@ -138,23 +138,20 @@ def hexagon_context() -> HexagonContext:
 def hexagon_case(budget: int = 100) -> CheckReport:
     """End-to-end verification of the irregular hexagon tile.
 
-    Checks: the center is 20-periodic, the extracted tile equals the known
-    six-vertex hexagon, the hexagon fails exact regularity, the 20 images are
-    pairwise distinct with an exact return, and no open image crosses the
-    discontinuity line.  Raises ``BudgetExceededError`` when the center has
-    not returned within ``budget`` steps, which falsifies nothing.
+    Builds the tile of the center C within ``budget`` steps and runs
+    ``verify_rotation_structure`` on it (distinct images that close up at
+    ell and stay off the line, the block map rotating the hexagon about C,
+    and the periods of C and of interior samples), then checks the case's
+    own facts: ell is 20, the polygon is the known six-vertex hexagon, and
+    it fails exact regularity.  ``tile_from_seed`` raises
+    ``BudgetExceededError`` when C has not returned within ``budget``
+    steps, which falsifies nothing.
     """
     hc = hexagon_context()
-    report = CheckReport(name="irregular hexagon tile")
-
-    rec = minimal_period(hc.center, budget)
-    if rec.period is None:
-        raise BudgetExceededError(rec.budget_used)
-    report.record("center is 20-periodic", rec.period == 20, f"got {rec.period}")
-    if rec.period != 20:
-        return report
-
     tile = tile_from_seed(hc.center, budget)
+    report = verify_rotation_structure(tile)
+    report.name = "irregular hexagon tile"
+    report.record("center is 20-periodic", tile.ell == 20, f"got {tile.ell}")
     report.record(
         "tile polygon equals the known hexagon",
         tile.polygon.key() == hc.hexagon.key(),
@@ -162,22 +159,5 @@ def hexagon_case(budget: int = 100) -> CheckReport:
     )
     report.record(
         "hexagon is not regular", not polygon_is_regular(tile.polygon), ""
-    )
-
-    images, block_map = tile_images(tile)
-    keys = {img.key() for img in images}
-    report.record(
-        "20 images pairwise distinct", len(keys) == 20, f"{len(keys)} distinct"
-    )
-    back = apply_affine(tile.polygon, block_map)
-    report.record("image 20 equals image 0", back.key() == tile.polygon.key(), "")
-
-    crossings = []
-    for n, img in enumerate(images):
-        signs = {int(sign_of_imag(v)) for v in img.vertices}
-        if 1 in signs and -1 in signs:
-            crossings.append(n)
-    report.record(
-        "no open image meets the line", not crossings, f"crossing images: {crossings}"
     )
     return report

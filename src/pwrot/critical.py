@@ -105,8 +105,6 @@ def _split_at(seg: ExactSegment, e: int):
         return [(seg.a, seg.b, 1)]
     if sa != Sign.POSITIVE and sb != Sign.POSITIVE:
         # wholly on the closed negative side; the zero locus is boundary only
-        if sa == Sign.ZERO and sb == Sign.ZERO:
-            return [(seg.a, seg.b, 1)]
         return [(seg.a, seg.b, -1)]
     f, beta = seg.grid_line()
     w = grid_corner(f, beta, e, ctx.zero())

@@ -448,12 +448,6 @@ class CycloNum:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from typing import NamedTuple, Sequence
 
 from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag
@@ -120,29 +121,16 @@ def itinerary(z: CycloNum, n: int) -> Itinerary:
 def itinerary_period(word: Itinerary | Sequence[int]) -> int:
     """Minimal shift period of the infinite repetition of ``word``.
 
-    Assumes the word is the full cycle of an exactly periodic orbit, so the
-    answer divides the word length.
+    The least p > 0 with the word equal to its rotation by p: the first
+    occurrence of the word in itself doubled after index 0.  It divides the
+    word length, and for the full cycle of an exactly periodic orbit it is
+    the minimal period of the itinerary.
     """
     w = word.word if isinstance(word, Itinerary) else word
-    n = len(w)
-    if n == 0:
+    if not w:
         raise ParameterError("empty word has no period")
-    for ell in sorted(_divisors(n)):
-        if w == w[:ell] * (n // ell):
-            return ell
-    raise AssertionError("unreachable: n divides n")
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+    b = array("b", w).tobytes()
+    return (b + b).find(b, 1)
 
 
 def branch_offsets(ctx: FieldContext, word: Itinerary | Sequence[int], n: int):

@@ -444,8 +444,6 @@ def make_polygon(vertices: Sequence[CycloNum]) -> ConvexPolygon:
     if n < 3:
         raise ParameterError("a polygon needs at least three vertices")
     for i in range(n):
-        if verts[i] == verts[(i + 1) % n]:
-            raise ParameterError("consecutive vertices coincide")
         if _turn(verts[i], verts[(i + 1) % n], verts[(i + 2) % n]) != Sign.POSITIVE:
             raise ParameterError("vertex cycle is not strictly convex counterclockwise")
     start = verts.index(min(verts, key=functools.cmp_to_key(_cmp_points)))

@@ -28,8 +28,11 @@ _RATIONAL_RE = re.compile(r"^[+-]?(\d+(/\d+)?|\d*\.\d+)$")
 
 
 def parse_rational(text: str, position: int = 0) -> Fraction:
-    """A signed integer, fraction 'a/b' or decimal 'a.b'; ParseError otherwise."""
+    """A signed integer, fraction 'a/b' or decimal 'a.b'; ParseError otherwise.
+    ``position`` is the offset of ``text`` in the input, and an error
+    reports the offset of its first non-blank character."""
     token = text.strip()
+    position += len(text) - len(text.lstrip())
     if not _RATIONAL_RE.match(token):
         raise ParseError(f"expected a rational number, got {token!r}", position)
     try:
@@ -38,54 +41,58 @@ def parse_rational(text: str, position: int = 0) -> Fraction:
         raise ParseError(f"zero denominator in {token!r}", position) from None
 
 
+def _parse_rationals(parts: list[str], position: int) -> list[Fraction]:
+    """The rationals of comma-separated ``parts``, the first at ``position``."""
+    out = []
+    for part in parts:
+        out.append(parse_rational(part, position))
+        position += len(part) + 1
+    return out
+
+
 def parse_point(text: str, ctx: FieldContext) -> CycloNum:
-    src = text.strip()
-    if not src:
+    """The point that ``text`` names; a ``ParseError``'s position is the
+    offset of the bad token in ``text``."""
+    src = text.rstrip()
+    start = len(src) - len(src.lstrip())
+    if start == len(src):
         raise ParseError("empty point expression", 0)
-    if src.startswith("("):
-        return _parse_pair(src, ctx)
-    if src.startswith("["):
-        return _parse_vector(src, ctx)
-    m = _NAME_RE.match(src)
-    if m:
-        return _named_constant(src, ctx)
-    return _parse_phi_literal(src, ctx)
+    if src[start] == "(":
+        return _parse_pair(src, start, ctx)
+    if src[start] == "[":
+        return _parse_vector(src, start, ctx)
+    if _NAME_RE.match(src[start:]):
+        return _named_constant(src[start:], start, ctx)
+    return _parse_phi_literal(src, start, ctx)
 
 
-def _parse_pair(src: str, ctx: FieldContext) -> CycloNum:
+def _parse_pair(src: str, start: int, ctx: FieldContext) -> CycloNum:
     if not src.endswith(")"):
         raise ParseError("unterminated '('", len(src) - 1)
-    inner = src[1:-1]
-    parts = inner.split(",")
+    parts = src[start + 1:-1].split(",")
     if len(parts) != 2:
-        raise ParseError("a point pair needs exactly one comma", src.find("(") + 1)
-    x = parse_rational(parts[0], 1)
-    y = parse_rational(parts[1], 2 + len(parts[0]))
-    return ctx.point(x, y)
+        raise ParseError("a point pair needs exactly one comma", start + 1)
+    return ctx.point(*_parse_rationals(parts, start + 1))
 
 
-def _parse_vector(src: str, ctx: FieldContext) -> CycloNum:
+def _parse_vector(src: str, start: int, ctx: FieldContext) -> CycloNum:
     if not src.endswith("]"):
         raise ParseError("unterminated '['", len(src) - 1)
-    parts = src[1:-1].split(",")
+    parts = src[start + 1:-1].split(",")
     if len(parts) != ctx.d:
         raise ParseError(
-            f"coefficient vector needs {ctx.d} entries for this field, got {len(parts)}", 1
+            f"coefficient vector needs {ctx.d} entries for this field, got {len(parts)}",
+            start + 1,
         )
-    offset = 1
-    coeffs = []
-    for part in parts:
-        coeffs.append(parse_rational(part, offset))
-        offset += len(part) + 1
-    return ctx.num(coeffs)
+    return ctx.num(_parse_rationals(parts, start + 1))
 
 
-def _named_constant(name: str, ctx: FieldContext) -> CycloNum:
+def _named_constant(name: str, start: int, ctx: FieldContext) -> CycloNum:
     from .casestudy import golden_context, hexagon_context, pentagon_centers
 
     if name[0] in "PQRS":
         if ctx.m != 20 or ctx.q != 5:
-            raise ParseError(f"constant {name} lives in the golden case (--alpha 4/5)", 0)
+            raise ParseError(f"constant {name} lives in the golden case (--alpha 4/5)", start)
         gc = golden_context()
         if name == "Q":
             return gc.Q
@@ -97,7 +104,7 @@ def _named_constant(name: str, ctx: FieldContext) -> CycloNum:
         return pentagon_centers(gc, n)[n]
     # hexagon constants
     if ctx.q != 12:
-        raise ParseError(f"constant {name} lives in the hexagon case (--alpha 11/12)", 0)
+        raise ParseError(f"constant {name} lives in the hexagon case (--alpha 11/12)", start)
     hc = hexagon_context()
     if name == "C":
         return hc.center
@@ -105,30 +112,24 @@ def _named_constant(name: str, ctx: FieldContext) -> CycloNum:
     return hc.hexagon.vertices[idx]
 
 
-def _parse_phi_literal(src: str, ctx: FieldContext) -> CycloNum:
+def _parse_phi_literal(src: str, start: int, ctx: FieldContext) -> CycloNum:
     if ctx.m != 20:
-        raise ParseError("phi literals need a conductor-20 field (--alpha 4/5)", 0)
+        raise ParseError("phi literals need a conductor-20 field (--alpha 4/5)", start)
     phi, _, _ = golden_elements(ctx)
+    # the terms are read with the spaces removed; typed[i] is the offset in
+    # src of the i-th character kept
+    typed = [i for i, c in enumerate(src) if c != " "]
+    compact = "".join(src[i] for i in typed)
     total = ctx.zero()
-    # split into signed terms at top level
-    terms = []
-    for chunk in re.split(r"(?=[+-])", src.replace(" ", "")):
-        if chunk in ("", "+", "-"):
-            if chunk:
-                raise ParseError("dangling sign", src.find(chunk))
+    # signed terms at top level; the pattern also matches the empty end
+    for term in re.finditer(r"([+-]?)([^+-]*)", compact):
+        if not term.group():
             continue
-        terms.append(chunk)
-    if not terms:
-        raise ParseError("no terms found", 0)
-    for term in terms:
-        pos = src.replace(" ", "").find(term)
-        sign = 1
-        body = term
-        if body[0] == "+":
-            body = body[1:]
-        elif body[0] == "-":
-            sign = -1
-            body = body[1:]
+        sign = -1 if term.group(1) == "-" else 1
+        body = term.group(2)
+        if not body:
+            raise ParseError("dangling sign", typed[term.start()])
+        pos = typed[term.start(2)]
         if body == "phi":
             total = total + phi * sign
         elif body.endswith("*phi"):
@@ -154,5 +155,4 @@ def parse_box(text: str):
     parts = text.split(",")
     if len(parts) != 4:
         raise ParseError("a box needs four comma-separated rationals", 0)
-    vals = [parse_rational(p, i) for i, p in enumerate(parts)]
-    return Box(*vals)
+    return Box(*_parse_rationals(parts, 0))

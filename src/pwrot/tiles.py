@@ -27,7 +27,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .cyclo import CycloNum, FieldContext
+from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag
 from .dynamics import (
     AffineMap,
     Itinerary,
@@ -217,9 +217,10 @@ def interior_samples(t: Tile, count: int, seed: int = 0):
 
 def verify_rotation_structure(t: Tile, samples: int = 5, seed: int = 0) -> CheckReport:
     """Exact checks of the permutation/rotation structure on one tile:
-    distinct images returning at ell, the block map rotating the vertex set
-    about the center, the center's minimal period ell, and interior samples
-    of minimal period k*ell."""
+    distinct images returning at ell, no open image meeting the line (an
+    image fails when its vertices hold both strict signs of Im), the block
+    map rotating the vertex set about the center, the center's minimal
+    period ell, and interior samples of minimal period k*ell."""
     if samples < 0:
         raise ParameterError("samples must be >= 0")
     report = CheckReport(name="component permutation and rotation structure")
@@ -233,6 +234,11 @@ def verify_rotation_structure(t: Tile, samples: int = 5, seed: int = 0) -> Check
     )
     back = apply_affine(t.polygon, block_map)
     report.record("exact return at ell", back.key() == t.polygon.key(), "")
+    crossings = [n for n, img in enumerate(images)
+                 if {Sign.POSITIVE, Sign.NEGATIVE} <= {sign_of_imag(v) for v in img.vertices}]
+    report.record(
+        "no open image meets the line", not crossings, f"crossing images: {crossings}"
+    )
 
     verts = t.polygon.vertices
     nv = len(verts)

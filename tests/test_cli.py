@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pwrot
-from pwrot import _steppy, cli, stepper
+from pwrot import _steppy, casestudy, cli, stepper
 from pwrot.cli import build_parser, main
 from pwrot.critical import critical_bundle
 from pwrot.cyclo import make_field
@@ -661,6 +661,12 @@ class TestCasestudy:
         code, out, err = run(capsys, "casestudy", "hexagon", "--budget", "19")
         assert code == 2
         assert out == "" and "within budget 19" in err
+
+    def test_hexagon_failed_check_exit_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(casestudy, "polygon_is_regular", lambda polygon: True)
+        code, out, _ = run(capsys, "casestudy", "hexagon")
+        assert code == 3
+        assert "[FAIL] hexagon is not regular" in out and "result: FALSIFIED" in out
 
     def test_hexagon_svg(self, capsys, tmp_path):
         target = tmp_path / "hexagon.svg"

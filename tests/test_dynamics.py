@@ -1,4 +1,5 @@
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -284,6 +285,17 @@ class TestItineraryPeriod:
         p1 = (2 * phi - 3) * p0 + (2 - 2 * phi)
         word = itinerary(p1, 7)
         assert itinerary_period(word) == 7
+
+    def test_random_repeated_blocks(self):
+        # against the least divisor d of the length with w == w[:d] * (n // d)
+        rng = random.Random(29)
+        for _ in range(300):
+            block = tuple(rng.choice((1, -1)) for _ in range(rng.randint(1, 12)))
+            w = block * rng.randint(1, 6)
+            n = len(w)
+            want = next(d for d in range(1, n + 1) if n % d == 0 and w == w[:d] * (n // d))
+            for word in (w, Itinerary(w), array("b", w)):
+                assert itinerary_period(word) == want
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):

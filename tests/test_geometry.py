@@ -416,6 +416,13 @@ class TestPolygon:
         with pytest.raises(ParameterError):
             make_polygon(verts)
 
+    def test_rejects_repeated_vertex(self, ctx12):
+        # a repeated vertex makes a zero turn, which strict convexity rejects
+        square = [ctx12.point(0, 0), ctx12.point(1, 0), ctx12.point(1, 1), ctx12.point(0, 1)]
+        for i in range(4):
+            with pytest.raises(ParameterError):
+                make_polygon(square[:i + 1] + square[i:])
+
     def test_contains(self, ctx12):
         p = intersect_halfplanes(square_constraints(ctx12))
         assert polygon_contains(p, ctx12.point(Fraction(1, 2), Fraction(1, 2))) == Location.INTERIOR

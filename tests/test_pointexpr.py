@@ -123,3 +123,24 @@ class TestZeroDenominators:
                 parse_point(text, ctx)
         with pytest.raises(ParseError):
             parse_box("0,0,1/0,1")
+
+
+class TestPositions:
+    """A ParseError's position is the offset of the bad token in the text
+    as typed, spaces included."""
+
+    @pytest.mark.parametrize("text, position", [
+        ("1/2 +  3*phi + y", 15),
+        ("phi + phi + 1/0", 12),
+        ("(1, x)", 4),
+        ("  [1, 2, y, 4]", 9),
+    ])
+    def test_point(self, ctx5, ctx12, text, position):
+        with pytest.raises(ParseError) as err:
+            parse_point(text, ctx12 if "[" in text else ctx5)
+        assert err.value.position == position
+
+    def test_box(self):
+        with pytest.raises(ParseError) as err:
+            parse_box("0,0,x,1")
+        assert err.value.position == 4

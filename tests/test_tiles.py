@@ -19,6 +19,7 @@ from pwrot.geometry import (
     Box,
     HalfPlane,
     Location,
+    apply_affine,
     intersect_halfplanes,
     polygon_contains,
     polygon_is_regular,
@@ -160,6 +161,16 @@ class TestVerification:
         for tile in (p0_tile, p1_tile, hexagon_tile):
             report = verify_polygon_bounds(tile)
             assert report.passed, failures(report)
+
+    def test_line_check_fails_a_polygon_across_the_line(self, p1_tile):
+        # P1's pentagon moved down by Im(center) straddles the real axis
+        shift = -(p1_tile.ctx.i_unit * p1_tile.center.imag())
+        moved = p1_tile._replace(polygon=apply_affine(p1_tile.polygon, AffineMap(0, shift)))
+        checks = {label: (ok, detail)
+                  for label, ok, detail in verify_rotation_structure(moved, samples=0).checks}
+        ok, detail = checks["no open image meets the line"]
+        assert (ok, detail) == (False, "crossing images: [0]")
+        assert checks["images pairwise distinct"][0]
 
     def test_hexagon_numbers(self, hexagon_tile):
         report = verify_rotation_structure(hexagon_tile, samples=2, seed=2)
