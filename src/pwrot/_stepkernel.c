@@ -1,9 +1,11 @@
 /* Compiled orbit kernel: int64 twin of ``_steppy.Kernel``.
  *
- * Same constructor, one entry point ``walk`` and return tuple as the pure
- * kernel: the signs of the iterates as an array('b'), the on-line iterates,
- * a stop at the first exact return when a target is given, and per class
- * the one nominee nearest the line when ``select`` is true.
+ * The constructor is ``Kernel(zeta, rows, t0, denom, margin, hard_sign,
+ * threshold)``, where the pure kernel's is ``Kernel(ctx, rows, denom,
+ * hard_sign)``.  The one entry point ``walk`` and its return tuple are the
+ * pure kernel's: the signs of the iterates as an array('b'), the on-line
+ * iterates, a stop at the first exact return when a target is given, and
+ * per class the one nominee nearest the line when ``select`` is true.
  *
  * The walk is in the co-rotating frame of ``_steppy``: v_n = lambda^n W_n,
  * and a step adds or subtracts D * lambda^-r, r = n mod q, to the few

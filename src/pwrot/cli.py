@@ -25,8 +25,8 @@ from .casestudy import (
     q_orbit_returns,
 )
 from .critical import critical_bundle, merge_collinear
-from .cyclo import CycloNum, format_golden, fraction_str, make_field
-from .dynamics import address, minimal_period, orbit
+from .cyclo import CycloNum, format_golden, fraction_str, make_field, sign_of_imag
+from .dynamics import minimal_period, orbit
 from .errors import BudgetExceededError, ParameterError, PwrotError
 from .geometry import Box, polygon_is_regular
 from .pointexpr import parse_alpha, parse_box, parse_point, parse_rational
@@ -72,6 +72,14 @@ def _coeff_json(z: CycloNum, sep: str) -> str:
     return sep.join(map(_quote, _coeff_strs(z)))
 
 
+_SIGN_CHARS = "-0+"  # a sign s is written as _SIGN_CHARS[s + 1]
+
+
+def _word_text(word) -> str:
+    """A word of +1 and -1 as its '+' and '-' text."""
+    return "".join(_SIGN_CHARS[s + 1] for s in word)
+
+
 def _shadow(z: CycloNum):
     c = z.to_complex()
     return c.real, c.imag
@@ -86,15 +94,16 @@ def _note_touch_cap(touches):
 
 # The JSON outputs are the text the standard encoder's dumps(data, indent=1)
 # + "\n" writes for their dicts (it runs in pure Python whenever an indent is
-# given), written from these templates: strings by ``_quote``, ints by %d and
-# the float shadows, which are finite, by ``float.__repr__`` (%r), as the
-# encoder writes them.  An orbit point, at the depth of "orbit"'s items:
+# given), written from these templates: strings by ``_quote`` (the sign text
+# of a branch or a word needs no escape), ints by %d and the float shadows,
+# which are finite, by ``float.__repr__`` (%r), as the encoder writes them.
+# An orbit point, at the depth of "orbit"'s items:
 _POINT_JSON = ('  {\n   "index": %d,\n   "coeffs": [\n    %s\n   ],\n   "re": %r,\n'
-               '   "im": %r,\n   "address": %s\n  }')
+               '   "im": %r,\n   "address": "%s"\n  }')
 # a tile, at the top level (a scan sidecar nests it two levels deeper):
 _TILE_JSON = (
     '{\n "ell": %d,\n "k": %d,\n "interior_period": %d,\n "sides": %d,\n "regular": %s,\n'
-    ' "word": %s,\n "center": [\n  %s\n ],\n "center_shadow": [\n  %r,\n  %r\n ],\n'
+    ' "word": "%s",\n "center": [\n  %s\n ],\n "center_shadow": [\n  %r,\n  %r\n ],\n'
     ' "vertices": [\n  %s\n ],\n "vertex_shadows": [\n  %s\n ]\n}'
 )
 # a scan sidecar:
@@ -128,12 +137,14 @@ def cmd_iterate(args) -> int:
     elif fmt == "json":
         # an orbit holds at least its first point, so "orbit" is never empty
         body = ",\n".join(_POINT_JSON % (i, _coeff_json(w, ",\n    "), *_shadow(w),
-                                          _quote(address(w).char)) for i, w in enumerate(points))
+                                          _SIGN_CHARS[sign_of_imag(w) + 1])
+                          for i, w in enumerate(points))
         _emit(f'{{\n "alpha": {_quote(args.alpha)},\n "orbit": [\n{body}\n ]\n}}\n', args.out)
     elif fmt == "svg":
         _emit(orbit_scene(points).to_svg(), args.out)
     else:
-        lines = [f"{i}\t{_fmt_value(w, fmt)}\t{address(w).char}" for i, w in enumerate(points)]
+        lines = [f"{i}\t{_fmt_value(w, fmt)}\t{_SIGN_CHARS[sign_of_imag(w) + 1]}"
+                 for i, w in enumerate(points)]
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -166,7 +177,7 @@ def _tile_values(tile):
 def _tile_text(tile) -> str:
     ell, k, sides, regular, (cr, ci) = _tile_values(tile)
     lines = [f"ell {ell}", f"k {k}", f"interior period {k * ell}", f"sides {sides}",
-             f"regular {regular}", f"word {tile.word}",
+             f"regular {regular}", f"word {_word_text(tile.word)}",
              f"center {_fmt_value(tile.center, 'pretty')}  ~({cr:.12g}, {ci:.12g})", "vertices:"]
     for v in tile.polygon.vertices:
         re, im = _shadow(v)
@@ -182,7 +193,7 @@ def _json_tile(tile, values) -> str:
     coeffs = ",\n  ".join("[\n   %s\n  ]" % _coeff_json(v, ",\n   ") for v in verts)
     shadows = ",\n  ".join("[\n   %r,\n   %r\n  ]" % _shadow(v) for v in verts)
     return _TILE_JSON % (ell, k, k * ell, sides, "true" if regular else "false",
-                         _quote(str(tile.word)), _coeff_json(tile.center, ",\n  "), cr, ci,
+                         _word_text(tile.word), _coeff_json(tile.center, ",\n  "), cr, ci,
                          coeffs, shadows)
 
 

@@ -469,16 +469,15 @@ class CycloNum:
         return CycloNum(self.ctx, tuple(self.ctx._permute(self.vec, -1, 0)), self.den)
 
     def real(self) -> "CycloNum":
-        return (self + self.conj()) / 2
+        return self.imag(self.ctx.m // 4)  # Re(a) = Im(i*a), i = zeta^(m/4)
 
-    def imag(self) -> "CycloNum":
-        # a - conj(a) = 2i*Im(a) and zeta^(3m/4) = -i, so Im(a) is
-        # zeta^(3m/4) * (a - conj(a)) / 2: two permutations over 2*den, one gcd
-        ctx, vec = self.ctx, self.vec
-        e = 3 * ctx.m // 4
-        return ctx.from_lattice(
-            [x - y for x, y in zip(ctx._permute(vec, 1, e), ctx._permute(vec, -1, e))], 2 * self.den
-        )
+    def imag(self, e: int = 0) -> "CycloNum":
+        """Im(zeta^e * a) = [zeta^(e + 3m/4) * a - zeta^(3m/4 - e) * conj(a)] / 2,
+        since b - conj(b) = 2i*Im(b) for b = zeta^e * a and zeta^(3m/4) = -i:
+        two permutations and one gcd."""
+        ctx, vec, r = self.ctx, self.vec, 3 * self.ctx.m // 4
+        plus, minus = ctx._permute(vec, 1, e + r), ctx._permute(vec, -1, r - e)
+        return ctx.from_lattice([x - y for x, y in zip(plus, minus)], 2 * self.den)
 
     def enclosure(self) -> tuple[int, int, int, int]:
         """Integers (X, Y, E, s) with s = den * 2^64 and |X - s*Re(self)| <=

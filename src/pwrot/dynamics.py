@@ -1,15 +1,16 @@
-"""The piecewise rotation F(z) = lambda*(z - H(z)), its inverse, symbolic
-addresses and itineraries, exact period detection, and the affine maps that
-F^n restricts to on itinerary cells.
+"""The piecewise rotation F(z) = lambda*(z - H(z)), its inverse, itineraries,
+exact period detection, and the affine maps that F^n restricts to on
+itinerary cells.
 
 H(z) is 1 on the closed upper half plane and -1 on the open lower one, so the
-map is total; symbolic words, however, are only defined off the critical line
-(the real axis) and refuse orbits that touch it.
+map is total.  The branch of a point is the ``Sign`` of its imaginary part
+(``sign_of_imag``); an itinerary is the tuple of those signs, +1 or -1, along
+an orbit, so it is only defined off the critical line (the real axis) and
+refuses orbits that touch it.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from array import array
 from typing import NamedTuple, Sequence
@@ -17,28 +18,6 @@ from typing import NamedTuple, Sequence
 from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag
 from .errors import CriticalLineError, ParameterError
 from .stepper import OrbitRecord, run_period, run_signs
-
-
-class Address(enum.Enum):
-    PLUS = "+"
-    MINUS = "-"
-    ON_LINE = "0"
-
-    @property
-    def char(self) -> str:
-        return self.value
-
-
-class Itinerary(NamedTuple):
-    """A finite word of open-half-plane symbols (+1/-1 per letter)."""
-
-    word: tuple[int, ...]
-
-    def __str__(self):
-        return "".join("+" if s > 0 else "-" for s in self.word)
-
-    def __len__(self):
-        return len(self.word)
 
 
 class AffineMap(NamedTuple):
@@ -69,15 +48,6 @@ def inverse_step(z: CycloNum) -> CycloNum:
     return w - 1
 
 
-def address(z: CycloNum) -> Address:
-    s = sign_of_imag(z)
-    if s == Sign.POSITIVE:
-        return Address.PLUS
-    if s == Sign.NEGATIVE:
-        return Address.MINUS
-    return Address.ON_LINE
-
-
 def orbit(z: CycloNum, n: int) -> list[CycloNum]:
     """[z, F(z), ..., F^n(z)], exact."""
     if n < 0:
@@ -104,8 +74,9 @@ def minimal_period(z: CycloNum, budget: int, nominate: bool = False) -> OrbitRec
     return run_period(z, budget, nominate)
 
 
-def itinerary(z: CycloNum, n: int) -> Itinerary:
-    """The length-n word of addresses of z, F(z), ..., F^(n-1)(z).
+def itinerary(z: CycloNum, n: int) -> tuple[int, ...]:
+    """The length-n word of z: the signs of Im, +1 or -1, of z, F(z), ...,
+    F^(n-1)(z), as a tuple.
 
     Raises ``CriticalLineError`` (with the offending index) when some iterate
     lies on the line, where the two-symbol alphabet is undefined.
@@ -115,34 +86,33 @@ def itinerary(z: CycloNum, n: int) -> Itinerary:
     signs, touches = run_signs(z, n)
     if touches:
         raise CriticalLineError(touches[0][0])
-    return Itinerary(tuple(signs))
+    return tuple(signs)
 
 
-def itinerary_period(word: Itinerary | Sequence[int]) -> int:
-    """Minimal shift period of the infinite repetition of ``word``.
+def itinerary_period(word: Sequence[int]) -> int:
+    """Minimal shift period of the infinite repetition of ``word``, any
+    sequence of +1 and -1 (a tuple, a list, the walk's ``array('b')``).
 
     The least p > 0 with the word equal to its rotation by p: the first
     occurrence of the word in itself doubled after index 0.  It divides the
     word length, and for the full cycle of an exactly periodic orbit it is
     the minimal period of the itinerary.
     """
-    w = word.word if isinstance(word, Itinerary) else word
-    if not w:
+    if not word:
         raise ParameterError("empty word has no period")
-    b = array("b", w).tobytes()
+    b = array("b", word).tobytes()
     return (b + b).find(b, 1)
 
 
-def branch_offsets(ctx: FieldContext, word: Itinerary | Sequence[int], n: int):
+def branch_offsets(ctx: FieldContext, word: Sequence[int], n: int):
     """The offsets b_0, ..., b_n of the prefix maps G_j(w) = lambda^j * w + b_j
     along the cyclic repetition of ``word``, one at a time: G_j is F^j on the
     points whose itinerary starts s_0 ... s_(j-1), b_0 = 0 and
     b_(j+1) = lambda * (b_j - s_j), so every b_j lies in Z[zeta]."""
-    w = tuple(word.word if isinstance(word, Itinerary) else word)
     b = ctx.zero()
     yield b
     for j in range(n):
-        b = (b - w[j % len(w)]).mul_zeta(ctx.t0)
+        b = (b - word[j % len(word)]).mul_zeta(ctx.t0)
         yield b
 
 

@@ -156,15 +156,11 @@ class ExactSegment(NamedTuple):
     depth: int = 0
 
     def grid_line(self) -> tuple[int, CycloNum]:
-        """(e, beta) with the segment on the grid line Im(zeta^e * w) = -beta.
-
-        As in ``CycloNum.imag``, -Im(zeta^e * a) = [zeta^(3m/4 - e) * conj(a)
-        - zeta^(e + 3m/4) * a] / 2: two permutations and one reduction."""
-        a = self.a
-        ctx, m = a.ctx, a.ctx.m
-        e, r = -ctx.t0 * self.power % m, 3 * m // 4
-        vec = [x - y for x, y in zip(ctx._permute(a.vec, -1, r - e), ctx._permute(a.vec, 1, e + r))]
-        return e, ctx.from_lattice(vec, 2 * a.den)
+        """(e, beta) with the segment on the grid line Im(zeta^e * w) = -beta:
+        beta = -Im(zeta^e * a) = Im(zeta^(e + m/2) * a), one ``CycloNum.imag``."""
+        ctx = self.a.ctx
+        e = -ctx.t0 * self.power % ctx.m
+        return e, self.a.imag(e + ctx.m // 2)
 
 
 # -- grid corners and half-plane intersection ---------------------------------

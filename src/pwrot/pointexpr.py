@@ -25,6 +25,7 @@ class ParseError(ParameterError):
 
 _NAME_RE = re.compile(r"^(P(\d+)|Q|R|S|C|H\.v([1-6]))$")
 _RATIONAL_RE = re.compile(r"^[+-]?(\d+(/\d+)?|\d*\.\d+)$")
+_TERM_RE = re.compile(r"([+-]?)([^+-]*)")
 
 
 def parse_rational(text: str, position: int = 0) -> Fraction:
@@ -116,25 +117,22 @@ def _parse_phi_literal(src: str, start: int, ctx: FieldContext) -> CycloNum:
     if ctx.m != 20:
         raise ParseError("phi literals need a conductor-20 field (--alpha 4/5)", start)
     phi, _, _ = golden_elements(ctx)
-    # the terms are read with the spaces removed; typed[i] is the offset in
-    # src of the i-th character kept
-    typed = [i for i, c in enumerate(src) if c != " "]
-    compact = "".join(src[i] for i in typed)
     total = ctx.zero()
-    # signed terms at top level; the pattern also matches the empty end
-    for term in re.finditer(r"([+-]?)([^+-]*)", compact):
+    # signed terms, read as typed from the first non-blank (the pattern also
+    # matches the empty end); blanks may stand around the signs and '*' only
+    for term in _TERM_RE.finditer(src, start):
         if not term.group():
             continue
         sign = -1 if term.group(1) == "-" else 1
-        body = term.group(2)
-        if not body:
-            raise ParseError("dangling sign", typed[term.start()])
-        pos = typed[term.start(2)]
-        if body == "phi":
-            total = total + phi * sign
-        elif body.endswith("*phi"):
-            coeff = parse_rational(body[:-4], pos)
-            total = total + phi * (sign * coeff)
+        body, pos = term.group(2), term.start(2)
+        coeff, star, factor = body.rpartition("*")
+        if not body.strip():
+            raise ParseError("dangling sign", term.start())
+        if factor.strip() == "phi":
+            total = total + phi * (sign * (parse_rational(coeff, pos) if star else 1))
+        elif star:
+            pos += len(coeff) + 1 + len(factor) - len(factor.lstrip())
+            raise ParseError(f"expected phi after '*', got {factor.strip()!r}", pos)
         else:
             total = total + ctx.from_rational(sign * parse_rational(body, pos))
     return total

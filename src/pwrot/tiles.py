@@ -30,7 +30,6 @@ from typing import NamedTuple, Optional
 from .cyclo import CycloNum, FieldContext, Sign, sign_of_imag
 from .dynamics import (
     AffineMap,
-    Itinerary,
     branch_offsets,
     itinerary_period,
     minimal_period,
@@ -59,12 +58,12 @@ from .stepper import OrbitRecord
 
 class Tile(NamedTuple):
     """One connected component of the regular set, keyed by its minimal
-    itinerary block ``word``.  ``center`` is the fixed point of the block map
-    when k > 1; a k = 1 tile (q divides ell) reports the first seed it was
-    built from as its center."""
+    itinerary block ``word``, a tuple of +1 and -1 of length ell.
+    ``center`` is the fixed point of the block map when k > 1; a k = 1 tile
+    (q divides ell) reports the first seed it was built from as its center."""
 
     polygon: ConvexPolygon
-    word: Itinerary          # minimal block, length ell
+    word: tuple[int, ...]
     center: CycloNum
     seed: CycloNum
 
@@ -90,7 +89,7 @@ class Tile(NamedTuple):
         return len(self.polygon)
 
     def key(self):
-        return self.word.word
+        return self.word
 
 
 class CheckReport:
@@ -155,7 +154,7 @@ def _nominee_halfplanes(rec: OrbitRecord, period: int) -> list[HalfPlane]:
     ]
 
 
-def _build_tile(rec: OrbitRecord, block) -> Tile:
+def _build_tile(rec: OrbitRecord, block: tuple[int, ...]) -> Tile:
     """The tile of a seed from its first-return walk and minimal block: the
     intersection of the constraints the walk nominated, checked to
     hold the seed, with the vertex average as the center when k > 1."""
@@ -172,7 +171,7 @@ def _build_tile(rec: OrbitRecord, block) -> Tile:
         raise InternalInconsistencyError("seed is not interior to its own tile")
     # the block map permutes the vertices and, when k > 1, fixes one point
     center = vertex_average(poly.vertices) if k > 1 else z
-    return Tile(polygon=poly, word=Itinerary(block), center=center, seed=z)
+    return Tile(polygon=poly, word=block, center=center, seed=z)
 
 
 def tile_from_seed(z: CycloNum, budget: int) -> Tile:

@@ -3,7 +3,7 @@ built as the writers built them before they wrote from templates: the
 reference that each writer's bytes are checked against, through
 ``json.dumps(data, indent=1) + "\\n"``."""
 
-from pwrot.dynamics import address
+from pwrot.cyclo import Sign, sign_of_imag
 from pwrot.geometry import polygon_is_regular
 
 
@@ -26,7 +26,7 @@ def orbit_dict(alpha: str, points) -> dict:
                 "coeffs": coeff_strs(w),
                 "re": shadow(w)[0],
                 "im": shadow(w)[1],
-                "address": address(w).char,
+                "address": {Sign.POSITIVE: "+", Sign.NEGATIVE: "-", Sign.ZERO: "0"}[sign_of_imag(w)],
             }
             for i, w in enumerate(points)
         ],
@@ -41,7 +41,7 @@ def tile_dict(tile) -> dict:
         "interior_period": tile.period,
         "sides": tile.sides,
         "regular": polygon_is_regular(tile.polygon),
-        "word": str(tile.word),
+        "word": "".join("+" if s > 0 else "-" for s in tile.word),
         "center": coeff_strs(tile.center),
         "center_shadow": shadow(tile.center),
         "vertices": [coeff_strs(v) for v in tile.polygon.vertices],

@@ -626,6 +626,16 @@ class TestJsonWriters:
         points = orbit(parse_point("(1/3,1/7)", make_field(4, 5)), n)
         assert out == json.dumps(orbit_dict("4/5", points), indent=1) + "\n"
 
+    def test_iterate_on_the_line(self, capsys):
+        # Q lies on the line and its orbit meets both half planes: all three
+        # branch texts
+        code, out, _ = run(capsys, "iterate", "--alpha", "4/5", "--point", "Q", "--n", "6",
+                           "--format", "json")
+        assert code == 0
+        data = orbit_dict("4/5", orbit(parse_point("Q", make_field(4, 5)), 6))
+        assert {p["address"] for p in data["orbit"]} == {"-", "0", "+"}
+        assert out == json.dumps(data, indent=1) + "\n"
+
 
 class TestCasestudy:
     def test_golden_table(self, capsys):
@@ -841,6 +851,19 @@ class TestConfig:
         assert [layer["direction"] for layer in json.loads(out)["layers"]] == ["forward"] * 3
         code, out, _ = run(capsys, "critical", "--config", str(cfg), "--format", "text")
         assert code == 0 and out.startswith("0\t[")
+
+    def test_config_switch(self, capsys, tmp_path):
+        # "merge = true" acts as --merge, and "merge = false" as no flag: the
+        # bytes of the pinned CRITICAL_DIGESTS entries with and without it
+        (merged, merged_digest), (plain, plain_digest) = CRITICAL_DIGESTS[4], CRITICAL_DIGESTS[3]
+        assert merged[:-1] == plain and plain[-2:] == ("--format", "svg")
+        cfg, target = tmp_path / "cfg", tmp_path / "critical.svg"
+        for value, digest in (("true", merged_digest), ("false", plain_digest)):
+            cfg.write_text(f"merge = {value}\nformat = svg\n")
+            code, _, _ = run(capsys, "critical", "--config", str(cfg), *plain[:-2],
+                             "--out", str(target))
+            assert code == 0
+            assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
     def test_bad_config_value_names_its_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"

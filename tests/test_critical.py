@@ -48,6 +48,22 @@ class TestLayers:
         seg = layer.segments[0]
         assert seg.a == ctx5.point(-14, 0) and seg.b == ctx5.point(14, 0)
 
+    def test_base_layer_of_a_box_off_the_line(self, ctx5):
+        # a box that misses the real axis holds no piece of the line
+        for box in (Box(-1, 1, 1, 2), Box(-1, -2, 1, Fraction(-1, 2))):
+            for direction in (PULLBACK, FORWARD):
+                layer = base_layer(ctx5, box, direction)
+                assert (layer.depth, layer.segments, layer.direction) == (0, (), direction)
+
+    def test_next_layer_checks_direction_and_depth(self, ctx5):
+        with pytest.raises(ParameterError, match="pullback-direction layer"):
+            pullback_layer(base_layer(ctx5, BOX, direction=FORWARD), BOX, total_depth=1)
+        with pytest.raises(ParameterError, match="forward-direction layer"):
+            forward_layer(base_layer(ctx5, BOX), BOX, total_depth=1)
+        layer1 = pullback_layer(base_layer(ctx5, BOX.inflate(1)), BOX, total_depth=1)
+        with pytest.raises(ParameterError, match="already at the target depth"):
+            pullback_layer(layer1, BOX, total_depth=1)
+
     def test_first_pullback_direction(self, ctx5):
         # one inverse step tilts the line pieces to the conjugate direction
         layer0 = base_layer(ctx5, BOX.inflate(1))
@@ -96,6 +112,12 @@ class TestLayers:
 
 
 class TestBundle:
+    def test_rejects_unknown_direction_and_negative_depth(self, ctx5):
+        with pytest.raises(ParameterError, match="unknown direction 'sideways'"):
+            critical_bundle(ctx5, 2, BOX, direction="sideways")
+        with pytest.raises(ParameterError, match="depth must be >= 0"):
+            critical_bundle(ctx5, -1, BOX)
+
     def test_depth_zero(self, ctx5):
         bundle = critical_bundle(ctx5, 0, BOX)
         assert len(bundle.layers) == 1

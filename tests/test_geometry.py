@@ -15,7 +15,7 @@ from pwrot.cyclo import (
     sign_of_imag,
     sign_of_real,
 )
-from pwrot.dynamics import Address, AffineMap, address, step
+from pwrot.dynamics import AffineMap, step
 from pwrot.geometry import (
     EMPTY,
     UNBOUNDED,
@@ -99,14 +99,14 @@ class TestHalfPlaneFromConstraint:
         assert not holds(hm, ctx5.point(3, 0))
 
     def test_one_step_preimage(self, ctx5):
-        # membership in the pulled-back constraint agrees with the address of
+        # membership in the pulled-back constraint agrees with the branch of
         # the stepped point, checked by brute force on upper-half samples
         g = affine_along(ctx5, (1,))
         hp = HalfPlane(g.power % ctx5.q, g.offset, 1)
         rng = random.Random(42)
         for _ in range(30):
             w = ctx5.point(Fraction(rng.randint(-20, 20), 3), Fraction(rng.randint(1, 20), 3))
-            assert holds(hp, w) == (address(step(w)) == Address.PLUS)
+            assert holds(hp, w) == (sign_of_imag(step(w)) == Sign.POSITIVE)
 
 
 def square_constraints(ctx12, shuffle_seed=None):

@@ -95,7 +95,7 @@ def as_field(z, nominees):
 def streamed_polygon(tile):
     """The tile's polygon from every pulled-back constraint, streamed from the
     walk of branch offsets: the reference the nominees must reproduce."""
-    ctx, word, n = tile.ctx, tile.word.word, tile.period
+    ctx, word, n = tile.ctx, tile.word, tile.period
     return intersect_halfplanes(
         HalfPlane(j % ctx.q, b, word[j % tile.ell])
         for j, b in enumerate(branch_offsets(ctx, word, n - 1))

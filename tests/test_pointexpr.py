@@ -92,6 +92,10 @@ class TestPhiLiterals:
             err = e
         assert err is not None and err.position > 0
 
+    def test_blanks_around_operators(self, ctx5):
+        assert parse_point("  1/2  +  3 * phi -phi", ctx5) == parse_point("1/2+3*phi-phi", ctx5)
+        assert parse_point("- 2 *phi", ctx5) == parse_point("-2*phi", ctx5)
+
 
 class TestAlphaAndBox:
     def test_alpha(self):
@@ -144,3 +148,16 @@ class TestPositions:
         with pytest.raises(ParseError) as err:
             parse_box("0,0,x,1")
         assert err.value.position == 4
+
+    @pytest.mark.parametrize("text, position, token", [
+        ("2 3", 0, "2 3"),
+        ("1 + 2 3*phi", 4, "2 3"),
+        ("1 + 2*ph i", 6, "ph i"),
+        ("phi phi", 0, "phi phi"),
+    ])
+    def test_blank_inside_a_token(self, ctx5, text, position, token):
+        # a phi literal allows blanks around '+', '-' and '*' and nowhere
+        # else, and the error quotes the bad token as typed
+        with pytest.raises(ParseError) as err:
+            parse_point(text, ctx5)
+        assert err.value.position == position and repr(token) in str(err.value)

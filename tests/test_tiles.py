@@ -309,7 +309,7 @@ class TestStreamedConstraints:
 
     def test_stream_equals_materialised_list(self, known_tiles):
         for tile in known_tiles:
-            ctx, word, n = tile.ctx, tile.word.word, tile.k * tile.ell
+            ctx, word, n = tile.ctx, tile.word, tile.k * tile.ell
             # the reference: every prefix map composed branch by branch
             branch = {s: AffineMap(1, -s * ctx.lambda_) for s in (1, -1)}
             g, full = AffineMap(0, ctx.zero()), []
@@ -377,7 +377,7 @@ def test_tiles_make_no_second_walk(gc, monkeypatch):
     assert built[0].period == 6940 and built[1].ell == 20
     for tile in built + report.tile_list:
         n = minimal_period(tile.seed, tile.period).period
-        assert tile.word.word == itinerary(tile.seed, n).word[:tile.ell]
+        assert tile.word == itinerary(tile.seed, n)[:tile.ell]
 
 
 @pytest.mark.long
