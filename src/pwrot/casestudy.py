@@ -143,7 +143,8 @@ def hexagon_case(budget: int = 100) -> CheckReport:
     ell and stay off the line, the block map rotating the hexagon about C,
     and the periods of C and of interior samples), then checks the case's
     own facts: ell is 20, the polygon is the known six-vertex hexagon, and
-    it fails exact regularity.  ``tile_from_seed`` raises
+    it fails exact regularity.  The report keeps the tile it checked, which
+    ``casestudy hexagon --svg`` draws.  ``tile_from_seed`` raises
     ``BudgetExceededError`` when C has not returned within ``budget``
     steps, which falsifies nothing.
     """

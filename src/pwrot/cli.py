@@ -20,7 +20,6 @@ from .casestudy import (
     golden_context,
     golden_rescale,
     hexagon_case,
-    hexagon_context,
     pentagon_center_periods,
     q_orbit_returns,
 )
@@ -342,7 +341,7 @@ def cmd_casestudy(args) -> int:
     # hexagon
     report = hexagon_case(budget=args.budget)
     if args.svg:
-        _hexagon_svg(args.svg)
+        _hexagon_svg(report.tile, args.svg)
     _emit(_report_text(report), args.out)
     return EXIT_OK if report.passed else EXIT_FALSIFIED
 
@@ -381,8 +380,8 @@ def _golden_svg(gc, path):
     Path(path).write_text(scene.to_svg(), encoding="utf-8")
 
 
-def _hexagon_svg(path):
-    images, _ = tile_images(tile_from_seed(hexagon_context().center, 100))
+def _hexagon_svg(tile, path):
+    images, _ = tile_images(tile)
     scene = polygon_scene((img.vertices for img in images), "#ddaa33", opacity=0.5)
     Path(path).write_text(scene.to_svg(), encoding="utf-8")
 

@@ -249,11 +249,14 @@ def _binding_offsets(constraints: Iterable[HalfPlane]) -> dict[int, CycloNum]:
     return best
 
 
-def intersect_halfplanes(constraints: Iterable[HalfPlane]):
+def intersect_halfplanes(constraints: Iterable[HalfPlane], *, average: bool = False):
     """Exact intersection of open half-planes on the lambda^k direction grid.
 
     Returns the closure polygon of the (then open, full-dimensional)
-    intersection, or EMPTY, or UNBOUNDED.  Each constraint is rewritten as
+    intersection, or EMPTY, or UNBOUNDED; with ``average``, the pair of
+    that result and the vertex average its certificate tested (None unless
+    the result is a polygon), so a tile takes its center from the one
+    average computed here.  Each constraint is rewritten as
     Im(zeta^e * w + c) > 0 with an integer exponent e mod m, so every
     direction decision compares exponents: only the least Im(c) per exponent
     binds, and one streaming pass over the constraints keeps it; an
@@ -280,6 +283,9 @@ def intersect_halfplanes(constraints: Iterable[HalfPlane]):
     m = next(iter(offset.values())).ctx.m
     half = m // 2
 
+    def result(region, center=None):
+        return (region, center) if average else region
+
     for e, a in offset.items():
         b = offset.get(e + half)  # exponents lie in [0, m): only e < m/2 has one
         if b is not None:
@@ -288,18 +294,18 @@ def intersect_halfplanes(constraints: Iterable[HalfPlane]):
             if s is None:
                 s = sign_of_imag(a + b)
             if s != Sign.POSITIVE:
-                return EMPTY
+                return result(EMPTY)
     exps = sorted(offset)
     if any(f - e >= half for e, f in zip(exps, exps[1:] + [exps[0] + m])):
-        return UNBOUNDED
+        return result(UNBOUNDED)
 
     vertices = _sweep(offset)
     if not vertices:
-        return EMPTY
+        return result(EMPTY)
     center = vertex_average(vertices)
     if any(_side(offset, e, center) != Sign.POSITIVE for e in offset):
-        return EMPTY
-    return make_polygon(vertices)
+        return result(EMPTY)
+    return result(make_polygon(vertices), center)
 
 
 def _side(offset: dict[int, CycloNum], e: int, w: CycloNum) -> Sign:

@@ -49,9 +49,9 @@ from .geometry import (
     apply_affine,
     edge_direction_power,
     intersect_halfplanes,
+    make_polygon,
     polygon_contains,
     polygon_is_regular,
-    vertex_average,
 )
 from .stepper import OrbitRecord
 
@@ -93,10 +93,12 @@ class Tile(NamedTuple):
 
 
 class CheckReport:
-    """Outcome of a verification run; ``passed`` is the conjunction."""
+    """Outcome of a verification run on ``tile``; ``passed`` is the
+    conjunction."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, tile: Optional[Tile] = None):
         self.name = name
+        self.tile = tile
         self.checks: list = []
 
     def record(self, label: str, ok: bool, detail: str = ""):
@@ -157,12 +159,13 @@ def _nominee_halfplanes(rec: OrbitRecord, period: int) -> list[HalfPlane]:
 def _build_tile(rec: OrbitRecord, block: tuple[int, ...]) -> Tile:
     """The tile of a seed from its first-return walk and minimal block: the
     intersection of the constraints the walk nominated, checked to
-    hold the seed, with the vertex average as the center when k > 1."""
+    hold the seed, with the vertex average as the center when k > 1: the
+    one that the intersection's certificate computed."""
     z = rec.start
     ctx = z.ctx
     ell = len(block)
     k = rotation_order(ctx, ell)
-    poly = intersect_halfplanes(_nominee_halfplanes(rec, k * ell))
+    poly, average = intersect_halfplanes(_nominee_halfplanes(rec, k * ell), average=True)
     if not isinstance(poly, ConvexPolygon):
         raise InternalInconsistencyError(
             f"constraint intersection degenerated to {poly!r} for a periodic seed"
@@ -170,8 +173,7 @@ def _build_tile(rec: OrbitRecord, block: tuple[int, ...]) -> Tile:
     if polygon_contains(poly, z) != Location.INTERIOR:
         raise InternalInconsistencyError("seed is not interior to its own tile")
     # the block map permutes the vertices and, when k > 1, fixes one point
-    center = vertex_average(poly.vertices) if k > 1 else z
-    return Tile(polygon=poly, word=block, center=center, seed=z)
+    return Tile(polygon=poly, word=block, center=average if k > 1 else z, seed=z)
 
 
 def tile_from_seed(z: CycloNum, budget: int) -> Tile:
@@ -222,7 +224,7 @@ def verify_rotation_structure(t: Tile, samples: int = 5, seed: int = 0) -> Check
     period ell, and interior samples of minimal period k*ell."""
     if samples < 0:
         raise ParameterError("samples must be >= 0")
-    report = CheckReport(name="component permutation and rotation structure")
+    report = CheckReport("component permutation and rotation structure", t)
     images, block_map = tile_images(t)
 
     keys = {img.key() for img in images}
@@ -283,7 +285,7 @@ def verify_polygon_bounds(t: Tile) -> CheckReport:
     """Side-count bound, edge slope census, and the coprime dichotomy."""
     ctx = t.ctx
     q = ctx.q
-    report = CheckReport(name="tile geometry bounds")
+    report = CheckReport("tile geometry bounds", t)
     bound = q if q % 2 == 0 else 2 * q
     report.record(
         "side count within bound", t.sides <= bound, f"{t.sides} <= {bound}"
@@ -344,6 +346,21 @@ def scan_region(
     Samples whose orbit touches the line are classified as critical-set hits;
     periodic samples are resolved to their tile (skipping polygon extraction
     when the period exceeds ``max_tile_period``).
+
+    A grid point is walked only when its partner (-x, -y) was not walked
+    earlier in scan order; the origin is its own partner and is walked.
+    Off the line H(-w) = -H(w), so F(-w) = -F(w): every iterate of -z
+    before the first that lies on the line is the negation of the iterate
+    of z, so -z touches the line first at the same step, or returns at the
+    same step, or neither within the budget.  So a point takes its
+    partner's kind, period and ``touch_index``.  Its itinerary is the
+    negated one, so its tile has block -w where the partner's has w, and
+    its cell is the negated cell: the polygon is the negated vertices,
+    canonicalized by ``make_polygon``, and a k > 1 center, the fixed point
+    of the block map, is the negated center.  A k = 1 tile reports its
+    first seed, and the first seed of block -w in scan order is this point
+    whenever the tile is new, so the inventory is the one that walking
+    every point gives.
     """
     step = Fraction(step)
     if step <= 0:
@@ -353,32 +370,52 @@ def scan_region(
     outcomes = []
     tiles: dict = {}
     histogram: dict = {}
+    walked: dict = {}    # (x, y) whose partner is not yet scanned -> (outcome, block or None)
     y = box.y0
     while y <= box.y1:
         x = box.x0
         while x <= box.x1:
             z = ctx.point(x, y)
-            rec = minimal_period(z, budget, nominate=True)
-            if rec.iterates_on_line:
-                outcomes.append(
-                    ScanOutcome(x, y, "critical", touch_index=rec.iterates_on_line[0][0])
-                )
-            elif rec.period is None:
-                outcomes.append(ScanOutcome(x, y, "budget"))
+            partner = walked.pop((-x, -y), None)
+            if partner is not None:
+                outcome, block = partner
+                outcome = outcome._replace(x=x, y=y)
+                if block is not None:
+                    _absorb_tile(tiles, tuple(-s for s in block),
+                                 lambda: _negated_tile(tiles[block][0], z))
             else:
-                outcomes.append(ScanOutcome(x, y, "period", period=rec.period))
-                histogram[rec.period] = histogram.get(rec.period, 0) + 1
-                if max_tile_period is None or rec.period <= max_tile_period:
-                    _absorb_tile(tiles, rec)
+                rec = minimal_period(z, budget, nominate=True)
+                block = None
+                if rec.iterates_on_line:
+                    outcome = ScanOutcome(x, y, "critical", touch_index=rec.iterates_on_line[0][0])
+                elif rec.period is None:
+                    outcome = ScanOutcome(x, y, "budget")
+                else:
+                    outcome = ScanOutcome(x, y, "period", period=rec.period)
+                    if max_tile_period is None or rec.period <= max_tile_period:
+                        block = _minimal_block(rec)
+                        _absorb_tile(tiles, block, lambda: _build_tile(rec, block))
+                walked[x, y] = outcome, block
+            outcomes.append(outcome)
+            if outcome.period is not None:
+                histogram[outcome.period] = histogram.get(outcome.period, 0) + 1
             x += step
         y += step
     return ScanReport(box, step, budget, outcomes, tiles, histogram)
 
 
-def _absorb_tile(tiles: dict, rec: OrbitRecord):
-    block = _minimal_block(rec)
+def _absorb_tile(tiles: dict, block: tuple[int, ...], build):
+    """Count one more seed of the tile of ``block``, built by ``build()``
+    when it is new."""
     if block in tiles:
         t, mult = tiles[block]
         tiles[block] = (t, mult + 1)
     else:
-        tiles[block] = (_build_tile(rec, block), 1)
+        tiles[block] = (build(), 1)
+
+
+def _negated_tile(t: Tile, z: CycloNum) -> Tile:
+    """The tile -t, first met at its seed z (see ``scan_region``)."""
+    return Tile(polygon=make_polygon([-v for v in t.polygon.vertices]),
+                word=tuple(-s for s in t.word),
+                center=-t.center if t.k > 1 else z, seed=z)

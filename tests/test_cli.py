@@ -687,6 +687,24 @@ class TestCasestudy:
             "f01209b726dea633ba648382fb3177ad94e11c3ca582c3e654b61d377f6692e4"
         )
 
+    def test_hexagon_svg_draws_the_checked_tile(self, capsys, tmp_path, monkeypatch):
+        # the figure draws the tile the report checked, built once within
+        # --budget, with the bytes pinned above
+        budgets = []
+
+        def counted(z, budget):
+            budgets.append(budget)
+            return tile_from_seed(z, budget)
+
+        monkeypatch.setattr(casestudy, "tile_from_seed", counted)
+        monkeypatch.setattr(cli, "tile_from_seed", counted)
+        target = tmp_path / "hexagon.svg"
+        code, _, _ = run(capsys, "casestudy", "hexagon", "--budget", "50", "--svg", str(target))
+        assert code == 0 and budgets == [50]
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "f01209b726dea633ba648382fb3177ad94e11c3ca582c3e654b61d377f6692e4"
+        )
+
     def test_golden_svg(self, capsys, tmp_path):
         target = tmp_path / "fig.svg"
         code, _, _ = run(

@@ -1,5 +1,8 @@
+import importlib.util
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +27,9 @@ from pwrot.geometry import (
     polygon_contains,
     polygon_is_regular,
 )
+from pwrot.pointexpr import parse_alpha, parse_box
 from pwrot.tiles import (
+    ScanOutcome,
     interior_samples,
     scan_region,
     slope_census,
@@ -224,7 +229,11 @@ class TestScan:
         report = scan_region(gc.ctx, Box(-1, -1, 1, 1), Fraction(1, 2), 2000)
         monkeypatch.undo()
         assert len(report.outcomes) == 25
-        assert len(calls) == 25
+        # one walk per pair z, -z of the 5 x 5 grid, and one for the origin;
+        # no point is walked twice, and none after its negation
+        assert len(calls) == 13
+        for n, z in enumerate(calls):
+            assert z not in calls[:n] and -z not in calls[:n]
         # inventory and histogram equal those of the periodic points taken one by one
         tiles, histogram = {}, {}
         for o in report.outcomes:
@@ -259,17 +268,33 @@ BENCHMARK_SCANS = [
     ((3, 7), Box(-2, -2, 2, 2), Fraction(4, 3), 3000),
 ]
 
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def test_benchmark_scans_are_the_benchmark_grids(monkeypatch):
+    # the count pins below hold for the grids the benchmark scans, so the
+    # copy here must name the same grids as perfbench/workloads.py; its
+    # dataclass looks its module up in sys.modules while the file loads
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    grids = [(parse_alpha(alpha), parse_box(box), Fraction(step), budget)
+             for alpha, box, step, budget in module.SCAN_GRIDS["full"]]
+    assert grids == BENCHMARK_SCANS
+
 
 @pytest.mark.parametrize("mode, corners, exact_tests", [
-    ("enclosed", 254, 0),
-    ("exact_predicates", 334, 668),
-])
+    ("enclosed", 151, 0),
+    ("exact_predicates", 203, 412),
+], ids=["enclosed", "exact_predicates"])
 def test_sweep_builds_only_the_ring_corners(request, monkeypatch, mode, corners, exact_tests):
     # the sweep decides its tests on the offsets' enclosures, so it builds
-    # only the corners of the rings, the 254 sides of the 30 tiles, and
-    # makes no exact side test; with every enclosed decision left open, each
-    # test builds its corner for the exact test, as every test did before
-    # the enclosures decided them (334 corners)
+    # only the corners of the rings, and makes no exact side test; with
+    # every enclosed decision left open, each test builds its corner for the
+    # exact test, as every test did before the enclosures decided them.  Of
+    # the 30 tiles (254 sides), the scans build 18 (151 sides) from a walk
+    # and negate the other 12, which builds no corner
     if mode != "enclosed":
         request.getfixturevalue(mode)
     built, tested, sweeping = [], [], []
@@ -290,11 +315,88 @@ def test_sweep_builds_only_the_ring_corners(request, monkeypatch, mode, corners,
     monkeypatch.setattr(geometry, "grid_corner", lambda *a: built.append(a) or corner(*a))
     monkeypatch.setattr(geometry, "_side", counted_side)
     monkeypatch.setattr(geometry, "_sweep", flagged_sweep)
+    walked, build = [], tiles_module._build_tile
+    monkeypatch.setattr(tiles_module, "_build_tile", lambda *a: walked.append(build(*a)) or walked[-1])
     tiles = [t for alpha, box, step, budget in BENCHMARK_SCANS
              for t in scan_region(make_field(*alpha), box, step, budget).tile_list]
     assert len(tiles) == 30 and sum(t.sides for t in tiles) == 254
+    assert len(walked) == 18 and sum(t.sides for t in walked) == 151
     assert len(built) == corners
     assert len(tested) == exact_tests
+
+
+class TestScanSymmetry:
+    """Off the line F(-z) = -F(z), so a scan walks one point of each pair
+    z, -z and gives the other its partner's outcome and the negated tile.
+    Each test runs with the enclosed predicates and with every predicate
+    exact."""
+
+    # boxes symmetric about 0, (alpha, box, step, budget): the first
+    # benchmark grid, one with budget outcomes, and one with k = 1 tiles of
+    # four seeds, whose negation's first seed is not the partner of its own
+    SYMMETRIC = [
+        ((4, 5), Box(-3, -3, 3, 3), Fraction(1), 3000),
+        ((4, 5), Box(-2, -2, 2, 2), Fraction(1, 2), 300),
+        ((14, 15), Box(-1, -1, 1, 1), Fraction(1, 12), 3000),
+    ]
+    # a partly symmetric box, one with no partners (a k = 1 tile), and one
+    # with the row y = 0 and orbits that touch the line at step 18
+    OTHERS = [
+        ((11, 12), Box(-1, -1, 3, 2), Fraction(1, 2), 1000),
+        ((11, 12), Box("2.24", "-2.77", "2.30", "-2.74"), Fraction(1, 100), 3000),
+        ((11, 12), Box(-2, -1, 2, 1), Fraction(1, 2), 1000),
+    ]
+
+    @pytest.fixture(params=["enclosed", "exact_predicates"])
+    def predicates(self, request):
+        if request.param != "enclosed":
+            request.getfixturevalue(request.param)
+
+    def test_symmetric_box_lists_each_negation(self, predicates):
+        for alpha, box, step, budget in self.SYMMETRIC:
+            report = scan_region(make_field(*alpha), box, step, budget)
+            points = {(o.x, o.y) for o in report.outcomes}
+            assert {(-x, -y) for x, y in points} == points
+            mult = {key: n for key, (_, n) in report.tiles.items()}
+            assert {tuple(-s for s in key): n for key, n in mult.items()} == mult
+
+    def test_outcomes_equal_direct_walks(self, predicates):
+        partners, touches = [], []
+        for alpha, box, step, budget in self.OTHERS:
+            ctx = make_field(*alpha)
+            report = scan_region(ctx, box, step, budget)
+            at = {(o.x, o.y): o for o in report.outcomes}
+            for o in report.outcomes:
+                rec = minimal_period(ctx.point(o.x, o.y), budget)
+                if rec.iterates_on_line:
+                    walked = ScanOutcome(o.x, o.y, "critical",
+                                         touch_index=rec.iterates_on_line[0][0])
+                elif rec.period is None:
+                    walked = ScanOutcome(o.x, o.y, "budget")
+                else:
+                    walked = ScanOutcome(o.x, o.y, "period", period=rec.period)
+                assert o == walked
+            pairs = [(o, at[-o.x, -o.y]) for o in report.outcomes
+                     if (-o.x, -o.y) in at and (o.x, o.y) != (0, 0)]
+            for o, partner in pairs:
+                if o.kind == "critical":
+                    assert (partner.kind, partner.touch_index) == ("critical", o.touch_index)
+            partners.append(len(pairs))
+            touches.append(sorted({o.touch_index for o, _ in pairs if o.kind == "critical"}))
+        assert partners == [24, 0, 44]
+        assert touches == [[0], [], [0, 18]]
+
+    def test_tiles_equal_their_seeds_tiles(self, predicates, monkeypatch):
+        walked, build = [], tiles_module._build_tile
+        monkeypatch.setattr(tiles_module, "_build_tile", lambda *a: walked.append(build(*a)) or walked[-1])
+        derived = []
+        for alpha, box, step, budget in self.SYMMETRIC + self.OTHERS:
+            for t in scan_region(make_field(*alpha), box, step, budget).tile_list:
+                ref = tile_from_seed(t.seed, budget)
+                assert (t.polygon, t.word, t.center) == (ref.polygon, ref.word, ref.center)
+                if not any(t is w for w in walked):
+                    derived.append(t)
+        assert derived and any(t.k == 1 for t in derived)
 
 
 class TestStreamedConstraints:
