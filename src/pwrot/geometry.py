@@ -249,14 +249,14 @@ def _binding_offsets(constraints: Iterable[HalfPlane]) -> dict[int, CycloNum]:
     return best
 
 
-def intersect_halfplanes(constraints: Iterable[HalfPlane], *, average: bool = False):
+def intersect_halfplanes(constraints: Iterable[HalfPlane]):
     """Exact intersection of open half-planes on the lambda^k direction grid.
 
-    Returns the closure polygon of the (then open, full-dimensional)
-    intersection, or EMPTY, or UNBOUNDED; with ``average``, the pair of
-    that result and the vertex average its certificate tested (None unless
-    the result is a polygon), so a tile takes its center from the one
-    average computed here.  Each constraint is rewritten as
+    Returns (region, average): region is the closure polygon of the (then
+    open, full-dimensional) intersection, or EMPTY, or UNBOUNDED, and
+    average is the vertex average its certificate tested, None unless the
+    region is a polygon, so a tile takes its center from the one average
+    computed here.  Each constraint is rewritten as
     Im(zeta^e * w + c) > 0 with an integer exponent e mod m, so every
     direction decision compares exponents: only the least Im(c) per exponent
     binds, and one streaming pass over the constraints keeps it; an
@@ -283,9 +283,6 @@ def intersect_halfplanes(constraints: Iterable[HalfPlane], *, average: bool = Fa
     m = next(iter(offset.values())).ctx.m
     half = m // 2
 
-    def result(region, center=None):
-        return (region, center) if average else region
-
     for e, a in offset.items():
         b = offset.get(e + half)  # exponents lie in [0, m): only e < m/2 has one
         if b is not None:
@@ -294,18 +291,18 @@ def intersect_halfplanes(constraints: Iterable[HalfPlane], *, average: bool = Fa
             if s is None:
                 s = sign_of_imag(a + b)
             if s != Sign.POSITIVE:
-                return result(EMPTY)
+                return EMPTY, None
     exps = sorted(offset)
     if any(f - e >= half for e, f in zip(exps, exps[1:] + [exps[0] + m])):
-        return result(UNBOUNDED)
+        return UNBOUNDED, None
 
     vertices = _sweep(offset)
     if not vertices:
-        return result(EMPTY)
+        return EMPTY, None
     center = vertex_average(vertices)
     if any(_side(offset, e, center) != Sign.POSITIVE for e in offset):
-        return result(EMPTY)
-    return result(make_polygon(vertices), center)
+        return EMPTY, None
+    return make_polygon(vertices), center
 
 
 def _side(offset: dict[int, CycloNum], e: int, w: CycloNum) -> Sign:

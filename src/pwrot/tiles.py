@@ -96,7 +96,7 @@ class CheckReport:
     """Outcome of a verification run on ``tile``; ``passed`` is the
     conjunction."""
 
-    def __init__(self, name: str, tile: Optional[Tile] = None):
+    def __init__(self, name: str, tile: Tile):
         self.name = name
         self.tile = tile
         self.checks: list = []
@@ -165,7 +165,7 @@ def _build_tile(rec: OrbitRecord, block: tuple[int, ...]) -> Tile:
     ctx = z.ctx
     ell = len(block)
     k = rotation_order(ctx, ell)
-    poly, average = intersect_halfplanes(_nominee_halfplanes(rec, k * ell), average=True)
+    poly, average = intersect_halfplanes(_nominee_halfplanes(rec, k * ell))
     if not isinstance(poly, ConvexPolygon):
         raise InternalInconsistencyError(
             f"constraint intersection degenerated to {poly!r} for a periodic seed"
@@ -370,7 +370,7 @@ def scan_region(
     outcomes = []
     tiles: dict = {}
     histogram: dict = {}
-    walked: dict = {}    # (x, y) whose partner is not yet scanned -> (outcome, block or None)
+    walked: dict = {}    # (x, y) whose partner is not yet scanned -> (outcome, tile or None)
     y = box.y0
     while y <= box.y1:
         x = box.x0
@@ -378,14 +378,13 @@ def scan_region(
             z = ctx.point(x, y)
             partner = walked.pop((-x, -y), None)
             if partner is not None:
-                outcome, block = partner
+                outcome, t = partner
                 outcome = outcome._replace(x=x, y=y)
-                if block is not None:
-                    _absorb_tile(tiles, tuple(-s for s in block),
-                                 lambda: _negated_tile(tiles[block][0], z))
+                if t is not None:
+                    _absorb_tile(tiles, tuple(-s for s in t.word), lambda: _negated_tile(t, z))
             else:
                 rec = minimal_period(z, budget, nominate=True)
-                block = None
+                t = None
                 if rec.iterates_on_line:
                     outcome = ScanOutcome(x, y, "critical", touch_index=rec.iterates_on_line[0][0])
                 elif rec.period is None:
@@ -394,8 +393,8 @@ def scan_region(
                     outcome = ScanOutcome(x, y, "period", period=rec.period)
                     if max_tile_period is None or rec.period <= max_tile_period:
                         block = _minimal_block(rec)
-                        _absorb_tile(tiles, block, lambda: _build_tile(rec, block))
-                walked[x, y] = outcome, block
+                        t = _absorb_tile(tiles, block, lambda: _build_tile(rec, block))
+                walked[x, y] = outcome, t
             outcomes.append(outcome)
             if outcome.period is not None:
                 histogram[outcome.period] = histogram.get(outcome.period, 0) + 1
@@ -404,14 +403,15 @@ def scan_region(
     return ScanReport(box, step, budget, outcomes, tiles, histogram)
 
 
-def _absorb_tile(tiles: dict, block: tuple[int, ...], build):
+def _absorb_tile(tiles: dict, block: tuple[int, ...], build) -> Tile:
     """Count one more seed of the tile of ``block``, built by ``build()``
-    when it is new."""
+    when it is new, and return that tile."""
     if block in tiles:
         t, mult = tiles[block]
-        tiles[block] = (t, mult + 1)
     else:
-        tiles[block] = (build(), 1)
+        t, mult = build(), 0
+    tiles[block] = (t, mult + 1)
+    return t
 
 
 def _negated_tile(t: Tile, z: CycloNum) -> Tile:

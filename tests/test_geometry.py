@@ -63,6 +63,11 @@ def lower(ctx):
     return HalfPlane(0, ctx.zero(), -1)
 
 
+def region(constraints):
+    """The region of ``intersect_halfplanes``, without its vertex average."""
+    return intersect_halfplanes(constraints)[0]
+
+
 # the predicates of the tile build: decided on enclosures, on no enclosure
 # (every test exact), or on enclosures too wide to decide anything
 SWEEP_MODES = ["enclosed", "exact_predicates", "exact_enclosures"]
@@ -126,34 +131,34 @@ def square_constraints(ctx12, shuffle_seed=None):
 
 class TestIntersectHalfplanes:
     def test_opposite_half_planes_empty(self, ctx5):
-        assert intersect_halfplanes([upper(ctx5), lower(ctx5)]) is EMPTY
+        assert region([upper(ctx5), lower(ctx5)]) is EMPTY
 
     def test_single_half_plane_unbounded(self, ctx5):
-        assert intersect_halfplanes([upper(ctx5)]) is UNBOUNDED
+        assert region([upper(ctx5)]) is UNBOUNDED
 
     def test_strip_unbounded(self, ctx12):
         cons = [
             HalfPlane(0, ctx12.zero(), 1),
             HalfPlane(6, ctx12.i_unit, 1),
         ]
-        assert intersect_halfplanes(cons) is UNBOUNDED
+        assert region(cons) is UNBOUNDED
 
     def test_empty_strip(self, ctx12):
         cons = [
             HalfPlane(0, -ctx12.i_unit, 1),  # y > 1
             HalfPlane(6, ctx12.zero(), 1),   # y < 0
         ]
-        assert intersect_halfplanes(cons) is EMPTY
+        assert region(cons) is EMPTY
 
     def test_wedge_unbounded(self, ctx12):
         cons = [
             HalfPlane(0, ctx12.zero(), 1),
             HalfPlane(9, ctx12.zero(), 1),
         ]
-        assert intersect_halfplanes(cons) is UNBOUNDED
+        assert region(cons) is UNBOUNDED
 
     def test_unit_square(self, ctx12):
-        poly = intersect_halfplanes(square_constraints(ctx12))
+        poly = region(square_constraints(ctx12))
         expected = [
             ctx12.point(0, 0),
             ctx12.point(1, 0),
@@ -164,12 +169,12 @@ class TestIntersectHalfplanes:
         assert list(poly.vertices) == expected
 
     def test_order_independence_and_redundancy(self, ctx12):
-        base = intersect_halfplanes(square_constraints(ctx12))
+        base = region(square_constraints(ctx12))
         shuffled = square_constraints(ctx12, shuffle_seed=9)
         # redundant parallel constraint (y > -3) plus an exact duplicate
         shuffled.append(HalfPlane(0, 3 * ctx12.i_unit, 1))
         shuffled.append(square_constraints(ctx12)[0])
-        again = intersect_halfplanes(shuffled)
+        again = region(shuffled)
         assert again.key() == base.key()
 
     def test_triangle(self, ctx12):
@@ -180,7 +185,7 @@ class TestIntersectHalfplanes:
             HalfPlane(0, ctx12.zero(), 1),     # y > 0
             HalfPlane(4, ctx12.i_unit, 1),     # sqrt(3)*x + y < 2
         ]
-        poly = intersect_halfplanes(cons)
+        poly = region(cons)
         assert isinstance(poly, ConvexPolygon)
         assert list(poly.vertices) == [ctx12.zero(), sqrt3 * Fraction(2, 3), ctx12.point(0, 2)]
 
@@ -189,7 +194,7 @@ class TestIntersectHalfplanes:
         # apart: the closed intersection is that single point
         p = ctx12.point(1, 1)
         cons = [HalfPlane(t, -(ctx12.lam_pow(t) * p), 1) for t in (0, 4, 8)]
-        assert intersect_halfplanes(cons) is EMPTY
+        assert region(cons) is EMPTY
 
     def test_odd_q_antiparallel_strip_empty(self, ctx5):
         # for q = 5, -lambda^k is no power of lambda: the far side of a line
@@ -197,13 +202,13 @@ class TestIntersectHalfplanes:
         below_zero = HalfPlane(1, ctx5.zero(), -1)  # Im(lambda w) < 0
         above_one = HalfPlane(1, -ctx5.i_unit, 1)  # Im(lambda w) > 1
         above_zero = HalfPlane(1, ctx5.zero(), 1)  # Im(lambda w) > 0
-        assert intersect_halfplanes([above_one, below_zero]) is EMPTY
-        assert intersect_halfplanes([above_zero, below_zero]) is EMPTY
+        assert region([above_one, below_zero]) is EMPTY
+        assert region([above_zero, below_zero]) is EMPTY
 
     def test_odd_q_strip_unbounded(self, ctx5):
         # 0 < Im(lambda w) < 1
         cons = [HalfPlane(1, ctx5.zero(), 1), HalfPlane(1, -ctx5.i_unit, -1)]
-        assert intersect_halfplanes(cons) is UNBOUNDED
+        assert region(cons) is UNBOUNDED
 
     def test_odd_q_wedge_unbounded(self, ctx5):
         cons = [
@@ -211,7 +216,7 @@ class TestIntersectHalfplanes:
             HalfPlane(1, ctx5.zero(), 1),
             HalfPlane(3, ctx5.zero(), -1),
         ]
-        assert intersect_halfplanes(cons) is UNBOUNDED
+        assert region(cons) is UNBOUNDED
 
     @pytest.mark.parametrize("mode", SWEEP_MODES)
     def test_random_grid_constraints_around_interior_point(self, ctx5, ctx12, request, mode):
@@ -237,16 +242,16 @@ class TestIntersectHalfplanes:
                     if s != Sign.ZERO:
                         cons.append(HalfPlane(t, b, int(s)))
                 systems.append((ctx, c, cons))
-        enclosed = [intersect_halfplanes(cons) for _, _, cons in systems]
+        enclosed = [region(cons) for _, _, cons in systems]
         use_mode(request, mode)
 
         polygons = 0
         for (ctx, c, cons), expected in zip(systems, enclosed):
-            poly = intersect_halfplanes(cons)
+            poly = region(cons)
             assert poly == expected
             assert poly is not EMPTY
             assert len(geometry._binding_offsets(cons)) <= ctx.m
-            assert intersect_halfplanes(h for h in cons) == poly
+            assert region(h for h in cons) == poly
             if poly is UNBOUNDED:
                 continue
             polygons += 1
@@ -263,7 +268,7 @@ class TestIntersectHalfplanes:
 
     def test_vertices_respect_all_constraints(self, ctx12):
         cons = square_constraints(ctx12)
-        poly = intersect_halfplanes(cons)
+        poly = region(cons)
         for h in cons:
             for v in poly.vertices:
                 assert side_of(h, v) != (
@@ -278,7 +283,13 @@ class TestIntersectHalfplanes:
 
     def test_rejects_empty_input(self):
         with pytest.raises(ParameterError):
-            intersect_halfplanes([])
+            region([])
+
+    def test_average_is_the_certified_vertex_average(self, ctx5, ctx12):
+        poly, average = intersect_halfplanes(square_constraints(ctx12))
+        assert average == vertex_average(poly.vertices) == ctx12.point(Fraction(1, 2), Fraction(1, 2))
+        assert intersect_halfplanes([upper(ctx5), lower(ctx5)]) == (EMPTY, None)
+        assert intersect_halfplanes([upper(ctx5)]) == (UNBOUNDED, None)
 
 
 def swept_and_rechecked(constraints):
@@ -319,7 +330,7 @@ def random_grid_system(ctx, rng, kind):
     if kind == "point":
         # the inward normals zeta^e of lines through w leave no gap of m/2
         w, cons = half_point(), []
-        while intersect_halfplanes(cons or [through(0, w, 1)]) is UNBOUNDED:
+        while region(cons or [through(0, w, 1)]) is UNBOUNDED:
             cons.append(through(rng.randrange(q), w, rng.choice((1, -1))))
         return cons
     if kind == "segment":
@@ -350,14 +361,14 @@ class TestSweepCertificate:
             for p, q in [(4, 5), (11, 12), (3, 7), (1, 4), (1, 3)]
             for kind in ["random"] * 30 + ["point"] * 5 + ["segment"] * 5
         ]
-        enclosed = [intersect_halfplanes(cons) for _, cons in systems]
+        enclosed = [region(cons) for _, cons in systems]
         use_mode(request, mode)
 
         seen = {"empty": 0, "unbounded": 0, "polygon": 0}
         for (kind, cons), plain in zip(systems, enclosed):
             ring, expected = swept_and_rechecked(cons)
             assert not (ring and expected is EMPTY)
-            result = intersect_halfplanes(cons)
+            result = region(cons)
             assert result == plain
             if expected is EMPTY or expected is UNBOUNDED:
                 assert result is expected
@@ -378,7 +389,7 @@ class TestSweepCertificate:
         # above makes the sweep return a ring for an empty intersection.)
         i = ctx12.i_unit
         cons = [HalfPlane(9, -i, 1), HalfPlane(0, -i, 1), HalfPlane(4, i / 2, 1)]
-        assert intersect_halfplanes(cons) is EMPTY
+        assert region(cons) is EMPTY
         assert swept_and_rechecked(cons) == ([], EMPTY)
 
         def keep_every_edge(offset):
@@ -389,15 +400,15 @@ class TestSweepCertificate:
                 for f, g in zip(exps[-1:] + exps[:-1], exps)
             ]
 
-        square = intersect_halfplanes(square_constraints(ctx12))
+        square = region(square_constraints(ctx12))
         monkeypatch.setattr(geometry, "_sweep", keep_every_edge)
         ring, result = swept_and_rechecked(cons)
         sqrt3 = ctx12.lam_pow(1).real() * 2
         assert set(ring) == {ctx12.point(1, 1), ctx12.point(0, 1), 1 + i * (1 - sqrt3)}
         assert result is EMPTY
-        assert intersect_halfplanes(cons) is EMPTY
+        assert region(cons) is EMPTY
         # on a nonempty system that ring is the sweep's, and it is certified
-        assert intersect_halfplanes(square_constraints(ctx12)) == square
+        assert region(square_constraints(ctx12)) == square
 
 
 class TestPolygon:
@@ -424,7 +435,7 @@ class TestPolygon:
                 make_polygon(square[:i + 1] + square[i:])
 
     def test_contains(self, ctx12):
-        p = intersect_halfplanes(square_constraints(ctx12))
+        p = region(square_constraints(ctx12))
         assert polygon_contains(p, ctx12.point(Fraction(1, 2), Fraction(1, 2))) == Location.INTERIOR
         assert polygon_contains(p, ctx12.point(Fraction(1, 2), 0)) == Location.BOUNDARY
         assert polygon_contains(p, ctx12.point(1, 1)) == Location.BOUNDARY
@@ -432,7 +443,7 @@ class TestPolygon:
         assert polygon_contains(p, ctx12.point(Fraction(1, 2), -1)) == Location.EXTERIOR
 
     def test_regularity(self, ctx12):
-        square = intersect_halfplanes(square_constraints(ctx12))
+        square = region(square_constraints(ctx12))
         assert polygon_is_regular(square)
         rect = make_polygon(
             [ctx12.point(0, 0), ctx12.point(2, 0), ctx12.point(2, 1), ctx12.point(0, 1)]
@@ -442,7 +453,7 @@ class TestPolygon:
         assert not polygon_is_regular(tri)
 
     def test_apply_affine_is_rigid(self, ctx12):
-        square = intersect_halfplanes(square_constraints(ctx12))
+        square = region(square_constraints(ctx12))
         g = affine_along(ctx12, (1, -1, 1))
         img = apply_affine(square, g)
         assert {v.coeffs for v in img.vertices} == {g(v).coeffs for v in square.vertices}
@@ -468,7 +479,7 @@ class TestRecords:
 
     def test_records_are_frozen(self, ctx12):
         z = ctx12.point(1, 1)
-        square = intersect_halfplanes(square_constraints(ctx12))
+        square = region(square_constraints(ctx12))
         records = [(Box(0, 0, 1, 1), "x0"), (HalfPlane(0, z, 1), "side"), (square, "vertices"),
                    (ExactSegment(z, 2 * z, 0), "depth"), (AffineMap(1, z), "offset")]
         for record, name in records:
@@ -476,7 +487,7 @@ class TestRecords:
                 setattr(record, name, getattr(record, name))
 
     def test_polygon_length_is_its_vertex_count(self, ctx12):
-        square = intersect_halfplanes(square_constraints(ctx12))
+        square = region(square_constraints(ctx12))
         assert len(square) == len(square.vertices) == 4
 
 
@@ -529,7 +540,7 @@ def built_polygons(ctx12, ctx5):
     for e in hexagon_edges[:-1]:
         equiangular.append(equiangular[-1] + e)
     return [
-        (intersect_halfplanes(square_constraints(ctx12)), True),
+        (region(square_constraints(ctx12)), True),
         (make_polygon([ctx12.point(0, 0), ctx12.point(2, 0), ctx12.point(2, 1),
                        ctx12.point(0, 1)]), False),
         # side 2, angles of 60 and 120 degrees
@@ -738,24 +749,24 @@ class TestPredicateCertificate:
         # the grid line through (1, 1) along lambda^-t (120 or 150 degrees)
         # touches the unit square only there
         cons = square_constraints(ctx12) + [through(ctx12, t, ctx12.point(1, 1))]
-        square = intersect_halfplanes(square_constraints(ctx12))
+        square = region(square_constraints(ctx12))
         del exact_signs[:]
-        assert intersect_halfplanes(cons) == square
+        assert region(cons) == square
         assert "_side" in exact_signs
-        assert all_exact(intersect_halfplanes, cons) == square
+        assert all_exact(region, cons) == square
 
     def test_nested_constraints_on_one_line(self, ctx12, exact_signs):
         # y > 0 again, with an offset whose imaginary part is that of y > 0's
         # but whose vector is not: the binding pass keeps the first of the
         # two, in either order
         sqrt3 = ctx12.zeta_pow(1) + ctx12.zeta_pow(1).conj()
-        square = intersect_halfplanes(square_constraints(ctx12))
+        square = region(square_constraints(ctx12))
         for extra in (HalfPlane(0, sqrt3, 1), HalfPlane(0, -sqrt3, 1)):
             for cons in (square_constraints(ctx12) + [extra], [extra] + square_constraints(ctx12)):
                 del exact_signs[:]
                 assert geometry._binding_offsets(cons)[0] == cons[0].b
                 assert exact_signs == ["_binding_offsets"]
-                assert intersect_halfplanes(cons) == square
+                assert region(cons) == square
 
     @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
     def test_strip_of_zero_width(self, exact_signs, p, q):
@@ -765,7 +776,7 @@ class TestPredicateCertificate:
             b = -(ctx.lam_pow(t) * w)
             cons = [HalfPlane(t, b, 1), HalfPlane(t, b, -1)]
             del exact_signs[:]
-            assert intersect_halfplanes(cons) is EMPTY
+            assert region(cons) is EMPTY
             assert exact_signs == ["intersect_halfplanes"]
 
     @pytest.mark.parametrize("p, q", [(4, 5), (11, 12), (3, 7)])
@@ -779,13 +790,13 @@ class TestPredicateCertificate:
                 b = -(ctx.lam_pow(t) * w)
                 cons = [HalfPlane(t, b, 1), HalfPlane(t, b - ctx.point(0, eps), -1)]
                 del exact_signs[:]
-                result = intersect_halfplanes(cons)
+                result = region(cons)
                 assert result is (UNBOUNDED if eps > 0 else EMPTY)
                 assert exact_signs == ["intersect_halfplanes"]
-                assert all_exact(intersect_halfplanes, cons) is result
+                assert all_exact(region, cons) is result
 
     def test_point_a_hair_off_an_edge(self, ctx5, ctx12, exact_signs):
-        square = intersect_halfplanes(square_constraints(ctx12))
+        square = region(square_constraints(ctx12))
         for eps, where in ((HAIR, Location.INTERIOR), (-HAIR, Location.EXTERIOR)):
             del exact_signs[:]
             assert polygon_contains(square, ctx12.point(Fraction(1, 2), eps)) == where
@@ -815,14 +826,14 @@ class TestPredicateCertificate:
     def test_constraint_a_hair_off_a_vertex(self, ctx12, exact_signs, t):
         # the line of the redundant constraint above, moved up by 10^-30
         # (redundant) or down (it cuts a corner off the square)
-        square = intersect_halfplanes(square_constraints(ctx12))
+        square = region(square_constraints(ctx12))
         for eps in (HAIR, -HAIR):
             cons = square_constraints(ctx12) + [through(ctx12, t, ctx12.point(1, 1 + eps))]
             del exact_signs[:]
-            poly = intersect_halfplanes(cons)
+            poly = region(cons)
             assert (poly == square) == (eps > 0) and len(poly) == (4 if eps > 0 else 5)
             assert "_side" in exact_signs
-            assert all_exact(intersect_halfplanes, cons) == poly
+            assert all_exact(region, cons) == poly
 
 
 class TestEdgeDirections:

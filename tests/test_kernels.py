@@ -99,7 +99,7 @@ def streamed_polygon(tile):
     return intersect_halfplanes(
         HalfPlane(j % ctx.q, b, word[j % tile.ell])
         for j, b in enumerate(branch_offsets(ctx, word, n - 1))
-    )
+    )[0]
 
 
 def force_exact(m, ctx):

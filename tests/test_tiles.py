@@ -426,7 +426,7 @@ class TestStreamedConstraints:
 
             assert len(geometry._binding_offsets(walk())) <= ctx.m
             assert list(branch_offsets(ctx, word, n - 1)) == [h.b for h in full]
-            assert intersect_halfplanes(walk()) == intersect_halfplanes(full) == tile.polygon
+            assert intersect_halfplanes(walk())[0] == intersect_halfplanes(full)[0] == tile.polygon
             # the vertex average is the block map's fixed point
             assert tile.center == rotation_center(affine_along(ctx, word))
 
