@@ -31,8 +31,8 @@
  * one more step, v_n, the zero test and a nominee's difference cannot
  * overflow int64 while max|W_j| stays at or below the threshold.  A step
  * checks the entries it touched; when one grows past it, or the start or
- * target is past it, the walk drops what it has found and returns None, and
- * the caller walks the orbit again in the pure kernel.
+ * target is past it (or past int64), the walk drops what it has found and
+ * returns None, and the caller walks the orbit again in the pure kernel.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -506,10 +506,12 @@ static PyObject *Kernel_walk(Kernel *k, PyObject *args, PyObject *kwds)
     int status = target != Py_None ? STATUS_BUDGET : STATUS_OK;
     st.w = buf, st.steps = 0, st.r = 0, st.e = 0;
     v = buf + d;
-    if (read_seq(v_start, d, st.w, NULL) < 0
-        || (target != Py_None && read_seq(target, d, v, NULL) < 0))
+    int unread = read_seq(v_start, d, st.w, NULL) < 0
+                 || (target != Py_None && read_seq(target, d, v, NULL) < 0);
+    if (unread && !PyErr_ExceptionMatches(PyExc_OverflowError))
         goto done;
-    if (too_big(k, st.w) || (target != Py_None && too_big(k, v))) {
+    if (unread || too_big(k, st.w) || (target != Py_None && too_big(k, v))) {
+        PyErr_Clear();
         out = Py_NewRef(Py_None);
         goto done;
     }

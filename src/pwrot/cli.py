@@ -292,7 +292,7 @@ def _scan_json(report, tiles) -> str:
 def cmd_scan(args) -> int:
     ctx = _field(args)
     box = parse_box(args.box)
-    if args.format == "csv" and args.out and Path(args.out).suffix == ".json":
+    if args.format == "csv" and args.out and Path(args.out).suffix.lower() == ".json":
         raise ParameterError(f"--out {args.out}: the CSV and its JSON sidecar would both be "
                              "written there; give the CSV another suffix")
     report = scan_region(

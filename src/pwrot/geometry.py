@@ -4,10 +4,12 @@ Every line the engine meets lies on the direction grid of the map: a grid
 line is {w : Im(zeta^e * w) = -beta} for an integer exponent e mod m and a
 real field element beta.  Half-plane boundaries, critical segments (along
 lambda^t = zeta^(t0*t)) and box faces (exponents 0, m/4, m/2, 3m/4) are
-all grid lines, so parallel and antiparallel directions, angular order and
-boundedness are decided by comparing exponents, and every crossing is the
-grid corner of two lines: a closed form, computed in one lattice pass,
-whose only reciprocal, 1/Im(zeta^k), is cached per exponent difference.
+all grid lines, and a ``HalfPlane`` is given on its line, as the pair (e, c)
+of {w : Im(zeta^e * w + c) > 0}, beta = Im(c).  So parallel and
+antiparallel directions, angular order and boundedness are decided by
+comparing exponents, and every crossing is the grid corner of two lines: a
+closed form, computed in one lattice pass, whose only reciprocal,
+1/Im(zeta^k), is cached per exponent difference.
 Half-plane intersection finds its vertices with one half-plane sweep, which
 builds only the corners of its ring, certifies by one interior point that
 the open intersection is nonempty, and returns its closure; segment
@@ -108,16 +110,16 @@ class Box:
 
 
 class HalfPlane(NamedTuple):
-    """Open half-plane {w : side * Im(lambda^power * w + b) > 0}.
+    """Open half-plane {w : Im(zeta^e * w + c) > 0}, e read mod m.
 
-    Every constraint the engine intersects is bounded by a line parallel to
-    a rotated copy of the discontinuity line, so its direction is the
-    integer ``power``; the unit lambda^power is implied and never stored.
+    Every constraint the engine intersects is bounded by a grid line, so the
+    integer ``e`` names its inward normal i * zeta^-e; the unit zeta^e is
+    implied and never stored.  The two sides of the line
+    Im(zeta^e * w + c) = 0 are (e, c) and (e + m/2, -c).
     """
 
-    power: int
-    b: CycloNum
-    side: int
+    e: int
+    c: CycloNum
 
 
 class ConvexPolygon(NamedTuple):
@@ -192,14 +194,6 @@ def grid_corner(e: int, beta_e: CycloNum, f: int, beta_f: CycloNum) -> CycloNum:
     return ctx.from_lattice(ctx._mul_vecs(vec, inv.vec), da * fa * inv.den)
 
 
-def _grid_form(h: HalfPlane) -> tuple[int, CycloNum]:
-    """(e, c) with h = {w : Im(zeta^e * w + c) > 0}, e in [0, m)."""
-    ctx = h.b.ctx
-    if h.side > 0:
-        return ctx.t0 * h.power % ctx.m, h.b
-    return (ctx.t0 * h.power + ctx.m // 2) % ctx.m, -h.b
-
-
 # -- certified integer enclosures ----------------------------------------------
 
 
@@ -227,16 +221,15 @@ def _sum_sign(t1: int, e1: int, s1: int, t2: int, e2: int, s2: int) -> Optional[
 
 
 def _binding_offsets(constraints: Iterable[HalfPlane]) -> dict[int, CycloNum]:
-    """The constraints that can bind, at most one per direction, in grid
-    form: written as Im(zeta^e * w + c) > 0, those of one exponent e are
-    nested, and the first with the least Im(c) is kept, as the offset c.
-    Takes any iterable and holds at most m.  A later c' replaces c when
-    Im(c' - c) < 0, decided by ``_sum_sign`` on the enclosures of Im(c')
-    and -Im(c), with the exact sign of Im(c' - c) only when they leave it
-    open."""
+    """The constraints that can bind, at most one per exponent e, reduced
+    mod m once: those of one exponent are nested, and the first with the
+    least Im(c) is kept, as the offset c.  Takes any iterable and holds at
+    most m.  A later c' replaces c when Im(c' - c) < 0, decided by
+    ``_sum_sign`` on the enclosures of Im(c') and -Im(c), with the exact
+    sign of Im(c' - c) only when they leave it open."""
     best: dict[int, CycloNum] = {}
-    for h in constraints:
-        e, c = _grid_form(h)
+    for e, c in constraints:
+        e %= c.ctx.m
         old = best.get(e)
         if old is not None:
             _, y, err, s = old.enclosure()
@@ -250,21 +243,21 @@ def _binding_offsets(constraints: Iterable[HalfPlane]) -> dict[int, CycloNum]:
 
 
 def intersect_halfplanes(constraints: Iterable[HalfPlane]):
-    """Exact intersection of open half-planes on the lambda^k direction grid.
+    """Exact intersection of open half-planes on the direction grid.
 
     Returns (region, average): region is the closure polygon of the (then
     open, full-dimensional) intersection, or EMPTY, or UNBOUNDED, and
     average is the vertex average its certificate tested, None unless the
     region is a polygon, so a tile takes its center from the one average
-    computed here.  Each constraint is rewritten as
-    Im(zeta^e * w + c) > 0 with an integer exponent e mod m, so every
-    direction decision compares exponents: only the least Im(c) per exponent
-    binds, and one streaming pass over the constraints keeps it; an
-    antiparallel pair e, e + m/2 bounds a strip that is empty unless the two
-    Im(c) sum to a positive number, decided from the offsets' enclosures by
-    ``_sum_sign`` (exactly only when they leave it open, as for a strip of
-    zero width); and the intersection is unbounded exactly when some cyclic
-    gap between the sorted exponents is at least m/2.  A bounded system
+    computed here.  Each constraint is given as Im(zeta^e * w + c) > 0
+    with an integer exponent e mod m, so every direction decision compares
+    exponents: only the least Im(c) per exponent binds, and one streaming
+    pass over the constraints keeps it; an antiparallel pair e, e + m/2
+    bounds a strip that is empty unless the two Im(c) sum to a positive
+    number, decided from the offsets' enclosures by ``_sum_sign`` (exactly
+    only when they leave it open, as for a strip of zero width); and the
+    intersection is unbounded exactly when some cyclic gap between the
+    sorted exponents is at least m/2.  A bounded system
     goes through one half-plane sweep, which decides its tests on the
     offsets' enclosures and builds only the corners of its ring (``_sweep``).
     When the open intersection is nonempty the sweep's vertex ring is its

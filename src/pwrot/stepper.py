@@ -143,20 +143,19 @@ def _plan(ctx: FieldContext) -> _Plan:
 def _walk(z: CycloNum, budget: int, target=None, select=False):
     """One kernel walk of the orbit of z: (status, signs, touches, nominees),
     with the touches' exact values, and nominees None unless ``select``.  The
-    compiled kernel walks when z fits its int64 bound; a compiled walk that
-    outgrows the bound returns None, and the pure kernel walks the orbit
-    again from z.  Each Galois embedding of an iterate moves by at most 1 per
-    step, and W_n = lambda^-n v_n has embeddings of the same size, so the
-    coefficients of W grow at most linearly, and only a walk that starts
+    compiled kernel walks when the denominator leaves its int64 bound room for
+    a step (else its constructor would raise); a compiled walk that starts
+    past the bound or outgrows it returns None, and the pure kernel walks the
+    orbit again from z.  Each Galois embedding of an iterate moves by at most
+    1 per step, and W_n = lambda^-n v_n has embeddings of the same size, so
+    the coefficients of W grow at most linearly, and only a walk that starts
     near the bound (a huge denominator or coefficient) outgrows it."""
     ctx = z.ctx
     plan = _plan(ctx)
     denom = z.den
     out = None
-    if _compiled_enabled():
-        thresh = plan.int64_threshold(denom)
-        if thresh > 0 and max(abs(x) for x in z.vec) <= thresh:
-            out = plan.compiled_kernel(denom).walk(z.vec, budget, target, select)
+    if _compiled_enabled() and plan.int64_threshold(denom) > 0:
+        out = plan.compiled_kernel(denom).walk(z.vec, budget, target, select)
     if out is None:
         out = plan.pure_kernel(denom).walk(z.vec, budget, target, select)
     status, signs, touches, best = out

@@ -10,12 +10,13 @@ The block is read off the signs that the seed's first-return walk records,
 and the polygon comes from the same walk, so a seed costs one kernel walk
 and nothing walks its branch offsets.  The cell is the intersection of the
 k*ell constraints s_j Im(lambda^j w + b_j) > 0 pulled back along the block,
-with b_j = z_j - lambda^j z; within a direction class they are nested, and
-the one whose iterate z_j lies nearest the line binds.  The kernel keeps
-that iterate per class while it walks, decided by exact signs.  A center
-seed's walk ends at ell, so each nominee stands for k indices, and the one
-binding pass of ``geometry.intersect_halfplanes`` keeps at most m of the
-copies.  When k > 1 the block map permutes the vertices and fixes one
+with b_j = z_j - lambda^j z: the grid half-planes Im(zeta^e w + s_j b_j) > 0
+of the classes e = t0*j (+ m/2 when s_j < 0) mod m.  Within a class they
+are nested, and the one whose iterate z_j lies nearest the line binds.  The
+kernel keeps that iterate per class while it walks, decided by exact signs.
+A center seed's walk ends at ell, so each nominee stands for k indices, and
+the one binding pass of ``geometry.intersect_halfplanes`` keeps at most m of
+the copies.  When k > 1 the block map permutes the vertices and fixes one
 point, the center, so the center is the vertex average; a k = 1 tile has
 no unique center and reports its seed.
 """
@@ -128,32 +129,34 @@ def _minimal_block(rec: OrbitRecord) -> tuple[int, ...]:
 
 def _nominee_halfplanes(rec: OrbitRecord, period: int) -> list[HalfPlane]:
     """The pulled-back constraints of the nominees of the seed's
-    first-return walk, in index order.
+    first-return walk, each given in its class.
 
-    Constraint j < period, s_j Im(lambda^j w + b_j) > 0, is in the class
-    e = (t0*j + (m/2 if s_j < 0)) mod m, and the one of least s_j Im(z_j)
-    binds there, which the walk nominated; the first index on a tie.  A
-    center seed's walk ends at ell = period / k, and z_(j + i*ell) = z_j is
-    in class e + i*ell*t0, so each nominee stands for k indices, and the
-    copies that share a class are nested.  ``intersect_halfplanes`` makes
-    the one binding pass, which keeps the first least one per class.
+    Constraint j < period, s_j Im(lambda^j w + b_j) > 0, is the half-plane
+    Im(zeta^e w + s_j b_j) > 0 of class e = (t0*j + (m/2 if s_j < 0)) mod m,
+    and the one of least s_j Im(z_j) binds there, which the walk nominated
+    as ``rec.nominees[e]``.  A center seed's walk ends at ell = period / k,
+    and z_(j + i*ell) = z_j is in class e + t0*i*ell, so each nominee stands
+    for k indices.  ``intersect_halfplanes`` makes the one binding pass;
+    nothing after it reads Re of an offset, so which of two tied ones it
+    keeps cannot change the polygon.
 
-    A nominee z_j = vec / z.den shares the seed's denominator, so
-    b_j = (vec - zeta^(t0*j) * z.vec) / z.den is one permutation and one
-    reduction.
+    A nominee z_j = vec / z.den shares the seed's denominator, and
+    s_j lambda^(j + i*ell) = zeta^f for the copy's class f, so its offset
+    s_j b_(j + i*ell) = (s_j vec - zeta^f z.vec) / z.den is one permutation
+    and one reduction.
     """
     z = rec.start
     ctx = z.ctx
-    m, t0, walked = ctx.m, ctx.t0, rec.period
-    nominees = sorted((j + i, vec) for j, vec in filter(None, rec.nominees)
-                      for i in range(0, period, walked))
-    return [
-        HalfPlane(j % ctx.q,
-                  ctx.from_lattice([x - y for x, y in zip(vec, ctx._permute(z.vec, 1, t0 * j % m))],
-                                   z.den),
-                  rec.signs[j % walked])
-        for j, vec in nominees
-    ]
+    out = []
+    for e, nominee in enumerate(rec.nominees):
+        if nominee:
+            j, vec = nominee
+            s = rec.signs[j]
+            for f in range(e, e + ctx.t0 * period, ctx.t0 * rec.period):  # f = e + t0*i*ell
+                rotated = ctx._permute(z.vec, 1, f)
+                c = ctx.from_lattice([s * x - y for x, y in zip(vec, rotated)], z.den)
+                out.append(HalfPlane(f, c))
+    return out
 
 
 def _build_tile(rec: OrbitRecord, block: tuple[int, ...]) -> Tile:

@@ -4,6 +4,7 @@
 from collections import deque
 
 from pwrot.dynamics import AffineMap, branch_offsets
+from pwrot.geometry import HalfPlane
 
 
 def affine_along(ctx, word) -> AffineMap:
@@ -23,3 +24,10 @@ def compose(second: AffineMap, first: AffineMap) -> AffineMap:
 def rotation_center(g: AffineMap):
     """The fixed point of w -> lambda^t w + b, for lambda^t != 1."""
     return g.offset * (g.ctx.one() - g.ctx.lam_pow(g.power)).inverse()
+
+
+def pulled_back(ctx, t, b, s) -> HalfPlane:
+    """The constraint s * Im(lambda^t w + b) > 0 in grid form: with
+    lambda^t = zeta^(t0*t) and zeta^(m/2) = -1 it is Im(zeta^e w + c) > 0
+    for e = t0*t (+ m/2 when s < 0) mod m and c = s*b."""
+    return HalfPlane((ctx.t0 * t + (ctx.m // 2 if s < 0 else 0)) % ctx.m, s * b)

@@ -171,6 +171,13 @@ class TestIterate:
             assert value == GOLDEN_ITERATES_PHI[i]
         assert lines[0].endswith("\t0")   # Q starts on the line
 
+    def test_phi_format_needs_conductor_20(self, capsys):
+        code, out, err = run(
+            capsys, "iterate", "--alpha", "11/12", "--point", "(1, 1)", "--format", "phi",
+        )
+        assert code == 4
+        assert out == "" and "conductor-20" in err
+
     def test_json_digest(self, capsys, tmp_path):
         # the SHA-256 of the exact coefficient strings and shadows, taken
         # before the strings were written without Fraction objects
@@ -381,6 +388,15 @@ class TestCritical:
                            "--box=1,1,2,2")
         assert code == 0 and out == ""
 
+    def test_empty_bundle_draws_the_empty_figure(self, capsys):
+        # a scene with nothing in it spans the default square -1..1
+        code, out, _ = run(capsys, "critical", "--alpha", "4/5", "--box=0,1,1,2", "--depth", "0",
+                           "--format", "svg")
+        assert code == 0
+        root = ET.fromstring(out)
+        assert (root.get("width"), root.get("height")) == ("800.0", "800.0")
+        assert [child.tag.split("}")[-1] for child in root] == ["rect"]
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_each_distinct_endpoint_is_formatted_once(self, capsys, monkeypatch, fmt):
         argv = ("--alpha", "4/5", "--depth", "8", "--box=-3,-3,3,3", "--direction", "both")
@@ -490,6 +506,18 @@ class TestScan:
         )
         assert code == 0
         assert json.loads(target.read_text())["tiles"]
+
+    def test_csv_out_with_an_upper_case_json_suffix_is_bad_input(self, capsys, tmp_path):
+        # t.JSON and its sidecar t.json are one file where names ignore case,
+        # so the sidecar would overwrite the CSV: refuse before writing either
+        target = tmp_path / "t.JSON"
+        code, out, err = run(
+            capsys, "scan", "--alpha", "4/5", "--box=-1,-1,1,1", "--grid", "1/2",
+            "--budget", "2000", "--out", str(target),
+        )
+        assert code == 4
+        assert out == "" and str(target) in err and "sidecar" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_svg_digest(self, capsys, tmp_path):
         # taken before the tiles scene was built through the polygon scene

@@ -55,6 +55,12 @@ class TestLayers:
                 layer = base_layer(ctx5, box, direction)
                 assert (layer.depth, layer.segments, layer.direction) == (0, (), direction)
 
+    def test_empty_layer_advances_to_an_empty_layer(self, ctx5):
+        box = Box(0, 1, 1, 2)
+        for direction, advance in ((PULLBACK, pullback_layer), (FORWARD, forward_layer)):
+            layer = advance(base_layer(ctx5, box, direction), box, total_depth=1)
+            assert (layer.depth, layer.segments, layer.direction) == (1, (), direction)
+
     def test_next_layer_checks_direction_and_depth(self, ctx5):
         with pytest.raises(ParameterError, match="pullback-direction layer"):
             pullback_layer(base_layer(ctx5, BOX, direction=FORWARD), BOX, total_depth=1)
@@ -332,6 +338,11 @@ class TestEnclosedEndpoints:
 
 
 class TestMergeCollinear:
+    def test_zero_length_segments_are_dropped(self, ctx5):
+        z, seg = ctx5.point(5, 0), ExactSegment(ctx5.point(0, 0), ctx5.point(2, 0), 0)
+        assert merge_collinear(ctx5, [ExactSegment(z, z, 0)]) == []
+        assert merge_collinear(ctx5, [ExactSegment(z, z, 0), seg]) == [seg]
+
     def test_overlaps_merge(self, ctx5):
         segs = [
             ExactSegment(ctx5.point(0, 0), ctx5.point(2, 0), 0),

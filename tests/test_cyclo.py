@@ -182,6 +182,14 @@ class TestFieldArithmetic:
         with pytest.raises(WrongContextError):
             self.ctx.one() + other.one()
 
+    def test_division_by_a_negative_rational(self):
+        # from_lattice keeps the denominator positive
+        z = self.ctx.point(1, 2)
+        for divisor, quotient in ((-3, self.ctx.point(Fraction(-1, 3), Fraction(-2, 3))),
+                                  (Fraction(-2, 5), self.ctx.point(Fraction(-5, 2), -5))):
+            w = z / divisor
+            assert w.den > 0 and w == quotient
+
     def test_pow(self):
         lam = self.ctx.lambda_
         assert lam ** 5 == 1

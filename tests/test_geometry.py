@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from pwrot.casestudy import golden_context, pentagon_centers
 from pwrot.critical import window
 from pwrot.cyclo import (
     CycloNum,
@@ -15,7 +16,7 @@ from pwrot.cyclo import (
     sign_of_imag,
     sign_of_real,
 )
-from pwrot.dynamics import AffineMap, step
+from pwrot.dynamics import AffineMap, minimal_period, step
 from pwrot.geometry import (
     EMPTY,
     UNBOUNDED,
@@ -35,10 +36,10 @@ from pwrot.geometry import (
     vertex_average,
 )
 from pwrot.errors import ParameterError
-from pwrot import geometry
-from pwrot.tiles import scan_region
+from pwrot import geometry, tiles
+from pwrot.tiles import scan_region, tile_from_seed
 
-from affine import affine_along
+from affine import affine_along, pulled_back
 from fieldops import squared_abs
 from segments import orientation, point_on_segment
 from test_acceptance import SCANS
@@ -56,11 +57,22 @@ def ctx12():
 
 def upper(ctx):
     """The open upper half plane as a constraint."""
-    return HalfPlane(0, ctx.zero(), 1)
+    return HalfPlane(0, ctx.zero())  # y > 0
 
 
 def lower(ctx):
-    return HalfPlane(0, ctx.zero(), -1)
+    return HalfPlane(ctx.m // 2, ctx.zero())  # y < 0
+
+
+def through(e, w):
+    """The half-plane Im(zeta^e * v) > Im(zeta^e * w), on whose line w lies."""
+    return HalfPlane(e, -(w.ctx.zeta_pow(e) * w))
+
+
+def opposite(h):
+    """The open half-plane on the other side of h's line."""
+    m = h.c.ctx.m
+    return HalfPlane((h.e + m // 2) % m, -h.c)
 
 
 def region(constraints):
@@ -81,23 +93,25 @@ def use_mode(request, mode):
 
 
 def side_of(h, w):
-    """Sign of Im(lambda^power * w + b), before the side of h is applied."""
-    return sign_of_imag(h.b.ctx.lam_pow(h.power) * w + h.b)
+    """Sign of Im(zeta^e * w + c), by one field product: a reference that
+    shares no code with ``geometry._side``."""
+    return sign_of_imag(h.c.ctx.zeta_pow(h.e) * w + h.c)
 
 
 def holds(h, w):
     """w lies in the open half-plane h."""
-    return side_of(h, w) * h.side > 0
+    return side_of(h, w) == Sign.POSITIVE
 
 
 class TestHalfPlaneFromConstraint:
-    """{w : s * Im(G(w)) > 0} for a branch composition G is
-    HalfPlane(G.power mod q, G.offset, s)."""
+    """{w : s * Im(G(w)) > 0} for a branch composition G is HalfPlane(e, c)
+    with e = t0 * G.power (+ m/2 when s < 0) and c = s * G.offset."""
 
     def test_identity_gives_half_planes(self, ctx5):
         ident = AffineMap(0, ctx5.zero())
-        hp = HalfPlane(ident.power % ctx5.q, ident.offset, 1)
-        hm = HalfPlane(ident.power % ctx5.q, ident.offset, -1)
+        hp = pulled_back(ctx5, ident.power, ident.offset, 1)
+        hm = pulled_back(ctx5, ident.power, ident.offset, -1)
+        assert (hp, hm) == (HalfPlane(0, ctx5.zero()), HalfPlane(10, ctx5.zero()))
         assert holds(hp, ctx5.point(0, 1))
         assert not holds(hp, ctx5.point(0, -1))
         assert holds(hm, ctx5.point(0, -1))
@@ -107,22 +121,26 @@ class TestHalfPlaneFromConstraint:
         # membership in the pulled-back constraint agrees with the branch of
         # the stepped point, checked by brute force on upper-half samples
         g = affine_along(ctx5, (1,))
-        hp = HalfPlane(g.power % ctx5.q, g.offset, 1)
+        hp, hm = pulled_back(ctx5, g.power, g.offset, 1), pulled_back(ctx5, g.power, g.offset, -1)
+        # lambda = zeta^16 in Q(zeta_20), and -lambda = zeta^6
+        assert (hp, hm) == (HalfPlane(16, g.offset), HalfPlane(6, -g.offset))
+        assert hm == opposite(hp)
         rng = random.Random(42)
         for _ in range(30):
             w = ctx5.point(Fraction(rng.randint(-20, 20), 3), Fraction(rng.randint(1, 20), 3))
             assert holds(hp, w) == (sign_of_imag(step(w)) == Sign.POSITIVE)
+            assert holds(hm, w) == (sign_of_imag(step(w)) == Sign.NEGATIVE)
 
 
 def square_constraints(ctx12, shuffle_seed=None):
-    # directions lambda^0, lambda^3, lambda^6, lambda^9 are the four axes
-    # for the order-12 rotation; offsets carve the unit square
+    # exponents 0, 9, 6, 3 of zeta_12 (1, -i, -1, i) are the four axes;
+    # offsets carve the unit square
     i = ctx12.i_unit
     cons = [
-        HalfPlane(0, ctx12.zero(), 1),   # y > 0
-        HalfPlane(3, i, 1),              # x < 1
-        HalfPlane(6, i, 1),              # y < 1
-        HalfPlane(9, ctx12.zero(), 1),   # x > 0
+        HalfPlane(0, ctx12.zero()),   # y > 0
+        HalfPlane(9, i),              # x < 1
+        HalfPlane(6, i),              # y < 1
+        HalfPlane(3, ctx12.zero()),   # x > 0
     ]
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(cons)
@@ -138,22 +156,22 @@ class TestIntersectHalfplanes:
 
     def test_strip_unbounded(self, ctx12):
         cons = [
-            HalfPlane(0, ctx12.zero(), 1),
-            HalfPlane(6, ctx12.i_unit, 1),
+            HalfPlane(0, ctx12.zero()),    # y > 0
+            HalfPlane(6, ctx12.i_unit),    # y < 1
         ]
         assert region(cons) is UNBOUNDED
 
     def test_empty_strip(self, ctx12):
         cons = [
-            HalfPlane(0, -ctx12.i_unit, 1),  # y > 1
-            HalfPlane(6, ctx12.zero(), 1),   # y < 0
+            HalfPlane(0, -ctx12.i_unit),  # y > 1
+            HalfPlane(6, ctx12.zero()),   # y < 0
         ]
         assert region(cons) is EMPTY
 
     def test_wedge_unbounded(self, ctx12):
         cons = [
-            HalfPlane(0, ctx12.zero(), 1),
-            HalfPlane(9, ctx12.zero(), 1),
+            HalfPlane(0, ctx12.zero()),   # y > 0
+            HalfPlane(3, ctx12.zero()),   # x > 0
         ]
         assert region(cons) is UNBOUNDED
 
@@ -172,18 +190,18 @@ class TestIntersectHalfplanes:
         base = region(square_constraints(ctx12))
         shuffled = square_constraints(ctx12, shuffle_seed=9)
         # redundant parallel constraint (y > -3) plus an exact duplicate
-        shuffled.append(HalfPlane(0, 3 * ctx12.i_unit, 1))
+        shuffled.append(HalfPlane(0, 3 * ctx12.i_unit))
         shuffled.append(square_constraints(ctx12)[0])
         again = region(shuffled)
         assert again.key() == base.key()
 
     def test_triangle(self, ctx12):
-        # lambda = zeta_12^11, so lambda^9 = i and lambda^4 = zeta_12^8
+        # zeta_12^3 = i and zeta_12^8 = -(1 + sqrt(3) i)/2
         sqrt3 = ctx12.zeta_pow(1) + ctx12.zeta_pow(1).conj()
         cons = [
-            HalfPlane(9, ctx12.zero(), 1),     # x > 0
-            HalfPlane(0, ctx12.zero(), 1),     # y > 0
-            HalfPlane(4, ctx12.i_unit, 1),     # sqrt(3)*x + y < 2
+            HalfPlane(3, ctx12.zero()),     # x > 0
+            HalfPlane(0, ctx12.zero()),     # y > 0
+            HalfPlane(8, ctx12.i_unit),     # sqrt(3)*x + y < 2
         ]
         poly = region(cons)
         assert isinstance(poly, ConvexPolygon)
@@ -193,28 +211,29 @@ class TestIntersectHalfplanes:
         # three grid lines through (1, 1) whose inward normals are 120 degrees
         # apart: the closed intersection is that single point
         p = ctx12.point(1, 1)
-        cons = [HalfPlane(t, -(ctx12.lam_pow(t) * p), 1) for t in (0, 4, 8)]
+        cons = [through(e, p) for e in (0, 8, 4)]
         assert region(cons) is EMPTY
 
     def test_odd_q_antiparallel_strip_empty(self, ctx5):
-        # for q = 5, -lambda^k is no power of lambda: the far side of a line
-        # is reached only through side -1
-        below_zero = HalfPlane(1, ctx5.zero(), -1)  # Im(lambda w) < 0
-        above_one = HalfPlane(1, -ctx5.i_unit, 1)  # Im(lambda w) > 1
-        above_zero = HalfPlane(1, ctx5.zero(), 1)  # Im(lambda w) > 0
+        # for q = 5, -lambda = zeta^6 is no power of lambda = zeta^16 (those
+        # are the multiples of 4 mod 20): the far side of a line has its own
+        # exponent
+        below_zero = HalfPlane(6, ctx5.zero())  # Im(lambda w) < 0
+        above_one = HalfPlane(16, -ctx5.i_unit)  # Im(lambda w) > 1
+        above_zero = HalfPlane(16, ctx5.zero())  # Im(lambda w) > 0
         assert region([above_one, below_zero]) is EMPTY
         assert region([above_zero, below_zero]) is EMPTY
 
     def test_odd_q_strip_unbounded(self, ctx5):
         # 0 < Im(lambda w) < 1
-        cons = [HalfPlane(1, ctx5.zero(), 1), HalfPlane(1, -ctx5.i_unit, -1)]
+        cons = [HalfPlane(16, ctx5.zero()), HalfPlane(6, ctx5.i_unit)]
         assert region(cons) is UNBOUNDED
 
     def test_odd_q_wedge_unbounded(self, ctx5):
         cons = [
-            HalfPlane(0, ctx5.zero(), 1),
-            HalfPlane(1, ctx5.zero(), 1),
-            HalfPlane(3, ctx5.zero(), -1),
+            HalfPlane(0, ctx5.zero()),    # Im(w) > 0
+            HalfPlane(16, ctx5.zero()),   # Im(lambda w) > 0
+            HalfPlane(18, ctx5.zero()),   # Im(lambda^3 w) < 0
         ]
         assert region(cons) is UNBOUNDED
 
@@ -236,11 +255,10 @@ class TestIntersectHalfplanes:
                 anchors = [quarter_point(ctx) for _ in range(3)]
                 cons = []
                 for _ in range(rng.randint(3, 2 * ctx.q)):
-                    t = rng.randrange(ctx.q)
-                    b = -(ctx.lam_pow(t) * rng.choice(anchors))
-                    s = sign_of_imag(ctx.lam_pow(t) * c + b)
+                    h = through(ctx.t0 * rng.randrange(ctx.q) % ctx.m, rng.choice(anchors))
+                    s = side_of(h, c)
                     if s != Sign.ZERO:
-                        cons.append(HalfPlane(t, b, int(s)))
+                        cons.append(h if s > 0 else opposite(h))
                 systems.append((ctx, c, cons))
         enclosed = [region(cons) for _, _, cons in systems]
         use_mode(request, mode)
@@ -257,7 +275,7 @@ class TestIntersectHalfplanes:
             polygons += 1
             assert polygon_contains(poly, c) == Location.INTERIOR
             for v in poly.vertices:
-                assert all(side_of(h, v) * h.side >= 0 for h in cons)
+                assert all(side_of(h, v) != Sign.NEGATIVE for h in cons)
             for a, b in poly.edges():
                 assert orientation(a, b, c) == Sign.POSITIVE
                 assert any(
@@ -271,9 +289,7 @@ class TestIntersectHalfplanes:
         poly = region(cons)
         for h in cons:
             for v in poly.vertices:
-                assert side_of(h, v) != (
-                    Sign.NEGATIVE if h.side > 0 else Sign.POSITIVE
-                )
+                assert side_of(h, v) != Sign.NEGATIVE
         centroid = poly.vertices[0]
         for v in poly.vertices[1:]:
             centroid = centroid + v
@@ -292,12 +308,52 @@ class TestIntersectHalfplanes:
         assert intersect_halfplanes([upper(ctx5)]) == (UNBOUNDED, None)
 
 
+def box_faces(ctx, box):
+    """The four faces of a box as grid half-planes: zeta^(m/4) = i, so
+    Im(zeta^e * w) is y, x, -y and -x for e = 0, m/4, m/2 and 3m/4."""
+    m, i = ctx.m, ctx.i_unit
+    return [HalfPlane(0, -box.y0 * i), HalfPlane(m // 4, -box.x0 * i),
+            HalfPlane(m // 2, box.y1 * i), HalfPlane(3 * m // 4, box.x1 * i)]
+
+
+class TestBoxFaces:
+    """A box face x = x0 has exponent m/4, which at odd q is no class of a
+    pulled-back constraint (those are t0*t and t0*t + m/2, even mod m), yet
+    it is a grid half-plane like any other."""
+
+    @pytest.mark.parametrize("p, q", [(4, 5), (3, 7)])
+    def test_faces_intersect_to_the_rectangle(self, p, q):
+        ctx = make_field(p, q)
+        box = Box(Fraction(-1, 3), Fraction(1, 2), Fraction(5, 4), 2)
+        poly, average = intersect_halfplanes(box_faces(ctx, box))
+        assert list(poly.vertices) == [ctx.point(box.x0, box.y0), ctx.point(box.x1, box.y0),
+                                       ctx.point(box.x1, box.y1), ctx.point(box.x0, box.y1)]
+        assert average == ctx.point((box.x0 + box.x1) / 2, (box.y0 + box.y1) / 2)
+
+    def test_faces_cut_the_tile_of_p1(self):
+        # P1's pentagon spans about -1.31 < x < -0.93, 0 < y < 0.36, so the
+        # faces x >= -6/5 and y >= 1/10 cut it and the others miss it
+        p1 = pentagon_centers(golden_context(), 1)[1]
+        ctx = p1.ctx
+        tile = tile_from_seed(p1, 100)
+        rec = minimal_period(p1, 100, nominate=True)
+        cons = tiles._nominee_halfplanes(rec, tile.period) + box_faces(
+            ctx, Box(Fraction(-6, 5), Fraction(1, 10), 0, 1))
+        poly, average = intersect_halfplanes(cons)
+        assert isinstance(poly, ConvexPolygon) and poly != tile.polygon
+        assert ctx.point(Fraction(-6, 5), Fraction(1, 10)) in poly.vertices
+        assert polygon_contains(tile.polygon, average) == Location.INTERIOR
+        for h in cons:
+            assert all(side_of(h, v) != Sign.NEGATIVE for v in poly.vertices)
+            assert holds(h, average)
+
+
 def swept_and_rechecked(constraints):
     """(ring, result) with the earlier final check of intersect_halfplanes,
     every ring vertex against every constraint, in place of the one-point
     certificate; ring is the sweep's vertex ring, or None when the system is
     rejected before the sweep."""
-    ctx = constraints[0].b.ctx
+    ctx = constraints[0].c.ctx
     m, half = ctx.m, ctx.m // 2
     offset = geometry._binding_offsets(constraints)
     for e, b in offset.items():
@@ -324,27 +380,31 @@ def random_grid_system(ctx, rng, kind):
     def half_point():
         return ctx.point(Fraction(rng.randint(-6, 6), 2), Fraction(rng.randint(-6, 6), 2))
 
-    def through(t, w, s):
-        return HalfPlane(t, -(ctx.lam_pow(t) * w), s)
+    def direction():
+        """The exponent of a random direction lambda^t of the map."""
+        return ctx.t0 * rng.randrange(q) % ctx.m
+
+    def either_side(h):
+        return h if rng.choice((1, -1)) > 0 else opposite(h)
 
     if kind == "point":
         # the inward normals zeta^e of lines through w leave no gap of m/2
         w, cons = half_point(), []
-        while region(cons or [through(0, w, 1)]) is UNBOUNDED:
-            cons.append(through(rng.randrange(q), w, rng.choice((1, -1))))
+        while region(cons or [through(0, w)]) is UNBOUNDED:
+            cons.append(either_side(through(direction(), w)))
         return cons
     if kind == "segment":
-        t, w = rng.randrange(q), half_point()
-        return [through(t, w, 1), through(t, w, -1)] + [
-            through(rng.randrange(q), half_point(), rng.choice((1, -1))) for _ in range(2)
+        h = through(direction(), half_point())
+        return [h, opposite(h)] + [
+            either_side(through(direction(), half_point())) for _ in range(2)
         ]
     c, anchors = half_point(), [half_point() for _ in range(3)]
     cons = []
     for _ in range(rng.randint(3, 3 * q)):
-        t = rng.randrange(q)
-        h = through(t, rng.choice(anchors), 1)
-        s = int(sign_of_imag(ctx.lam_pow(t) * c + h.b)) or 1
-        cons.append(HalfPlane(t, h.b, s if rng.random() < 0.95 else -s))
+        h = through(direction(), rng.choice(anchors))
+        if side_of(h, c) == Sign.NEGATIVE:
+            h = opposite(h)
+        cons.append(h if rng.random() < 0.95 else opposite(h))
     return cons
 
 
@@ -388,7 +448,7 @@ class TestSweepCertificate:
         # against every constraint does.  (No random system in the test
         # above makes the sweep return a ring for an empty intersection.)
         i = ctx12.i_unit
-        cons = [HalfPlane(9, -i, 1), HalfPlane(0, -i, 1), HalfPlane(4, i / 2, 1)]
+        cons = [HalfPlane(3, -i), HalfPlane(0, -i), HalfPlane(8, i / 2)]
         assert region(cons) is EMPTY
         assert swept_and_rechecked(cons) == ([], EMPTY)
 
@@ -480,7 +540,7 @@ class TestRecords:
     def test_records_are_frozen(self, ctx12):
         z = ctx12.point(1, 1)
         square = region(square_constraints(ctx12))
-        records = [(Box(0, 0, 1, 1), "x0"), (HalfPlane(0, z, 1), "side"), (square, "vertices"),
+        records = [(Box(0, 0, 1, 1), "x0"), (HalfPlane(0, z), "c"), (square, "vertices"),
                    (ExactSegment(z, 2 * z, 0), "depth"), (AffineMap(1, z), "offset")]
         for record, name in records:
             with pytest.raises(AttributeError):
@@ -698,11 +758,11 @@ def pentagon(ctx5):
 HAIR = Fraction(1, 10 ** 30)
 
 
-def through(ctx12, t, w):
+def through_holding_center(ctx12, t, w):
     """The constraint on the grid line through w along lambda^-t that holds
     the center of the unit square."""
-    lam, b = ctx12.lam_pow(t), -(ctx12.lam_pow(t) * w)
-    return HalfPlane(t, b, int(sign_of_imag(lam * ctx12.point(Fraction(1, 2), Fraction(1, 2)) + b)))
+    h = through(ctx12.t0 * t % ctx12.m, w)
+    return h if holds(h, ctx12.point(Fraction(1, 2), Fraction(1, 2))) else opposite(h)
 
 
 class TestPredicateCertificate:
@@ -748,7 +808,7 @@ class TestPredicateCertificate:
     def test_redundant_constraint_through_a_vertex(self, ctx12, exact_signs, t):
         # the grid line through (1, 1) along lambda^-t (120 or 150 degrees)
         # touches the unit square only there
-        cons = square_constraints(ctx12) + [through(ctx12, t, ctx12.point(1, 1))]
+        cons = square_constraints(ctx12) + [through_holding_center(ctx12, t, ctx12.point(1, 1))]
         square = region(square_constraints(ctx12))
         del exact_signs[:]
         assert region(cons) == square
@@ -761,10 +821,10 @@ class TestPredicateCertificate:
         # two, in either order
         sqrt3 = ctx12.zeta_pow(1) + ctx12.zeta_pow(1).conj()
         square = region(square_constraints(ctx12))
-        for extra in (HalfPlane(0, sqrt3, 1), HalfPlane(0, -sqrt3, 1)):
+        for extra in (HalfPlane(0, sqrt3), HalfPlane(0, -sqrt3)):
             for cons in (square_constraints(ctx12) + [extra], [extra] + square_constraints(ctx12)):
                 del exact_signs[:]
-                assert geometry._binding_offsets(cons)[0] == cons[0].b
+                assert geometry._binding_offsets(cons)[0] == cons[0].c
                 assert exact_signs == ["_binding_offsets"]
                 assert region(cons) == square
 
@@ -773,8 +833,8 @@ class TestPredicateCertificate:
         ctx = make_field(p, q)
         w = ctx.lam_pow(1) / 3 + ctx.point(0, Fraction(1, 7))
         for t in range(ctx.q):
-            b = -(ctx.lam_pow(t) * w)
-            cons = [HalfPlane(t, b, 1), HalfPlane(t, b, -1)]
+            h = through(ctx.t0 * t % ctx.m, w)
+            cons = [h, opposite(h)]
             del exact_signs[:]
             assert region(cons) is EMPTY
             assert exact_signs == ["intersect_halfplanes"]
@@ -787,8 +847,8 @@ class TestPredicateCertificate:
         w = ctx.lam_pow(1) / 3 + ctx.point(0, Fraction(1, 7))
         for eps in (HAIR, -HAIR):
             for t in range(ctx.q):
-                b = -(ctx.lam_pow(t) * w)
-                cons = [HalfPlane(t, b, 1), HalfPlane(t, b - ctx.point(0, eps), -1)]
+                h = through(ctx.t0 * t % ctx.m, w)
+                cons = [h, opposite(HalfPlane(h.e, h.c - ctx.point(0, eps)))]
                 del exact_signs[:]
                 result = region(cons)
                 assert result is (UNBOUNDED if eps > 0 else EMPTY)
@@ -828,7 +888,8 @@ class TestPredicateCertificate:
         # (redundant) or down (it cuts a corner off the square)
         square = region(square_constraints(ctx12))
         for eps in (HAIR, -HAIR):
-            cons = square_constraints(ctx12) + [through(ctx12, t, ctx12.point(1, 1 + eps))]
+            line = through_holding_center(ctx12, t, ctx12.point(1, 1 + eps))
+            cons = square_constraints(ctx12) + [line]
             del exact_signs[:]
             poly = region(cons)
             assert (poly == square) == (eps > 0) and len(poly) == (4 if eps > 0 else 5)

@@ -13,9 +13,11 @@ from pwrot import stepper
 from pwrot.casestudy import golden_context, hexagon_context, pentagon_centers
 from pwrot.cyclo import Sign, golden_elements, make_field, sign_of_imag
 from pwrot.dynamics import branch_offsets, minimal_period, orbit, step
-from pwrot.geometry import Box, HalfPlane, intersect_halfplanes
+from pwrot.geometry import Box, intersect_halfplanes
 from pwrot.stepper import run_period, run_signs
 from pwrot.tiles import interior_samples, scan_region, tile_from_seed
+
+from affine import pulled_back
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +99,7 @@ def streamed_polygon(tile):
     walk of branch offsets: the reference the nominees must reproduce."""
     ctx, word, n = tile.ctx, tile.word, tile.period
     return intersect_halfplanes(
-        HalfPlane(j % ctx.q, b, word[j % tile.ell])
+        pulled_back(ctx, j, b, word[j % tile.ell])
         for j, b in enumerate(branch_offsets(ctx, word, n - 1))
     )[0]
 
@@ -453,6 +455,24 @@ def test_huge_denominator_uses_pure_path(ctx, monkeypatch):
     rec = minimal_period(z, 50)
     monkeypatch.setenv("PWROT_PURE", "1")
     assert rec == minimal_period(z, 50)
+
+
+@pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")
+def test_start_past_the_threshold_is_walked_again_pure(ctx, monkeypatch):
+    # the compiled kernel refuses a start one past its threshold, or past
+    # int64, by returning None, and the pure kernel walks it from the start
+    monkeypatch.delenv("PWROT_PURE", raising=False)
+    plan = stepper._plan(ctx)
+    starts = [ctx.point(plan.int64_threshold(1) + 1, 0), ctx.point(2 ** 70, 1)]
+    assert max(map(abs, starts[0].vec)) == plan.int64_threshold(1) + 1
+    with monkeypatch.context() as m:
+        m.setattr(stepper, "_compiled_enabled", lambda: False)
+        pure = [run_period(z, 50, True) for z in starts]
+    log = []
+    with monkeypatch.context() as m:
+        log_walks(m, plan, log)
+        assert [run_period(z, 50, True) for z in starts] == pure
+    assert log == rerun_log(starts)
 
 
 @pytest.mark.skipif(not stepper.HAVE_COMPILED, reason="compiled kernel not built")

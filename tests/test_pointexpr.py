@@ -138,6 +138,8 @@ class TestPositions:
         ("phi + phi + 1/0", 12),
         ("(1, x)", 4),
         ("  [1, 2, y, 4]", 9),
+        ("   ", 0),
+        ("[1, 2", 4),
     ])
     def test_point(self, ctx5, ctx12, text, position):
         with pytest.raises(ParseError) as err:

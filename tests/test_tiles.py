@@ -20,7 +20,6 @@ from pwrot.dynamics import (
 from pwrot.errors import BudgetExceededError, CriticalLineError
 from pwrot.geometry import (
     Box,
-    HalfPlane,
     Location,
     apply_affine,
     intersect_halfplanes,
@@ -39,7 +38,7 @@ from pwrot.tiles import (
     verify_polygon_bounds,
 )
 
-from affine import affine_along, compose, rotation_center
+from affine import affine_along, compose, pulled_back, rotation_center
 from checks import failures
 
 
@@ -416,16 +415,16 @@ class TestStreamedConstraints:
             branch = {s: AffineMap(1, -s * ctx.lambda_) for s in (1, -1)}
             g, full = AffineMap(0, ctx.zero()), []
             for j in range(n):
-                full.append(HalfPlane(g.power % ctx.q, g.offset, word[j % tile.ell]))
+                full.append(pulled_back(ctx, g.power, g.offset, word[j % tile.ell]))
                 g = compose(branch[word[j % tile.ell]], g)
             def walk():
                 return (
-                    HalfPlane(j % ctx.q, b, word[j % tile.ell])
+                    pulled_back(ctx, j, b, word[j % tile.ell])
                     for j, b in enumerate(branch_offsets(ctx, word, n - 1))
                 )
 
             assert len(geometry._binding_offsets(walk())) <= ctx.m
-            assert list(branch_offsets(ctx, word, n - 1)) == [h.b for h in full]
+            assert list(walk()) == full
             assert intersect_halfplanes(walk())[0] == intersect_halfplanes(full)[0] == tile.polygon
             # the vertex average is the block map's fixed point
             assert tile.center == rotation_center(affine_along(ctx, word))
