@@ -40,7 +40,7 @@ class GoldenContext(NamedTuple):
 @lru_cache(maxsize=1)
 def golden_context() -> GoldenContext:
     ctx = make_field(4, 5)
-    phi, s, _ = golden_elements(ctx)
+    phi, s = golden_elements(ctx)
     p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
     r_scale = 2 * phi - 3
     assert r_scale * phi ** 3 == 1

@@ -179,8 +179,10 @@ def critical_bundle(
     ``direction`` is "pullback", "forward", or "both".  The segment cap
     truncates breadth-first by depth, reported through ``truncated``.  It
     counts each direction on its own, on the windowed layers before the box
-    re-clip: the first layer that takes the count past ``cap`` and every
-    deeper one are left out.  So at 4/5, depth 10, box -3..3 and cap 40,
+    re-clip: the first layer below depth 0 that takes the count past
+    ``cap`` and every deeper one are left out.  The depth-0 layer is always
+    kept, so cap 0 keeps the line alone, truncated when ``total_depth`` is
+    at least 1.  So at 4/5, depth 10, box -3..3 and cap 40,
     pullback keeps 25 segments and forward 26, and "both" keeps 51.
     """
     if total_depth < 0:

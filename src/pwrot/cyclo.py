@@ -21,6 +21,10 @@ at once, is kept on the element (``CycloNum.enclosure``) and decides the
 geometry predicates by integer compares (box faces, turns, point order,
 the critical splits), and its nodes rotated by any of the m exponents
 enclose Im(zeta^e * a) for the side of a grid line.
+
+The golden case (m = 20) prints elements of Q(zeta_5) over
+{1, phi, i*sqrt(2+phi), i*phi*sqrt(2+phi)}; those coordinates are a closed
+form in the even coefficients of the integer vector (``golden_coords``).
 """
 
 from __future__ import annotations
@@ -556,63 +560,12 @@ def sign_of_imag(a: CycloNum) -> Sign:
     return a.ctx.sign(a.vec)
 
 
-# -- golden-ratio subfield formatting (fields with m == 20) --------------------------
-
-
-class SubfieldBasis:
-    """Exact coordinates of field elements over a fixed Q-basis of a subfield.
-
-    The basis is eliminated once: Gauss-Jordan on ``[B | I]`` leaves
-    ``[I_k; 0 | E]``, so for an element with coefficient vector ``a``,
-    ``E a`` is its coordinates stacked on a residual that vanishes exactly
-    when ``a`` lies in the span.  The rows of ``E`` are kept as sparse
-    integer rows over one denominator, and ``lattice`` applies them to the
-    element's integer vector.
-    """
-
-    def __init__(self, elements: Sequence[CycloNum]):
-        self.elements = tuple(elements)
-        self.ctx = elements[0].ctx
-        k, d = len(self.elements), self.ctx.d
-        rows = [
-            [e.coeffs[r] for e in self.elements] + [Fraction(int(r == c)) for c in range(d)]
-            for r in range(d)
-        ]
-        for col in range(k):
-            piv = next((r for r in range(col, d) if rows[r][col]), None)
-            if piv is None:
-                raise ParameterError("basis elements are linearly dependent")
-            rows[col], rows[piv] = rows[piv], rows[col]
-            inv = 1 / rows[col][col]
-            rows[col] = [x * inv for x in rows[col]]
-            for r in range(d):
-                if r != col and rows[r][col]:
-                    f = rows[r][col]
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-        self._den = math.lcm(*(x.denominator for row in rows for x in row[k:]))
-        scaled = [tuple((j, int(x * self._den)) for j, x in enumerate(row[k:]) if x) for row in rows]
-        self._proj, self._residual = scaled[:k], scaled[k:]
-
-    def lattice(self, a: CycloNum):
-        """The coordinates of ``a`` over the basis as integer numerators over
-        one positive denominator, not reduced, or None if ``a`` is outside."""
-        if a.ctx is not self.ctx:
-            raise WrongContextError("element from a different field context")
-        v = a.vec
-        for row in self._residual:
-            if sum(c * v[j] for j, c in row):
-                return None
-        return tuple(sum(c * v[j] for j, c in row) for row in self._proj), self._den * a.den
-
-    def coords(self, a: CycloNum):
-        """Rational coordinates of ``a`` over the basis, or None if outside."""
-        lat = self.lattice(a)
-        return None if lat is None else tuple(Fraction(x, lat[1]) for x in lat[0])
+# -- golden-ratio coordinates and formatting (fields with m == 20) ------------------
 
 
 @lru_cache(maxsize=None)
 def golden_elements(ctx: FieldContext):
-    """(phi, sqrt(2+phi), basis over {1, phi, i*sqrt(2+phi), i*phi*sqrt(2+phi)}).
+    """(phi, sqrt(2+phi)).
 
     Only fields with conductor 20 contain the golden ratio this way.
     """
@@ -624,13 +577,33 @@ def golden_elements(ctx: FieldContext):
     sqrt2phi = i_sqrt / ctx.i_unit
     assert sqrt2phi * sqrt2phi == phi + 2
     assert phi * phi == phi + 1
-    return phi, sqrt2phi, SubfieldBasis([ctx.one(), phi, i_sqrt, i_sqrt * phi])
+    return phi, sqrt2phi
+
+
+def _golden_lattice(a: CycloNum):
+    """The coordinates (x, y, u, v) of ``a`` over {1, phi, i*sqrt(2+phi),
+    i*phi*sqrt(2+phi)} as integer numerators over one positive denominator,
+    not reduced, or None if ``a`` is outside their span.
+
+    Phi_20(z) = z^8 - z^6 + z^4 - z^2 + 1 is a polynomial in z^2, so the
+    span, Q(zeta_5), holds exactly the elements whose odd coefficients are
+    0.  In the power basis phi = 1 + z^4 - z^6, i*sqrt(2+phi) = z^4 + z^6
+    and their product is -1 + 2z^2 + 2z^6; inverting that map on the even
+    coefficients a0, a2, a4, a6 gives
+    (x, y, u, v) = (2a0 - a4 + a6, a2 + a4 - a6, a4 + a6 - a2, a2) / (2*den).
+    """
+    if a.ctx.m != 20:
+        raise WrongContextError("golden-ratio formatting needs conductor 20")
+    a0, a1, a2, a3, a4, a5, a6, a7 = a.vec
+    if a1 or a3 or a5 or a7:
+        return None
+    return (2 * a0 - a4 + a6, a2 + a4 - a6, a4 + a6 - a2, a2), 2 * a.den
 
 
 def golden_coords(a: CycloNum):
     """(x, y, u, v) with a = x + y*phi + (u + v*phi)*sqrt(2+phi)*i, or None."""
-    _, _, basis = golden_elements(a.ctx)
-    return basis.coords(a)
+    lat = _golden_lattice(a)
+    return None if lat is None else tuple(Fraction(x, lat[1]) for x in lat[0])
 
 
 def fraction_str(x: int, den: int) -> str:
@@ -660,7 +633,7 @@ def _sum_str(terms, den: int) -> str:
 def format_golden(a: CycloNum) -> str:
     """Render in the form ``x + y*phi + (u + v*phi)*sqrt(2+phi)*i``, or as
     ``str(a)`` outside that span, from the integer coordinates."""
-    lat = golden_elements(a.ctx)[2].lattice(a)
+    lat = _golden_lattice(a)
     if lat is None:
         return str(a)
     (x, y, u, v), den = lat

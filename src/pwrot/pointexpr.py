@@ -116,7 +116,7 @@ def _named_constant(name: str, start: int, ctx: FieldContext) -> CycloNum:
 def _parse_phi_literal(src: str, start: int, ctx: FieldContext) -> CycloNum:
     if ctx.m != 20:
         raise ParseError("phi literals need a conductor-20 field (--alpha 4/5)", start)
-    phi, _, _ = golden_elements(ctx)
+    phi, _ = golden_elements(ctx)
     total = ctx.zero()
     # signed terms, read as typed from the first non-blank (the pattern also
     # matches the empty end); blanks may stand around the signs and '*' only

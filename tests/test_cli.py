@@ -861,6 +861,34 @@ class TestBadPaths:
         assert out == "" and err.startswith("error: config file")
 
 
+class TestUsageErrors:
+    """argparse exits 2 on a usage error, but 2 means an exhausted budget,
+    so ``main`` returns 4 (bad input) with argparse's message on stderr."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (("scan", "--bogus"), "unrecognized arguments: --bogus"),
+        (("scan", "--format", "xml"), "argument --format: invalid choice: 'xml'"),
+        (("iterate", "--alpha", "4/5"), "the following arguments are required: --point"),
+        # a separate token that starts with '-' reads as an option
+        (("iterate", "--alpha", "4/5", "--point", "-1/2"),
+         "argument --point: expected one argument"),
+    ], ids=["unknown-option", "bad-choice", "missing-point", "separate-negative-point"])
+    def test_usage_error_is_bad_input(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == "" and "usage: pwrot" in err and message in err
+
+    def test_help_exits_ok(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: pwrot") and err == ""
+
+    def test_negative_point_joined_to_its_option(self, capsys):
+        code, out, err = run(capsys, "iterate", "--alpha", "4/5", "--point=-1/2", "--n", "0")
+        assert code == 0
+        assert out.split() == ["0", "-1/2", "0"] and err == ""
+
+
 class TestConfig:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"

@@ -227,6 +227,15 @@ class TestBundle:
             critical_bundle(ctx5, 2, BOX, cap=-1)
         assert critical_bundle(ctx5, 2, BOX, cap=0).truncated
 
+    def test_cap_zero_keeps_the_line(self, ctx5):
+        # the depth-0 layer is written whatever the cap
+        for depth in (0, 2):
+            bundle = critical_bundle(ctx5, depth, BOX, "both", cap=0)
+            assert bundle.truncated == (depth > 0)
+            assert [(layer.depth, layer.direction) for layer in bundle.layers] == [
+                (0, PULLBACK), (0, FORWARD)]
+            assert [len(layer.segments) for layer in bundle.layers] == [1, 1]
+
     def test_hexagon_boundary_on_critical_set(self):
         # vertices reach the line within 14 backward levels; the slowest edge
         # needs 21, so depth 22 covers the entire boundary

@@ -116,7 +116,7 @@ class TestMakeField:
     def test_lambda_closed_form(self):
         # lambda = exp(-2*pi*i/5) = (phi-1)/2 - i*sqrt(phi+2)/2, exactly
         ctx = make_field(4, 5)
-        phi, sqrt2phi, _ = golden_elements(ctx)
+        phi, sqrt2phi = golden_elements(ctx)
         assert ctx.lambda_.real() == (phi - 1) / 2
         assert ctx.lambda_.imag() == -sqrt2phi / 2
 
@@ -137,7 +137,7 @@ def random_element(ctx, rng, span=6):
 class TestFieldArithmetic:
     def setup_method(self):
         self.ctx = make_field(4, 5)
-        self.phi, self.sqrt2phi, _ = golden_elements(self.ctx)
+        self.phi, self.sqrt2phi = golden_elements(self.ctx)
 
     def test_i_squares_to_minus_one(self):
         assert self.ctx.i_unit * self.ctx.i_unit == -1
@@ -233,7 +233,7 @@ class TestConjugation:
     def test_part_of_known_iterate(self):
         # Q1 = -phi/2 + i*(1/2 + phi/2)*sqrt(2+phi)
         ctx = self.ctx
-        phi, s, _ = golden_elements(ctx)
+        phi, s = golden_elements(ctx)
         q1 = -phi / 2 + ctx.i_unit * ((1 + phi) / 2 * s)
         assert q1.imag() == (1 + phi) / 2 * s
         assert q1.imag().imag().is_zero()
@@ -248,7 +248,7 @@ class TestEmbedding:
 
     def test_named_point_on_line_is_conj_fixed(self):
         ctx = make_field(4, 5)
-        phi, _, _ = golden_elements(ctx)
+        phi, _ = golden_elements(ctx)
         q = -phi
         assert q.conj() == q
         assert q.imag().is_zero()
@@ -257,7 +257,7 @@ class TestEmbedding:
 class TestSignOracle:
     def setup_method(self):
         self.ctx = make_field(4, 5)
-        self.phi, self.sqrt2phi, _ = golden_elements(self.ctx)
+        self.phi, self.sqrt2phi = golden_elements(self.ctx)
 
     def test_zero(self):
         assert sign_of_real(self.ctx.zero()) == Sign.ZERO
@@ -304,7 +304,7 @@ class TestApprox:
 
     def setup_method(self):
         self.ctx = make_field(4, 5)
-        self.phi, _, _ = golden_elements(self.ctx)
+        self.phi, _ = golden_elements(self.ctx)
 
     def test_rational_is_tight(self):
         box = approx(self.ctx.from_rational(Fraction(1, 2)), 64)
@@ -333,7 +333,7 @@ class TestApprox:
 class TestGoldenFormatting:
     def setup_method(self):
         self.ctx = make_field(4, 5)
-        self.phi, self.s, _ = golden_elements(self.ctx)
+        self.phi, self.s = golden_elements(self.ctx)
 
     def test_basis_round_trip(self):
         ctx = self.ctx
@@ -367,7 +367,7 @@ class TestGoldenFormattingProperty:
 
     def setup_method(self):
         self.ctx = make_field(4, 5)
-        self.phi, self.s, _ = golden_elements(self.ctx)
+        self.phi, self.s = golden_elements(self.ctx)
         self.rng = random.Random(41)
 
     def coefficient(self):

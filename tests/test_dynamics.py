@@ -23,7 +23,7 @@ from fieldops import squared_abs
 @pytest.fixture(scope="module")
 def golden():
     ctx = make_field(4, 5)
-    phi, s, _ = golden_elements(ctx)
+    phi, s = golden_elements(ctx)
     return ctx, phi, s
 
 

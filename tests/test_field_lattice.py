@@ -1,6 +1,6 @@
 """The integer-lattice form of CycloNum: reduced pairs, the norm inverse, the
 Galois maps, the exact paths of the sign oracle on the integer vector, and
-subfield coordinates by integer projection."""
+the golden coordinates read off the even coefficients."""
 
 import math
 import random
@@ -13,14 +13,13 @@ from pwrot.casestudy import golden_context
 from pwrot.cyclo import (
     CycloNum,
     Sign,
-    SubfieldBasis,
     golden_coords,
     golden_elements,
     make_field,
     sign_of_imag,
     sign_of_real,
 )
-from pwrot.errors import DomainError, ParameterError
+from pwrot.errors import DomainError, WrongContextError
 
 from enclosure import approx, scaled_cos_sin
 from fieldops import is_rational
@@ -321,41 +320,45 @@ def random_fraction(rng, span=40):
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 
 
+def golden_basis(ctx):
+    phi, sqrt2phi = golden_elements(ctx)
+    i_sqrt = sqrt2phi * ctx.i_unit
+    return [ctx.one(), phi, i_sqrt, i_sqrt * phi]
+
+
 def test_golden_coords_round_trip():
     ctx = make_field(4, 5)
-    phi, sqrt2phi, basis = golden_elements(ctx)
+    phi, sqrt2phi = golden_elements(ctx)
+    basis = golden_basis(ctx)
     rng = random.Random(20)
     for _ in range(50):
         x, y, u, v = (random_fraction(rng) for _ in range(4))
         a = x + y * phi + (u + v * phi) * sqrt2phi * ctx.i_unit
-        assert golden_coords(a) == (x, y, u, v)
-        assert basis.coords(a) == eliminate(basis.elements, a)
+        assert golden_coords(a) == (x, y, u, v) == eliminate(basis, a)
         for outside in (a + ctx.zeta_pow(1), a + ctx.zeta_pow(3) / 7, a * ctx.zeta_pow(1)):
             assert golden_coords(outside) is None
-            assert eliminate(basis.elements, outside) is None
+            assert eliminate(basis, outside) is None
     assert golden_coords(ctx.zeta_pow(1)) is None
     assert golden_coords(ctx.zero()) == (0, 0, 0, 0)
 
 
-@pytest.mark.parametrize("p,q", FIELDS)
-def test_subfield_coords_agree_with_elimination(p, q):
-    ctx = make_field(p, q)
-    rng = random.Random(200 + q)
-    basis = SubfieldBasis([ctx.one()] + [random_element(ctx, rng) for _ in range(ctx.d // 2)])
-    for _ in range(20):
-        coords = [random_fraction(rng) for _ in basis.elements]
-        inside = ctx.zero()
-        for c, b in zip(coords, basis.elements):
-            inside = inside + b * c
-        assert basis.coords(inside) == tuple(coords) == eliminate(basis.elements, inside)
-        a = random_element(ctx, rng)
-        assert basis.coords(a) == eliminate(basis.elements, a)
-    assert basis.coords(ctx.zeta_pow(1)) is None
-
-
-def test_dependent_basis_raises():
+def test_golden_coords_agree_with_elimination():
+    # the closed form on the even coefficients against Gauss-Jordan over the basis
     ctx = make_field(4, 5)
-    phi, _, _ = golden_elements(ctx)
-    for elements in ([ctx.one(), phi, phi * 3 - 2], [phi, phi], [ctx.one(), ctx.zero()]):
-        with pytest.raises(ParameterError):
-            SubfieldBasis(elements).coords(phi)
+    basis = golden_basis(ctx)
+    rng = random.Random(33)
+    for _ in range(200):
+        a = random_element(ctx, rng)
+        assert golden_coords(a) == eliminate(basis, a)
+        inside = ctx.zero()
+        for b in basis:
+            inside = inside + b * random_fraction(rng)
+        coords = golden_coords(inside)
+        assert coords is not None and coords == eliminate(basis, inside)
+        for k in (1, 3, 5, 7):
+            assert golden_coords(inside + ctx.zeta_pow(k) * rng.randint(1, 9)) is None
+    for k in (1, 3, 5, 7):
+        assert golden_coords(ctx.zeta_pow(k)) is None
+        assert eliminate(basis, ctx.zeta_pow(k)) is None
+    with pytest.raises(WrongContextError):
+        golden_coords(make_field(11, 12).one())

@@ -135,18 +135,18 @@ class TestCompiledAgreesWithPure:
         assert sp == sc
 
     def test_fixed_point(self, ctx):
-        phi, s, _ = golden_elements(ctx)
+        phi, s = golden_elements(ctx)
         p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
         self._compare(ctx, p0, 10)
 
     def test_seven_cycle(self, ctx):
-        phi, s, _ = golden_elements(ctx)
+        phi, s = golden_elements(ctx)
         p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
         p1 = (2 * phi - 3) * p0 + (2 - 2 * phi)
         self._compare(ctx, p1, 100)
 
     def test_line_walker(self, ctx):
-        phi, _, _ = golden_elements(ctx)
+        phi, _ = golden_elements(ctx)
         self._compare(ctx, -phi, 240)
 
     def test_random_points(self, ctx):
@@ -211,7 +211,7 @@ def rerun_log(starts):
 def f_p1(ctx):
     """F(P1), on the 7-cycle of P1 (denominator 5): every |v_j| on its orbit
     is at most 7, but W_1 = lambda^-1 v_1 has an entry 9."""
-    phi, s, _ = golden_elements(ctx)
+    phi, s = golden_elements(ctx)
     p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
     return step((2 * phi - 3) * p0 + (2 - 2 * phi))
 
@@ -496,7 +496,7 @@ def test_coefficients_at_the_guard_stay_exact():
 def test_env_override_forces_pure(ctx, monkeypatch):
     monkeypatch.setenv("PWROT_PURE", "1")
     assert stepper.active_impl() == "pure"
-    phi, s, _ = golden_elements(ctx)
+    phi, s = golden_elements(ctx)
     p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
     assert minimal_period(p0, 5).period == 1
 
@@ -505,7 +505,7 @@ def test_forced_hard_sign_matches_fast_path(ctx, monkeypatch):
     # zero integer rows, on which no certificate clears its error, send every
     # nonzero branch sign of the pure kernel to the exact oracle in
     # _Plan.hard_sign; the walks must not change
-    phi, s, _ = golden_elements(ctx)
+    phi, s = golden_elements(ctx)
     p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
     p1 = (2 * phi - 3) * p0 + (2 - 2 * phi)
     rec = run_period(p1, 100)
@@ -536,7 +536,7 @@ def test_compiled_forced_hard_sign_matches_pure(ctx, monkeypatch):
     # kernel on zero rows, and oracle errors propagate; PWROT_PURE=1 in the
     # environment would switch the compiled walk off
     monkeypatch.delenv("PWROT_PURE", raising=False)
-    phi, s, _ = golden_elements(ctx)
+    phi, s = golden_elements(ctx)
     p0 = ctx.from_rational(Fraction(1, 2)) + ctx.i_unit * ((phi + 2) * s / 10)
     p1 = (2 * phi - 3) * p0 + (2 - 2 * phi)
     rec = run_period(p1, 100)
